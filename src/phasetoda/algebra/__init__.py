@@ -2,12 +2,7 @@ from .multipoly import (
     MultiPoly,
     ONE,
     ZERO,
-    coeff_extract,
     grevlex_key,
-    mpoly_arith,
-    mpoly_diff,
-    mpoly_eval,
-    poly_vars,
     var_key,
 )
 from .matrix import RingMatrix, det_cofactor, det_exact
@@ -20,14 +15,9 @@ __all__ = [
     "RingMatrix",
     "RatioMatrix",
     "RatioPoly",
-    "coeff_extract",
     "det_cofactor",
     "det_exact",
     "grevlex_key",
-    "mpoly_arith",
-    "mpoly_diff",
-    "mpoly_eval",
-    "poly_vars",
     "reduce_pair",
     "var_key",
 ]

@@ -16,12 +16,20 @@ numerically, so ``u2 < u10 < v1``.
 The text form sorts terms by graded reverse-lexicographic order (highest
 first) and prints each term as ``coeff*var^exp*...``, e.g.
 ``-2/3*u1^2*v2^-1``; the zero polynomial prints as ``0``.
+
+Arithmetic keeps this representation at its surface only.  A product of two
+multi-term polynomials runs on integers, with each exponent vector packed
+into one int and the coefficients as numerators over a common denominator
+(``_packed_product``).  Results that are canonical by construction go
+through the trusted constructor ``_make`` instead of ``__init__``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from operator import add, mul, sub
 from typing import Mapping, Sequence, Union
 
 from ..errors import DivisionByZero, NegativeExponent, NotDivisible
@@ -77,21 +85,42 @@ class MultiPoly:
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
+    @classmethod
+    def _make(cls, variables: tuple, terms: dict) -> "MultiPoly":
+        """Trusted constructor for results that are canonical by construction.
+
+        ``variables`` must be in global order without duplicates, every key
+        must be a tuple of their length and no coefficient may be zero; the
+        dict is taken over, not copied.  Only variables whose exponent
+        cancelled to 0 in every term are pruned.
+        """
+        self = object.__new__(cls)
+        if not terms:
+            variables = ()
+        elif variables and not all(map(any, zip(*terms))):
+            used = [i for i, col in enumerate(zip(*terms)) if any(col)]
+            variables = tuple(variables[i] for i in used)
+            terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
+        object.__setattr__(self, "vars", variables)
+        object.__setattr__(self, "terms", terms)
+        return self
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "MultiPoly":
-        return cls((), {})
+        return cls._make((), {})
 
     @classmethod
     def const(cls, value: Scalar) -> "MultiPoly":
-        return cls((), {(): Fraction(value)})
+        value = Fraction(value)
+        return cls._make((), {(): value} if value else {})
 
     @classmethod
     def var(cls, name: str, power: int = 1) -> "MultiPoly":
         if power == 0:
             return cls.const(1)
-        return cls((name,), {(power,): Fraction(1)})
+        return cls._make((name,), {(power,): Fraction(1)})
 
     @classmethod
     def monomial(cls, coeff: Scalar, powers: Mapping[str, int]) -> "MultiPoly":
@@ -153,7 +182,12 @@ class MultiPoly:
 
     @staticmethod
     def _union_vars(a: "MultiPoly", b: "MultiPoly") -> tuple:
-        return tuple(sorted(set(a.vars) | set(b.vars), key=var_key))
+        sa, sb = set(a.vars), set(b.vars)
+        if sb <= sa:
+            return a.vars
+        if sa <= sb:
+            return b.vars
+        return tuple(sorted(sa | sb, key=var_key))
 
     @staticmethod
     def _coerce(value) -> "MultiPoly":
@@ -163,22 +197,44 @@ class MultiPoly:
             return MultiPoly.const(value)
         return NotImplemented
 
+    def _scaled(self, c: Fraction) -> "MultiPoly":
+        """Product with a nonzero rational."""
+        return MultiPoly._make(self.vars, {e: k * c for e, k in self.terms.items()})
+
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "MultiPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        allvars = self._union_vars(self, other)
-        terms = self._embed(allvars)
-        for exps, coeff in other._embed(allvars).items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return MultiPoly(allvars, terms)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        if self.vars == other.vars:
+            allvars, big, small = self.vars, self.terms, other.terms
+        else:
+            allvars = self._union_vars(self, other)
+            big, small = self._embed(allvars), other._embed(allvars)
+        if len(big) < len(small):
+            big, small = small, big
+        terms = dict(big)
+        for exps, coeff in small.items():
+            prev = terms.get(exps)
+            if prev is None:
+                terms[exps] = coeff
+            else:
+                coeff += prev
+                if coeff:
+                    terms[exps] = coeff
+                else:
+                    del terms[exps]
+        return MultiPoly._make(allvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         other = self._coerce(other)
@@ -195,22 +251,15 @@ class MultiPoly:
             return NotImplemented
         if not self.terms or not other.terms:
             return MultiPoly.zero()
-        if other.is_constant():
-            c = other.constant_value()
-            return MultiPoly(self.vars, {e: k * c for e, k in self.terms.items()})
-        if self.is_constant():
-            c = self.constant_value()
-            return MultiPoly(other.vars, {e: k * c for e, k in other.terms.items()})
-        allvars = self._union_vars(self, other)
-        a = self._embed(allvars)
-        b = other._embed(allvars)
-        out: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                prev = out.get(key)
-                out[key] = ca * cb if prev is None else prev + ca * cb
-        return MultiPoly(allvars, out)
+        if not other.vars:
+            return self._scaled(other.terms[()])
+        if not self.vars:
+            return other._scaled(self.terms[()])
+        if len(other.terms) == 1:
+            return _monomial_product(self, other)
+        if len(self.terms) == 1:
+            return _monomial_product(other, self)
+        return _packed_product(self, other)
 
     __rmul__ = __mul__
 
@@ -236,7 +285,7 @@ class MultiPoly:
         if len(self.terms) != 1:
             raise NotDivisible(f"not an invertible monomial: {self}")
         ((exps, coeff),) = self.terms.items()
-        return MultiPoly(self.vars, {tuple(-e for e in exps): 1 / coeff})
+        return MultiPoly._make(self.vars, {tuple(-e for e in exps): 1 / coeff})
 
     # -- comparisons -------------------------------------------------------
 
@@ -357,18 +406,19 @@ class MultiPoly:
         if self.is_zero():
             return MultiPoly.zero()
         if divisor.is_constant():
-            c = divisor.constant_value()
-            return MultiPoly(self.vars, {e: k / c for e, k in self.terms.items()})
+            return self._scaled(1 / divisor.constant_value())
         if len(divisor.terms) == 1:
             return self * divisor.monomial_inverse()
-        # shift both operands into the ordinary polynomial ring
-        shift_n = _laurent_shift(self)
-        shift_d = _laurent_shift(divisor)
-        num = self * shift_n if shift_n is not None else self
-        den = divisor * shift_d if shift_d is not None else divisor
-        allvars = self._union_vars(num, den)
-        nterms = num._embed(allvars)
-        dterms = den._embed(allvars)
+        # a monomial is a unit of the Laurent ring: strip the lowest power of
+        # every variable from each side, so that both become polynomials
+        # without a monomial factor and polynomial division decides
+        # divisibility (v1 + 1 over v1^2 + v1 is v1^-1)
+        allvars = self._union_vars(self, divisor)
+        nterms, dterms = self._embed(allvars), divisor._embed(allvars)
+        low_n = [min(col) for col in zip(*nterms)]
+        low_d = [min(col) for col in zip(*dterms)]
+        nterms = {tuple(map(sub, e, low_n)): c for e, c in nterms.items()}
+        dterms = {tuple(map(sub, e, low_d)): c for e, c in dterms.items()}
         lead_d = max(dterms, key=grevlex_key)
         lead_dc = dterms[lead_d]
         quot: dict = {}
@@ -390,20 +440,8 @@ class MultiPoly:
                     nterms.pop(key, None)
                 else:
                     nterms[key] = val
-        result = MultiPoly(allvars, quot)
-        # computed (p*sn)/(d*sd); undo the shifts: p/d = result * sd / sn
-        if shift_d is not None:
-            result = result * shift_d
-        if shift_n is not None:
-            result = result * shift_n.monomial_inverse()
-        return result
-
-    def divides(self, other: "MultiPoly") -> bool:
-        try:
-            other.divide_exact(self)
-            return True
-        except NotDivisible:
-            return False
+        lift = list(map(sub, low_n, low_d))
+        return MultiPoly(allvars, {tuple(map(add, e, lift)): c for e, c in quot.items()})
 
     def content(self) -> Fraction:
         """Positive rational content (gcd of numerators / lcm of denominators)."""
@@ -446,51 +484,70 @@ class MultiPoly:
         return f"MultiPoly({self.to_str()!r})"
 
 
-def _laurent_shift(p: MultiPoly) -> MultiPoly | None:
-    """Monomial m with m*p free of negative exponents, or None if unneeded."""
-    if not p.terms:
-        return None
-    mins = [min(e[i] for e in p.terms) for i in range(len(p.vars))]
-    if all(m >= 0 for m in mins):
-        return None
-    powers = {v: -m for v, m in zip(p.vars, mins) if m < 0}
-    return MultiPoly.monomial(1, powers)
+def _monomial_product(a: MultiPoly, m: MultiPoly) -> MultiPoly:
+    """Product with a single-term ``m``: a shift of every exponent of ``a``,
+    so no two terms collide and nothing needs packing."""
+    allvars = MultiPoly._union_vars(a, m)
+    ((em, cm),) = m._embed(allvars).items()
+    return MultiPoly._make(
+        allvars, {tuple(map(add, e, em)): c * cm for e, c in a._embed(allvars).items()}
+    )
 
 
-# -- module-level operation surface ---------------------------------------
+def _packed_product(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """Product of two non-constant polynomials on integers.
 
-
-def mpoly_arith(lhs: MultiPoly, rhs: MultiPoly, op: str) -> MultiPoly:
-    """Ring arithmetic dispatch: op is one of 'add', 'sub', 'mul'."""
-    if op == "add":
-        return lhs + rhs
-    if op == "sub":
-        return lhs - rhs
-    if op == "mul":
-        return lhs * rhs
-    raise ValueError(f"unknown op {op!r}")
-
-
-def mpoly_eval(p: MultiPoly, assignment: Mapping[str, Union[Scalar, MultiPoly]]):
-    """Substitute; returns a Fraction when nothing symbolic remains."""
-    result = p.subs(assignment)
-    if result.is_constant():
-        return result.constant_value()
-    return result
-
-
-def mpoly_diff(p: MultiPoly, name: str, order: int = 1) -> MultiPoly:
-    return p.diff(name, order)
-
-
-def coeff_extract(p: MultiPoly, name: str, power: int) -> MultiPoly:
-    return p.coeff_of(name, power)
+    Each exponent vector is packed into one int in mixed radix: variable i
+    gets the width span_a + span_b + 1 (spans of its exponents in each
+    operand), so the sum of two packed keys is the packed key of the product
+    monomial and no field can carry into the next.  Negative exponents need
+    no shift before packing, because the map is injective on the box of
+    product exponents; the box's low corner is subtracted when unpacking.
+    Coefficients are integer numerators over the lcm of each operand's
+    denominators, so the inner loop does one int multiply and one int add.
+    """
+    allvars = MultiPoly._union_vars(a, b)
+    n = len(allvars)
+    low = [0] * n
+    width = [1] * n
+    positions = []
+    for p in (a, b):
+        pos = range(n) if p.vars == allvars else [allvars.index(v) for v in p.vars]
+        positions.append(pos)
+        for i, col in zip(pos, zip(*p.terms)):
+            lo = min(col)
+            low[i] += lo
+            width[i] += max(col) - lo
+    radix = []
+    r = 1
+    for w in width:
+        radix.append(r)
+        r *= w
+    packed = []
+    den = 1
+    for p, pos in zip((a, b), positions):
+        rad = [radix[i] for i in pos]
+        d = lcm(*[c.denominator for c in p.terms.values()])
+        den *= d
+        packed.append(
+            [(sum(map(mul, e, rad)), c.numerator * (d // c.denominator)) for e, c in p.terms.items()]
+        )
+    pa, pb = packed
+    out: dict = {}
+    get = out.get
+    for ka, ca in pa:
+        for kb, cb in pb:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    base = sum(map(mul, low, radix))
+    fields = list(zip(radix, width, low))
+    terms = {
+        tuple([(k - base) // r % w + lo for r, w, lo in fields]): Fraction(v, den)
+        for k, v in out.items()
+        if v
+    }
+    return MultiPoly._make(allvars, terms)
 
 
 ZERO = MultiPoly.zero()
 ONE = MultiPoly.const(1)
-
-
-def poly_vars(prefix: str, count: int, start: int = 1) -> list:
-    """Convenience list of variables prefix1..prefixN."""
-    return [MultiPoly.var(f"{prefix}{i}") for i in range(start, start + count)]

@@ -20,6 +20,8 @@ BOUNDS = {
     "prop1_size": 4,
     "bilinear_size": 4,
     "bilinear_tuples": 50,
+    # evaluation points drawn before the bilinear item fails as degenerate
+    "bilinear_draws": 16,
     "linear_size": 3,
     "linear_flows": 2,
     "schur_expand_size": 4,

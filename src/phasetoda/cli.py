@@ -33,6 +33,28 @@ def _names(prefix, count):
     return [f"{prefix}{i}" for i in range(1, count + 1)]
 
 
+def _count(text: str) -> int:
+    """argparse type: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def _int_list(text: str) -> str:
+    """argparse type: comma-separated integers (or empty), kept as text so the
+    report echoes the argument as given."""
+    for part in text.split(",") if text else ():
+        try:
+            int(part)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return text
+
+
 def _parse_partition(text: str) -> Partition:
     if not text:
         return Partition(())
@@ -265,10 +287,10 @@ def make_parser() -> argparse.ArgumentParser:
     pc.add_argument("--m", type=int, default=0)
     pc.add_argument("--n", type=int, default=3)
     pc.add_argument("--s", type=int, default=None, help="site (default: all)")
-    pc.add_argument("--N", type=int, default=2)
-    pc.add_argument("--M", type=int, default=2)
+    pc.add_argument("--N", type=_count, default=2)
+    pc.add_argument("--M", type=_count, default=2)
     pc.add_argument("--k", type=int, default=0)
-    pc.add_argument("--r", type=str, default="0", help="n-point indices, comma separated")
+    pc.add_argument("--r", type=_int_list, default="0", help="n-point indices, comma separated")
     pc.add_argument("--kind", choices=["one_hole", "seeded", "n_point"], default="one_hole")
     pc.add_argument(
         "--matrix",
@@ -281,12 +303,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("enumerate", help="enumerate combinatorial objects as JSON")
     pe.add_argument("object", choices=["pp", "partitions", "paths", "tableaux"])
-    pe.add_argument("--N", type=int, required=True)
-    pe.add_argument("--M", type=int, required=True)
-    pe.add_argument("--contains", type=str, default=None, help="diagonal partition filter")
-    pe.add_argument("--occupation", type=str, default=None, help="n_0,..,n_M")
-    pe.add_argument("--shape", type=str, default="")
-    pe.add_argument("--inner", type=str, default=None)
+    pe.add_argument("--N", type=_count, required=True)
+    pe.add_argument("--M", type=_count, required=True)
+    pe.add_argument("--contains", type=_int_list, default=None, help="diagonal partition filter")
+    pe.add_argument("--occupation", type=_int_list, default=None, help="n_0,..,n_M")
+    pe.add_argument("--shape", type=_int_list, default="")
+    pe.add_argument("--inner", type=_int_list, default=None)
     pe.add_argument("--entries", type=int, default=1)
     pe.add_argument("--convention", choices=["ascending", "descending"], default="ascending")
     pe.add_argument("--svg", type=str, default=None)

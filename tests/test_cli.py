@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from phasetoda.cli import main
 
 
@@ -92,3 +94,20 @@ def test_entry_point_subprocess():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["count"] == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["compute", "scalar", "--N", "-1", "--M", "1"],
+        ["compute", "state", "--N", "1", "--M", "-1"],
+        ["enumerate", "pp", "--N", "2", "--M", "2", "--contains", "x"],
+    ],
+)
+def test_invalid_arguments_exit_2_without_traceback(args):
+    proc = subprocess.run(
+        [sys.executable, "-m", "phasetoda.cli", *args], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

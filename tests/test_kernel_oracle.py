@@ -1,0 +1,144 @@
+"""The MultiPoly kernel against sympy, and det_exact against det_cofactor.
+
+The kernel computes products on packed integer keys and builds most results
+through a trusted constructor; sympy is the independent slow route for the
+ring operations, and every result must equal its re-canonicalised form.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from phasetoda.algebra import MultiPoly, RingMatrix, det_cofactor, det_exact
+from phasetoda.errors import NotDivisible
+
+sympy = pytest.importorskip("sympy")
+
+# names whose global order differs from plain string order (u2 < u10)
+NAMES = ("u2", "u10", "v1")
+SYMBOLS = {name: sympy.Symbol(name) for name in NAMES}
+
+coeffs = st.builds(
+    Fraction, st.integers(min_value=-5, max_value=5), st.integers(min_value=1, max_value=4)
+)
+
+
+@st.composite
+def polys(draw, max_terms=5):
+    """Sparse Laurent polynomial in a random subset of NAMES, listed in a
+    random order so that __init__ has to sort."""
+    names = draw(st.permutations(NAMES).flatmap(lambda p: st.integers(0, 3).map(lambda k: p[:k])))
+    exps = st.tuples(*[st.integers(min_value=-2, max_value=2) for _ in names])
+    terms = draw(st.dictionaries(exps, coeffs, max_size=max_terms))
+    return MultiPoly(tuple(names), terms)
+
+
+def to_sympy(p: MultiPoly):
+    expr = sympy.Integer(0)
+    for exps, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for name, e in zip(p.vars, exps):
+            term *= SYMBOLS[name] ** e
+        expr += term
+    return expr
+
+
+def from_sympy(expr) -> MultiPoly:
+    """Canonical MultiPoly of an expanded sympy Laurent polynomial."""
+    terms = {}
+    for mono, c in sympy.expand(expr).as_coefficients_dict().items():
+        powers = mono.as_powers_dict()
+        key = tuple(int(powers.get(SYMBOLS[name], 0)) for name in NAMES)
+        terms[key] = terms.get(key, Fraction(0)) + Fraction(int(c.p), int(c.q))
+    return MultiPoly(NAMES, terms)
+
+
+def canonical(r: MultiPoly) -> MultiPoly:
+    """Assert r is in canonical form, return it."""
+    again = MultiPoly(r.vars, r.terms)
+    assert r.vars == again.vars and r.terms == again.terms
+    assert all(type(c) is Fraction and c != 0 for c in r.terms.values())
+    assert all(len(e) == len(r.vars) for e in r.terms)
+    return r
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), polys())
+def test_ring_operations_match_sympy(p, q):
+    P, Q = to_sympy(p), to_sympy(q)
+    assert canonical(p * q) == from_sympy(P * Q)
+    assert canonical(p + q) == from_sympy(P + Q)
+    assert canonical(p - q) == from_sympy(P - Q)
+    assert canonical(-p) == from_sympy(-P)
+    assert canonical(p * 3) == canonical(Fraction(3) * p) == from_sympy(3 * P)
+    assert canonical(p + Fraction(1, 2)) == from_sympy(P + sympy.Rational(1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(max_terms=3), st.integers(min_value=0, max_value=3))
+def test_power_matches_sympy(p, k):
+    assert canonical(p ** k) == from_sympy(to_sympy(p) ** k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(max_terms=1), st.integers(min_value=-3, max_value=-1))
+def test_negative_power_of_monomial_matches_sympy(p, k):
+    if p.is_zero():
+        return
+    assert canonical(p ** k) == from_sympy(to_sympy(p) ** k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), polys())
+# a divisor with a monomial factor whose quotient has a negative power
+@example(MultiPoly.var("v1", -1), MultiPoly.var("v1", 2) + MultiPoly.var("v1"))
+def test_divide_exact_matches_sympy(p, q):
+    if q.is_zero():
+        return
+    P, Q = to_sympy(p), to_sympy(q)
+    # divisible by construction: the quotient must come back exactly
+    assert canonical((p * q).divide_exact(q)) == p
+    # arbitrary pair: a quotient must multiply back, a refusal must be a
+    # genuine non-divisibility (the reduced denominator is no monomial)
+    try:
+        quot = canonical(p.divide_exact(q))
+    except NotDivisible:
+        _, den = sympy.fraction(sympy.cancel(P / Q))
+        assert len(sympy.Add.make_args(sympy.expand(den))) > 1
+    else:
+        assert from_sympy(to_sympy(quot) * Q) == canonical(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys())
+def test_cancelled_variables_are_pruned(p):
+    assert canonical(p + (-p)) == MultiPoly.zero()
+    assert (p - p).vars == ()
+    if p.is_monomial():
+        inverse = canonical(p.monomial_inverse())
+        assert canonical(p * inverse) == MultiPoly.const(1)
+        assert (p * inverse).vars == ()
+
+
+def test_cancellation_cases():
+    x = MultiPoly.var("x")
+    y = MultiPoly.var("y")
+    one = canonical(x * MultiPoly.var("x", -1))
+    assert one.vars == () and one.terms == {(): Fraction(1)}
+    # x cancels from every term of a multi-term product
+    r = canonical((x * y + x) * (MultiPoly.var("x", -1) * y - MultiPoly.var("x", -1)))
+    assert r.vars == ("y",) and r == y ** 2 - 1
+    p = x ** 2 * Fraction(1, 3) - y * Fraction(2, 7) + 5
+    assert canonical(p + (-p)).vars == ()
+    assert canonical(p - p) == MultiPoly.zero()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_det_exact_matches_cofactor(n, data):
+    # sizes 3 and 4 take the minor expansion, size 5 the Bareiss path
+    flat = data.draw(st.lists(polys(max_terms=3), min_size=n * n, max_size=n * n))
+    m = RingMatrix(n, n, flat)
+    assert canonical(det_exact(m)) == canonical(det_cofactor(m))

@@ -120,3 +120,38 @@ def test_bilinear_degenerate_denominator():
     zeros = [Fraction(0)]
     with pytest.raises(DegenerateDenominator):
         bilinear_check(ctx, 1, 1, zeros, zeros, zeros, zeros)
+
+
+def _bilinear_item(monkeypatch, check):
+    # the suite's bilinear item with the check replaced; the context is unused
+    import random
+
+    from phasetoda import suites
+
+    monkeypatch.setattr(suites, "bilinear_check", check)
+    return suites._bilinear_residues(None, 4, random.Random(0))
+
+
+def test_bilinear_item_bounds_degenerate_draws(monkeypatch):
+    def always_degenerate(*args):
+        raise DegenerateDenominator("tau vanishes at the evaluation point")
+
+    item = _bilinear_item(monkeypatch, always_degenerate)
+    assert item["pass"] is False
+    assert item["parameters"]["tuples"] == 0
+    assert item["witness"] == "0 of 50 tuples checked: 256 evaluations hit a vanishing tau in 16 draws"
+
+
+def test_bilinear_item_propagates_other_errors(monkeypatch):
+    def broken(*args):
+        raise RangeViolation("bug")
+
+    with pytest.raises(RangeViolation):
+        _bilinear_item(monkeypatch, broken)
+
+
+def test_bilinear_item_witness_on_false(monkeypatch):
+    item = _bilinear_item(monkeypatch, lambda ctx, s, sp, *point: (s, sp) != (1, 2))
+    assert item["pass"] is False
+    assert item["parameters"]["tuples"] == 50
+    assert item["witness"].startswith("fails at s=1, s'=2, x;x';y;y' = ")
