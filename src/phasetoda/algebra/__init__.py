@@ -2,6 +2,7 @@ from .multipoly import (
     MultiPoly,
     ONE,
     ZERO,
+    as_poly,
     grevlex_key,
     var_key,
 )
@@ -15,6 +16,7 @@ __all__ = [
     "RingMatrix",
     "RatioMatrix",
     "RatioPoly",
+    "as_poly",
     "det_cofactor",
     "det_exact",
     "grevlex_key",

@@ -11,13 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..errors import NonSquare
-from .multipoly import MultiPoly
-
-
-def _as_poly(value) -> MultiPoly:
-    if isinstance(value, MultiPoly):
-        return value
-    return MultiPoly.const(value)
+from .multipoly import MultiPoly, as_poly
 
 
 class RingMatrix:
@@ -30,7 +24,7 @@ class RingMatrix:
             raise ValueError("rows*cols must equal the entry count")
         self.rows = rows
         self.cols = cols
-        self.entries = [_as_poly(e) for e in entries]
+        self.entries = [as_poly(e) for e in entries]
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RingMatrix":
@@ -101,7 +95,7 @@ class RingMatrix:
         return RingMatrix(self.rows, other.cols, out)
 
     def scale(self, c) -> "RingMatrix":
-        c = _as_poly(c)
+        c = as_poly(c)
         return RingMatrix(self.rows, self.cols, [c * e for e in self.entries])
 
     def transpose(self) -> "RingMatrix":

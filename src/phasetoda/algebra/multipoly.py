@@ -484,6 +484,15 @@ class MultiPoly:
         return f"MultiPoly({self.to_str()!r})"
 
 
+def as_poly(value) -> MultiPoly:
+    """A MultiPoly as is, a name as that variable, anything else as a constant."""
+    if isinstance(value, MultiPoly):
+        return value
+    if isinstance(value, str):
+        return MultiPoly.var(value)
+    return MultiPoly.const(value)
+
+
 def _monomial_product(a: MultiPoly, m: MultiPoly) -> MultiPoly:
     """Product with a single-term ``m``: a shift of every exponent of ``a``,
     so no two terms collide and nothing needs packing."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import NotDivisible
-from .multipoly import MultiPoly, grevlex_key
+from .multipoly import MultiPoly, as_poly, grevlex_key
 
 
 def reduce_pair(num: MultiPoly, den: MultiPoly) -> tuple:
@@ -38,24 +38,18 @@ def reduce_pair(num: MultiPoly, den: MultiPoly) -> tuple:
     return num, den
 
 
-def _as_poly(value) -> MultiPoly:
-    if isinstance(value, MultiPoly):
-        return value
-    return MultiPoly.const(value)
-
-
 class RatioPoly:
     """Exact rational function num / prod(den_factors)."""
 
     __slots__ = ("num", "factors")
 
     def __init__(self, num, den=None, _factors=None):
-        num = _as_poly(num)
+        num = as_poly(num)
         factors = []
         if _factors is not None:
             factors = list(_factors)
         if den is not None:
-            den = _as_poly(den)
+            den = as_poly(den)
             if den.is_zero():
                 raise ZeroDivisionError("zero denominator")
             if den.is_constant():
@@ -88,9 +82,6 @@ class RatioPoly:
         for f in self.factors:
             out = out * f
         return out
-
-    def as_pair(self) -> tuple:
-        return reduce_pair(self.num, self.den())
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

@@ -25,7 +25,7 @@ from .combinatorics import (
 from .errors import ConfigError, PhaseTodaError
 from .phase import boundary_correlator, scalar_product
 from .reports import build_report, emit_report
-from .suites import SUITES, run_suite
+from .suites import FAMILIES, SUITES, run_family, run_suite
 from .toda import TauContext, generic_constant_matrix, tau, tau_schur_expand
 
 
@@ -55,10 +55,9 @@ def _int_list(text: str) -> str:
     return text
 
 
-def _parse_partition(text: str) -> Partition:
-    if not text:
-        return Partition(())
-    return Partition(tuple(int(p) for p in text.split(",")))
+def _ints(text: str) -> tuple:
+    """The integers of a comma-separated list that ``_int_list`` accepted."""
+    return tuple(int(p) for p in text.split(",")) if text else ()
 
 
 def _load_matrix(path: str, size: int) -> RingMatrix:
@@ -122,7 +121,7 @@ def cmd_compute(args) -> int:
     elif args.object == "correlator":
         un, vn = _names("u", args.N), _names("v", args.N)
         if args.kind == "n_point":
-            rs = tuple(int(r) for r in args.r.split(","))
+            rs = _ints(args.r)
             value = boundary_correlator("n_point", args.N, args.M, un, vn, rs=rs)
         else:
             value = boundary_correlator(args.kind, args.N, args.M, un, vn, k=args.k)
@@ -161,7 +160,7 @@ def cmd_enumerate(args) -> int:
     if args.object == "pp":
         contains = None
         if args.contains:
-            contains = _parse_partition(args.contains)
+            contains = Partition(_ints(args.contains))
         for pp in enumerate_plane_partitions(args.N, args.M):
             if contains is not None and pp.diagonal() != contains:
                 continue
@@ -184,11 +183,11 @@ def cmd_enumerate(args) -> int:
     elif args.object == "paths":
         occupation = None
         if args.occupation:
-            occupation = OccupationSequence(tuple(int(c) for c in args.occupation.split(",")))
+            occupation = OccupationSequence(_ints(args.occupation))
         for cfg in enumerate_path_configs(args.N, args.M, occupation):
             items.append({"turning_rows": [list(t) for t in cfg.turns]})
     elif args.object == "tableaux":
-        shape = SkewShape(_parse_partition(args.shape), _parse_partition(args.inner or ""))
+        shape = SkewShape(Partition(_ints(args.shape)), Partition(_ints(args.inner)))
         for tab in enumerate_tableaux(shape, args.entries, args.convention):
             items.append({"rows": [list(r) for r in tab.rows]})
     else:
@@ -212,50 +211,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.time()
-    name_to_suite = {
-        "scalar-equivalence": ("phase", ("scalar-three-way-symbolic", "scalar-three-way-numeric")),
-        "state-coefficients": ("phase", ("state-coefficients-schur-form",)),
-        "rtt": ("phase", ("monodromy-intertwining",)),
-        "triple-agreement": (
-            "combinatorics",
-            (
-                "state-coefficient-triple-agreement",
-                "hole-coefficient-triple-agreement",
-                "seed-coefficient-triple-agreement",
-            ),
-        ),
-        "bijections": ("combinatorics", ("path-pp-round-trip", "half-tableau-round-trip", "plane-partition-count-macmahon")),
-        "prop1": ("toda", ("wave-derivative-identities", "shifted-tau-weighted-sums")),
-        "tau-expansion": ("toda", ("tau-character-expansion",)),
-        "bilinear": ("toda", ("bilinear-residue-identity",)),
-        "linear": (
-            "toda",
-            (
-                "wave-inverse-identities",
-                "initial-value-relation",
-                "linear-flow-equation",
-                "zakharov-shabat-identities",
-            ),
-        ),
-        "prop2": ("correspondence", ("restricted-tau-scalar-product",)),
-        "limits": ("correspondence", ("hole-limit-correspondence", "seed-limit-correspondence")),
-        "single-determinant": (
-            "correspondence",
-            (
-                "hole-determinant-form",
-                "npoint-determinant-form",
-                "hole-stack-reassembly",
-                "point-stack-reassembly",
-            ),
-        ),
-        "recursions": ("correspondence", ("expansion-recursions",)),
-    }
-    if args.identity not in name_to_suite:
-        raise ConfigError(
-            f"unknown identity {args.identity!r}; choose from {sorted(name_to_suite)}"
-        )
-    suite_name, keep = name_to_suite[args.identity]
-    items = [it for it in run_suite(suite_name, args.seed) if it["identity"] in keep]
+    items = run_family(args.identity, args.seed)
     report = build_report(f"verify {args.identity}", vars_of(args), items, args.seed)
     emit_report(report, args.output, time.time() - t0)
     return 0 if report["failed"] == 0 else 1
@@ -317,13 +273,13 @@ def make_parser() -> argparse.ArgumentParser:
     pe.set_defaults(func=cmd_enumerate)
 
     pv = sub.add_parser("verify", help="run one identity family")
-    pv.add_argument("identity")
+    pv.add_argument("identity", help="one of: " + ", ".join(FAMILIES))
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--output", default=None)
     pv.set_defaults(func=cmd_verify)
 
     ps = sub.add_parser("suite", help="run a verification battery")
-    ps.add_argument("name", choices=list(SUITES))
+    ps.add_argument("name", choices=[*SUITES, "all"])
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--output", default=None)
     ps.set_defaults(func=cmd_suite)

@@ -54,11 +54,6 @@ class PlanePartitionBox:
         rows = tuple(tuple(self.array[i][: i + 1]) for i in range(self.n))
         return HalfPlanePartition(self.n, self.m, "lower", rows)
 
-    def contains_value_pattern(self, pattern) -> bool:
-        return all(
-            self.array[i][j] == v for (i, j, v) in pattern
-        )
-
 
 @dataclass(frozen=True)
 class HalfPlanePartition:

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..algebra import MultiPoly, RingMatrix, det_exact
+from ..algebra import MultiPoly, RingMatrix, as_poly, det_exact
 from ..errors import RangeViolation
 from ..symfunc import hk
-from .scalar import _prefactor, _to_polys, vandermonde_divide
+from .scalar import prefactor, vandermonde_divide
 from .skew import validate_npoint_indices
 
 
@@ -28,8 +28,8 @@ def one_hole_det(q: int, n: int, m: int, u_values: Sequence, v_values: Sequence)
     """Determinant value of <one-hole conjugate | full state>."""
     if not (0 <= q <= m):
         raise RangeViolation(f"hole row {q} outside 0..{m}")
-    us = _to_polys(u_values)
-    vs = _to_polys(v_values)
+    us = list(map(as_poly, u_values))
+    vs = list(map(as_poly, v_values))
     u2 = [u * u for u in us]
     v2 = [v * v for v in vs]
     q_row = [hk(q, [u2[k]] + v2[1:]) for k in range(n)]
@@ -39,7 +39,7 @@ def one_hole_det(q: int, n: int, m: int, u_values: Sequence, v_values: Sequence)
     det = det_exact(RingMatrix.from_rows(rows))
     det = vandermonde_divide(det, u2, descending=True)
     det = vandermonde_divide(det, v2[1:])
-    pref = (_prefactor(us, 1) * _prefactor(vs[1:], 1)).monomial_inverse()
+    pref = (prefactor(us) * prefactor(vs[1:])).monomial_inverse()
     return (pref ** m) * det
 
 
@@ -54,8 +54,8 @@ def npoint_det(
     """
     validate_npoint_indices(rs, n, m)
     nn = len(rs)
-    us = _to_polys(u_values)
-    vs = _to_polys(v_values)
+    us = list(map(as_poly, u_values))
+    vs = list(map(as_poly, v_values))
     u2 = [u * u for u in us]
     v2 = [v * v for v in vs]
     head = u2[: n - nn]
@@ -67,7 +67,7 @@ def npoint_det(
         rows.append(row)
     det = det_exact(RingMatrix.from_rows(rows))
     det = vandermonde_divide(det, v2)
-    pref = (_prefactor(us[: n - nn], 1) * _prefactor(vs, 1)).monomial_inverse()
+    pref = (prefactor(us[: n - nn]) * prefactor(vs)).monomial_inverse()
     return (pref ** m) * det
 
 
@@ -99,7 +99,7 @@ def one_hole_stack_check(n: int, m: int, u_values: Sequence, v_values: Sequence)
     """
     from .scalar import scalar_product
 
-    vs = _to_polys(v_values)
+    vs = list(map(as_poly, v_values))
     v1 = vs[0]
     total = MultiPoly.zero()
     for q in range(0, m + 1):
@@ -111,16 +111,12 @@ def one_point_stack_check(n: int, m: int, u_values: Sequence, v_values: Sequence
     """sum_j u_N^{2j-M} * one_point_det(j) == scalar product, exactly."""
     from .scalar import scalar_product
 
-    us = _to_polys(u_values)
+    us = list(map(as_poly, u_values))
     un = us[-1]
     total = MultiPoly.zero()
     for j in range(0, m + 1):
         total = total + (un ** (2 * j - m)) * npoint_det((j,), n, m, u_values, v_values)
     return total == scalar_product(n, m, u_values, v_values, "fock_pairing")
-
-
-def _coeff_in_square(poly: MultiPoly, name: str, power: int) -> MultiPoly:
-    return poly.coeff_of(name, power)
 
 
 def recursion_expand_check(
@@ -137,8 +133,8 @@ def recursion_expand_check(
     nn = len(rs)
     if nn >= n:
         raise RangeViolation("need a free creation variable to expand in")
-    us = _to_polys(u_values)
-    vs = _to_polys(v_values)
+    us = list(map(as_poly, u_values))
+    vs = list(map(as_poly, v_values))
     target = npoint_det(rs, n, m, us, vs)
     uvar = us[n - nn - 1]
     if not (uvar.is_monomial() and not uvar.is_constant()):

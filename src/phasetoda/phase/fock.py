@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Tuple
 
-from ..algebra import MultiPoly
+from ..algebra import MultiPoly, as_poly
 from ..combinatorics.partitions import (
     OccupationSequence,
     Partition,
@@ -20,10 +20,6 @@ from ..combinatorics.partitions import (
 )
 
 FockState = Tuple[int, ...]
-
-
-def _as_poly(c) -> MultiPoly:
-    return c if isinstance(c, MultiPoly) else MultiPoly.const(c)
 
 
 @dataclass
@@ -35,7 +31,7 @@ class StateVector:
     def __post_init__(self):
         clean = {}
         for occ, coeff in self.terms.items():
-            coeff = _as_poly(coeff)
+            coeff = as_poly(coeff)
             if coeff.is_zero():
                 continue
             if len(occ) != self.m + 1 or any(c < 0 for c in occ):
@@ -64,7 +60,7 @@ class StateVector:
         return self + other.scale(MultiPoly.const(-1))
 
     def scale(self, c) -> "StateVector":
-        c = _as_poly(c)
+        c = as_poly(c)
         return self.copy_with({occ: c * coeff for occ, coeff in self.terms.items()})
 
     def coeff(self, occ: FockState) -> MultiPoly:

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..algebra import MultiPoly
+from ..algebra import MultiPoly, as_poly
 from ..errors import RangeViolation
-from .scalar import _prefactor, _to_polys
+from .scalar import prefactor
 from .skew import correlator_one_hole, correlator_seeded
 
 LIMIT_KINDS = ("v1_to_infinity", "u_tail_to_zero")
@@ -44,8 +44,8 @@ def limit_correspondence(
     if len(u_names) != n or len(v_names) != n:
         raise ValueError("need N creation and N annihilation names")
     ctx = _memo_context(u_names, v_names, m)
-    us = _to_polys(u_names)
-    vs = _to_polys(v_names)
+    us = list(map(as_poly, u_names))
+    vs = list(map(as_poly, v_names))
     if kind == "v1_to_infinity":
         if not (0 <= k <= m):
             raise RangeViolation(f"k={k} outside 0..{m}")
@@ -54,7 +54,7 @@ def limit_correspondence(
         # the restricted entries carry powers v_1^0, v_1^-2, ..; the limit
         # keeps the degree-zero coefficient
         limit = cleared.coeff_of(v_names[0], 0)
-        pref = _prefactor(us, 1) * _prefactor(vs[1:], 1).monomial_inverse()
+        pref = prefactor(us) * prefactor(vs[1:]).monomial_inverse()
         rhs = (pref ** m) * correlator_one_hole(k, n, m, us, vs, "pairing")
         return limit == rhs
     if kind == "u_tail_to_zero":
@@ -66,7 +66,7 @@ def limit_correspondence(
         cleared = wave_numerator(ctx, s, "w_inf", k)
         limit = cleared.subs({name: 0 for name in u_names[n - k :]})
         sign = MultiPoly.const((-1) ** k)
-        pref = _prefactor(us[: n - k], 1) * _prefactor(vs, 1).monomial_inverse()
+        pref = prefactor(us[: n - k]) * prefactor(vs).monomial_inverse()
         rhs = sign * (pref ** m) * correlator_seeded(k, n, m, us, vs, "pairing")
         return limit == rhs
     raise ValueError(f"unknown limit kind {kind!r}")

@@ -17,21 +17,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from ..algebra import MultiPoly
+from ..algebra import MultiPoly, as_poly
 from ..errors import PoleViolation
 from .fock import StateVector, all_occupations, vacuum
 
 Spectral = Union[MultiPoly, Fraction, int]
 
 _ENTRIES = ("a", "b", "c", "d")
-
-
-def _as_poly(u: Spectral) -> MultiPoly:
-    if isinstance(u, MultiPoly):
-        return u
-    if isinstance(u, str):
-        return MultiPoly.var(u)
-    return MultiPoly.const(u)
 
 
 def _shift_site(occ, j, delta):
@@ -51,7 +43,7 @@ def apply_local_L(j: int, entry: str, u: Spectral, sv: StateVector) -> StateVect
         raise ValueError(f"entry must be one of {_ENTRIES}")
     if not (0 <= j <= sv.m):
         raise ValueError(f"site {j} outside 0..{sv.m}")
-    u = _as_poly(u)
+    u = as_poly(u)
     if entry == "a":
         return sv.scale(u.monomial_inverse() if not u.is_constant() else MultiPoly.const(Fraction(1) / u.constant_value()))
     if entry == "d":
@@ -77,7 +69,7 @@ def monodromy_apply(entry: str, u: Spectral, sv: StateVector) -> StateVector:
     """
     if entry not in ("A", "B", "C", "D"):
         raise ValueError("entry must be A, B, C or D")
-    u = _as_poly(u)
+    u = as_poly(u)
     if not sv.dual:
         # mat[x][y] = (L_j .. L_0)[x][y] applied to sv, built up over j
         mat = None

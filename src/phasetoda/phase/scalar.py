@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..algebra import MultiPoly, RingMatrix, det_exact
+from ..algebra import MultiPoly, RingMatrix, as_poly, det_exact
 from ..combinatorics.partitions import partitions_in_box
 from ..errors import DegenerateVandermonde
 from ..symfunc import hk, schur
@@ -19,18 +19,6 @@ from .fock import pair
 from .monodromy import build_conj_state, build_state
 
 METHODS = ("fock_pairing", "schur_sum", "determinant")
-
-
-def _to_polys(values: Sequence) -> list:
-    out = []
-    for v in values:
-        if isinstance(v, MultiPoly):
-            out.append(v)
-        elif isinstance(v, str):
-            out.append(MultiPoly.var(v))
-        else:
-            out.append(MultiPoly.const(v))
-    return out
 
 
 def scalar_product(
@@ -45,8 +33,8 @@ def scalar_product(
     u_values / v_values may be variable names, MultiPoly symbols, or
     rationals; they must have length n.
     """
-    us = _to_polys(u_values)
-    vs = _to_polys(v_values)
+    us = list(map(as_poly, u_values))
+    vs = list(map(as_poly, v_values))
     if len(us) != n or len(vs) != n:
         raise ValueError("need N creation and N annihilation values")
     if method == "fock_pairing":
@@ -58,10 +46,12 @@ def scalar_product(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _prefactor(values: Sequence[MultiPoly], power: int) -> MultiPoly:
+def prefactor(values: Sequence[MultiPoly]) -> MultiPoly:
+    """Product of the values, 1 for none: the monomial prefactors such as
+    u_1 .. u_N."""
     out = MultiPoly.const(1)
     for v in values:
-        out = out * v ** power
+        out = out * v
     return out
 
 
@@ -73,7 +63,7 @@ def _schur_sum(n: int, m: int, us, vs) -> MultiPoly:
         total = total + schur(lam, u2) * schur(lam, vm2)
     if n == 0:
         return total
-    pref = _prefactor(vs, 1) * _prefactor(us, 1).monomial_inverse()
+    pref = prefactor(vs) * prefactor(us).monomial_inverse()
     return (pref ** m) * total
 
 
@@ -107,5 +97,5 @@ def _determinant_form(n: int, m: int, us, vs) -> MultiPoly:
     det = vandermonde_divide(det, v2)
     if n == 0:
         return MultiPoly.const(1)
-    inv_uv = (_prefactor(us, 1) * _prefactor(vs, 1)).monomial_inverse()
+    inv_uv = (prefactor(us) * prefactor(vs)).monomial_inverse()
     return (inv_uv ** m) * det

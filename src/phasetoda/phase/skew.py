@@ -12,20 +12,20 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..algebra import MultiPoly
+from ..algebra import MultiPoly, as_poly
 from ..combinatorics.partitions import SkewShape, column, hook
 from ..errors import RangeViolation
 from ..symfunc import schur
 from .fock import StateVector, pair, vacuum
 from .monodromy import build_conj_state, build_state, monodromy_apply
-from .scalar import _prefactor, _to_polys
+from .scalar import prefactor
 
 
 def skew_conj_state(k: int, v_tail: Sequence, m: int) -> StateVector:
     """Dual vector <0| phi_k C(v_2) .. C(v_N); v_tail lists v_2..v_N."""
     if not (0 <= k <= m):
         raise RangeViolation(f"hole row {k} outside 0..{m}")
-    vs = _to_polys(v_tail)
+    vs = list(map(as_poly, v_tail))
     sv = vacuum(m, dual=True)
     # right action of phi_k on a bra adds one quantum at site k
     occ = list(next(iter(sv.terms)))
@@ -40,7 +40,7 @@ def skew_state(k: int, u_head: Sequence, m: int) -> StateVector:
     """Ket B(u_1) .. B(u_{N-k}) (create_1)^k |0>; u_head lists u_1..u_{N-k}."""
     if k < 0:
         raise RangeViolation("seed multiplicity must be >= 0")
-    us = _to_polys(u_head)
+    us = list(map(as_poly, u_head))
     occ = [0] * (m + 1)
     if k:
         if m < 1:
@@ -54,7 +54,7 @@ def skew_state(k: int, u_head: Sequence, m: int) -> StateVector:
 
 def npoint_state(rs: Sequence[int], u_head: Sequence, m: int) -> StateVector:
     """Ket B(u_1) .. B(u_{N-n}) create_{r_1} .. create_{r_n} |0>."""
-    us = _to_polys(u_head)
+    us = list(map(as_poly, u_head))
     occ = [0] * (m + 1)
     for r in rs:
         if not (0 <= r <= m):
@@ -84,8 +84,8 @@ def correlator_one_hole(
 ) -> MultiPoly:
     """<one-hole conjugate | full state>: v_values supplies v_1..v_N, of
     which v_1 is absent from the result."""
-    us = _to_polys(u_values)
-    vs = _to_polys(v_values)
+    us = list(map(as_poly, u_values))
+    vs = list(map(as_poly, v_values))
     if len(us) != n or len(vs) != n:
         raise ValueError("need N creation and N annihilation values")
     if not (0 <= k <= m):
@@ -100,7 +100,7 @@ def correlator_one_hole(
 
         for lam in psi1_support(k, n, m):
             total = total + schur(lam, u2) * schur(SkewShape(lam, hook(k)), vm2)
-        pref = _prefactor(vs[1:], 1) * _prefactor(us, 1).monomial_inverse()
+        pref = prefactor(vs[1:]) * prefactor(us).monomial_inverse()
         return (pref ** m) * total
     raise ValueError(f"unknown method {method!r}")
 
@@ -110,8 +110,8 @@ def correlator_seeded(
 ) -> MultiPoly:
     """<full conjugate | k-fold seeded state>: u_values supplies u_1..u_N, of
     which the last k are absent from the result."""
-    us = _to_polys(u_values)
-    vs = _to_polys(v_values)
+    us = list(map(as_poly, u_values))
+    vs = list(map(as_poly, v_values))
     if len(us) != n or len(vs) != n:
         raise ValueError("need N creation and N annihilation values")
     if not (0 <= k <= n):
@@ -126,7 +126,7 @@ def correlator_seeded(
 
         for lam in psi2_support(k, n, m):
             total = total + schur(SkewShape(lam, column(k)), u2) * schur(lam, vm2)
-        pref = _prefactor(vs, 1) * _prefactor(us[: n - k], 1).monomial_inverse()
+        pref = prefactor(vs) * prefactor(us[: n - k]).monomial_inverse()
         return (pref ** m) * total
     raise ValueError(f"unknown method {method!r}")
 
@@ -136,8 +136,8 @@ def correlator_npoint(
 ) -> MultiPoly:
     """<full conjugate | n-point seeded state> by pairing."""
     validate_npoint_indices(rs, n, m)
-    us = _to_polys(u_values)
-    vs = _to_polys(v_values)
+    us = list(map(as_poly, u_values))
+    vs = list(map(as_poly, v_values))
     return pair(build_conj_state(vs, m), npoint_state(rs, us[: n - len(rs)], m))
 
 

@@ -1,4 +1,9 @@
-"""Verification batteries behind the CLI and the acceptance tests.
+"""The table of identity families behind the CLI and the acceptance tests.
+
+``FAMILIES`` has one row per ``verify`` name: the suite the family belongs
+to, the generator that checks it and the identity strings that generator
+emits.  A suite runs the generators of its rows in table order, ``all`` runs
+every row, and ``verify <name>`` runs its own row's generator only.
 
 Each item is a dict {identity, parameters, pass, witness} where witness is
 only present on failure and carries canonically serialized polynomials.
@@ -10,7 +15,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterator
 
 from . import symfunc as sf
 from .algebra import MultiPoly
@@ -36,8 +43,9 @@ from .combinatorics import (
     weighted_sum_psi1,
     weighted_sum_psi2,
 )
-from .errors import DegenerateDenominator
+from .errors import ConfigError, DegenerateDenominator
 from .phase import (
+    build_conj_state,
     build_state,
     correlator_npoint,
     correlator_one_hole,
@@ -67,9 +75,6 @@ from .toda import (
     tau_schur_expand,
     verify_prop1,
 )
-
-SUITES = ("combinatorics", "phase", "toda", "correspondence", "all")
-
 
 def _item(identity: str, parameters: dict, ok: bool, witness: str | None = None) -> dict:
     out = {"identity": identity, "parameters": parameters, "pass": bool(ok)}
@@ -108,20 +113,17 @@ def _closed_g(lam, n, m):
 # -- combinatorics ----------------------------------------------------------
 
 
-def suite_combinatorics(seed: int) -> list:
-    items = []
+def _bijections(seed: int) -> Iterator[dict]:
     nmax, mmax = BOUNDS["combi_n"], BOUNDS["combi_m"]
 
     for n in range(0, nmax + 1):
         for m in range(0, mmax + 1):
             count = sum(1 for _ in enumerate_plane_partitions(n, m))
-            items.append(
-                _item(
-                    "plane-partition-count-macmahon",
-                    {"N": n, "M": m},
-                    count == macmahon_count(n, m),
-                    witness=f"enumerated {count}, formula {macmahon_count(n, m)}",
-                )
+            yield _item(
+                "plane-partition-count-macmahon",
+                {"N": n, "M": m},
+                count == macmahon_count(n, m),
+                witness=f"enumerated {count}, formula {macmahon_count(n, m)}",
             )
 
     for n in range(1, nmax + 1):
@@ -130,7 +132,7 @@ def suite_combinatorics(seed: int) -> list:
                 pp_to_path(path_to_pp(cfg)) == cfg and path_to_pp(cfg).diagonal() == cfg.diagonal()
                 for cfg in enumerate_path_configs(n, m)
             )
-            items.append(_item("path-pp-round-trip", {"N": n, "M": m}, round_trip))
+            yield _item("path-pp-round-trip", {"N": n, "M": m}, round_trip)
             halves_ok = True
             for lam in partitions_in_box(n, m):
                 for half in itertools.chain(
@@ -139,7 +141,11 @@ def suite_combinatorics(seed: int) -> list:
                     tab = pp_half_to_tableau(half)
                     if tableau_to_pp_half(tab, n, m) != half:
                         halves_ok = False
-            items.append(_item("half-tableau-round-trip", {"N": n, "M": m}, halves_ok))
+            yield _item("half-tableau-round-trip", {"N": n, "M": m}, halves_ok)
+
+
+def _triple_agreement(seed: int) -> Iterator[dict]:
+    nmax, mmax = BOUNDS["combi_n"], BOUNDS["combi_m"]
 
     for n in range(1, nmax + 1):
         for m in range(0, mmax + 1):
@@ -151,12 +157,10 @@ def suite_combinatorics(seed: int) -> list:
                     and weighted_sum_g(lam, n, m, vn, pic) == want_g
                     for pic in ("paths", "pp", "tableaux")
                 )
-                items.append(
-                    _item(
-                        "state-coefficient-triple-agreement",
-                        {"N": n, "M": m, "lambda": list(lam.parts)},
-                        ok,
-                    )
+                yield _item(
+                    "state-coefficient-triple-agreement",
+                    {"N": n, "M": m, "lambda": list(lam.parts)},
+                    ok,
                 )
             for k in range(0, m + 1):
                 ok = True
@@ -173,7 +177,7 @@ def suite_combinatorics(seed: int) -> list:
                         for pic in ("paths", "pp", "tableaux")
                     ):
                         ok = False
-                items.append(_item("hole-coefficient-triple-agreement", {"N": n, "M": m, "k": k}, ok))
+                yield _item("hole-coefficient-triple-agreement", {"N": n, "M": m, "k": k}, ok)
             for k in range(0, n + 1):
                 ok = True
                 for lam in psi2_support(k, n, m):
@@ -189,15 +193,13 @@ def suite_combinatorics(seed: int) -> list:
                         for pic in ("paths", "pp", "tableaux")
                     ):
                         ok = False
-                items.append(_item("seed-coefficient-triple-agreement", {"N": n, "M": m, "k": k}, ok))
-    return items
+                yield _item("seed-coefficient-triple-agreement", {"N": n, "M": m, "k": k}, ok)
 
 
 # -- phase model -------------------------------------------------------------
 
 
-def suite_phase(seed: int) -> list:
-    items = []
+def _scalar_equivalence(seed: int) -> Iterator[dict]:
     rng = random.Random(seed)
 
     for n in range(0, BOUNDS["scalar_symbolic_n"] + 1):
@@ -206,13 +208,11 @@ def suite_phase(seed: int) -> list:
             a = scalar_product(n, m, un, vn, "fock_pairing")
             b = scalar_product(n, m, un, vn, "schur_sum")
             c = scalar_product(n, m, un, vn, "determinant")
-            items.append(
-                _item(
-                    "scalar-three-way-symbolic",
-                    {"N": n, "M": m},
-                    a == b == c,
-                    witness=f"pairing={a.to_str()} schur={b.to_str()} det={c.to_str()}",
-                )
+            yield _item(
+                "scalar-three-way-symbolic",
+                {"N": n, "M": m},
+                a == b == c,
+                witness=f"pairing={a.to_str()} schur={b.to_str()} det={c.to_str()}",
             )
 
     for n in BOUNDS["scalar_numeric_n"]:
@@ -226,10 +226,10 @@ def suite_phase(seed: int) -> list:
                 c = scalar_product(n, m, us, vs, "determinant")
                 if not (a == b == c):
                     ok = False
-            items.append(_item("scalar-three-way-numeric", {"N": n, "M": m}, ok))
+            yield _item("scalar-three-way-numeric", {"N": n, "M": m}, ok)
 
-    from .phase import build_conj_state
 
+def _state_coefficients(seed: int) -> Iterator[dict]:
     for n in range(0, BOUNDS["state_coeff_n"] + 1):
         for m in range(0, BOUNDS["state_coeff_m"] + 1):
             un, vn = _names("u", n), _names("v", n)
@@ -239,8 +239,11 @@ def suite_phase(seed: int) -> list:
             ok = set(coeffs) == set(lams) == set(conj)
             ok = ok and all(coeffs[lam] == _closed_f(lam, n, m) for lam in lams)
             ok = ok and all(conj[lam] == _closed_g(lam, n, m) for lam in lams)
-            items.append(_item("state-coefficients-schur-form", {"N": n, "M": m}, ok))
+            yield _item("state-coefficients-schur-form", {"N": n, "M": m}, ok)
 
+
+def _rtt(seed: int) -> Iterator[dict]:
+    rng = random.Random(seed)
     for m in range(0, BOUNDS["rtt_m"] + 1):
         for cap in range(1, BOUNDS["rtt_cap"] + 1):
             ok = True
@@ -252,8 +255,7 @@ def suite_phase(seed: int) -> list:
                         break
                 if not verify_rtt(u, v, m, cap):
                     ok = False
-            items.append(_item("monodromy-intertwining", {"M": m, "cap": cap}, ok))
-    return items
+            yield _item("monodromy-intertwining", {"M": m, "cap": cap}, ok)
 
 
 # -- hierarchy ----------------------------------------------------------------
@@ -295,15 +297,14 @@ def _bilinear_residues(ctx: TauContext, size: int, rng: random.Random) -> dict:
     return _item("bilinear-residue-identity", {"size": size, "tuples": tuples}, witness is None, witness)
 
 
-def suite_toda(seed: int) -> list:
-    items = []
-    rng = random.Random(seed)
-
+def _tau_expansion(seed: int) -> Iterator[dict]:
     for size in range(1, BOUNDS["schur_expand_size"] + 1):
         ctx = TauContext.generic(0, size, seed=seed + size)
         ok = all(tau(ctx, s) == tau_schur_expand(ctx, s) for s in range(0, size + 1))
-        items.append(_item("tau-character-expansion", {"size": size}, ok))
+        yield _item("tau-character-expansion", {"size": size}, ok)
 
+
+def _prop1(seed: int) -> Iterator[dict]:
     for size in range(2, BOUNDS["prop1_size"] + 1):
         ctx = TauContext.generic(0, size, seed=seed + size)
         ok = True
@@ -313,7 +314,7 @@ def suite_toda(seed: int) -> list:
                 for k in range(0, kmax + 1):
                     if not verify_prop1(ctx, s, k, kind):
                         ok = False
-        items.append(_item("wave-derivative-identities", {"size": size}, ok))
+        yield _item("wave-derivative-identities", {"size": size}, ok)
 
         ok = True
         for s in range(0, size + 1):
@@ -333,119 +334,58 @@ def suite_toda(seed: int) -> list:
                 want = h20_expected_coefficients(ctx, s, which)
                 if [st.coeff_of("lam", k) for k in range(len(want))] != want:
                     ok = False
-        items.append(_item("shifted-tau-weighted-sums", {"size": size}, ok))
+        yield _item("shifted-tau-weighted-sums", {"size": size}, ok)
 
+
+def _bilinear(seed: int) -> Iterator[dict]:
     size = BOUNDS["bilinear_size"]
-    items.append(_bilinear_residues(TauContext.generic(0, size, seed=seed), size, rng))
+    yield _bilinear_residues(TauContext.generic(0, size, seed=seed), size, random.Random(seed))
 
+
+def _linear(seed: int) -> Iterator[dict]:
     size = BOUNDS["linear_size"]
     ctx = TauContext.generic(0, size, seed=seed + 1)
-    items.append(_item("wave-inverse-identities", {"size": size}, check_wave_inverses(ctx)))
-    items.append(
-        _item("initial-value-relation", {"size": size}, check_initial_value_relation(ctx))
-    )
+    yield _item("wave-inverse-identities", {"size": size}, check_wave_inverses(ctx))
+    yield _item("initial-value-relation", {"size": size}, check_initial_value_relation(ctx))
     for j in range(1, min(BOUNDS["linear_flows"], size - 1) + 1):
         for flow in ("x", "y"):
             for kind in ("w_inf", "w_zero"):
-                items.append(
-                    _item(
-                        "linear-flow-equation",
-                        {"size": size, "j": j, "flow": flow, "wave": kind},
-                        check_linear_flow(ctx, j, flow, kind),
-                    )
+                yield _item(
+                    "linear-flow-equation",
+                    {"size": size, "j": j, "flow": flow, "wave": kind},
+                    check_linear_flow(ctx, j, flow, kind),
                 )
     for j in range(1, min(BOUNDS["linear_flows"], size - 1) + 1):
         for k in range(1, min(BOUNDS["linear_flows"], size - 1) + 1):
-            items.append(
-                _item(
-                    "zakharov-shabat-identities",
-                    {"size": size, "j": j, "k": k},
-                    check_zakharov_shabat(ctx, j, k),
-                )
+            yield _item(
+                "zakharov-shabat-identities",
+                {"size": size, "j": j, "k": k},
+                check_zakharov_shabat(ctx, j, k),
             )
 
-    items.append(
-        _item(
-            "power-sum-append-zeros",
-            {"letters": 2, "zeros": 2, "horizon": 6},
-            power_sum_append_zeros_check(_names("m", 2), 2, 6),
-        )
+
+def _power_sums(seed: int) -> Iterator[dict]:
+    yield _item(
+        "power-sum-append-zeros",
+        {"letters": 2, "zeros": 2, "horizon": 6},
+        power_sum_append_zeros_check(_names("m", 2), 2, 6),
     )
-    return items
 
 
 # -- correspondence -----------------------------------------------------------
 
 
-def suite_correspondence(seed: int) -> list:
-    items = []
-    nmax, mmax = BOUNDS["correspondence_n"], BOUNDS["correspondence_m"]
-
-    for n in range(0, nmax + 1):
-        for m in range(0, mmax + 1):
+def _prop2(seed: int) -> Iterator[dict]:
+    for n in range(0, BOUNDS["correspondence_n"] + 1):
+        for m in range(0, BOUNDS["correspondence_m"] + 1):
             un, vn = _names("u", n), _names("v", n)
             lhs = restrict_tau(un, vn, m)
             mid = schur_pair_sum(un, vn, m)
-            items.append(
-                _item(
-                    "restricted-tau-scalar-product",
-                    {"N": n, "M": m},
-                    lhs == mid and _prop2_ok(n, m, un, vn, lhs),
-                )
+            yield _item(
+                "restricted-tau-scalar-product",
+                {"N": n, "M": m},
+                lhs == mid and _prop2_ok(n, m, un, vn, lhs),
             )
-
-    for n in range(1, nmax + 1):
-        for m in range(1, mmax + 1):
-            un, vn = _names("u", n), _names("v", n)
-            for k in range(0, m + 1):
-                items.append(
-                    _item(
-                        "hole-limit-correspondence",
-                        {"N": n, "M": m, "k": k},
-                        limit_correspondence("v1_to_infinity", k, n, m, un, vn),
-                    )
-                )
-            for k in range(0, min(n, m) + 1):
-                items.append(
-                    _item(
-                        "seed-limit-correspondence",
-                        {"N": n, "M": m, "k": k},
-                        limit_correspondence("u_tail_to_zero", k, n, m, un, vn),
-                    )
-                )
-
-    for n in range(1, nmax + 1):
-        for m in range(1, mmax + 1):
-            un, vn = _names("u", n), _names("v", n)
-            ok = all(
-                one_hole_det(q, n, m, un, vn) == correlator_one_hole(q, n, m, un, vn, "pairing")
-                for q in range(0, m + 1)
-            )
-            items.append(_item("hole-determinant-form", {"N": n, "M": m}, ok))
-            ok = True
-            for order in range(1, min(n, BOUNDS["npoint_order"]) + 1):
-                for r1 in range(0, m + 1):
-                    for tail in itertools.product((0, 1), repeat=order - 1):
-                        rs = (r1,) + tail
-                        if any(rs[i] < rs[i + 1] for i in range(len(rs) - 1)):
-                            continue
-                        if npoint_det(rs, n, m, un, vn) != correlator_npoint(rs, n, m, un, vn):
-                            ok = False
-            items.append(_item("npoint-determinant-form", {"N": n, "M": m}, ok))
-            items.append(
-                _item("hole-stack-reassembly", {"N": n, "M": m}, one_hole_stack_check(n, m, un, vn))
-            )
-            items.append(
-                _item("point-stack-reassembly", {"N": n, "M": m}, one_point_stack_check(n, m, un, vn))
-            )
-            ok = True
-            for order in range(1, min(n - 1, BOUNDS["npoint_order"]) + 1):
-                for q in range(0, order + 1):
-                    rs = (1,) * (order - q) + (0,) * q
-                    if not recursion_expand_check(rs, n, m, un, vn):
-                        ok = False
-            items.append(_item("expansion-recursions", {"N": n, "M": m}, ok))
-    return items
 
 
 def _prop2_ok(n, m, un, vn, restricted) -> bool:
@@ -457,18 +397,111 @@ def _prop2_ok(n, m, un, vn, restricted) -> bool:
     return (pref ** m) * restricted == scalar_product(n, m, un, vn, "fock_pairing")
 
 
+def _limits(seed: int) -> Iterator[dict]:
+    for n in range(1, BOUNDS["correspondence_n"] + 1):
+        for m in range(1, BOUNDS["correspondence_m"] + 1):
+            un, vn = _names("u", n), _names("v", n)
+            for k in range(0, m + 1):
+                yield _item(
+                    "hole-limit-correspondence",
+                    {"N": n, "M": m, "k": k},
+                    limit_correspondence("v1_to_infinity", k, n, m, un, vn),
+                )
+            for k in range(0, min(n, m) + 1):
+                yield _item(
+                    "seed-limit-correspondence",
+                    {"N": n, "M": m, "k": k},
+                    limit_correspondence("u_tail_to_zero", k, n, m, un, vn),
+                )
+
+
+def _determinant_forms(seed: int) -> Iterator[dict]:
+    for n in range(1, BOUNDS["correspondence_n"] + 1):
+        for m in range(1, BOUNDS["correspondence_m"] + 1):
+            un, vn = _names("u", n), _names("v", n)
+            ok = all(
+                one_hole_det(q, n, m, un, vn) == correlator_one_hole(q, n, m, un, vn, "pairing")
+                for q in range(0, m + 1)
+            )
+            yield _item("hole-determinant-form", {"N": n, "M": m}, ok)
+            ok = True
+            for order in range(1, min(n, BOUNDS["npoint_order"]) + 1):
+                for r1 in range(0, m + 1):
+                    for tail in itertools.product((0, 1), repeat=order - 1):
+                        rs = (r1,) + tail
+                        if any(rs[i] < rs[i + 1] for i in range(len(rs) - 1)):
+                            continue
+                        if npoint_det(rs, n, m, un, vn) != correlator_npoint(rs, n, m, un, vn):
+                            ok = False
+            yield _item("npoint-determinant-form", {"N": n, "M": m}, ok)
+            yield _item("hole-stack-reassembly", {"N": n, "M": m}, one_hole_stack_check(n, m, un, vn))
+            yield _item("point-stack-reassembly", {"N": n, "M": m}, one_point_stack_check(n, m, un, vn))
+            ok = True
+            for order in range(1, min(n - 1, BOUNDS["npoint_order"]) + 1):
+                for q in range(0, order + 1):
+                    rs = (1,) * (order - q) + (0,) * q
+                    if not recursion_expand_check(rs, n, m, un, vn):
+                        ok = False
+            yield _item("expansion-recursions", {"N": n, "M": m}, ok)
+
+
+# -- the table ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Family:
+    suite: str
+    generate: Callable[[int], Iterator[dict]]
+    identities: tuple
+
+
+# One row per verify name, in report order: a suite's items are its rows'
+# items in this order.  Only single-determinant and recursions share a
+# generator, because their items alternate per (N, M).
+FAMILIES = {
+    name: Family(suite, generate, tuple(identities.split()))
+    for name, suite, generate, identities in (
+        ("bijections", "combinatorics", _bijections,
+         "plane-partition-count-macmahon path-pp-round-trip half-tableau-round-trip"),
+        ("triple-agreement", "combinatorics", _triple_agreement,
+         "state-coefficient-triple-agreement hole-coefficient-triple-agreement "
+         "seed-coefficient-triple-agreement"),
+        ("scalar-equivalence", "phase", _scalar_equivalence,
+         "scalar-three-way-symbolic scalar-three-way-numeric"),
+        ("state-coefficients", "phase", _state_coefficients, "state-coefficients-schur-form"),
+        ("rtt", "phase", _rtt, "monodromy-intertwining"),
+        ("tau-expansion", "toda", _tau_expansion, "tau-character-expansion"),
+        ("prop1", "toda", _prop1, "wave-derivative-identities shifted-tau-weighted-sums"),
+        ("bilinear", "toda", _bilinear, "bilinear-residue-identity"),
+        ("linear", "toda", _linear,
+         "wave-inverse-identities initial-value-relation linear-flow-equation "
+         "zakharov-shabat-identities"),
+        ("power-sums", "toda", _power_sums, "power-sum-append-zeros"),
+        ("prop2", "correspondence", _prop2, "restricted-tau-scalar-product"),
+        ("limits", "correspondence", _limits,
+         "hole-limit-correspondence seed-limit-correspondence"),
+        ("single-determinant", "correspondence", _determinant_forms,
+         "hole-determinant-form npoint-determinant-form hole-stack-reassembly "
+         "point-stack-reassembly"),
+        ("recursions", "correspondence", _determinant_forms, "expansion-recursions"),
+    )
+}
+
+SUITES = tuple(dict.fromkeys(fam.suite for fam in FAMILIES.values()))
+
+
 def run_suite(name: str, seed: int) -> list:
-    if name == "combinatorics":
-        return suite_combinatorics(seed)
-    if name == "phase":
-        return suite_phase(seed)
-    if name == "toda":
-        return suite_toda(seed)
-    if name == "correspondence":
-        return suite_correspondence(seed)
-    if name == "all":
-        items = []
-        for part in ("combinatorics", "phase", "toda", "correspondence"):
-            items.extend(run_suite(part, seed))
-        return items
-    raise ValueError(f"unknown suite {name!r}")
+    """Items of one suite, or of every suite for ``all``; a generator that
+    two rows share runs once."""
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    generators = [fam.generate for fam in FAMILIES.values() if name in ("all", fam.suite)]
+    return [item for gen in dict.fromkeys(generators) for item in gen(seed)]
+
+
+def run_family(name: str, seed: int) -> list:
+    """Items of one family, from its own generator only."""
+    if name not in FAMILIES:
+        raise ConfigError(f"unknown identity {name!r}; choose from {sorted(FAMILIES)}")
+    fam = FAMILIES[name]
+    return [item for item in fam.generate(seed) if item["identity"] in fam.identities]

@@ -7,10 +7,11 @@ throughout the package are:
   * squared          u_j^2
   * inverse-squared  v_j^-2
 
-``zeta`` is the one-row character polynomial: the coefficient of z^k in
-exp(sum_j z^j t_j).  Under the change of variables that sends the k-th time
-to p_k(alphabet)/k it becomes the complete homogeneous polynomial h_k of the
-alphabet, which is what ties the hierarchy side to the lattice-model side.
+``zeta_all`` gives the one-row character polynomials zeta_k, the
+coefficient of z^k in exp(sum_j z^j t_j).  Under the change of variables
+that sends the k-th time to p_k(alphabet)/k, zeta_k becomes the complete
+homogeneous polynomial h_k of the alphabet, which is what ties the
+hierarchy side to the lattice-model side.
 """
 
 from __future__ import annotations
@@ -66,26 +67,14 @@ def pk(k: int, gens: Sequence[MultiPoly]) -> MultiPoly:
     return total
 
 
-def zeta(k: int, times: Sequence[MultiPoly]) -> MultiPoly:
-    """One-row character polynomial: [z^k] exp(sum_j z^j t_j).
+def zeta_all(kmax: int, times: Sequence[MultiPoly]) -> list:
+    """One-row character polynomials zeta_0 .. zeta_kmax, where zeta_k is
+    [z^k] exp(sum_j z^j t_j).
 
     Computed by the exact recurrence k*zeta_k = sum_j j*t_j*zeta_{k-j};
     times beyond the supplied horizon are zero, so each zeta_k is a finite
     polynomial.
     """
-    if k < 0:
-        return MultiPoly.zero()
-    zs = [MultiPoly.const(1)]
-    for d in range(1, k + 1):
-        acc = MultiPoly.zero()
-        for j in range(1, min(d, len(times)) + 1):
-            acc = acc + MultiPoly.const(j) * times[j - 1] * zs[d - j]
-        zs.append(acc * MultiPoly.const(Fraction(1, d)))
-    return zs[k]
-
-
-def zeta_all(kmax: int, times: Sequence[MultiPoly]) -> list:
-    """zeta_0 .. zeta_kmax in one pass."""
     zs = [MultiPoly.const(1)]
     for d in range(1, kmax + 1):
         acc = MultiPoly.zero()
@@ -106,10 +95,10 @@ def zeta_diff_apply(
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if k == 0:
-        return p
+    if k <= 0:
+        return p if k == 0 else MultiPoly.zero()
     slots = [MultiPoly.var(f"_t{j}") for j in range(1, k + 1)]
-    zk = zeta(k, slots)
+    zk = zeta_all(k, slots)[k]
     result = MultiPoly.zero()
     for exps, coeff in zk.terms.items():
         factor = Fraction(coeff)

@@ -2,8 +2,10 @@
 
 Every identity is checked with exact equality (tolerance zero).  The
 stated time targets are asserted where the criteria pin them.  Batteries
-shared between criteria run once in a module fixture; criteria with their
-own time budgets re-run their checks directly under the clock.
+shared between criteria run once in a module fixture, and a criterion
+names the families it checks from the table in ``phasetoda.suites``;
+criteria with their own time budgets re-run their checks directly under
+the clock.
 """
 
 import sys
@@ -13,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from phasetoda.reports import build_report, serialize_report
-from phasetoda.suites import run_suite
+from phasetoda.suites import FAMILIES, SUITES, run_suite
 
 SEED = 20260809
 
@@ -25,16 +27,18 @@ def announce(number, label, ok):
 
 @pytest.fixture(scope="module")
 def batteries():
-    return {
-        name: run_suite(name, SEED)
-        for name in ("combinatorics", "phase", "toda", "correspondence")
-    }
+    return {name: run_suite(name, SEED) for name in SUITES}
 
 
-def _all_pass(items, *identities):
-    relevant = [it for it in items if it["identity"] in identities]
-    assert relevant, f"no items for {identities}"
-    return all(it["pass"] for it in relevant)
+def _items(batteries, family):
+    row = FAMILIES[family]
+    items = [it for it in batteries[row.suite] if it["identity"] in row.identities]
+    assert items, f"no items for {family}"
+    return items
+
+
+def _all_pass(batteries, *families):
+    return all(it["pass"] for family in families for it in _items(batteries, family))
 
 
 def test_criterion_01_scalar_three_way():
@@ -110,12 +114,7 @@ def test_criterion_02_state_coefficient_forms():
 
 
 def test_criterion_03_combinatorial_triple_agreement(batteries):
-    ok = _all_pass(
-        batteries["combinatorics"],
-        "state-coefficient-triple-agreement",
-        "hole-coefficient-triple-agreement",
-        "seed-coefficient-triple-agreement",
-    )
+    ok = _all_pass(batteries, "triple-agreement")
     announce(3, "three-picture-weighted-sums", ok)
 
 
@@ -126,12 +125,7 @@ def test_criterion_04_bijections_and_weights(batteries):
         pp_half_to_tableau,
     )
 
-    ok = _all_pass(
-        batteries["combinatorics"],
-        "path-pp-round-trip",
-        "half-tableau-round-trip",
-        "plane-partition-count-macmahon",
-    )
+    ok = _all_pass(batteries, "bijections")
     # per-configuration weight preservation across the exhaustive universes
     for n in (1, 2, 3):
         for m in (0, 1, 2, 3):
@@ -169,41 +163,27 @@ def test_criterion_05_wave_derivative_identities():
 
 
 def test_criterion_06_bilinear(batteries):
-    ok = _all_pass(batteries["toda"], "bilinear-residue-identity")
-    tuples = [
-        it["parameters"]["tuples"]
-        for it in batteries["toda"]
-        if it["identity"] == "bilinear-residue-identity"
-    ]
+    ok = _all_pass(batteries, "bilinear")
+    tuples = [it["parameters"]["tuples"] for it in _items(batteries, "bilinear")]
     announce(6, f"bilinear-residues ({tuples[0]} tuples)", ok and tuples[0] >= 50)
 
 
 def test_criterion_07_linear_problem(batteries):
-    ok = _all_pass(
-        batteries["toda"],
-        "wave-inverse-identities",
-        "initial-value-relation",
-        "linear-flow-equation",
-        "zakharov-shabat-identities",
-    )
+    ok = _all_pass(batteries, "linear")
     announce(7, "linear-problem-lax-consistency", ok)
 
 
 def test_criterion_08_restricted_tau(batteries):
-    ok = _all_pass(batteries["correspondence"], "restricted-tau-scalar-product")
+    ok = _all_pass(batteries, "prop2")
     announce(8, "restricted-tau-equals-scalar", ok)
 
 
 def test_criterion_09_limit_correspondences(batteries):
-    ok = _all_pass(
-        batteries["correspondence"],
-        "hole-limit-correspondence",
-        "seed-limit-correspondence",
-    )
+    ok = _all_pass(batteries, "limits")
     # the sign matters: dropping it must break an odd-k seed identity
-    from phasetoda.phase import correlator_seeded
+    from phasetoda.algebra import as_poly
+    from phasetoda.phase import correlator_seeded, prefactor
     from phasetoda.phase.limits import _memo_context
-    from phasetoda.phase.scalar import _prefactor, _to_polys
     from phasetoda.toda.waves import wave_numerator
 
     n = m = 2
@@ -211,33 +191,26 @@ def test_criterion_09_limit_correspondences(batteries):
     vn = [f"v{i}" for i in range(1, n + 1)]
     ctx = _memo_context(un, vn, m)
     cleared = wave_numerator(ctx, ctx.m + n, "w_inf", 1).subs({un[-1]: 0})
-    us, vs = _to_polys(un), _to_polys(vn)
-    pref = _prefactor(us[:1], 1) * _prefactor(vs, 1).monomial_inverse()
+    us, vs = list(map(as_poly, un)), list(map(as_poly, vn))
+    pref = prefactor(us[:1]) * prefactor(vs).monomial_inverse()
     unsigned = (pref ** m) * correlator_seeded(1, n, m, un, vn, "pairing")
     sign_essential = cleared == -unsigned and cleared != unsigned
     announce(9, "wave-correlator-limits", ok and sign_essential)
 
 
 def test_criterion_10_single_determinant_forms(batteries):
-    ok = _all_pass(
-        batteries["correspondence"],
-        "hole-determinant-form",
-        "npoint-determinant-form",
-        "hole-stack-reassembly",
-        "point-stack-reassembly",
-        "expansion-recursions",
-    )
+    ok = _all_pass(batteries, "single-determinant", "recursions")
     announce(10, "single-determinant-forms", ok)
 
 
 def test_criterion_11_intertwining(batteries):
-    ok = _all_pass(batteries["phase"], "monodromy-intertwining")
+    ok = _all_pass(batteries, "rtt")
     announce(11, "monodromy-intertwining", ok)
 
 
 def test_criterion_12_deterministic_reports(batteries):
     items_first = []
-    for name in ("combinatorics", "phase", "toda", "correspondence"):
+    for name in SUITES:
         items_first.extend(batteries[name])
     report_first = build_report("suite all", {"name": "all", "seed": SEED}, items_first, SEED)
     fresh = run_suite("all", SEED)

@@ -1,10 +1,13 @@
 """CLI contract: exit codes, determinism, enumeration payloads."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasetoda.cli import main
 
@@ -102,6 +105,7 @@ def test_entry_point_subprocess():
         ["compute", "scalar", "--N", "-1", "--M", "1"],
         ["compute", "state", "--N", "1", "--M", "-1"],
         ["enumerate", "pp", "--N", "2", "--M", "2", "--contains", "x"],
+        ["compute", "correlator", "--kind", "n_point", "--r", ""],
     ],
 )
 def test_invalid_arguments_exit_2_without_traceback(args):
@@ -111,3 +115,71 @@ def test_invalid_arguments_exit_2_without_traceback(args):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+# -- fuzzed argument lists -----------------------------------------------------
+
+_small = st.integers(-2, 3).map(str)
+_int_lists = st.sampled_from(["", "0", "1,0", "2,1", "-1", "x", "1,,0"])
+_seeds = st.one_of(st.integers(-3, 50).map(str), st.just("x"))
+
+
+@st.composite
+def _options(draw, table, flags=()):
+    """Some of the options in ``table`` (flag -> value strategy) with drawn
+    values, plus some of the bare ``flags``, in a drawn order."""
+    chosen = draw(st.lists(st.sampled_from(sorted(table)), unique=True, max_size=5))
+    argv = [x for flag in chosen for x in (flag, draw(table[flag]))]
+    return argv + draw(st.lists(st.sampled_from(flags), unique=True)) if flags else argv
+
+
+_COMPUTE = {
+    "--N": _small, "--M": _small, "--k": _small, "--s": _small, "--r": _int_lists,
+    # n - m stays at most 3: a symbolic size-5 tau takes half a minute
+    "--m": st.integers(0, 2).map(str), "--n": st.integers(0, 3).map(str),
+    "--kind": st.sampled_from(["one_hole", "seeded", "n_point", "bogus"]),
+    "--matrix": st.sampled_from(["identity", "delta", "seeded-random", "no-such-file.csv"]),
+    "--seed": _seeds,
+}
+_ENUMERATE = {
+    "--contains": _int_lists, "--occupation": _int_lists,
+    "--shape": _int_lists, "--inner": _int_lists, "--entries": st.integers(-1, 3).map(str),
+    "--convention": st.sampled_from(["ascending", "descending", "sideways"]),
+}
+# the cheap families, and names no family has
+_VERIFY_NAMES = ["bijections", "triple-agreement", "tau-expansion", "bilinear", "power-sums", "nope", ""]
+
+_argv = st.one_of(
+    st.tuples(
+        st.just(["compute"]),
+        st.sampled_from(["tau", "scalar", "correlator", "state", "bogus"]).map(lambda o: [o]),
+        _options(_COMPUTE, ("--dual",)),
+    ),
+    st.tuples(
+        st.just(["enumerate"]),
+        st.sampled_from(["pp", "partitions", "paths", "tableaux", "bogus"]).map(lambda o: [o]),
+        # --N and --M are required
+        st.tuples(_small, _small).map(lambda nm: ["--N", nm[0], "--M", nm[1]]),
+        _options(_ENUMERATE),
+    ),
+    st.tuples(
+        st.just(["verify"]),
+        st.sampled_from(_VERIFY_NAMES).map(lambda o: [o]),
+        _options({"--seed": _seeds}),
+    ),
+).map(lambda parts: [x for part in parts for x in part])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_argv)
+def test_fuzzed_arguments_exit_0_1_2_without_traceback(argv):
+    # in process: an exception escaping main() is the traceback a console
+    # run would print
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

@@ -3,9 +3,9 @@
 import pytest
 
 from phasetoda.errors import RangeViolation
-from phasetoda.phase import correlator_seeded, limit_correspondence
+from phasetoda.algebra import as_poly
+from phasetoda.phase import correlator_seeded, limit_correspondence, prefactor
 from phasetoda.phase.limits import _memo_context
-from phasetoda.phase.scalar import _prefactor, _to_polys
 from phasetoda.toda.waves import wave_numerator
 
 
@@ -40,8 +40,8 @@ def test_seed_limit_sign_is_essential():
     s = ctx.m + n
     cleared = wave_numerator(ctx, s, "w_inf", k)
     limit = cleared.subs({nm: 0 for nm in un[n - k:]})
-    us, vs = _to_polys(un), _to_polys(vn)
-    pref = _prefactor(us[: n - k], 1) * _prefactor(vs, 1).monomial_inverse()
+    us, vs = list(map(as_poly, un)), list(map(as_poly, vn))
+    pref = prefactor(us[: n - k]) * prefactor(vs).monomial_inverse()
     unsigned = (pref ** m) * correlator_seeded(k, n, m, un, vn, "pairing")
     assert limit == -unsigned
     assert limit != unsigned
