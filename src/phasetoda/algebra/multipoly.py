@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Mapping, Sequence, Union
 
@@ -393,12 +393,32 @@ class MultiPoly:
 
     # -- division ----------------------------------------------------------
 
+    def leading_term(self) -> tuple:
+        """The grevlex-leading (exponent vector, coefficient) of a nonzero
+        polynomial, by the packed keys that ``divide_exact`` orders by."""
+        if not self.terms:
+            raise ValueError("the zero polynomial has no leading term")
+        # grevlex order is invariant under a common shift of all exponents
+        low = [min(col) for col in zip(*self.terms)]
+        shifted = {tuple(map(sub, e, low)): e for e in self.terms}
+        weights, unpack = _grevlex_packing(len(self.vars), max(map(sum, shifted)))
+        lead = shifted[unpack(max(sum(map(mul, e, weights)) for e in shifted))]
+        return lead, self.terms[lead]
+
     def divide_exact(self, divisor: "MultiPoly", max_steps: int | None = None) -> "MultiPoly":
         """Exact division; raises NotDivisible on a nonzero remainder.
 
         ``max_steps`` bounds the reduction loop for opportunistic callers
         (treating a long division as not divisible); exact callers leave it
-        None.
+        None.  Each step removes the grevlex-leading term of the remainder.
+
+        The loop runs on integers.  The dividend is scaled to integer
+        numerators and the divisor to a primitive integer polynomial; by
+        Gauss's lemma a quotient over Q is then integral, so each step is one
+        ``divmod`` by the divisor's leading coefficient and a nonzero
+        remainder proves non-divisibility.  Exponent vectors are packed into
+        grevlex-ordered int keys (``_grevlex_packing``), so the leading term
+        is a plain ``max`` and shifting by the quotient term is an addition.
         """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
@@ -417,47 +437,54 @@ class MultiPoly:
         nterms, dterms = self._embed(allvars), divisor._embed(allvars)
         low_n = [min(col) for col in zip(*nterms)]
         low_d = [min(col) for col in zip(*dterms)]
-        nterms = {tuple(map(sub, e, low_n)): c for e, c in nterms.items()}
-        dterms = {tuple(map(sub, e, low_d)): c for e, c in dterms.items()}
-        lead_d = max(dterms, key=grevlex_key)
-        lead_dc = dterms[lead_d]
+        nexps = [tuple(map(sub, e, low_n)) for e in nterms]
+        dexps = [tuple(map(sub, e, low_d)) for e in dterms]
+        # every remainder term has a total degree of at most top
+        top = max(map(sum, nexps + dexps))
+        weights, unpack = _grevlex_packing(len(allvars), top)
+        dn, nums = _numerators(nterms.values())
+        dd, dnums = _numerators(dterms.values())
+        g = gcd(*dnums)
+        rem = {sum(map(mul, e, weights)): c for e, c in zip(nexps, nums)}
+        dpacked = {sum(map(mul, e, weights)): c // g for e, c in zip(dexps, dnums)}
+        lead_dk = max(dpacked)
+        lead_dc = dpacked.pop(lead_dk)
+        lead_d = unpack(lead_dk)
         quot: dict = {}
+        get = rem.get
         steps = 0
-        while nterms:
+        while rem:
             steps += 1
             if max_steps is not None and steps > max_steps:
                 raise NotDivisible("step budget exhausted")
-            lead_n = max(nterms, key=grevlex_key)
-            qexp = tuple(a - b for a, b in zip(lead_n, lead_d))
+            lk = max(rem)
+            qexp = tuple(map(sub, unpack(lk), lead_d))
             if any(e < 0 for e in qexp):
                 raise NotDivisible("leading term not divisible")
-            qc = nterms[lead_n] / lead_dc
-            quot[qexp] = quot.get(qexp, Fraction(0)) + qc
-            for de, dc in dterms.items():
-                key = tuple(a + b for a, b in zip(qexp, de))
-                val = nterms.get(key, Fraction(0)) - qc * dc
-                if val == 0:
-                    nterms.pop(key, None)
+            qc, r = divmod(rem.pop(lk), lead_dc)
+            if r:
+                raise NotDivisible("leading coefficient not divisible")
+            quot[qexp] = qc
+            qk = lk - lead_dk
+            for dk, dc in dpacked.items():
+                k = qk + dk
+                v = get(k, 0) - qc * dc
+                if v:
+                    rem[k] = v
                 else:
-                    nterms[key] = val
+                    del rem[k]
         lift = list(map(sub, low_n, low_d))
-        return MultiPoly(allvars, {tuple(map(add, e, lift)): c for e, c in quot.items()})
+        scale = g * dn
+        return MultiPoly._make(
+            allvars, {tuple(map(add, e, lift)): Fraction(c * dd, scale) for e, c in quot.items()}
+        )
 
     def content(self) -> Fraction:
         """Positive rational content (gcd of numerators / lcm of denominators)."""
         if not self.terms:
             return Fraction(0)
-        from math import gcd, lcm
-
-        nums = [abs(c.numerator) for c in self.terms.values()]
-        dens = [c.denominator for c in self.terms.values()]
-        g = 0
-        for x in nums:
-            g = gcd(g, x)
-        l = 1
-        for x in dens:
-            l = lcm(l, x)
-        return Fraction(g, l)
+        coeffs = self.terms.values()
+        return Fraction(gcd(*[c.numerator for c in coeffs]), lcm(*[c.denominator for c in coeffs]))
 
     # -- serialization -----------------------------------------------------
 
@@ -491,6 +518,40 @@ def as_poly(value) -> MultiPoly:
     if isinstance(value, str):
         return MultiPoly.var(value)
     return MultiPoly.const(value)
+
+
+def _numerators(coeffs) -> tuple:
+    """(d, numerators): the lcm d of the denominators and each c * d."""
+    coeffs = list(coeffs)
+    d = lcm(*[c.denominator for c in coeffs])
+    return d, [c.numerator * (d // c.denominator) for c in coeffs]
+
+
+def _grevlex_packing(n: int, top: int) -> tuple:
+    """Grevlex-ordered int keys for exponent vectors e >= 0 of total degree
+    at most ``top``: ``(weights, unpack)``.
+
+    The key of e is sum(e[i] * weights[i]).  Shifted by a constant offset,
+    it holds the total degree in its top field and top - e[i] in field i
+    below it (fields of width top + 1, the last variable most significant);
+    no field can carry, so the int order is the grevlex order.  The key is
+    linear in e, so the key of a product of monomials is the sum of their
+    keys.  ``unpack`` inverts it with n divmods.
+    """
+    b = top + 1
+    radix = [b ** i for i in range(n)]
+    weights = [b ** n - r for r in radix]
+    offset = top * sum(radix)
+
+    def unpack(key: int) -> tuple:
+        key += offset
+        out = []
+        for _ in range(n):
+            key, r = divmod(key, b)
+            out.append(top - r)
+        return tuple(out)
+
+    return weights, unpack
 
 
 def _monomial_product(a: MultiPoly, m: MultiPoly) -> MultiPoly:
@@ -536,11 +597,9 @@ def _packed_product(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     den = 1
     for p, pos in zip((a, b), positions):
         rad = [radix[i] for i in pos]
-        d = lcm(*[c.denominator for c in p.terms.values()])
+        d, nums = _numerators(p.terms.values())
         den *= d
-        packed.append(
-            [(sum(map(mul, e, rad)), c.numerator * (d // c.denominator)) for e, c in p.terms.items()]
-        )
+        packed.append([(sum(map(mul, e, rad)), c) for e, c in zip(p.terms, nums)])
     pa, pb = packed
     out: dict = {}
     get = out.get

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import NotDivisible
-from .multipoly import MultiPoly, as_poly, grevlex_key
+from .multipoly import MultiPoly, as_poly
 
 
 def reduce_pair(num: MultiPoly, den: MultiPoly) -> tuple:
@@ -30,8 +30,7 @@ def reduce_pair(num: MultiPoly, den: MultiPoly) -> tuple:
     except NotDivisible:
         pass
     c = den.content()
-    lead = max(den.terms, key=grevlex_key)
-    if den.terms[lead] < 0:
+    if den.leading_term()[1] < 0:
         c = -c
     den = den.divide_exact(MultiPoly.const(c))
     num = num * MultiPoly.const(Fraction(1) / c)

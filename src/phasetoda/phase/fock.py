@@ -40,7 +40,14 @@ class StateVector:
         self.terms = clean
 
     def copy_with(self, terms) -> "StateVector":
-        return StateVector(self.m, terms, self.dual)
+        """A vector of the same kind over ``terms``, trusted: the keys must be
+        valid occupation tuples and the values MultiPolys.  Only the zero
+        coefficients (a cancelled sum, a scaling by 0) are dropped."""
+        out = object.__new__(StateVector)
+        out.m = self.m
+        out.terms = {occ: c for occ, c in terms.items() if c.terms}
+        out.dual = self.dual
+        return out
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -53,7 +60,8 @@ class StateVector:
             raise ValueError("incompatible state vectors")
         terms = dict(self.terms)
         for occ, coeff in other.terms.items():
-            terms[occ] = terms.get(occ, MultiPoly.zero()) + coeff
+            prev = terms.get(occ)
+            terms[occ] = coeff if prev is None else prev + coeff
         return self.copy_with(terms)
 
     def __sub__(self, other: "StateVector") -> "StateVector":

@@ -57,7 +57,8 @@ def apply_local_L(j: int, entry: str, u: Spectral, sv: StateVector) -> StateVect
             if occ[j] == 0:
                 continue
             new = _shift_site(occ, j, -1)
-        terms[new] = terms.get(new, MultiPoly.zero()) + coeff
+        prev = terms.get(new)
+        terms[new] = coeff if prev is None else prev + coeff
     return sv.copy_with(terms)
 
 

@@ -8,9 +8,9 @@ ring operations, and every result must equal its re-canonicalised form.
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from phasetoda.algebra import MultiPoly, RingMatrix, det_cofactor, det_exact
+from phasetoda.algebra import MultiPoly, RingMatrix, det_cofactor, det_exact, grevlex_key
 from phasetoda.errors import NotDivisible
 
 sympy = pytest.importorskip("sympy")
@@ -25,13 +25,25 @@ coeffs = st.builds(
 
 
 @st.composite
-def polys(draw, max_terms=5):
+def polys(draw, max_terms=5, coeffs=coeffs):
     """Sparse Laurent polynomial in a random subset of NAMES, listed in a
     random order so that __init__ has to sort."""
     names = draw(st.permutations(NAMES).flatmap(lambda p: st.integers(0, 3).map(lambda k: p[:k])))
     exps = st.tuples(*[st.integers(min_value=-2, max_value=2) for _ in names])
     terms = draw(st.dictionaries(exps, coeffs, max_size=max_terms))
     return MultiPoly(tuple(names), terms)
+
+
+@st.composite
+def divisors(draw):
+    """A non-monomial divisor with non-integral coefficients, a content other
+    than 1 and a negative leading coefficient."""
+    q = draw(polys(coeffs=st.integers(min_value=-5, max_value=5).map(Fraction)))
+    scale = draw(st.builds(Fraction, st.integers(2, 9), st.sampled_from([3, 5, 7])))
+    d = q * scale
+    assume(not d.is_constant() and len(d.terms) > 1)
+    assume(d.content() != 1 and any(c.denominator > 1 for c in d.terms.values()))
+    return d if d.leading_term()[1] < 0 else -d
 
 
 def to_sympy(p: MultiPoly):
@@ -108,6 +120,60 @@ def test_divide_exact_matches_sympy(p, q):
         assert len(sympy.Add.make_args(sympy.expand(den))) > 1
     else:
         assert from_sympy(to_sympy(quot) * Q) == canonical(p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), divisors())
+def test_divide_exact_by_scaled_divisor_matches_sympy(p, d):
+    assert canonical((p * d).divide_exact(d)) == p
+    try:
+        quot = canonical(p.divide_exact(d))
+    except NotDivisible:
+        _, den = sympy.fraction(sympy.cancel(to_sympy(p) / to_sympy(d)))
+        assert len(sympy.Add.make_args(sympy.expand(den))) > 1
+    else:
+        assert from_sympy(to_sympy(quot) * to_sympy(d)) == canonical(p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), polys())
+def test_divide_exact_takes_one_step_per_quotient_term(p, q):
+    # the step budget of RatioPoly._cancel counts quotient terms
+    assume(not p.is_zero() and not q.is_constant() and len(q.terms) > 1)
+    assert (p * q).divide_exact(q, max_steps=len(p.terms)) == p
+    with pytest.raises(NotDivisible):
+        (p * q).divide_exact(q, max_steps=len(p.terms) - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys())
+def test_leading_term_is_grevlex_maximum(p):
+    assume(not p.is_zero())
+    lead = max(p.terms, key=grevlex_key)
+    assert p.leading_term() == (lead, p.terms[lead])
+
+
+def test_divide_exact_refuses_by_coefficient():
+    x = MultiPoly.var("x")
+    # the leading terms divide, but no rational multiple of 3x + 1 is x + 1
+    with pytest.raises(NotDivisible):
+        (x + 1).divide_exact(3 * x + 1)
+    assert (x + 1).divide_exact(2 * x + 2) == Fraction(1, 2)
+    assert (x + 1).divide_exact(Fraction(-2, 3) * x - Fraction(2, 3)) == Fraction(-3, 2)
+
+
+def test_divide_exact_laurent_across_degrees():
+    u, v = MultiPoly.var("u2"), MultiPoly.var("v1")
+    # after the lowest powers are stripped, the divisor has terms of total
+    # degrees 0 and 6 and the quotient terms of degrees 1, 3 and 7
+    q = u ** -1 * v ** -2 + 3 * u ** 2 * v - Fraction(1, 2) * v ** 3
+    p = Fraction(2, 3) * u ** -2 + u * v ** -1 - v ** 4 + 5
+    prod = p * q
+    assert canonical(prod.divide_exact(q)) == p
+    assert canonical(prod.divide_exact(p)) == q
+    assert from_sympy(to_sympy(prod)) == prod
+    with pytest.raises(NotDivisible):
+        (prod + v).divide_exact(q)
 
 
 @settings(max_examples=100, deadline=None)

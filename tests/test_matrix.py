@@ -1,6 +1,7 @@
 """Exact determinants: examples, oracle agreement, multilinearity."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -78,6 +79,28 @@ def test_bareiss_matches_cofactor(n):
     rows = _random_poly_matrix(rng, n)
     m = RingMatrix.from_rows(rows)
     assert det_exact(m) == det_cofactor(m)
+
+
+def test_bareiss_with_fractional_coefficients_matches_cofactor():
+    # every entry has a non-integral rational coefficient, so each exact
+    # division inside Bareiss scales to integers and divides out a content
+    rng = random.Random(305)
+    p, q = MultiPoly.var("p"), MultiPoly.var("q")
+    rows = []
+    for _ in range(5):
+        row = []
+        for _ in range(5):
+            row.append(
+                Fraction(rng.randint(-4, 4) or 1, rng.choice([2, 3, 6])) * p
+                + Fraction(rng.randint(-4, 4), rng.choice([1, 5])) * q
+                + Fraction(rng.randint(-3, 3), 4)
+            )
+        rows.append(row)
+    m = RingMatrix.from_rows(rows)
+    d = det_exact(m)
+    assert not d.is_zero()
+    assert any(c.denominator > 1 for c in d.terms.values())
+    assert d == det_cofactor(m)
 
 
 def test_bareiss_zero_pivot_swap():
