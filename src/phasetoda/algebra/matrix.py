@@ -98,13 +98,6 @@ class RingMatrix:
         c = as_poly(c)
         return RingMatrix(self.rows, self.cols, [c * e for e in self.entries])
 
-    def transpose(self) -> "RingMatrix":
-        return RingMatrix(
-            self.cols,
-            self.rows,
-            [self[i, j] for j in range(self.cols) for i in range(self.rows)],
-        )
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RingMatrix":
         ents = [self[i, j] for i in row_idx for j in col_idx]
         return RingMatrix(len(row_idx), len(col_idx), ents)

@@ -265,7 +265,7 @@ def make_parser() -> argparse.ArgumentParser:
     pe.add_argument("--occupation", type=_int_list, default=None, help="n_0,..,n_M")
     pe.add_argument("--shape", type=_int_list, default="")
     pe.add_argument("--inner", type=_int_list, default=None)
-    pe.add_argument("--entries", type=int, default=1)
+    pe.add_argument("--entries", type=_count, default=1)
     pe.add_argument("--convention", choices=["ascending", "descending"], default="ascending")
     pe.add_argument("--svg", type=str, default=None)
     pe.add_argument("--seed", type=int, default=0)

@@ -88,9 +88,6 @@ class SkewShape:
                 out.append((i, j))
         return out
 
-    def cell_count(self) -> int:
-        return self.outer.size() - self.inner.size()
-
     def __str__(self) -> str:
         return f"{self.outer}/{self.inner}"
 

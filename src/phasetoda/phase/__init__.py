@@ -10,8 +10,6 @@ from .fock import (
     FockState,
     StateVector,
     all_occupations,
-    basis_for_partition,
-    basis_ket,
     pair,
     vacuum,
 )
@@ -43,8 +41,6 @@ __all__ = [
     "StateVector",
     "all_occupations",
     "apply_local_L",
-    "basis_for_partition",
-    "basis_ket",
     "boundary_correlator",
     "build_conj_state",
     "build_state",

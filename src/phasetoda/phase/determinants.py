@@ -26,6 +26,8 @@ from .skew import validate_npoint_indices
 
 def one_hole_det(q: int, n: int, m: int, u_values: Sequence, v_values: Sequence) -> MultiPoly:
     """Determinant value of <one-hole conjugate | full state>."""
+    if n < 1:
+        raise RangeViolation(f"one-hole correlator needs N >= 1, got {n}")
     if not (0 <= q <= m):
         raise RangeViolation(f"hole row {q} outside 0..{m}")
     us = list(map(as_poly, u_values))

@@ -9,15 +9,10 @@ flag; the pairing contracts matching occupation states with weight 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from ..algebra import MultiPoly, as_poly
-from ..combinatorics.partitions import (
-    OccupationSequence,
-    Partition,
-    occupation_to_partition,
-    partition_to_occupation,
-)
+from ..combinatorics.partitions import OccupationSequence, occupation_to_partition
 
 FockState = Tuple[int, ...]
 
@@ -95,15 +90,6 @@ class StateVector:
 
 def vacuum(m: int, dual: bool = False) -> StateVector:
     return StateVector(m, {(0,) * (m + 1): MultiPoly.const(1)}, dual)
-
-
-def basis_ket(occ: Iterable[int], m: int) -> StateVector:
-    return StateVector(m, {tuple(occ): MultiPoly.const(1)})
-
-
-def basis_for_partition(lam: Partition, n: int, m: int, dual: bool = False) -> StateVector:
-    occ = partition_to_occupation(lam, n, m)
-    return StateVector(m, {occ.counts: MultiPoly.const(1)}, dual)
 
 
 def pair(bra: StateVector, ket: StateVector) -> MultiPoly:

@@ -84,6 +84,8 @@ def correlator_one_hole(
 ) -> MultiPoly:
     """<one-hole conjugate | full state>: v_values supplies v_1..v_N, of
     which v_1 is absent from the result."""
+    if n < 1:
+        raise RangeViolation(f"one-hole correlator needs N >= 1, got {n}")
     us = list(map(as_poly, u_values))
     vs = list(map(as_poly, v_values))
     if len(us) != n or len(vs) != n:

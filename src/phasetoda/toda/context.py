@@ -1,4 +1,4 @@
-"""Finite hierarchy data: shift matrices, the dressed matrix, tau-functions.
+"""Finite hierarchy data: shift exponentials, the dressed matrix, tau-functions.
 
 A context holds the interval [m, n), a constant matrix A indexed by
 m..n-1, and two time vectors of length n-m-1.  The dressed matrix is
@@ -19,21 +19,6 @@ from ..algebra import MultiPoly, RingMatrix, det_exact
 from ..combinatorics.partitions import partitions_in_box
 from ..errors import RangeViolation
 from ..symfunc import char_poly, negate_times, zeta_all
-
-
-def shift_matrix(direction: str, m: int, n: int, power: int = 1) -> RingMatrix:
-    """The nilpotent shift (raise: ones above the diagonal) to a power."""
-    size = n - m
-    ents = []
-    for i in range(size):
-        for j in range(size):
-            if direction == "raise":
-                ents.append(MultiPoly.const(1 if j - i == power else 0))
-            elif direction == "lower":
-                ents.append(MultiPoly.const(1 if i - j == power else 0))
-            else:
-                raise ValueError(direction)
-    return RingMatrix(size, size, ents)
 
 
 def shift_exp(direction: str, times: Sequence[MultiPoly], m: int, n: int) -> RingMatrix:
@@ -88,10 +73,10 @@ class TauContext:
         return cls(m, n, a, x, y)
 
     @classmethod
-    def generic(cls, m: int, n: int, seed: int, bound: int = 5) -> "TauContext":
+    def generic(cls, m: int, n: int, seed: int) -> "TauContext":
         """Symbolic times over a seeded random integer matrix whose leading
         principal minors are all nonzero."""
-        a = generic_constant_matrix(n - m, seed, bound)
+        a = generic_constant_matrix(n - m, seed)
         return cls.symbolic(m, n, a)
 
     @classmethod
@@ -103,9 +88,6 @@ class TauContext:
         xv = tuple(MultiPoly.const(Fraction(v)) for v in x_values)
         yv = tuple(MultiPoly.const(Fraction(v)) for v in y_values)
         return TauContext(self.m, self.n, self.a, xv, yv)
-
-    def with_times(self, x: Sequence[MultiPoly], y: Sequence[MultiPoly]) -> "TauContext":
-        return TauContext(self.m, self.n, self.a, tuple(x), tuple(y))
 
     # -- core objects -------------------------------------------------------
 
@@ -131,12 +113,13 @@ class TauContext:
         return self._cache[key]
 
 
-def generic_constant_matrix(size: int, seed: int, bound: int = 5) -> RingMatrix:
-    """Seeded random integer matrix, redrawn until every leading principal
-    minor is nonzero (the nondegeneracy hypothesis for wave entries)."""
+def generic_constant_matrix(size: int, seed: int) -> RingMatrix:
+    """Seeded random integer matrix with entries in [-5, 5], redrawn until
+    every leading principal minor is nonzero (the nondegeneracy hypothesis
+    for wave entries)."""
     rng = random.Random(seed)
     while True:
-        rows = [[rng.randint(-bound, bound) for _ in range(size)] for _ in range(size)]
+        rows = [[rng.randint(-5, 5) for _ in range(size)] for _ in range(size)]
         mat = RingMatrix.from_rows(rows)
         ok = True
         for s in range(1, size + 1):

@@ -10,7 +10,8 @@ hold; both are part of the verification battery).
 from __future__ import annotations
 
 from ..algebra import RatioMatrix, RatioPoly, RingMatrix
-from .context import TauContext, shift_exp, shift_matrix
+from ..symfunc import negate_times
+from .context import TauContext, shift_exp
 from .waves import tau, wave_numerator
 
 
@@ -18,92 +19,71 @@ def _ratio(mat: RingMatrix) -> RatioMatrix:
     return RatioMatrix(mat.rows, [RatioPoly(e) for e in mat.entries])
 
 
-def hat_wave_matrix(ctx: TauContext, kind: str) -> RatioMatrix:
-    """Triangular wave factor ('w_inf' lower, 'w_zero' upper), rows = site."""
+def _hat_factor(ctx: TauContext, kind: str, inverse: bool) -> RatioMatrix:
+    """Triangular factor ('w_inf' lower, 'w_zero' upper) whose entry k steps
+    off the diagonal is a wave entry with index k.
+
+    The wave matrix takes its entries at site = row over tau(site); the
+    inverse takes the starred entries at site = column over tau(site + 1)."""
+    if kind not in ("w_inf", "w_zero"):
+        raise ValueError(kind)
+    entry_kind = {"w_inf": "w_star_inf", "w_zero": "w_star_zero"}[kind] if inverse else kind
     m, n = ctx.m, ctx.n
-    size = n - m
     out = []
     for i in range(m, n):
         for j in range(m, n):
-            if kind == "w_inf":
-                k = i - j
-                if k < 0:
-                    out.append(RatioPoly(0))
-                    continue
-                num = wave_numerator(ctx, i, "w_inf", k)
-                out.append(RatioPoly(num, tau(ctx, i)))
-            elif kind == "w_zero":
-                k = j - i
-                if k < 0:
-                    out.append(RatioPoly(0))
-                    continue
-                num = wave_numerator(ctx, i, "w_zero", k)
-                out.append(RatioPoly(num, tau(ctx, i)))
-            else:
-                raise ValueError(kind)
-    return RatioMatrix(size, out)
+            k = i - j if kind == "w_inf" else j - i
+            if k < 0:
+                out.append(RatioPoly(0))
+                continue
+            site = j if inverse else i
+            den = tau(ctx, site + 1) if inverse else tau(ctx, site)
+            out.append(RatioPoly(wave_numerator(ctx, site, entry_kind, k), den))
+    return RatioMatrix(n - m, out)
+
+
+def hat_wave_matrix(ctx: TauContext, kind: str) -> RatioMatrix:
+    """Triangular wave factor ('w_inf' lower, 'w_zero' upper), rows = site."""
+    return _hat_factor(ctx, kind, inverse=False)
 
 
 def hat_wave_inverse(ctx: TauContext, kind: str) -> RatioMatrix:
     """Inverse factors from the starred entries, columns = site."""
-    m, n = ctx.m, ctx.n
-    size = n - m
-    out = []
-    for i in range(m, n):
-        for j in range(m, n):
-            if kind == "w_inf":
-                k = i - j
-                if k < 0:
-                    out.append(RatioPoly(0))
-                    continue
-                num = wave_numerator(ctx, j, "w_star_inf", k)
-                out.append(RatioPoly(num, tau(ctx, j + 1)))
-            elif kind == "w_zero":
-                k = j - i
-                if k < 0:
-                    out.append(RatioPoly(0))
-                    continue
-                num = wave_numerator(ctx, j, "w_star_zero", k)
-                out.append(RatioPoly(num, tau(ctx, j + 1)))
-            else:
-                raise ValueError(kind)
-    return RatioMatrix(size, out)
+    return _hat_factor(ctx, kind, inverse=True)
+
+
+def _exp_factor(ctx: TauContext, kind: str, inverse: bool) -> RatioMatrix:
+    """exp(+-sum_k t_k shift^k): x times and raise for 'w_inf', y times and
+    lower otherwise, negated for the inverse."""
+    direction, times = ("raise", ctx.x) if kind == "w_inf" else ("lower", ctx.y)
+    if inverse:
+        times = negate_times(times)
+    return _ratio(shift_exp(direction, list(times), ctx.m, ctx.n))
 
 
 def full_wave_matrix(ctx: TauContext, kind: str) -> RatioMatrix:
-    if kind == "w_inf":
-        exp = shift_exp("raise", list(ctx.x), ctx.m, ctx.n)
-    else:
-        exp = shift_exp("lower", list(ctx.y), ctx.m, ctx.n)
-    return hat_wave_matrix(ctx, kind) @ _ratio(exp)
+    return hat_wave_matrix(ctx, kind) @ _exp_factor(ctx, kind, inverse=False)
 
 
 def full_wave_inverse(ctx: TauContext, kind: str) -> RatioMatrix:
-    if kind == "w_inf":
-        exp = shift_exp("raise", [-t for t in ctx.x], ctx.m, ctx.n)
-    else:
-        exp = shift_exp("lower", [-t for t in ctx.y], ctx.m, ctx.n)
-    return _ratio(exp) @ hat_wave_inverse(ctx, kind)
+    return _exp_factor(ctx, kind, inverse=True) @ hat_wave_inverse(ctx, kind)
+
+
+def _shift_columns(w: RatioMatrix, step: int) -> RatioMatrix:
+    """W times the raise shift (step 1) or the lower shift (step -1): column
+    j of the product is column j - step of W, or zero."""
+    n = w.n
+    zero = RatioPoly(0)
+    return RatioMatrix(
+        n, [w[i, j - step] if 0 <= j - step < n else zero for i in range(n) for j in range(n)]
+    )
 
 
 def lax_matrices(ctx: TauContext) -> tuple:
     """L and M conjugated from the two shift directions."""
-    winf = full_wave_matrix(ctx, "w_inf")
-    winf_inv = full_wave_inverse(ctx, "w_inf")
-    wzero = full_wave_matrix(ctx, "w_zero")
-    wzero_inv = full_wave_inverse(ctx, "w_zero")
-    raise_mat = _ratio(shift_matrix("raise", ctx.m, ctx.n))
-    lower_mat = _ratio(shift_matrix("lower", ctx.m, ctx.n))
-    lax_l = winf @ raise_mat @ winf_inv
-    lax_m = wzero @ lower_mat @ wzero_inv
+    lax_l = _shift_columns(full_wave_matrix(ctx, "w_inf"), 1) @ full_wave_inverse(ctx, "w_inf")
+    lax_m = _shift_columns(full_wave_matrix(ctx, "w_zero"), -1) @ full_wave_inverse(ctx, "w_zero")
     return lax_l, lax_m
-
-
-def _power(mat: RatioMatrix, k: int) -> RatioMatrix:
-    out = RatioMatrix.identity(mat.n)
-    for _ in range(k):
-        out = out @ mat
-    return out
 
 
 def flow_generators(ctx: TauContext, kmax: int) -> tuple:

@@ -5,11 +5,13 @@ over a tau denominator.  The derivative identities say the numerators equal
 one-row character operators applied to tau, so every check here is an exact
 polynomial equality (numerators share the printed denominators).
 
-The time-shifted tau along the spectral direction is computed as the
-determinant of the dressed matrix multiplied by (1 - lam*shift)^{+-1},
-where the inverse is the finite nilpotent sum; its coefficients reproduce
-the wave entries, which is both a theorem verified in the tests and the
-engine behind the bilinear-relation residue check.
+The tau shifted along the spectral direction is the leading minor of the
+dressed matrix with each entry replaced by a lam-weighted sum along one
+index: (1 - lam*shift) takes one step with coefficient -lam, its nilpotent
+inverse takes every step k with lam^k.  Its lam coefficients reproduce the
+wave entries, which is both a theorem verified in the tests and the engine
+behind the bilinear residue check, a coefficient of 1/lam taken on the
+polynomial kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 from ..algebra import MultiPoly, RingMatrix, det_exact, reduce_pair
 from ..errors import DegenerateDenominator, RangeViolation
 from ..symfunc import zeta_all, zeta_diff_apply
-from .context import TauContext, shift_matrix, tau
+from .context import TauContext, tau
 
 WAVE_KINDS = ("w_inf", "w_zero", "w_star_inf", "w_star_zero")
 
@@ -103,37 +105,35 @@ def verify_prop1(ctx: TauContext, s: int, k: int, kind: str) -> bool:
 SHIFT_KINDS = ("x_minus", "x_plus", "y_minus", "y_plus")
 
 
-def shifted_tau(ctx: TauContext, s: int, which: str, lam_name: str = "lam") -> MultiPoly:
+def shifted_tau(ctx: TauContext, s: int, which: str) -> MultiPoly:
     """Tau with one time family shifted along the spectral direction.
 
     x_minus: det[(1 - lam*raise)   D]   x_plus: det[(1 - lam*raise)^-1 D]
     y_minus: det[D (1 - lam*lowerT)^-1] y_plus: det[D (1 - lam*lowerT)]
-    each restricted to the leading block of size s - m.
+    each restricted to the leading block of size s - m, whose entry (i, j)
+    is sum_k c_k lam^k D[i+k, j] (x) or sum_k c_k lam^k D[i, j+k] (y).
     """
     if which not in SHIFT_KINDS:
         raise ValueError(f"unknown shift {which!r}")
     if not (ctx.m <= s <= ctx.n):
         raise RangeViolation(f"site {s} outside [{ctx.m}, {ctx.n}]")
     size = ctx.n - ctx.m
-    lam = MultiPoly.var(lam_name)
-    ident = RingMatrix.identity(size)
-    direction = "raise" if which.startswith("x") else "lower"
-    shift1 = shift_matrix(direction, ctx.m, ctx.n)
+    d = ctx.dressed()
+    lam = MultiPoly.var("lam")
     if which in ("x_minus", "y_plus"):
-        factor = ident - shift1.scale(lam)
+        steps = [MultiPoly.const(1), -lam]
     else:
-        # nilpotent Neumann sum for the inverse
-        factor = ident
-        power = ident
-        for k in range(1, size):
-            power = power @ shift1
-            factor = factor + power.scale(lam ** k)
-    if which.startswith("x"):
-        full = factor @ ctx.dressed()
-    else:
-        full = ctx.dressed() @ factor
-    block = full.submatrix(range(s - ctx.m), range(s - ctx.m))
-    return det_exact(block)
+        steps = [lam**k for k in range(size)]
+    along_rows = which.startswith("x")
+    r = s - ctx.m
+    ents = []
+    for i in range(r):
+        for j in range(r):
+            entry = MultiPoly.zero()
+            for k, c in enumerate(steps[: size - (i if along_rows else j)]):
+                entry = entry + c * (d[i + k, j] if along_rows else d[i, j + k])
+            ents.append(entry)
+    return det_exact(RingMatrix(r, r, ents))
 
 
 def h20_expected_coefficients(ctx: TauContext, s: int, which: str) -> list:
@@ -148,12 +148,6 @@ def h20_expected_coefficients(ctx: TauContext, s: int, which: str) -> list:
     if which == "y_plus":
         return [wave_numerator(ctx, s, "w_star_zero", k) for k in range(0, s - m + 1)]
     raise ValueError(which)
-
-
-def _exp_series_coeffs(w: Sequence[Fraction], kmax: int) -> list:
-    """Coefficients of exp(sum w_l z^l) up to z^kmax (rational arguments)."""
-    times = [MultiPoly.const(Fraction(v)) for v in w]
-    return [z.constant_value() for z in zeta_all(kmax, times)]
 
 
 def bilinear_check(
@@ -182,40 +176,17 @@ def bilinear_check(
     if tau_s == 0 or tau_sp == 0:
         raise DegenerateDenominator("tau vanishes at the evaluation point")
 
-    def laurent_coeffs(poly: MultiPoly) -> dict:
-        # polynomial in lam -> {power: Fraction} after lam -> 1/lam
-        out = {}
-        if poly.is_zero():
-            return out
-        if "lam" not in poly.vars:
-            out[0] = poly.constant_value()
-            return out
-        for power in range(0, poly.degree_in("lam") + 1):
-            c = poly.coeff_of("lam", power)
-            if not c.is_zero():
-                out[-power] = c.constant_value()
-        return out
-
-    def side(sa, sb, ctx_a, ctx_b, which_a, which_b, prefactor_power, weights):
-        fa = laurent_coeffs(shifted_tau(ctx_a, sa, which_a))
-        fb = laurent_coeffs(shifted_tau(ctx_b, sb, which_b))
-        prod = {}
-        for pa, ca in fa.items():
-            for pb, cb in fb.items():
-                p = pa + pb + prefactor_power
-                prod[p] = prod.get(p, Fraction(0)) + ca * cb
-        if not prod:
-            return Fraction(0)
-        lo = min(prod)
-        kmax = max(-1 - lo, 0)
-        ws = _exp_series_coeffs(weights, kmax)
-        total = Fraction(0)
-        for k in range(0, kmax + 1):
-            total += ws[k] * prod.get(-1 - k, Fraction(0))
-        return total
+    def residue(ctx_a, sa, which_a, ctx_b, sb, which_b, power, weights):
+        # [1/lam] of tau_a(1/lam) tau_b(1/lam) lam^power exp(sum_l w_l lam^l)
+        prod = shifted_tau(ctx_a, sa, which_a) * shifted_tau(ctx_b, sb, which_b)
+        laurent = prod.subs({"lam": MultiPoly.var("lam", -1)}) * MultiPoly.var("lam", power)
+        kmax = max(-1 - laurent.low_degree_in("lam"), 0)
+        times = [MultiPoly.monomial(w, {"lam": l}) for l, w in enumerate(weights, 1)]
+        series = sum(zeta_all(kmax, times), MultiPoly.zero())
+        return (laurent * series).coeff_of("lam", -1)
 
     wy = [Fraction(a) - Fraction(b) for a, b in zip(y, y_prime)]
     wx = [Fraction(a) - Fraction(b) for a, b in zip(x, x_prime)]
-    lhs = side(s + 1, s_prime - 1, left, right, "y_minus", "y_plus", s_prime - s - 2, wy)
-    rhs = side(s, s_prime, left, right, "x_minus", "x_plus", s - s_prime, wx)
+    lhs = residue(left, s + 1, "y_minus", right, s_prime - 1, "y_plus", s_prime - s - 2, wy)
+    rhs = residue(left, s, "x_minus", right, s_prime, "x_plus", s - s_prime, wx)
     return lhs == rhs

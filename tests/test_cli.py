@@ -106,6 +106,8 @@ def test_entry_point_subprocess():
         ["compute", "state", "--N", "1", "--M", "-1"],
         ["enumerate", "pp", "--N", "2", "--M", "2", "--contains", "x"],
         ["compute", "correlator", "--kind", "n_point", "--r", ""],
+        ["compute", "correlator", "--kind", "one_hole", "--N", "0"],
+        ["enumerate", "tableaux", "--N", "1", "--M", "1", "--shape", "1", "--entries", "-1"],
     ],
 )
 def test_invalid_arguments_exit_2_without_traceback(args):

@@ -14,6 +14,7 @@ from phasetoda.phase import (
     correlator_npoint,
     correlator_one_hole,
     correlator_seeded,
+    one_hole_det,
     scalar_product,
     skew_conj_state,
     skew_state,
@@ -120,3 +121,11 @@ def test_all_zero_indices_admissible():
     un, vn = names("u", n), names("v", n)
     val = correlator_npoint((0, 0), n, m, un, vn)
     assert not val.is_zero()
+
+
+def test_one_hole_needs_a_particle():
+    # the hole removes v_1, so N = 0 has no correlator to compute
+    with pytest.raises(RangeViolation):
+        correlator_one_hole(0, 0, 1, [], [])
+    with pytest.raises(RangeViolation):
+        one_hole_det(0, 0, 1, [], [])

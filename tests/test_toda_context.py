@@ -7,7 +7,6 @@ from phasetoda.errors import RangeViolation
 from phasetoda.toda import (
     TauContext,
     shift_exp,
-    shift_matrix,
     tau,
     tau_schur_expand,
 )
@@ -82,9 +81,3 @@ def test_tau_expansion_off_zero_interval():
     ctx = TauContext.generic(2, 5, seed=3)
     for s in range(2, 6):
         assert tau(ctx, s) == tau_schur_expand(ctx, s)
-
-
-def test_shift_matrix_nilpotent():
-    sh = shift_matrix("raise", 0, 3)
-    cube = sh @ sh @ sh
-    assert all(e.is_zero() for e in cube.entries)

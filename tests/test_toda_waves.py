@@ -155,3 +155,21 @@ def test_bilinear_item_witness_on_false(monkeypatch):
     assert item["pass"] is False
     assert item["parameters"]["tuples"] == 50
     assert item["witness"].startswith("fails at s=1, s'=2, x;x';y;y' = ")
+
+
+def test_bilinear_depends_on_shifted_tau(monkeypatch):
+    # a wrong x_plus tau must break the identity: the residues are not vacuous
+    from phasetoda.toda import waves
+
+    ctx = TauContext.generic(0, 3, seed=5)
+    x, xp = [Fraction(1, 2), Fraction(-1, 3)], [Fraction(-1), Fraction(2)]
+    y, yp = [Fraction(2, 3), Fraction(1, 5)], [Fraction(1, 7), Fraction(0)]
+    assert bilinear_check(ctx, 1, 2, x, xp, y, yp)
+    shifted = waves.shifted_tau
+
+    def perturbed(c, s, which):
+        st = shifted(c, s, which)
+        return st * (1 + MultiPoly.var("lam")) if which == "x_plus" else st
+
+    monkeypatch.setattr(waves, "shifted_tau", perturbed)
+    assert not bilinear_check(ctx, 1, 2, x, xp, y, yp)
