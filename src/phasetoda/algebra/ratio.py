@@ -37,6 +37,19 @@ def reduce_pair(num: MultiPoly, den: MultiPoly) -> tuple:
     return num, den
 
 
+def exponent_spans(p: MultiPoly) -> dict:
+    """Exponent span (max - min) of every variable of p."""
+    return {v: max(col) - min(col) for v, col in zip(p.vars, zip(*p.terms))}
+
+
+def wider_than(f: MultiPoly, spans: dict) -> bool:
+    """True when f spans more exponents in some variable than the spans of a
+    numerator allow (a variable missing from them has span 0).  Spans add
+    under Laurent multiplication, so such an f cannot divide that numerator;
+    the test only spares divide_exact a refusal it would reach anyway."""
+    return any(w > spans.get(v, 0) for v, w in exponent_spans(f).items())
+
+
 class RatioPoly:
     """Exact rational function num / prod(den_factors)."""
 
@@ -64,12 +77,19 @@ class RatioPoly:
             self.factors = []
             return
         kept = []
+        spans = None
         for f in sorted(self.factors, key=lambda f: len(f.terms)):
             if f.is_constant():
                 self.num = self.num.divide_exact(f)
                 continue
+            if spans is None:
+                spans = exponent_spans(self.num)
+            if wider_than(f, spans):
+                kept.append(f)
+                continue
             try:
                 self.num = self.num.divide_exact(f, max_steps=4 * len(self.num.terms) + 64)
+                spans = None
             except NotDivisible:
                 kept.append(f)
         self.factors = kept

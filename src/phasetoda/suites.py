@@ -49,7 +49,7 @@ from .phase import (
     build_state,
     correlator_npoint,
     correlator_one_hole,
-    limit_correspondence,
+    limit_sides,
     npoint_det,
     one_hole_det,
     one_hole_stack_check,
@@ -81,6 +81,11 @@ def _item(identity: str, parameters: dict, ok: bool, witness: str | None = None)
     if not ok and witness:
         out["witness"] = witness
     return out
+
+
+def _clip(text: str, width: int = 160) -> str:
+    """Canonical text cut to a witness-sized prefix."""
+    return text if len(text) <= width else text[:width] + f"... ({len(text)} chars)"
 
 
 def _names(prefix: str, count: int) -> list:
@@ -401,18 +406,19 @@ def _limits(seed: int) -> Iterator[dict]:
     for n in range(1, BOUNDS["correspondence_n"] + 1):
         for m in range(1, BOUNDS["correspondence_m"] + 1):
             un, vn = _names("u", n), _names("v", n)
-            for k in range(0, m + 1):
-                yield _item(
-                    "hole-limit-correspondence",
-                    {"N": n, "M": m, "k": k},
-                    limit_correspondence("v1_to_infinity", k, n, m, un, vn),
-                )
-            for k in range(0, min(n, m) + 1):
-                yield _item(
-                    "seed-limit-correspondence",
-                    {"N": n, "M": m, "k": k},
-                    limit_correspondence("u_tail_to_zero", k, n, m, un, vn),
-                )
+            kinds = (
+                ("hole-limit-correspondence", "v1_to_infinity", m),
+                ("seed-limit-correspondence", "u_tail_to_zero", min(n, m)),
+            )
+            for identity, kind, k_max in kinds:
+                for k in range(0, k_max + 1):
+                    limit, rhs = limit_sides(kind, k, n, m, un, vn)
+                    ok = limit == rhs
+                    witness = None if ok else (
+                        f"{kind} k={k}: limit={_clip(limit.to_str())} "
+                        f"correlator side={_clip(rhs.to_str())}"
+                    )
+                    yield _item(identity, {"N": n, "M": m, "k": k}, ok, witness)
 
 
 def _determinant_forms(seed: int) -> Iterator[dict]:

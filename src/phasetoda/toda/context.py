@@ -5,7 +5,9 @@ m..n-1, and two time vectors of length n-m-1.  The dressed matrix is
 exp(sum x_k shift^k) A exp(-sum y_k shift_T^k); tau at site s is its
 leading principal minor of size s-m.  Because the shift matrices are
 nilpotent, every exponential is the finite triangular Toeplitz matrix of
-one-row character polynomials and everything stays polynomial.
+one-row character polynomials and everything stays polynomial.  Dressed
+entries are built on demand and kept in the context, so a minor pays only
+for the rows and columns it reads.
 """
 
 from __future__ import annotations
@@ -92,24 +94,41 @@ class TauContext:
     # -- core objects -------------------------------------------------------
 
     def dressed(self) -> RingMatrix:
+        """The whole dressed matrix, assembled from its entries."""
         if "dressed" not in self._cache:
-            ex = shift_exp("raise", self.x, self.m, self.n)
-            ey = shift_exp("lower", negate_times(self.y), self.m, self.n)
-            self._cache["dressed"] = ex @ self.a @ ey
+            idx = range(self.m, self.n)
+            ents = [self.entry(i, j) for i in idx for j in idx]
+            self._cache["dressed"] = RingMatrix(len(idx), len(idx), ents)
         return self._cache["dressed"]
 
     def entry(self, i: int, j: int) -> MultiPoly:
-        """Dressed entry indexed by absolute indices in m..n-1."""
-        return self.dressed()[i - self.m, j - self.m]
+        """Dressed entry indexed by absolute indices in m..n-1, built on first
+        use: row i of exp(x.raise) A times column j of exp(-y.lower), whose
+        entries are zeta_{l-j}(-y) for l >= j."""
+        key = ("entry", i, j)
+        cache = self._cache
+        if key not in cache:
+            if "xa" not in cache:
+                cache["xa"] = shift_exp("raise", self.x, self.m, self.n) @ self.a
+                cache["zy"] = zeta_all(self.horizon, negate_times(self.y))
+            row = cache["xa"].row(i - self.m)
+            zy = cache["zy"]
+            c = j - self.m
+            acc = MultiPoly.zero()
+            for l in range(c, len(row)):
+                a, b = row[l], zy[l - c]
+                if not (a.is_zero() or b.is_zero()):
+                    acc = acc + a * b
+            cache[key] = acc
+        return cache[key]
 
     def minor(self, rows: Sequence[int], cols: Sequence[int]) -> MultiPoly:
-        """Minor of the dressed matrix in absolute indices."""
+        """Minor of the dressed matrix in absolute indices; builds only the
+        entries it reads."""
         key = ("minor", tuple(rows), tuple(cols))
         if key not in self._cache:
-            sub = self.dressed().submatrix(
-                [i - self.m for i in rows], [j - self.m for j in cols]
-            )
-            self._cache[key] = det_exact(sub)
+            ents = [self.entry(i, j) for i in rows for j in cols]
+            self._cache[key] = det_exact(RingMatrix(len(rows), len(cols), ents))
         return self._cache[key]
 
 

@@ -183,13 +183,12 @@ def test_criterion_09_limit_correspondences(batteries):
     # the sign matters: dropping it must break an odd-k seed identity
     from phasetoda.algebra import as_poly
     from phasetoda.phase import correlator_seeded, prefactor
-    from phasetoda.phase.limits import _memo_context
-    from phasetoda.toda.waves import wave_numerator
+    from phasetoda.toda import restricted_context, wave_numerator
 
     n = m = 2
     un = [f"u{i}" for i in range(1, n + 1)]
     vn = [f"v{i}" for i in range(1, n + 1)]
-    ctx = _memo_context(un, vn, m)
+    ctx = restricted_context(un, vn, m)
     cleared = wave_numerator(ctx, ctx.m + n, "w_inf", 1).subs({un[-1]: 0})
     us, vs = list(map(as_poly, un)), list(map(as_poly, vn))
     pref = prefactor(us[:1]) * prefactor(vs).monomial_inverse()

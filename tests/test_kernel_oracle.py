@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from phasetoda.algebra import MultiPoly, RingMatrix, det_cofactor, det_exact, grevlex_key
+from phasetoda.algebra.ratio import exponent_spans, wider_than
 from phasetoda.errors import NotDivisible
 
 sympy = pytest.importorskip("sympy")
@@ -143,6 +144,22 @@ def test_divide_exact_takes_one_step_per_quotient_term(p, q):
     assert (p * q).divide_exact(q, max_steps=len(p.terms)) == p
     with pytest.raises(NotDivisible):
         (p * q).divide_exact(q, max_steps=len(p.terms) - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), polys())
+# v1 spans 2 in the divisor, 1 in the numerator
+@example(MultiPoly.var("v1") + 1, MultiPoly.var("v1", 2) - 1)
+# u2 is missing from the numerator
+@example(MultiPoly.var("v1") + 1, MultiPoly.var("u2") + MultiPoly.var("v1"))
+def test_span_pretest_refuses_only_non_divisors(p, q):
+    # the RatioPoly._cancel pre-test: a refusal must be one that
+    # divide_exact makes too, and an exact product is never refused
+    assume(not p.is_zero() and len(q.terms) > 1)
+    if wider_than(q, exponent_spans(p)):
+        with pytest.raises(NotDivisible):
+            p.divide_exact(q)
+    assert not wider_than(q, exponent_spans(p * q))
 
 
 @settings(max_examples=100, deadline=None)

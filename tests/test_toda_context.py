@@ -2,10 +2,12 @@
 
 import pytest
 
-from phasetoda.algebra import MultiPoly, RingMatrix, det_exact
+from phasetoda.algebra import MultiPoly, RingMatrix, det_cofactor, det_exact
 from phasetoda.errors import RangeViolation
+from phasetoda.symfunc import negate_times
 from phasetoda.toda import (
     TauContext,
+    restricted_context,
     shift_exp,
     tau,
     tau_schur_expand,
@@ -81,3 +83,35 @@ def test_tau_expansion_off_zero_interval():
     ctx = TauContext.generic(2, 5, seed=3)
     for s in range(2, 6):
         assert tau(ctx, s) == tau_schur_expand(ctx, s)
+
+
+def _eager_dressed(ctx):
+    ex = shift_exp("raise", ctx.x, ctx.m, ctx.n)
+    ey = shift_exp("lower", negate_times(ctx.y), ctx.m, ctx.n)
+    return ex @ ctx.a @ ey
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TauContext.generic(1, 6, seed=5),
+        # a restricted context over a shorter v alphabet (v2 at infinity)
+        lambda: restricted_context(["u1", "u2"], ["v1"], 3),
+    ],
+    ids=["generic", "restricted"],
+)
+def test_lazy_entries_equal_eager_product(make):
+    ctx = make()
+    assert ctx.n - ctx.m == 5
+    eager = _eager_dressed(ctx)
+    # minors first, so they build their entries before dressed() exists
+    for rows, cols in [((0, 2), (1, 3)), ((1, 2, 4), (0, 3, 4))]:
+        rows = [ctx.m + i for i in rows]
+        cols = [ctx.m + j for j in cols]
+        sub = eager.submatrix([i - ctx.m for i in rows], [j - ctx.m for j in cols])
+        assert ctx.minor(rows, cols) == det_cofactor(sub)
+    assert "dressed" not in ctx._cache
+    for i in range(ctx.m, ctx.n):
+        for j in range(ctx.m, ctx.n):
+            assert ctx.entry(i, j) == eager[i - ctx.m, j - ctx.m]
+    assert ctx.dressed() == eager
