@@ -373,24 +373,6 @@ class MultiPoly:
             result = result + term
         return result
 
-    def eval_rational(self, assignment: Mapping[str, Scalar]) -> Fraction:
-        """Full evaluation at rational values; all variables must be covered."""
-        missing = [v for v in self.vars if v not in assignment]
-        if missing:
-            raise ValueError(f"unassigned variables: {missing}")
-        total = Fraction(0)
-        vals = [Fraction(assignment[v]) for v in self.vars]
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(vals, exps):
-                if e == 0:
-                    continue
-                if v == 0 and e < 0:
-                    raise DivisionByZero("0 raised to a negative power")
-                term *= v ** e
-            total += term
-        return total
-
     # -- division ----------------------------------------------------------
 
     def leading_term(self) -> tuple:

@@ -59,15 +59,9 @@ class StateVector:
             terms[occ] = coeff if prev is None else prev + coeff
         return self.copy_with(terms)
 
-    def __sub__(self, other: "StateVector") -> "StateVector":
-        return self + other.scale(MultiPoly.const(-1))
-
     def scale(self, c) -> "StateVector":
         c = as_poly(c)
         return self.copy_with({occ: c * coeff for occ, coeff in self.terms.items()})
-
-    def coeff(self, occ: FockState) -> MultiPoly:
-        return self.terms.get(tuple(occ), MultiPoly.zero())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StateVector):

@@ -6,10 +6,16 @@ its corners act on kets (A preserves, B raises, C lowers, D preserves the
 total occupation).  On bras the same corners act from the right, which
 swaps the roles of the creation and annihilation entries.
 
+A corner is never taken from the whole 2x2 operator product: on a ket it
+needs only its column of the product, on a bra only its row, and one
+transfer routine carries that pair of vectors across the sites.  Every
+state vector is a basis vector grown by one corner per spectral value.
+
 The intertwining check multiplies the 4x4 R-matrix (rational entries
 f = u^2/(u^2-v^2), g = uv/(u^2-v^2)) against tensor products of monodromy
-corners on a total-occupation-truncated domain; images are compared
-exactly, without truncating the codomain.
+corners on a total-occupation-truncated domain, all four corners of a
+factor coming from its two columns; images are compared exactly, without
+truncating the codomain.
 """
 
 from __future__ import annotations
@@ -18,12 +24,13 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from ..algebra import MultiPoly, as_poly
-from ..errors import PoleViolation
-from .fock import StateVector, all_occupations, vacuum
+from ..errors import PoleViolation, RangeViolation
+from .fock import StateVector, all_occupations
 
 Spectral = Union[MultiPoly, Fraction, int]
 
 _ENTRIES = ("a", "b", "c", "d")
+_CORNERS = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}
 
 
 def _shift_site(occ, j, delta):
@@ -45,7 +52,7 @@ def apply_local_L(j: int, entry: str, u: Spectral, sv: StateVector) -> StateVect
         raise ValueError(f"site {j} outside 0..{sv.m}")
     u = as_poly(u)
     if entry == "a":
-        return sv.scale(u.monomial_inverse() if not u.is_constant() else MultiPoly.const(Fraction(1) / u.constant_value()))
+        return sv.scale(u.monomial_inverse())
     if entry == "d":
         return sv.scale(u)
     creating = (entry == "b") != sv.dual
@@ -62,71 +69,65 @@ def apply_local_L(j: int, entry: str, u: Spectral, sv: StateVector) -> StateVect
     return sv.copy_with(terms)
 
 
+def _transfer(start: int, u: MultiPoly, sv: StateVector) -> list:
+    """Column ``start`` of the monodromy matrix applied to a ket, or row
+    ``start`` of it applied to a bra, as a pair indexed by the other corner
+    index.
+
+    A ket pair is carried through sites 0..M: (L_j .. L_0)[i][start] sv.  A
+    bra pair is carried through sites M..0: sv (L_M .. L_j)[start][i], a row
+    being the column of the transposed product, so 'b' and 'c' trade places.
+    """
+    # the local entry that takes vecs[k] to vecs[i] is name[i][k]
+    name = (("a", "c"), ("b", "d")) if sv.dual else (("a", "b"), ("c", "d"))
+    first, *rest = range(sv.m, -1, -1) if sv.dual else range(sv.m + 1)
+    vecs = [apply_local_L(first, name[i][start], u, sv) for i in (0, 1)]
+    for j in rest:
+        vecs = [
+            apply_local_L(j, name[i][0], u, vecs[0]) + apply_local_L(j, name[i][1], u, vecs[1])
+            for i in (0, 1)
+        ]
+    return vecs
+
+
 def monodromy_apply(entry: str, u: Spectral, sv: StateVector) -> StateVector:
     """Apply one corner (A, B, C or D) of the monodromy matrix.
 
-    Computed by running the 2x2 operator-matrix product across all sites:
-    right-to-left over sites 0..M for kets, left-to-right for bras.
+    Only the column of the corner is carried across the sites for a ket, and
+    only its row for a bra.
     """
-    if entry not in ("A", "B", "C", "D"):
+    if entry not in _CORNERS:
         raise ValueError("entry must be A, B, C or D")
-    u = as_poly(u)
-    if not sv.dual:
-        # mat[x][y] = (L_j .. L_0)[x][y] applied to sv, built up over j
-        mat = None
-        for j in range(0, sv.m + 1):
-            if mat is None:
-                mat = [
-                    [apply_local_L(j, "a", u, sv), apply_local_L(j, "b", u, sv)],
-                    [apply_local_L(j, "c", u, sv), apply_local_L(j, "d", u, sv)],
-                ]
-                continue
-            new = [[None, None], [None, None]]
-            for x in (0, 1):
-                top = "a" if x == 0 else "c"
-                bot = "b" if x == 0 else "d"
-                for y in (0, 1):
-                    first = apply_local_L(j, top, u, mat[0][y])
-                    second = apply_local_L(j, bot, u, mat[1][y])
-                    new[x][y] = first + second
-            mat = new
-    else:
-        # mat[x][y] = sv . (L_M .. L_j)[x][y], built downward over j
-        mat = None
-        for j in range(sv.m, -1, -1):
-            if mat is None:
-                mat = [
-                    [apply_local_L(j, "a", u, sv), apply_local_L(j, "b", u, sv)],
-                    [apply_local_L(j, "c", u, sv), apply_local_L(j, "d", u, sv)],
-                ]
-                continue
-            new = [[None, None], [None, None]]
-            for x in (0, 1):
-                for y in (0, 1):
-                    left = "a" if y == 0 else "b"
-                    right = "c" if y == 0 else "d"
-                    new[x][y] = apply_local_L(j, left, u, mat[x][0]) + apply_local_L(
-                        j, right, u, mat[x][1]
-                    )
-            mat = new
-    index = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}[entry]
-    return mat[index[0]][index[1]]
+    x, y = _CORNERS[entry]
+    start, end = (x, y) if sv.dual else (y, x)
+    return _transfer(start, as_poly(u), sv)[end]
+
+
+def grow_state(
+    entry: str, values: Sequence[Spectral], m: int, sites: Sequence[int] = (), dual: bool = False
+) -> StateVector:
+    """The basis vector with one quantum at each of ``sites`` (the vacuum when
+    there are none), hit by corner ``entry`` once per value, the last value
+    first."""
+    occ = [0] * (m + 1)
+    for r in sites:
+        if not (0 <= r <= m):
+            raise RangeViolation(f"site {r} outside 0..{m}")
+        occ[r] += 1
+    sv = StateVector(m, {tuple(occ): MultiPoly.const(1)}, dual)
+    for u in reversed(list(values)):
+        sv = monodromy_apply(entry, u, sv)
+    return sv
 
 
 def build_state(u_values: Sequence[Spectral], m: int) -> StateVector:
     """N-particle ket: creation corners applied with the last value first."""
-    sv = vacuum(m)
-    for u in reversed(list(u_values)):
-        sv = monodromy_apply("B", u, sv)
-    return sv
+    return grow_state("B", u_values, m)
 
 
 def build_conj_state(v_values: Sequence[Spectral], m: int) -> StateVector:
     """N-particle bra: annihilation corners applied with the last value first."""
-    sv = vacuum(m, dual=True)
-    for v in reversed(list(v_values)):
-        sv = monodromy_apply("C", v, sv)
-    return sv
+    return grow_state("C", v_values, m, dual=True)
 
 
 def r_matrix(u: Fraction, v: Fraction) -> list:
@@ -155,27 +156,22 @@ def verify_rtt(u: Fraction, v: Fraction, m: int, n_cap: int) -> bool:
     leave the truncation) are compared exactly.
     """
     rm = r_matrix(u, v)
+    u, v = as_poly(u), as_poly(v)
     basis = [occ for t in range(n_cap + 1) for occ in all_occupations(t, m)]
-    corners = ("A", "B", "C", "D")
     aux = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    corner_of = {(0, 0): "A", (0, 1): "B", (1, 0): "C", (1, 1): "D"}
     for occ in basis:
         ket = StateVector(m, {occ: MultiPoly.const(1)})
-        tu = {c: monodromy_apply(c, u, ket) for c in corners}
-        tv = {c: monodromy_apply(c, v, ket) for c in corners}
-        # (X tensor Y)[(ac),(bd)] = X(u)_{ab} Y(v)_{cd}; apply Y first
+        # (X tensor Y)[(ac),(bd)] = X(u)_{ab} Y(v)_{cd}; apply Y first.  All
+        # four corners of a factor come from its two columns: T(w)_xy applied
+        # to a ket is _transfer(y, w, ket)[x].
         prod_uv = {}
         prod_vu = {}
-        for (a, c) in aux:
-            for (b, d) in aux:
-                inner_uv = tv[corner_of[(c, d)]]
-                prod_uv[((a, c), (b, d))] = monodromy_apply(
-                    corner_of[(a, b)], u, inner_uv
-                )
-                inner_vu = tu[corner_of[(c, d)]]
-                prod_vu[((a, c), (b, d))] = monodromy_apply(
-                    corner_of[(a, b)], v, inner_vu
-                )
+        for outer, inner, prod in ((u, v, prod_uv), (v, u, prod_vu)):
+            inner_cols = [_transfer(y, inner, ket) for y in (0, 1)]
+            for (c, d) in aux:
+                outer_cols = [_transfer(y, outer, inner_cols[d][c]) for y in (0, 1)]
+                for (a, b) in aux:
+                    prod[((a, c), (b, d))] = outer_cols[b][a]
         for i, ri in enumerate(aux):
             for j, cj in enumerate(aux):
                 lhs = StateVector(m, {})

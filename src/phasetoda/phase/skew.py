@@ -16,8 +16,8 @@ from ..algebra import MultiPoly, as_poly
 from ..combinatorics.partitions import SkewShape, column, hook
 from ..errors import RangeViolation
 from ..symfunc import schur
-from .fock import StateVector, pair, vacuum
-from .monodromy import build_conj_state, build_state, monodromy_apply
+from .fock import StateVector, pair
+from .monodromy import build_conj_state, build_state, grow_state
 from .scalar import prefactor
 
 
@@ -25,45 +25,20 @@ def skew_conj_state(k: int, v_tail: Sequence, m: int) -> StateVector:
     """Dual vector <0| phi_k C(v_2) .. C(v_N); v_tail lists v_2..v_N."""
     if not (0 <= k <= m):
         raise RangeViolation(f"hole row {k} outside 0..{m}")
-    vs = list(map(as_poly, v_tail))
-    sv = vacuum(m, dual=True)
     # right action of phi_k on a bra adds one quantum at site k
-    occ = list(next(iter(sv.terms)))
-    occ[k] += 1
-    sv = StateVector(m, {tuple(occ): MultiPoly.const(1)}, dual=True)
-    for v in reversed(vs):
-        sv = monodromy_apply("C", v, sv)
-    return sv
+    return grow_state("C", v_tail, m, (k,), dual=True)
 
 
 def skew_state(k: int, u_head: Sequence, m: int) -> StateVector:
     """Ket B(u_1) .. B(u_{N-k}) (create_1)^k |0>; u_head lists u_1..u_{N-k}."""
     if k < 0:
         raise RangeViolation("seed multiplicity must be >= 0")
-    us = list(map(as_poly, u_head))
-    occ = [0] * (m + 1)
-    if k:
-        if m < 1:
-            raise RangeViolation("site 1 does not exist for M = 0")
-        occ[1] = k
-    sv = StateVector(m, {tuple(occ): MultiPoly.const(1)})
-    for u in reversed(us):
-        sv = monodromy_apply("B", u, sv)
-    return sv
+    return npoint_state((1,) * k, u_head, m)
 
 
 def npoint_state(rs: Sequence[int], u_head: Sequence, m: int) -> StateVector:
     """Ket B(u_1) .. B(u_{N-n}) create_{r_1} .. create_{r_n} |0>."""
-    us = list(map(as_poly, u_head))
-    occ = [0] * (m + 1)
-    for r in rs:
-        if not (0 <= r <= m):
-            raise RangeViolation(f"site {r} outside 0..{m}")
-        occ[r] += 1
-    sv = StateVector(m, {tuple(occ): MultiPoly.const(1)})
-    for u in reversed(us):
-        sv = monodromy_apply("B", u, sv)
-    return sv
+    return grow_state("B", u_head, m, rs)
 
 
 def validate_npoint_indices(rs: Sequence[int], n: int, m: int) -> None:

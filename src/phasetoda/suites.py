@@ -8,7 +8,9 @@ every row, and ``verify <name>`` runs its own row's generator only.
 Each item is a dict {identity, parameters, pass, witness} where witness is
 only present on failure and carries canonically serialized polynomials.
 Items are generated deterministically (fixed iteration orders, seeded
-randomness) so a report is byte-stable for a given (suite, seed).
+randomness) so a report is byte-stable for a given (suite, seed).  A
+generator that raises a package error ends with one failed ``check-raised``
+item instead of aborting the run.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .combinatorics import (
     weighted_sum_psi1,
     weighted_sum_psi2,
 )
-from .errors import ConfigError, DegenerateDenominator
+from .errors import ConfigError, DegenerateDenominator, PhaseTodaError
 from .phase import (
     build_conj_state,
     build_state,
@@ -222,16 +224,20 @@ def _scalar_equivalence(seed: int) -> Iterator[dict]:
 
     for n in BOUNDS["scalar_numeric_n"]:
         for m in range(0, BOUNDS["scalar_numeric_m"] + 1):
-            ok = True
+            witness = None
             for _ in range(BOUNDS["scalar_numeric_points"]):
                 vals = _distinct_rationals(rng, 2 * n)
                 us, vs = vals[:n], vals[n:]
                 a = scalar_product(n, m, us, vs, "fock_pairing")
                 b = scalar_product(n, m, us, vs, "schur_sum")
                 c = scalar_product(n, m, us, vs, "determinant")
-                if not (a == b == c):
-                    ok = False
-            yield _item("scalar-three-way-numeric", {"N": n, "M": m}, ok)
+                if not (a == b == c) and witness is None:
+                    witness = (
+                        f"u={','.join(map(str, us))} v={','.join(map(str, vs))}: "
+                        f"pairing={_clip(a.to_str())} schur={_clip(b.to_str())} "
+                        f"det={_clip(c.to_str())}"
+                    )
+            yield _item("scalar-three-way-numeric", {"N": n, "M": m}, witness is None, witness)
 
 
 def _state_coefficients(seed: int) -> Iterator[dict]:
@@ -239,28 +245,37 @@ def _state_coefficients(seed: int) -> Iterator[dict]:
         for m in range(0, BOUNDS["state_coeff_m"] + 1):
             un, vn = _names("u", n), _names("v", n)
             lams = partitions_in_box(n, m)
-            coeffs = build_state(un, m).partition_coefficients()
-            conj = build_conj_state(vn, m).partition_coefficients()
-            ok = set(coeffs) == set(lams) == set(conj)
-            ok = ok and all(coeffs[lam] == _closed_f(lam, n, m) for lam in lams)
-            ok = ok and all(conj[lam] == _closed_g(lam, n, m) for lam in lams)
-            yield _item("state-coefficients-schur-form", {"N": n, "M": m}, ok)
+            witness = None
+            for side, coeffs, closed in (
+                ("ket", build_state(un, m).partition_coefficients(), _closed_f),
+                ("bra", build_conj_state(vn, m).partition_coefficients(), _closed_g),
+            ):
+                # off the box the closed form is 0
+                for lam in lams + [lam for lam in coeffs if lam not in lams]:
+                    got = coeffs.get(lam, MultiPoly.zero())
+                    want = closed(lam, n, m) if lam in lams else MultiPoly.zero()
+                    if got != want and witness is None:
+                        witness = (
+                            f"{side} lambda={list(lam.parts)}: state={_clip(got.to_str())} "
+                            f"schur form={_clip(want.to_str())}"
+                        )
+            yield _item("state-coefficients-schur-form", {"N": n, "M": m}, witness is None, witness)
 
 
 def _rtt(seed: int) -> Iterator[dict]:
     rng = random.Random(seed)
     for m in range(0, BOUNDS["rtt_m"] + 1):
         for cap in range(1, BOUNDS["rtt_cap"] + 1):
-            ok = True
+            witness = None
             for _ in range(BOUNDS["rtt_pairs"]):
                 while True:
                     u = Fraction(rng.randint(1, 9), rng.randint(1, 3))
                     v = Fraction(rng.randint(1, 9), rng.randint(1, 3))
                     if u * u != v * v:
                         break
-                if not verify_rtt(u, v, m, cap):
-                    ok = False
-            yield _item("monodromy-intertwining", {"M": m, "cap": cap}, ok)
+                if not verify_rtt(u, v, m, cap) and witness is None:
+                    witness = f"R T(u) T(v) != T(v) T(u) R at u={u}, v={v}"
+            yield _item("monodromy-intertwining", {"M": m, "cap": cap}, witness is None, witness)
 
 
 # -- hierarchy ----------------------------------------------------------------
@@ -496,13 +511,33 @@ FAMILIES = {
 SUITES = tuple(dict.fromkeys(fam.suite for fam in FAMILIES.values()))
 
 
+# The identity of the failed item that ends a generator which raised.
+RAISED = "check-raised"
+
+
+def _run(generate: Callable[[int], Iterator[dict]], seed: int) -> list:
+    """The items of one generator.  A package error other than a
+    configuration error ends the generator with one failed item that names
+    the error and the families it feeds, so the other generators still run."""
+    items = []
+    try:
+        for item in generate(seed):
+            items.append(item)
+    except ConfigError:
+        raise
+    except PhaseTodaError as exc:
+        families = [name for name, fam in FAMILIES.items() if fam.generate is generate]
+        items.append(_item(RAISED, {"families": families}, False, f"{type(exc).__name__}: {exc}"))
+    return items
+
+
 def run_suite(name: str, seed: int) -> list:
     """Items of one suite, or of every suite for ``all``; a generator that
     two rows share runs once."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     generators = [fam.generate for fam in FAMILIES.values() if name in ("all", fam.suite)]
-    return [item for gen in dict.fromkeys(generators) for item in gen(seed)]
+    return [item for gen in dict.fromkeys(generators) for item in _run(gen, seed)]
 
 
 def run_family(name: str, seed: int) -> list:
@@ -510,4 +545,5 @@ def run_family(name: str, seed: int) -> list:
     if name not in FAMILIES:
         raise ConfigError(f"unknown identity {name!r}; choose from {sorted(FAMILIES)}")
     fam = FAMILIES[name]
-    return [item for item in fam.generate(seed) if item["identity"] in fam.identities]
+    wanted = (*fam.identities, RAISED)
+    return [item for item in _run(fam.generate, seed) if item["identity"] in wanted]

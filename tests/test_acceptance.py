@@ -8,16 +8,21 @@ criteria with their own time budgets re-run their checks directly under
 the clock.
 """
 
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from phasetoda.cli import make_parser, vars_of
 from phasetoda.reports import build_report, serialize_report
-from phasetoda.suites import FAMILIES, SUITES, run_suite
+from phasetoda.suites import FAMILIES, RAISED, SUITES, run_suite
 
 SEED = 20260809
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def announce(number, label, ok):
@@ -26,13 +31,36 @@ def announce(number, label, ok):
 
 
 @pytest.fixture(scope="module")
-def batteries():
+def cold_run(tmp_path_factory):
+    """``suite all`` in a fresh interpreter, started before the batteries so
+    that the two runs overlap; yields the process, its arguments and its
+    report path."""
+    out = tmp_path_factory.mktemp("cold") / "suite-all.json"
+    path = filter(None, [SRC, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    argv = ["suite", "all", "--seed", str(SEED), "--output", str(out)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "phasetoda.cli", *argv],
+        env=env, stdout=subprocess.DEVNULL,
+    )
+    yield proc, argv, out
+    if proc.poll() is None:
+        proc.kill()
+        proc.wait()
+
+
+@pytest.fixture(scope="module")
+def batteries(cold_run):
     return {name: run_suite(name, SEED) for name in SUITES}
 
 
 def _items(batteries, family):
     row = FAMILIES[family]
-    items = [it for it in batteries[row.suite] if it["identity"] in row.identities]
+    items = [
+        it for it in batteries[row.suite]
+        if it["identity"] in row.identities
+        or (it["identity"] == RAISED and family in it["parameters"]["families"])
+    ]
     assert items, f"no items for {family}"
     return items
 
@@ -207,12 +235,11 @@ def test_criterion_11_intertwining(batteries):
     announce(11, "monodromy-intertwining", ok)
 
 
-def test_criterion_12_deterministic_reports(batteries):
-    items_first = []
-    for name in SUITES:
-        items_first.extend(batteries[name])
-    report_first = build_report("suite all", {"name": "all", "seed": SEED}, items_first, SEED)
-    fresh = run_suite("all", SEED)
-    report_second = build_report("suite all", {"name": "all", "seed": SEED}, fresh, SEED)
-    ok = serialize_report(report_first) == serialize_report(report_second)
+def test_criterion_12_deterministic_reports(batteries, cold_run):
+    # the report of a cold interpreter equals the one the batteries make
+    proc, argv, out = cold_run
+    proc.wait(timeout=600)
+    items = [it for name in SUITES for it in batteries[name]]
+    report = build_report("suite all", vars_of(make_parser().parse_args(argv)), items, SEED)
+    ok = proc.returncode == 0 and out.read_text() == serialize_report(report)
     announce(12, "byte-identical-reports", ok)

@@ -8,6 +8,7 @@ import pytest
 
 from phasetoda import suites
 from phasetoda.cli import main
+from phasetoda.errors import ConfigError, NotDivisible
 from phasetoda.suites import FAMILIES, SUITES
 
 CHEAP = ("bijections", "triple-agreement", "tau-expansion", "bilinear", "power-sums")
@@ -67,3 +68,52 @@ def test_suite_emits_only_its_rows_identities(suite_reports):
     for suite, items in suite_reports.items():
         known = {i for fam in FAMILIES.values() if fam.suite == suite for i in fam.identities}
         assert {it["identity"] for it in items} <= known, suite
+
+
+def test_raising_generator_fails_one_item_and_the_rest_still_run(tmp_path, monkeypatch):
+    # a package error other than ConfigError ends its generator with one
+    # failed item naming the error; the run writes its report and exits 1
+    def raising(seed):
+        yield {"identity": "path-pp-round-trip", "parameters": {}, "pass": True}
+        raise NotDivisible("remainder 1")
+
+    row = FAMILIES["bijections"]
+    monkeypatch.setitem(FAMILIES, "bijections", suites.Family(row.suite, raising, row.identities))
+    monkeypatch.setitem(suites.BOUNDS, "combi_n", 1)
+    monkeypatch.setitem(suites.BOUNDS, "combi_m", 1)
+    out = tmp_path / "report.json"
+    assert main(["suite", "combinatorics", "--seed", SEED, "--output", str(out)]) == 1
+    items = json.loads(out.read_text())["items"]
+    raised = [it for it in items if it["identity"] == suites.RAISED]
+    assert raised == [{
+        "identity": suites.RAISED,
+        "parameters": {"families": ["bijections"]},
+        "pass": False,
+        "witness": "NotDivisible: remainder 1",
+    }]
+    assert items[0]["identity"] == "path-pp-round-trip"
+    others = FAMILIES["triple-agreement"].identities
+    assert {it["identity"] for it in items if it["identity"] in others} == set(others)
+
+
+def test_raised_item_survives_the_filter_of_a_shared_generator(monkeypatch):
+    def raising(seed):
+        raise NotDivisible("remainder 1")
+
+    for name in ("single-determinant", "recursions"):
+        row = FAMILIES[name]
+        monkeypatch.setitem(FAMILIES, name, suites.Family(row.suite, raising, row.identities))
+    for name in ("single-determinant", "recursions"):
+        (item,) = suites.run_family(name, 0)
+        assert item["identity"] == suites.RAISED and not item["pass"]
+        assert item["parameters"]["families"] == ["single-determinant", "recursions"]
+
+
+def test_config_error_in_a_generator_still_exits_2(monkeypatch, capsys):
+    def raising(seed):
+        raise ConfigError("bad bound")
+
+    row = FAMILIES["power-sums"]
+    monkeypatch.setitem(FAMILIES, "power-sums", suites.Family(row.suite, raising, row.identities))
+    assert main(["verify", "power-sums"]) == 2
+    assert "bad bound" in capsys.readouterr().err

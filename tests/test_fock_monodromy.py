@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from phasetoda.algebra import MultiPoly
+from phasetoda import suites
+from phasetoda.algebra import MultiPoly, as_poly
 from phasetoda.errors import PoleViolation
+from phasetoda.phase import monodromy
 from phasetoda.phase import (
     apply_local_L,
     build_conj_state,
@@ -101,3 +103,70 @@ def test_rtt_seeded_pairs():
                 if a * a != b * b:
                     break
             assert verify_rtt(a, b, m, 2)
+
+
+def corner_by_full_product(entry, w, sv):
+    """The corner read off the whole 2x2 operator product, built site by
+    site: (L_j .. L_0)[x][y] sv over sites 0..M for a ket, sv (L_M .. L_j)[x][y]
+    over sites M..0 for a bra."""
+    name = (("a", "b"), ("c", "d"))
+    mat = None
+    for j in range(sv.m, -1, -1) if sv.dual else range(sv.m + 1):
+        def L(e, vec):
+            return apply_local_L(j, e, w, vec)
+
+        if mat is None:
+            mat = [[L(name[x][y], sv) for y in (0, 1)] for x in (0, 1)]
+        elif sv.dual:
+            mat = [[L(name[0][y], mat[x][0]) + L(name[1][y], mat[x][1]) for y in (0, 1)]
+                   for x in (0, 1)]
+        else:
+            mat = [[L(name[x][0], mat[0][y]) + L(name[x][1], mat[1][y]) for y in (0, 1)]
+                   for x in (0, 1)]
+    x, y = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}[entry]
+    return mat[x][y]
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_corners_equal_full_product(m):
+    w = MultiPoly.var("w")
+    states = [vacuum(m), build_state(["u1"], m), build_state(["u1", "u2"], m)]
+    states += [vacuum(m, dual=True), build_conj_state(["v1"], m), build_conj_state(["v1", "v2"], m)]
+    for sv in states:
+        for entry in "ABCD":
+            want = corner_by_full_product(entry, w, sv)
+            assert monodromy_apply(entry, w, sv) == want, (sv, entry)
+
+
+def test_monodromy_apply_rejects_unknown_corner():
+    with pytest.raises(ValueError):
+        monodromy_apply("E", u, vacuum(1))
+
+
+def test_wrong_local_operator_fails_phase_items_with_witnesses(monkeypatch):
+    # an 'a' entry scaling by u instead of 1/u breaks the state forms, the
+    # numeric scalar products and the intertwining; each failing item says
+    # where, and nothing raises
+    right = monodromy.apply_local_L
+
+    def wrong(j, entry, w, sv):
+        return sv.scale(as_poly(w)) if entry == "a" else right(j, entry, w, sv)
+
+    monkeypatch.setattr(monodromy, "apply_local_L", wrong)
+    small = dict(scalar_symbolic_n=1, scalar_symbolic_m=1, scalar_numeric_n=(2,),
+                 scalar_numeric_m=1, scalar_numeric_points=2, state_coeff_n=2,
+                 state_coeff_m=1, rtt_m=1, rtt_cap=1, rtt_pairs=1)
+    for key, value in small.items():
+        monkeypatch.setitem(suites.BOUNDS, key, value)
+    items = [it for fam in ("scalar-equivalence", "state-coefficients", "rtt")
+             for it in suites.run_family(fam, 7)]
+    failed = {it["identity"] for it in items if not it["pass"]}
+    assert {"state-coefficients-schur-form", "scalar-three-way-numeric",
+            "monodromy-intertwining"} <= failed
+    assert suites.RAISED not in failed
+    for it in items:
+        assert it["pass"] or it["witness"], it
+    witnesses = {it["identity"]: it["witness"] for it in items if not it["pass"]}
+    assert witnesses["state-coefficients-schur-form"].startswith("ket lambda=[]: state=")
+    assert witnesses["scalar-three-way-numeric"].startswith("u=")
+    assert "at u=" in witnesses["monodromy-intertwining"]

@@ -158,5 +158,8 @@ def test_mixed_partials_commute(p):
 @given(polys(), polys())
 def test_eval_is_ring_homomorphism(p, q):
     point = {"x": Fraction(3, 2), "y": Fraction(-2, 5)}
-    assert (p * q).eval_rational(point) == p.eval_rational(point) * q.eval_rational(point)
-    assert (p + q).eval_rational(point) == p.eval_rational(point) + q.eval_rational(point)
+    def at(f):
+        return f.subs(point).constant_value()
+
+    assert at(p * q) == at(p) * at(q)
+    assert at(p + q) == at(p) + at(q)
