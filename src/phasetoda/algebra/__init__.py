@@ -7,14 +7,13 @@ from .multipoly import (
     var_key,
 )
 from .matrix import RingMatrix, det_cofactor, det_exact
-from .ratio import RatioMatrix, RatioPoly, reduce_pair
+from .ratio import RatioPoly, reduce_pair
 
 __all__ = [
     "MultiPoly",
     "ONE",
     "ZERO",
     "RingMatrix",
-    "RatioMatrix",
     "RatioPoly",
     "as_poly",
     "det_cofactor",

@@ -1,9 +1,13 @@
-"""Dense matrices over the Laurent polynomial ring, with exact determinants.
+"""Dense matrices over the Laurent polynomial ring or its fractions, with
+exact determinants.
 
-Determinants use minor expansion with memoization on column subsets up to
-4x4 and fraction-free Bareiss elimination (exact divisions) from 5x5 on.
-``det_cofactor`` is a deliberately naive first-row expansion kept as an
-independent oracle for tests.
+Entries are MultiPolys or RatioPolys; the tau minors and the scalar product
+use polynomial entries, the 2-Toda wave and Lax matrices rational ones, and
+a product may mix the two.  Determinants (polynomial entries) use minor
+expansion with memoization on column subsets up to 4x4 and fraction-free
+Bareiss elimination (exact divisions) from 5x5 on.  ``det_cofactor`` is a
+deliberately naive first-row expansion kept as an independent oracle for
+tests.
 """
 
 from __future__ import annotations
@@ -12,10 +16,12 @@ from typing import Sequence
 
 from ..errors import NonSquare
 from .multipoly import MultiPoly, as_poly
+from .ratio import RatioPoly
 
 
 class RingMatrix:
-    """Row-major dense matrix of MultiPoly entries."""
+    """Row-major dense matrix of MultiPoly or RatioPoly entries; any other
+    value goes through ``as_poly``."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -24,7 +30,7 @@ class RingMatrix:
             raise ValueError("rows*cols must equal the entry count")
         self.rows = rows
         self.cols = cols
-        self.entries = [as_poly(e) for e in entries]
+        self.entries = [e if isinstance(e, RatioPoly) else as_poly(e) for e in entries]
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RingMatrix":
@@ -41,11 +47,7 @@ class RingMatrix:
     def identity(cls, n: int) -> "RingMatrix":
         return cls(n, n, [MultiPoly.const(1 if i == j else 0) for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "RingMatrix":
-        return cls(rows, cols, [MultiPoly.zero()] * (rows * cols))
-
-    def __getitem__(self, key) -> MultiPoly:
+    def __getitem__(self, key):
         i, j = key
         return self.entries[i * self.cols + j]
 
@@ -82,7 +84,7 @@ class RingMatrix:
         for i in range(self.rows):
             arow = self.row(i)
             for j in range(other.cols):
-                acc = MultiPoly.zero()
+                acc = None
                 for k in range(self.cols):
                     a = arow[k]
                     if a.is_zero():
@@ -90,26 +92,37 @@ class RingMatrix:
                     b = other[k, j]
                     if b.is_zero():
                         continue
-                    acc = acc + a * b
-                out.append(acc)
+                    acc = a * b if acc is None else acc + a * b
+                out.append(MultiPoly.zero() if acc is None else acc)
         return RingMatrix(self.rows, other.cols, out)
 
-    def scale(self, c) -> "RingMatrix":
-        c = as_poly(c)
-        return RingMatrix(self.rows, self.cols, [c * e for e in self.entries])
+    def commutator(self, other: "RingMatrix") -> "RingMatrix":
+        return (self @ other) - (other @ self)
+
+    def diff(self, name: str) -> "RingMatrix":
+        return RingMatrix(self.rows, self.cols, [e.diff(name) for e in self.entries])
+
+    def is_zero(self) -> bool:
+        return all(e.is_zero() for e in self.entries)
+
+    def project(self, part: str) -> "RingMatrix":
+        """Triangular projection: 'plus' keeps the diagonal and what lies
+        above it, 'minus' only what lies strictly below it."""
+        if part not in ("plus", "minus"):
+            raise ValueError(part)
+        plus = part == "plus"
+        zero = MultiPoly.zero()
+        return RingMatrix(self.rows, self.cols, [
+            self[i, j] if (j >= i) == plus else zero
+            for i in range(self.rows) for j in range(self.cols)
+        ])
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RingMatrix":
         ents = [self[i, j] for i in row_idx for j in col_idx]
         return RingMatrix(len(row_idx), len(col_idx), ents)
 
-    def subs(self, assignment) -> "RingMatrix":
-        return RingMatrix(self.rows, self.cols, [e.subs(assignment) for e in self.entries])
-
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def det(self) -> MultiPoly:
-        return det_exact(self)
 
     def __repr__(self) -> str:
         body = "; ".join(

@@ -387,12 +387,12 @@ class MultiPoly:
         lead = shifted[unpack(max(sum(map(mul, e, weights)) for e in shifted))]
         return lead, self.terms[lead]
 
-    def divide_exact(self, divisor: "MultiPoly", max_steps: int | None = None) -> "MultiPoly":
+    def divide_exact(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact division; raises NotDivisible on a nonzero remainder.
 
-        ``max_steps`` bounds the reduction loop for opportunistic callers
-        (treating a long division as not divisible); exact callers leave it
-        None.  Each step removes the grevlex-leading term of the remainder.
+        Each step removes the grevlex-leading term of the remainder, so the
+        packed leading key falls at every step and, all keys lying in a
+        finite box, the loop ends.
 
         The loop runs on integers.  The dividend is scaled to integer
         numerators and the divisor to a primitive integer polynomial; by
@@ -434,11 +434,7 @@ class MultiPoly:
         lead_d = unpack(lead_dk)
         quot: dict = {}
         get = rem.get
-        steps = 0
         while rem:
-            steps += 1
-            if max_steps is not None and steps > max_steps:
-                raise NotDivisible("step budget exhausted")
             lk = max(rem)
             qexp = tuple(map(sub, unpack(lk), lead_d))
             if any(e < 0 for e in qexp):

@@ -88,7 +88,7 @@ class RatioPoly:
                 kept.append(f)
                 continue
             try:
-                self.num = self.num.divide_exact(f, max_steps=4 * len(self.num.terms) + 64)
+                self.num = self.num.divide_exact(f)
                 spans = None
             except NotDivisible:
                 kept.append(f)
@@ -200,82 +200,3 @@ def _coerce(value) -> RatioPoly:
     if isinstance(value, RatioPoly):
         return value
     return RatioPoly(value)
-
-
-class RatioMatrix:
-    """Small dense matrix of RatioPoly entries (Lax/wave computations)."""
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, n: int, entries):
-        self.n = n
-        self.entries = [e if isinstance(e, RatioPoly) else RatioPoly(e) for e in entries]
-        if len(self.entries) != n * n:
-            raise ValueError("entry count mismatch")
-
-    @classmethod
-    def from_rows(cls, rows) -> "RatioMatrix":
-        n = len(rows)
-        flat = [e for row in rows for e in row]
-        return cls(n, flat)
-
-    @classmethod
-    def identity(cls, n: int) -> "RatioMatrix":
-        return cls(n, [RatioPoly(1 if i == j else 0) for i in range(n) for j in range(n)])
-
-    def __getitem__(self, key) -> RatioPoly:
-        i, j = key
-        return self.entries[i * self.n + j]
-
-    def __matmul__(self, other: "RatioMatrix") -> "RatioMatrix":
-        n = self.n
-        out = []
-        for i in range(n):
-            for j in range(n):
-                acc = RatioPoly(0)
-                for k in range(n):
-                    a = self[i, k]
-                    if a.is_zero():
-                        continue
-                    b = other[k, j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                out.append(acc)
-        return RatioMatrix(n, out)
-
-    def __add__(self, other: "RatioMatrix") -> "RatioMatrix":
-        return RatioMatrix(self.n, [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "RatioMatrix") -> "RatioMatrix":
-        return RatioMatrix(self.n, [a - b for a, b in zip(self.entries, other.entries)])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatioMatrix):
-            return NotImplemented
-        return self.n == other.n and all(
-            a == b for a, b in zip(self.entries, other.entries)
-        )
-
-    def diff(self, name: str) -> "RatioMatrix":
-        return RatioMatrix(self.n, [e.diff(name) for e in self.entries])
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
-
-    def project(self, part: str) -> "RatioMatrix":
-        """Triangular projection: 'plus' keeps the diagonal, 'minus' drops it."""
-        out = []
-        for i in range(self.n):
-            for j in range(self.n):
-                if part == "plus":
-                    keep = j >= i
-                elif part == "minus":
-                    keep = j < i
-                else:
-                    raise ValueError(part)
-                out.append(self[i, j] if keep else RatioPoly(0))
-        return RatioMatrix(self.n, out)
-
-    def commutator(self, other: "RatioMatrix") -> "RatioMatrix":
-        return (self @ other) - (other @ self)

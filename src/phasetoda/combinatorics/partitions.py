@@ -29,9 +29,6 @@ class Partition:
         """1-based part access, 0 beyond the last part."""
         return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
 
-    def size(self) -> int:
-        return sum(self.parts)
-
     def length(self) -> int:
         return len(self.parts)
 
@@ -77,9 +74,6 @@ class SkewShape:
     def __post_init__(self):
         if not self.outer.contains(self.inner):
             raise ShapeViolation(f"{self.inner} not contained in {self.outer}")
-
-    def rows(self) -> int:
-        return self.outer.length()
 
     def cells(self) -> list:
         out = []

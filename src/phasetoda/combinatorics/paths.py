@@ -51,18 +51,7 @@ class LatticePathConfig:
     def diagonal(self) -> Partition:
         return Partition(tuple(self.turns[p][self.n - 1 - p] for p in range(self.n)))
 
-    def occupation(self) -> OccupationSequence:
-        counts = [0] * (self.m + 1)
-        for p in range(self.n):
-            counts[self.turns[p][self.n - 1 - p]] += 1
-        return OccupationSequence(counts)
-
     # -- geometry ----------------------------------------------------------
-
-    def touched_lines(self, p: int) -> list:
-        """The N+1 vertex lines path p (1-based) climbs at, in order."""
-        lines = [x for x in range(p - self.n - 1, p + 1) if x != 0]
-        return lines
 
     def climb_edges(self, x: int) -> set:
         """Occupied vertical edges on line x.
@@ -109,23 +98,6 @@ class LatticePathConfig:
     def annihilation_exponent(self, l: int) -> int:
         """Exponent of the l-th annihilation (v) variable."""
         return self.exponent(-(self.n + 1 - l))
-
-    def steps(self, p: int) -> list:
-        """Unit-step rendering of path p: list of ('R'|'U', x, row)."""
-        t = self.turns[p - 1]
-        lines = self.touched_lines(p)
-        out = []
-        prev = 0
-        for i, x in enumerate(lines):
-            if i < self.n:
-                for r in range(prev, t[i]):
-                    out.append(("U", x, r))
-                out.append(("R", x, t[i]))
-                prev = t[i]
-            else:
-                for r in range(prev, self.m + 1):
-                    out.append(("U", x, r))
-        return out
 
 
 def path_to_pp(config: LatticePathConfig) -> PlanePartitionBox:

@@ -39,10 +39,6 @@ class PlanePartitionBox:
                 if i + 1 < self.n and v < a[i + 1][j]:
                     raise ShapeViolation("columns must weakly decrease")
 
-    def entry(self, i: int, j: int) -> int:
-        """1-based access pi_{i,j}."""
-        return self.array[i - 1][j - 1]
-
     def diagonal(self) -> Partition:
         return Partition(tuple(self.array[i][i] for i in range(self.n)))
 

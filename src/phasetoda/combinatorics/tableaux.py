@@ -53,10 +53,6 @@ class Tableau:
                         return False
         return True
 
-    def entry(self, i: int, j: int) -> int:
-        """1-based cell access."""
-        return self.rows[i - 1][j - 1 - self.shape.inner.get(i)]
-
     def weight(self, n: int) -> tuple:
         """Multiplicity vector (t_1, .., t_n)."""
         t = [0] * n

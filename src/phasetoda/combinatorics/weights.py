@@ -67,28 +67,10 @@ def _lower_exponents_pp(lower: HalfPlanePartition) -> list:
 def weighted_sum_f(
     lam: Partition, n: int, m: int, u_names: Sequence[str], picture: str
 ) -> MultiPoly:
-    """Creation-side coefficient of lambda as a weighted sum.
-
-    Equals (u_1..u_N)^-M * S_lambda(u^2) for every picture.
-    """
-    if not lam.fits_in_box(n, m):
-        raise ShapeViolation(f"{lam} outside ({m})^{n}")
-    total = MultiPoly.zero()
-    if picture == "paths":
-        for upper in upper_diagonal(lam, n, m):
-            config = _full_config_from_upper(upper)
-            exps = [config.creation_exponent(l) for l in range(1, n + 1)]
-            total = total + _monomial(u_names, exps)
-    elif picture == "pp":
-        for upper in upper_diagonal(lam, n, m):
-            total = total + _monomial(u_names, _upper_exponents_pp(upper))
-    elif picture == "tableaux":
-        for tab in enumerate_tableaux(SkewShape(lam, Partition(())), n, "descending"):
-            exps = [2 * t - m for t in tab.weight(n)]
-            total = total + _monomial(u_names, exps)
-    else:
-        raise ValueError(f"unknown picture {picture!r}")
-    return total
+    """Creation-side coefficient of lambda as a weighted sum: the seeded
+    coefficient with no seed, (u_1..u_N)^-M * S_lambda(u^2) for every
+    picture."""
+    return weighted_sum_psi2(0, lam, n, m, u_names, picture)
 
 
 def weighted_sum_g(

@@ -47,9 +47,6 @@ class StateVector:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_occupations(self) -> set:
-        return {sum(occ) for occ in self.terms}
-
     def __add__(self, other: "StateVector") -> "StateVector":
         if self.m != other.m or self.dual != other.dual:
             raise ValueError("incompatible state vectors")

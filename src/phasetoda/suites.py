@@ -9,8 +9,8 @@ Each item is a dict {identity, parameters, pass, witness} where witness is
 only present on failure and carries canonically serialized polynomials.
 Items are generated deterministically (fixed iteration orders, seeded
 randomness) so a report is byte-stable for a given (suite, seed).  A
-generator that raises a package error ends with one failed ``check-raised``
-item instead of aborting the run.
+generator that raises (any exception but a configuration error) ends with
+one failed ``check-raised`` item instead of aborting the run.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .combinatorics import (
     weighted_sum_psi1,
     weighted_sum_psi2,
 )
-from .errors import ConfigError, DegenerateDenominator, PhaseTodaError
+from .errors import ConfigError, DegenerateDenominator
 from .phase import (
     build_conj_state,
     build_state,
@@ -516,16 +516,16 @@ RAISED = "check-raised"
 
 
 def _run(generate: Callable[[int], Iterator[dict]], seed: int) -> list:
-    """The items of one generator.  A package error other than a
-    configuration error ends the generator with one failed item that names
-    the error and the families it feeds, so the other generators still run."""
+    """The items of one generator.  An exception other than a configuration
+    error ends the generator with one failed item that names the error and
+    the families it feeds, so the other generators still run."""
     items = []
     try:
         for item in generate(seed):
             items.append(item)
     except ConfigError:
         raise
-    except PhaseTodaError as exc:
+    except Exception as exc:
         families = [name for name, fam in FAMILIES.items() if fam.generate is generate]
         items.append(_item(RAISED, {"families": families}, False, f"{type(exc).__name__}: {exc}"))
     return items

@@ -195,19 +195,3 @@ def miwa_map(
     x = [pk(k, ug) * MultiPoly.const(Fraction(1, k)) for k in range(1, horizon + 1)]
     y = [-(pk(k, vg) * MultiPoly.const(Fraction(1, k))) for k in range(1, horizon + 1)]
     return x, y
-
-
-def hk_identity_check(p: int, base_names: Sequence[str], vj: str, vk: str) -> bool:
-    """Row-reduction identity for complete homogeneous polynomials.
-
-    Checks h_p({v^2}, vj^2) - h_p({v^2}, vk^2)
-         == (vj^2 - vk^2) * h_{p-1}({v^2}, vj^2, vk^2)  exactly.
-    """
-    if vj in base_names or vk in base_names:
-        raise ValueError("vj, vk must not belong to the base alphabet")
-    base = alphabet(base_names, "squared")
-    gj = MultiPoly.var(vj, 2)
-    gk = MultiPoly.var(vk, 2)
-    lhs = hk(p, base + [gj]) - hk(p, base + [gk])
-    rhs = (gj - gk) * hk(p - 1, base + [gj, gk])
-    return lhs == rhs

@@ -154,11 +154,8 @@ def tau(ctx: TauContext, s: int) -> MultiPoly:
     """Leading principal minor of the dressed matrix (1 for s = m)."""
     if not (ctx.m <= s <= ctx.n):
         raise RangeViolation(f"site {s} outside [{ctx.m}, {ctx.n}]")
-    key = ("tau", s)
-    if key not in ctx._cache:
-        idx = list(range(ctx.m, s))
-        ctx._cache[key] = ctx.minor(idx, idx)
-    return ctx._cache[key]
+    idx = range(ctx.m, s)
+    return ctx.minor(idx, idx)
 
 
 def tau_schur_expand(ctx: TauContext, s: int) -> MultiPoly:

@@ -9,17 +9,13 @@ hold; both are part of the verification battery).
 
 from __future__ import annotations
 
-from ..algebra import RatioMatrix, RatioPoly, RingMatrix
+from ..algebra import MultiPoly, RatioPoly, RingMatrix
 from ..symfunc import negate_times
 from .context import TauContext, shift_exp
 from .waves import tau, wave_numerator
 
 
-def _ratio(mat: RingMatrix) -> RatioMatrix:
-    return RatioMatrix(mat.rows, [RatioPoly(e) for e in mat.entries])
-
-
-def _hat_factor(ctx: TauContext, kind: str, inverse: bool) -> RatioMatrix:
+def _hat_factor(ctx: TauContext, kind: str, inverse: bool) -> RingMatrix:
     """Triangular factor ('w_inf' lower, 'w_zero' upper) whose entry k steps
     off the diagonal is a wave entry with index k.
 
@@ -34,48 +30,48 @@ def _hat_factor(ctx: TauContext, kind: str, inverse: bool) -> RatioMatrix:
         for j in range(m, n):
             k = i - j if kind == "w_inf" else j - i
             if k < 0:
-                out.append(RatioPoly(0))
+                out.append(MultiPoly.zero())
                 continue
             site = j if inverse else i
             den = tau(ctx, site + 1) if inverse else tau(ctx, site)
             out.append(RatioPoly(wave_numerator(ctx, site, entry_kind, k), den))
-    return RatioMatrix(n - m, out)
+    return RingMatrix(n - m, n - m, out)
 
 
-def hat_wave_matrix(ctx: TauContext, kind: str) -> RatioMatrix:
+def hat_wave_matrix(ctx: TauContext, kind: str) -> RingMatrix:
     """Triangular wave factor ('w_inf' lower, 'w_zero' upper), rows = site."""
     return _hat_factor(ctx, kind, inverse=False)
 
 
-def hat_wave_inverse(ctx: TauContext, kind: str) -> RatioMatrix:
+def hat_wave_inverse(ctx: TauContext, kind: str) -> RingMatrix:
     """Inverse factors from the starred entries, columns = site."""
     return _hat_factor(ctx, kind, inverse=True)
 
 
-def _exp_factor(ctx: TauContext, kind: str, inverse: bool) -> RatioMatrix:
+def _exp_factor(ctx: TauContext, kind: str, inverse: bool) -> RingMatrix:
     """exp(+-sum_k t_k shift^k): x times and raise for 'w_inf', y times and
     lower otherwise, negated for the inverse."""
     direction, times = ("raise", ctx.x) if kind == "w_inf" else ("lower", ctx.y)
     if inverse:
         times = negate_times(times)
-    return _ratio(shift_exp(direction, list(times), ctx.m, ctx.n))
+    return shift_exp(direction, list(times), ctx.m, ctx.n)
 
 
-def full_wave_matrix(ctx: TauContext, kind: str) -> RatioMatrix:
+def full_wave_matrix(ctx: TauContext, kind: str) -> RingMatrix:
     return hat_wave_matrix(ctx, kind) @ _exp_factor(ctx, kind, inverse=False)
 
 
-def full_wave_inverse(ctx: TauContext, kind: str) -> RatioMatrix:
+def full_wave_inverse(ctx: TauContext, kind: str) -> RingMatrix:
     return _exp_factor(ctx, kind, inverse=True) @ hat_wave_inverse(ctx, kind)
 
 
-def _shift_columns(w: RatioMatrix, step: int) -> RatioMatrix:
+def _shift_columns(w: RingMatrix, step: int) -> RingMatrix:
     """W times the raise shift (step 1) or the lower shift (step -1): column
     j of the product is column j - step of W, or zero."""
-    n = w.n
-    zero = RatioPoly(0)
-    return RatioMatrix(
-        n, [w[i, j - step] if 0 <= j - step < n else zero for i in range(n) for j in range(n)]
+    n = w.rows
+    zero = MultiPoly.zero()
+    return RingMatrix(
+        n, n, [w[i, j - step] if 0 <= j - step < n else zero for i in range(n) for j in range(n)]
     )
 
 
@@ -91,8 +87,8 @@ def flow_generators(ctx: TauContext, kmax: int) -> tuple:
     lax_l, lax_m = lax_matrices(ctx)
     bs = {}
     cs = {}
-    lp = RatioMatrix.identity(lax_l.n)
-    mp = RatioMatrix.identity(lax_m.n)
+    lp = RingMatrix.identity(lax_l.rows)
+    mp = RingMatrix.identity(lax_m.rows)
     for k in range(1, kmax + 1):
         lp = lp @ lax_l
         mp = mp @ lax_m
@@ -105,13 +101,13 @@ def check_initial_value_relation(ctx: TauContext) -> bool:
     """W0 == Winf * A with the constant matrix in the middle."""
     winf = full_wave_matrix(ctx, "w_inf")
     wzero = full_wave_matrix(ctx, "w_zero")
-    return wzero == winf @ _ratio(ctx.a)
+    return wzero == winf @ ctx.a
 
 
 def check_wave_inverses(ctx: TauContext) -> bool:
     for kind in ("w_inf", "w_zero"):
         prod = hat_wave_matrix(ctx, kind) @ hat_wave_inverse(ctx, kind)
-        if prod != RatioMatrix.identity(ctx.n - ctx.m):
+        if prod != RingMatrix.identity(ctx.n - ctx.m):
             return False
     return True
 

@@ -12,32 +12,31 @@ from .context import TauContext, tau
 
 
 def restricted_context(
-    u_names: Sequence[str], v_names: Sequence[str], site_bound: int, m: int = 0
+    u_names: Sequence[str], v_names: Sequence[str], site_bound: int
 ) -> TauContext:
     """Identity constant matrix with times restricted to power sums.
 
     The box is taken from N = max(len(u_names), len(v_names)): the interval
-    is [m, m+N+site_bound), so the box at site s = m+N is (site_bound)^N.
+    is [0, N+site_bound), so the box at site s = N is (site_bound)^N.
     A shorter alphabet stands for N letters of which the missing ones sit at
     their limit, u = 0 or v = infinity, where they drop out of every power
     sum of u^2 or v^-2.
     """
-    n = m + max(len(u_names), len(v_names)) + site_bound
-    horizon = n - m - 1
-    x, y = miwa_map(u_names, v_names, horizon)
-    return TauContext(m, n, RingMatrix.identity(n - m), tuple(x), tuple(y))
+    n = max(len(u_names), len(v_names)) + site_bound
+    x, y = miwa_map(u_names, v_names, n - 1)
+    return TauContext(0, n, RingMatrix.identity(n), tuple(x), tuple(y))
 
 
 def restrict_tau(
-    u_names: Sequence[str], v_names: Sequence[str], site_bound: int, m: int = 0
+    u_names: Sequence[str], v_names: Sequence[str], site_bound: int
 ) -> MultiPoly:
-    """Restricted tau at site m+N; equals the diagonal Schur pair sum."""
+    """Restricted tau at site N; equals the diagonal Schur pair sum."""
     if len(v_names) != len(u_names):
         raise ShapeViolation("need equally many creation and annihilation variables")
     if len(u_names) + site_bound == 0:
         return MultiPoly.const(1)
-    ctx = restricted_context(u_names, v_names, site_bound, m)
-    return tau(ctx, m + len(u_names))
+    ctx = restricted_context(u_names, v_names, site_bound)
+    return tau(ctx, len(u_names))
 
 
 def schur_pair_sum(

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from ..algebra import MultiPoly, RingMatrix, det_exact, reduce_pair
+from ..algebra import MultiPoly, RingMatrix, det_exact
 from ..errors import DegenerateDenominator, RangeViolation
 from ..symfunc import zeta_all, zeta_diff_apply
 from .context import TauContext, tau
@@ -63,15 +63,6 @@ def wave_numerator(ctx: TauContext, s: int, kind: str, k: int) -> MultiPoly:
     rows = list(range(m, s)) + [s + k]
     cols = list(range(m, s + 1))
     return ctx.minor(rows, cols)
-
-
-def wave_entry(ctx: TauContext, s: int, kind: str, k: int) -> tuple:
-    """Reduced (numerator, denominator) pair for one wave entry."""
-    if not (ctx.m < s <= ctx.n - 1):
-        raise RangeViolation(f"site {s} outside ({ctx.m}, {ctx.n-1}]")
-    num = wave_numerator(ctx, s, kind, k)
-    den = tau(ctx, s) if kind in ("w_inf", "w_zero") else tau(ctx, s + 1)
-    return reduce_pair(num, den)
 
 
 def prop1_sides(ctx: TauContext, s: int, kind: str, k: int) -> tuple:

@@ -70,12 +70,17 @@ def test_suite_emits_only_its_rows_identities(suite_reports):
         assert {it["identity"] for it in items} <= known, suite
 
 
-def test_raising_generator_fails_one_item_and_the_rest_still_run(tmp_path, monkeypatch):
-    # a package error other than ConfigError ends its generator with one
-    # failed item naming the error; the run writes its report and exits 1
+@pytest.mark.parametrize(
+    "error", [NotDivisible("remainder 1"), ZeroDivisionError("remainder 1")],
+    ids=["NotDivisible", "ZeroDivisionError"],
+)
+def test_raising_generator_fails_one_item_and_the_rest_still_run(tmp_path, monkeypatch, error):
+    # an exception other than ConfigError (a package error or a plain Python
+    # one) ends its generator with one failed item naming the error; the run
+    # writes its report and exits 1
     def raising(seed):
         yield {"identity": "path-pp-round-trip", "parameters": {}, "pass": True}
-        raise NotDivisible("remainder 1")
+        raise error
 
     row = FAMILIES["bijections"]
     monkeypatch.setitem(FAMILIES, "bijections", suites.Family(row.suite, raising, row.identities))
@@ -89,7 +94,7 @@ def test_raising_generator_fails_one_item_and_the_rest_still_run(tmp_path, monke
         "identity": suites.RAISED,
         "parameters": {"families": ["bijections"]},
         "pass": False,
-        "witness": "NotDivisible: remainder 1",
+        "witness": f"{type(error).__name__}: remainder 1",
     }]
     assert items[0]["identity"] == "path-pp-round-trip"
     others = FAMILIES["triple-agreement"].identities
@@ -107,6 +112,16 @@ def test_raised_item_survives_the_filter_of_a_shared_generator(monkeypatch):
         (item,) = suites.run_family(name, 0)
         assert item["identity"] == suites.RAISED and not item["pass"]
         assert item["parameters"]["families"] == ["single-determinant", "recursions"]
+
+
+def test_keyboard_interrupt_in_a_generator_propagates(monkeypatch):
+    def raising(seed):
+        raise KeyboardInterrupt
+
+    row = FAMILIES["power-sums"]
+    monkeypatch.setitem(FAMILIES, "power-sums", suites.Family(row.suite, raising, row.identities))
+    with pytest.raises(KeyboardInterrupt):
+        suites.run_family("power-sums", 0)
 
 
 def test_config_error_in_a_generator_still_exits_2(monkeypatch, capsys):

@@ -1,11 +1,12 @@
-"""Exact determinants: examples, oracle agreement, multilinearity."""
+"""Exact determinants (examples, oracle agreement, multilinearity) and the
+matrix operations over polynomial and rational entries."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from phasetoda.algebra import MultiPoly, RingMatrix, det_cofactor, det_exact
+from phasetoda.algebra import MultiPoly, RatioPoly, RingMatrix, det_cofactor, det_exact
 from phasetoda.errors import NonSquare
 
 
@@ -121,3 +122,62 @@ def test_matmul_and_identity():
     assert a @ RingMatrix.identity(2) == a
     b = RingMatrix.from_rows([[0, 1], [1, 0]])
     assert (a @ b).row(0) == [MultiPoly.const(2), MultiPoly.const(1)]
+
+
+def _poly_grid(n):
+    p, q = MultiPoly.var("p"), MultiPoly.var("q")
+    return [[p * (i + 1) - q * j + i * j for j in range(n)] for i in range(n)]
+
+
+def test_project_plus_keeps_diagonal_and_above():
+    m = RingMatrix.from_rows(_poly_grid(3))
+    plus = m.project("plus")
+    for i in range(3):
+        for j in range(3):
+            assert plus[i, j] == (m[i, j] if j >= i else MultiPoly.zero())
+
+
+def test_project_minus_keeps_strictly_below():
+    m = RingMatrix.from_rows(_poly_grid(3))
+    minus = m.project("minus")
+    for i in range(3):
+        for j in range(3):
+            assert minus[i, j] == (m[i, j] if j < i else MultiPoly.zero())
+    assert minus + m.project("plus") == m
+
+
+def test_project_unknown_part():
+    with pytest.raises(ValueError):
+        RingMatrix.identity(2).project("diagonal")
+
+
+def test_ratio_times_poly_matrix_equals_all_ratio_product():
+    # the rational entries keep unexpanded denominators; wrapping every
+    # polynomial entry in RatioPoly first is the all-rational route
+    p, q = MultiPoly.var("p"), MultiPoly.var("q")
+    rat = RingMatrix.from_rows([
+        [RatioPoly(p, q + 1), RatioPoly(1, p - q)],
+        [RatioPoly(q * q, p + 2), RatioPoly(p + q)],
+    ])
+    poly = RingMatrix.from_rows(_poly_grid(2))
+
+    def wrapped(mat):
+        return RingMatrix(mat.rows, mat.cols, [RatioPoly(e) for e in mat.entries])
+
+    assert rat @ poly == rat @ wrapped(poly)
+    assert poly @ rat == wrapped(poly) @ rat
+
+
+def test_poly_and_ratio_identities_are_equal_both_ways():
+    ratio_identity = RingMatrix(3, 3, [RatioPoly(e) for e in RingMatrix.identity(3).entries])
+    assert RingMatrix.identity(3) == ratio_identity
+    assert ratio_identity == RingMatrix.identity(3)
+    assert ratio_identity != RingMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+
+
+def test_diff_and_commutator():
+    p, q = MultiPoly.var("p"), MultiPoly.var("q")
+    a = RingMatrix.from_rows([[p, RatioPoly(1, q)], [0, p * q]])
+    assert a.diff("p") == RingMatrix.from_rows([[1, 0], [0, q]])
+    assert a.commutator(a).is_zero()
+    assert not a.commutator(RingMatrix.from_rows([[0, 1], [0, 0]])).is_zero()

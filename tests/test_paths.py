@@ -118,12 +118,3 @@ def test_weight_preservation_against_tableaux():
                         d_lo[n - l] - d_lo[n + 1 - l]
                     )
                     assert cfg.annihilation_exponent(l) == m - 2 * t_asc[l - 1]
-
-
-def test_steps_render():
-    cfg = LatticePathConfig(2, 2, ((1, 2), (0, 1)))
-    steps = cfg.steps(1)
-    # path 1: enter at line -2, runs at rows 1 and 2, exit at line 1
-    assert steps[0] == ("U", -2, 0)
-    assert ("R", -2, 1) in steps
-    assert steps[-1][0] == "U"

@@ -145,9 +145,13 @@ def test_char_poly_equals_schur_after_restriction():
 
 @pytest.mark.parametrize("p", range(0, 7))
 def test_hk_identity(p):
-    assert sf.hk_identity_check(p, [], "va", "vb")
-    assert sf.hk_identity_check(p, ["v2"], "va", "vb")
-    assert sf.hk_identity_check(p, ["v2", "v3"], "va", "vb")
+    # row reduction: h_p(B, a) - h_p(B, b) == (a - b) h_{p-1}(B, a, b)
+    # over the squared letters a = va^2, b = vb^2
+    a, b = MultiPoly.var("va", 2), MultiPoly.var("vb", 2)
+    for base_names in ([], ["v2"], ["v2", "v3"]):
+        base = sf.alphabet(base_names, "squared")
+        lhs = sf.hk(p, base + [a]) - sf.hk(p, base + [b])
+        assert lhs == (a - b) * sf.hk(p - 1, base + [a, b])
 
 
 def test_skew_derivative_identities():

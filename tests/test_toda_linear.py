@@ -2,7 +2,7 @@
 
 import pytest
 
-from phasetoda.algebra import RatioMatrix
+from phasetoda.algebra import RingMatrix
 from phasetoda.toda import (
     TauContext,
     check_initial_value_relation,
@@ -47,7 +47,7 @@ def test_wave_inverses(ctx2, ctx3):
 
 def test_full_wave_product_identity(ctx3):
     prod = full_wave_matrix(ctx3, "w_inf") @ full_wave_inverse(ctx3, "w_inf")
-    assert prod == RatioMatrix.identity(3)
+    assert prod == RingMatrix.identity(3)
 
 
 def test_initial_value_relation(ctx2, ctx3):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from phasetoda.algebra import MultiPoly
+from phasetoda.algebra import MultiPoly, reduce_pair
 from phasetoda.errors import DegenerateDenominator, RangeViolation
 from phasetoda.toda import (
     SHIFT_KINDS,
@@ -15,7 +15,6 @@ from phasetoda.toda import (
     shifted_tau,
     tau,
     verify_prop1,
-    wave_entry,
     wave_numerator,
 )
 
@@ -26,14 +25,13 @@ def ctx3():
 
 
 def test_unit_and_zero_entries(ctx3):
-    num, den = wave_entry(ctx3, 1, "w_inf", 0)
-    assert num == den == MultiPoly.const(1)
+    # unit diagonal entries: the numerator equals its tau denominator
+    assert wave_numerator(ctx3, 1, "w_inf", 0) == tau(ctx3, 1)
+    assert wave_numerator(ctx3, 2, "w_star_inf", 0) == tau(ctx3, 3)
     assert wave_numerator(ctx3, 1, "w_zero", -2).is_zero()
-    num, den = wave_entry(ctx3, 2, "w_star_inf", 0)
-    assert num == den
 
 
-def test_wave_entry_ranges(ctx3):
+def test_wave_numerator_ranges(ctx3):
     with pytest.raises(RangeViolation):
         wave_numerator(ctx3, 1, "w_inf", 2)
     with pytest.raises(RangeViolation):
@@ -43,7 +41,7 @@ def test_wave_entry_ranges(ctx3):
 
 
 def test_wave_zero_diagonal_entry_not_constant(ctx3):
-    num, den = wave_entry(ctx3, 1, "w_zero", 0)
+    num, den = reduce_pair(wave_numerator(ctx3, 1, "w_zero", 0), tau(ctx3, 1))
     assert not (num.is_constant() and den.is_constant())
 
 
