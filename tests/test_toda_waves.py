@@ -31,7 +31,7 @@ def test_unit_and_zero_entries(ctx3):
     assert wave_numerator(ctx3, 1, "w_zero", -2).is_zero()
 
 
-def test_wave_numerator_ranges(ctx3):
+def test_wave_entry_ranges(ctx3):
     with pytest.raises(RangeViolation):
         wave_numerator(ctx3, 1, "w_inf", 2)
     with pytest.raises(RangeViolation):
