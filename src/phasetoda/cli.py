@@ -8,6 +8,7 @@ Exit codes: 0 all checks passed, 1 at least one identity failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -209,24 +210,36 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def _checked_run(command: str, args, run) -> int:
+    """Run ``run(timings)`` into a report.  With ``--timings`` the per-run
+    records go to that side file as JSON, never into the report; the file is
+    opened before the run, so a bad path fails before any check runs."""
     t0 = time.time()
-    items = run_family(args.identity, args.seed)
-    report = build_report(f"verify {args.identity}", vars_of(args), items, args.seed)
-    emit_report(report, args.output, time.time() - t0)
+    with open(args.timings, "w") if args.timings else contextlib.nullcontext() as side:
+        timings = [] if side else None
+        items = run(timings)
+        report = build_report(command, vars_of(args), items, args.seed)
+        emit_report(report, args.output, time.time() - t0)
+        if side:
+            json.dump({"command": command, "seed": args.seed, "runs": timings}, side, indent=2)
+            side.write("\n")
     return 0 if report["failed"] == 0 else 1
+
+
+def cmd_verify(args) -> int:
+    return _checked_run(
+        f"verify {args.identity}", args, lambda timings: run_family(args.identity, args.seed, timings)
+    )
 
 
 def cmd_suite(args) -> int:
-    t0 = time.time()
-    items = run_suite(args.name, args.seed)
-    report = build_report(f"suite {args.name}", vars_of(args), items, args.seed)
-    emit_report(report, args.output, time.time() - t0)
-    return 0 if report["failed"] == 0 else 1
+    return _checked_run(
+        f"suite {args.name}", args, lambda timings: run_suite(args.name, args.seed, timings)
+    )
 
 
 def vars_of(args) -> dict:
-    skip = {"func", "output"}
+    skip = {"func", "output", "timings"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
@@ -276,12 +289,14 @@ def make_parser() -> argparse.ArgumentParser:
     pv.add_argument("identity", help="one of: " + ", ".join(FAMILIES))
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--output", default=None)
+    pv.add_argument("--timings", default=None, help="JSON side file of per-run seconds and counts")
     pv.set_defaults(func=cmd_verify)
 
     ps = sub.add_parser("suite", help="run a verification battery")
     ps.add_argument("name", choices=[*SUITES, "all"])
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--output", default=None)
+    ps.add_argument("--timings", default=None, help="JSON side file of per-run seconds and counts")
     ps.set_defaults(func=cmd_suite)
 
     return parser

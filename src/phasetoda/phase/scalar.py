@@ -14,7 +14,7 @@ from typing import Sequence
 from ..algebra import MultiPoly, RingMatrix, as_poly, det_exact
 from ..combinatorics.partitions import partitions_in_box
 from ..errors import DegenerateVandermonde
-from ..symfunc import hk, schur
+from ..symfunc import h_row, hk, jacobi_trudi
 from .fock import pair
 from .monodromy import build_conj_state, build_state
 
@@ -56,11 +56,12 @@ def prefactor(values: Sequence[MultiPoly]) -> MultiPoly:
 
 
 def _schur_sum(n: int, m: int, us, vs) -> MultiPoly:
-    u2 = [u * u for u in us]
-    vm2 = [v ** (-2) for v in vs]
+    # every Jacobi-Trudi index of a shape in the (M^N) box is below M + N
+    hu = h_row(m + n - 1, [u * u for u in us])
+    hv = h_row(m + n - 1, [v ** (-2) for v in vs])
     total = MultiPoly.zero()
     for lam in partitions_in_box(n, m):
-        total = total + schur(lam, u2) * schur(lam, vm2)
+        total = total + jacobi_trudi(lam, hu) * jacobi_trudi(lam, hv)
     if n == 0:
         return total
     pref = prefactor(vs) * prefactor(us).monomial_inverse()

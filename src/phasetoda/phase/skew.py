@@ -15,7 +15,7 @@ from typing import Sequence
 from ..algebra import MultiPoly, as_poly
 from ..combinatorics.partitions import SkewShape, column, hook
 from ..errors import RangeViolation
-from ..symfunc import schur
+from ..symfunc import h_row, jacobi_trudi
 from .fock import StateVector, pair
 from .monodromy import build_conj_state, build_state, grow_state
 from .scalar import prefactor
@@ -70,13 +70,14 @@ def correlator_one_hole(
     if method == "pairing":
         return pair(skew_conj_state(k, vs[1:], m), build_state(us, m))
     if method == "schur_sum":
-        u2 = [u * u for u in us]
-        vm2 = [v ** (-2) for v in vs[1:]]
+        # the support lies in the (M^N) box: one row of h_0..h_{M+N-1} each
+        hu = h_row(m + n - 1, [u * u for u in us])
+        hv = h_row(m + n - 1, [v ** (-2) for v in vs[1:]])
         total = MultiPoly.zero()
         from ..combinatorics.weights import psi1_support
 
         for lam in psi1_support(k, n, m):
-            total = total + schur(lam, u2) * schur(SkewShape(lam, hook(k)), vm2)
+            total = total + jacobi_trudi(lam, hu) * jacobi_trudi(SkewShape(lam, hook(k)), hv)
         pref = prefactor(vs[1:]) * prefactor(us).monomial_inverse()
         return (pref ** m) * total
     raise ValueError(f"unknown method {method!r}")
@@ -96,13 +97,13 @@ def correlator_seeded(
     if method == "pairing":
         return pair(build_conj_state(vs, m), skew_state(k, us[: n - k], m))
     if method == "schur_sum":
-        u2 = [u * u for u in us[: n - k]]
-        vm2 = [v ** (-2) for v in vs]
+        hu = h_row(m + n - 1, [u * u for u in us[: n - k]])
+        hv = h_row(m + n - 1, [v ** (-2) for v in vs])
         total = MultiPoly.zero()
         from ..combinatorics.weights import psi2_support
 
         for lam in psi2_support(k, n, m):
-            total = total + schur(SkewShape(lam, column(k)), u2) * schur(lam, vm2)
+            total = total + jacobi_trudi(SkewShape(lam, column(k)), hu) * jacobi_trudi(lam, hv)
         pref = prefactor(vs) * prefactor(us[: n - k]).monomial_inverse()
         return (pref ** m) * total
     raise ValueError(f"unknown method {method!r}")

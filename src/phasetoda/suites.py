@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -151,6 +152,25 @@ def _bijections(seed: int) -> Iterator[dict]:
             yield _item("half-tableau-round-trip", {"N": n, "M": m}, halves_ok)
 
 
+PICTURES = ("paths", "pp", "tableaux")
+
+
+def _first_miss(cases) -> str | None:
+    """Witness for the first (label, weighted sum, closed form) case whose
+    weighted sum differs from the closed form in some picture, else None.
+    ``cases`` is lazy, so the closed forms after the first miss are never
+    built."""
+    for label, weighted, want in cases:
+        for pic in PICTURES:
+            got = weighted(pic)
+            if got != want:
+                return (
+                    f"{label} picture={pic}: weighted sum={_clip(got.to_str())} "
+                    f"closed form={_clip(want.to_str())}"
+                )
+    return None
+
+
 def _triple_agreement(seed: int) -> Iterator[dict]:
     nmax, mmax = BOUNDS["combi_n"], BOUNDS["combi_m"]
 
@@ -158,49 +178,46 @@ def _triple_agreement(seed: int) -> Iterator[dict]:
         for m in range(0, mmax + 1):
             un, vn = _names("u", n), _names("v", n)
             for lam in partitions_in_box(n, m):
-                want_f, want_g = _closed_f(lam, n, m), _closed_g(lam, n, m)
-                ok = all(
-                    weighted_sum_f(lam, n, m, un, pic) == want_f
-                    and weighted_sum_g(lam, n, m, vn, pic) == want_g
-                    for pic in ("paths", "pp", "tableaux")
-                )
+                witness = _first_miss((
+                    ("f", lambda pic: weighted_sum_f(lam, n, m, un, pic), _closed_f(lam, n, m)),
+                    ("g", lambda pic: weighted_sum_g(lam, n, m, vn, pic), _closed_g(lam, n, m)),
+                ))
                 yield _item(
                     "state-coefficient-triple-agreement",
                     {"N": n, "M": m, "lambda": list(lam.parts)},
-                    ok,
+                    witness is None,
+                    witness,
                 )
+            tail = vn[1:]
+            pref = MultiPoly.monomial(1, {nm: m for nm in tail}) if tail else MultiPoly.const(1)
+            gens = sf.alphabet(tail, "inverse-squared")
             for k in range(0, m + 1):
-                ok = True
-                for lam in psi1_support(k, n, m):
-                    gens = sf.alphabet(vn[1:], "inverse-squared")
-                    pref = (
-                        MultiPoly.monomial(1, {nm: m for nm in vn[1:]})
-                        if n > 1
-                        else MultiPoly.const(1)
+                witness = _first_miss(
+                    (
+                        f"lambda={list(lam.parts)}",
+                        lambda pic, lam=lam: weighted_sum_psi1(k, lam, n, m, tail, pic),
+                        pref * sf.schur(SkewShape(lam, hook(k)), gens),
                     )
-                    want = pref * sf.schur(SkewShape(lam, hook(k)), gens)
-                    if not all(
-                        weighted_sum_psi1(k, lam, n, m, vn[1:], pic) == want
-                        for pic in ("paths", "pp", "tableaux")
-                    ):
-                        ok = False
-                yield _item("hole-coefficient-triple-agreement", {"N": n, "M": m, "k": k}, ok)
+                    for lam in psi1_support(k, n, m)
+                )
+                yield _item(
+                    "hole-coefficient-triple-agreement", {"N": n, "M": m, "k": k}, witness is None, witness
+                )
             for k in range(0, n + 1):
-                ok = True
-                for lam in psi2_support(k, n, m):
-                    gens = sf.alphabet(un[: n - k], "squared")
-                    pref = (
-                        MultiPoly.monomial(1, {nm: -m for nm in un[: n - k]})
-                        if n - k
-                        else MultiPoly.const(1)
+                head = un[: n - k]
+                pref = MultiPoly.monomial(1, {nm: -m for nm in head}) if head else MultiPoly.const(1)
+                gens = sf.alphabet(head, "squared")
+                witness = _first_miss(
+                    (
+                        f"lambda={list(lam.parts)}",
+                        lambda pic, lam=lam: weighted_sum_psi2(k, lam, n, m, head, pic),
+                        pref * sf.schur(SkewShape(lam, column(k)), gens),
                     )
-                    want = pref * sf.schur(SkewShape(lam, column(k)), gens)
-                    if not all(
-                        weighted_sum_psi2(k, lam, n, m, un[: n - k], pic) == want
-                        for pic in ("paths", "pp", "tableaux")
-                    ):
-                        ok = False
-                yield _item("seed-coefficient-triple-agreement", {"N": n, "M": m, "k": k}, ok)
+                    for lam in psi2_support(k, n, m)
+                )
+                yield _item(
+                    "seed-coefficient-triple-agreement", {"N": n, "M": m, "k": k}, witness is None, witness
+                )
 
 
 # -- phase model -------------------------------------------------------------
@@ -515,35 +532,46 @@ SUITES = tuple(dict.fromkeys(fam.suite for fam in FAMILIES.values()))
 RAISED = "check-raised"
 
 
-def _run(generate: Callable[[int], Iterator[dict]], seed: int) -> list:
+def _run(generate: Callable[[int], Iterator[dict]], seed: int, timings: list | None) -> list:
     """The items of one generator.  An exception other than a configuration
     error ends the generator with one failed item that names the error and
-    the families it feeds, so the other generators still run."""
+    the families it feeds, so the other generators still run.  When
+    ``timings`` is a list, one record of the run is appended to it: the
+    families, the seconds, and the counts of items and failed items."""
+    families = [name for name, fam in FAMILIES.items() if fam.generate is generate]
     items = []
+    start = time.perf_counter()
     try:
         for item in generate(seed):
             items.append(item)
     except ConfigError:
         raise
     except Exception as exc:
-        families = [name for name, fam in FAMILIES.items() if fam.generate is generate]
         items.append(_item(RAISED, {"families": families}, False, f"{type(exc).__name__}: {exc}"))
+    if timings is not None:
+        timings.append({
+            "families": families,
+            "seconds": round(time.perf_counter() - start, 6),
+            "items": len(items),
+            "failed": sum(1 for it in items if not it["pass"]),
+        })
     return items
 
 
-def run_suite(name: str, seed: int) -> list:
+def run_suite(name: str, seed: int, timings: list | None = None) -> list:
     """Items of one suite, or of every suite for ``all``; a generator that
-    two rows share runs once."""
+    two rows share runs once.  ``timings`` as in ``_run``."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     generators = [fam.generate for fam in FAMILIES.values() if name in ("all", fam.suite)]
-    return [item for gen in dict.fromkeys(generators) for item in _run(gen, seed)]
+    return [item for gen in dict.fromkeys(generators) for item in _run(gen, seed, timings)]
 
 
-def run_family(name: str, seed: int) -> list:
-    """Items of one family, from its own generator only."""
+def run_family(name: str, seed: int, timings: list | None = None) -> list:
+    """Items of one family, from its own generator only.  ``timings`` as in
+    ``_run``: its record counts every item the generator made."""
     if name not in FAMILIES:
         raise ConfigError(f"unknown identity {name!r}; choose from {sorted(FAMILIES)}")
     fam = FAMILIES[name]
     wanted = (*fam.identities, RAISED)
-    return [item for item in _run(fam.generate, seed) if item["identity"] in wanted]
+    return [item for item in _run(fam.generate, seed, timings) if item["identity"] in wanted]

@@ -37,24 +37,26 @@ def alphabet(names: Sequence[str], convention: str = "plain") -> list:
     raise ValueError(f"unknown convention {convention!r}")
 
 
-def hk(k: int, gens: Sequence[MultiPoly]) -> MultiPoly:
-    """Complete homogeneous symmetric polynomial h_k of the generators.
+def h_row(kmax: int, gens: Sequence[MultiPoly]) -> list:
+    """Complete homogeneous polynomials [h_0, .., h_kmax] of the generators.
 
-    h with negative index is the zero polynomial (the determinant formulas
-    below rely on this silently); h_0 = 1 even for the empty alphabet.
+    One dynamic-programming pass over the alphabet: after letter j the row
+    holds h_d(x_1..x_j).  h_0 = 1 even for the empty alphabet; kmax < 0
+    gives the empty list.
     """
-    if k < 0:
-        return MultiPoly.zero()
-    if k == 0:
-        return MultiPoly.const(1)
-    if not gens:
-        return MultiPoly.zero()
-    # dynamic programming over the alphabet: h_k(x_1..x_j)
-    row = [MultiPoly.const(1)] + [MultiPoly.zero()] * k
+    if kmax < 0:
+        return []
+    row = [MultiPoly.const(1)] + [MultiPoly.zero()] * kmax
     for g in gens:
-        for d in range(1, k + 1):
+        for d in range(1, kmax + 1):
             row[d] = row[d] + g * row[d - 1]
-    return row[k]
+    return row
+
+
+def hk(k: int, gens: Sequence[MultiPoly]) -> MultiPoly:
+    """Complete homogeneous symmetric polynomial h_k of the generators;
+    h with negative index is the zero polynomial."""
+    return h_row(k, gens)[k] if k >= 0 else MultiPoly.zero()
 
 
 def pk(k: int, gens: Sequence[MultiPoly]) -> MultiPoly:
@@ -115,6 +117,28 @@ def zeta_diff_apply(
     return result
 
 
+def jacobi_trudi(shape, h: Sequence[MultiPoly]) -> MultiPoly:
+    """det[h_{lam_i - mu_j + j - i}] of a (skew) shape, read from the row
+    h = [h_0, h_1, ..] of one alphabet; a negative index reads as 0.
+
+    The row must reach lam_1 + rows - 1, where rows counts the nonzero parts
+    of lam, so one row of a box's alphabet serves every shape in the box.
+    """
+    skew = shape if isinstance(shape, SkewShape) else SkewShape(shape, Partition(()))
+    n = len(skew.outer.parts)
+    if n == 0:
+        return MultiPoly.const(1)
+    zero = MultiPoly.zero()
+    rows = []
+    for i in range(1, n + 1):
+        row = []
+        for j in range(1, n + 1):
+            d = skew.outer.get(i) - skew.inner.get(j) + j - i
+            row.append(h[d] if d >= 0 else zero)
+        rows.append(row)
+    return det_exact(RingMatrix.from_rows(rows))
+
+
 def schur(shape, gens: Sequence[MultiPoly], method: str = "jacobi_trudi") -> MultiPoly:
     """(Skew) Schur polynomial of the shape in the given generators.
 
@@ -123,16 +147,8 @@ def schur(shape, gens: Sequence[MultiPoly], method: str = "jacobi_trudi") -> Mul
     """
     skew = shape if isinstance(shape, SkewShape) else SkewShape(shape, Partition(()))
     if method == "jacobi_trudi":
-        n = len(skew.outer.parts)
-        if n == 0:
-            return MultiPoly.const(1)
-        rows = []
-        for i in range(1, n + 1):
-            row = []
-            for j in range(1, n + 1):
-                row.append(hk(skew.outer.get(i) - skew.inner.get(j) + j - i, gens))
-            rows.append(row)
-        return det_exact(RingMatrix.from_rows(rows))
+        outer = skew.outer
+        return jacobi_trudi(skew, h_row(outer.get(1) + len(outer.parts) - 1, gens))
     if method == "tableau_sum":
         from .combinatorics.tableaux import enumerate_tableaux
 

@@ -7,7 +7,7 @@ from typing import Sequence
 from ..algebra import MultiPoly, RingMatrix
 from ..combinatorics.partitions import partitions_in_box
 from ..errors import ShapeViolation
-from ..symfunc import alphabet, miwa_map, pk, schur
+from ..symfunc import alphabet, h_row, jacobi_trudi, miwa_map, pk
 from .context import TauContext, tau
 
 
@@ -44,11 +44,11 @@ def schur_pair_sum(
 ) -> MultiPoly:
     """sum over boxed partitions of S_lam(u^2) * S_lam(v^-2)."""
     n_particles = len(u_names)
-    ug = alphabet(u_names, "squared")
-    vg = alphabet(v_names, "inverse-squared")
+    hu = h_row(site_bound + n_particles - 1, alphabet(u_names, "squared"))
+    hv = h_row(site_bound + n_particles - 1, alphabet(v_names, "inverse-squared"))
     total = MultiPoly.zero()
     for lam in partitions_in_box(n_particles, site_bound):
-        total = total + schur(lam, ug) * schur(lam, vg)
+        total = total + jacobi_trudi(lam, hu) * jacobi_trudi(lam, hv)
     return total
 
 

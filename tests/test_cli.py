@@ -66,6 +66,29 @@ def test_suite_report_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("command", [["suite", "combinatorics"], ["verify", "bijections"]])
+def test_timings_side_file_leaves_report_bytes_alone(tmp_path, command):
+    side = tmp_path / "timings.json"
+    code1, plain = run_cli([*command, "--seed", "3"], tmp_path, "plain.json")
+    code2, timed = run_cli([*command, "--seed", "3", "--timings", str(side)], tmp_path, "timed.json")
+    assert code1 == code2 == 0
+    assert plain.read_bytes() == timed.read_bytes()
+    payload = json.loads(side.read_text())
+    assert payload["command"] == " ".join(command) and payload["seed"] == 3
+    runs = payload["runs"]
+    report = json.loads(timed.read_text())
+    assert sum(r["items"] for r in runs) == len(report["items"])
+    for r in runs:
+        assert r["families"] and r["failed"] == 0 and r["seconds"] >= 0
+
+
+def test_timings_in_missing_directory_exit_2(tmp_path):
+    side = tmp_path / "no-such-dir" / "timings.json"
+    code, out = run_cli(["verify", "power-sums", "--timings", str(side)], tmp_path)
+    assert code == 2
+    assert not out.exists() and not side.exists()
+
+
 def test_verify_unknown_identity_exit_2(tmp_path):
     code, _ = run_cli(["verify", "does-not-exist"], tmp_path)
     assert code == 2

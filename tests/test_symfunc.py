@@ -58,6 +58,17 @@ def test_hk_basics():
         assert sf.hk(k, gens) == brute_h(k, gens)
 
 
+@pytest.mark.parametrize("convention", sf.CONVENTIONS)
+@pytest.mark.parametrize("letters", [0, 1, 3])
+def test_h_row_against_monomial_oracle(convention, letters):
+    gens = sf.alphabet([f"u{i}" for i in range(1, letters + 1)], convention)
+    for kmax in (0, 1, 4):
+        row = sf.h_row(kmax, gens)
+        assert len(row) == kmax + 1
+        assert row == [brute_h(k, gens) for k in range(kmax + 1)], (kmax, row)
+    assert sf.h_row(-1, gens) == []
+
+
 def test_pk():
     gens = sf.alphabet(["u1", "u2"], "plain")
     assert sf.pk(2, gens).subs({"u1": 1, "u2": 2}).constant_value() == 5
@@ -116,6 +127,60 @@ def test_schur_methods_agree_straight_and_skew():
             assert sf.schur(shape, gens, "jacobi_trudi") == sf.schur(
                 shape, gens, "tableau_sum"
             ), shape
+
+
+@pytest.mark.parametrize("convention", sf.CONVENTIONS)
+def test_jacobi_trudi_on_a_long_row_equals_tableau_sum(convention):
+    # a row longer than any shape needs: the extra entries are never read
+    from phasetoda.combinatorics import partitions_in_box
+
+    gens = sf.alphabet(["u1", "u2"], convention)
+    h = sf.h_row(7, gens)
+    for outer in partitions_in_box(3, 2):
+        for inner in partitions_in_box(3, 2):
+            if outer.contains(inner):
+                shape = SkewShape(outer, inner)
+                assert sf.jacobi_trudi(shape, h) == sf.schur(shape, gens, "tableau_sum"), shape
+        assert sf.jacobi_trudi(outer, h) == sf.schur(outer, gens, "tableau_sum"), outer
+
+
+def _tableau_pair_sum(pairs):
+    """sum of S_a(A) * S_b(B) over (a, A, b, B), each Schur by tableaux"""
+    total = MultiPoly.zero()
+    for a, ga, b, gb in pairs:
+        total = total + sf.schur(a, ga, "tableau_sum") * sf.schur(b, gb, "tableau_sum")
+    return total
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in (0, 1, 2) for m in (0, 1, 2)])
+def test_box_sums_equal_per_shape_tableau_route(n, m):
+    # each box sum reads every shape from one row per alphabet; the oracle
+    # builds every Schur polynomial of the sum from its tableaux
+    from phasetoda.combinatorics import column, hook, partitions_in_box, psi1_support, psi2_support
+    from phasetoda.phase import correlator_one_hole, correlator_seeded, prefactor, scalar_product
+    from phasetoda.toda import schur_pair_sum
+
+    un, vn = [f"u{i}" for i in range(1, n + 1)], [f"v{i}" for i in range(1, n + 1)]
+    us, vs = [MultiPoly.var(nm) for nm in un], [MultiPoly.var(nm) for nm in vn]
+    u2, vm2 = sf.alphabet(un, "squared"), sf.alphabet(vn, "inverse-squared")
+    box = _tableau_pair_sum((lam, u2, lam, vm2) for lam in partitions_in_box(n, m))
+    assert schur_pair_sum(un, vn, m) == box
+    pref = prefactor(vs) * prefactor(us).monomial_inverse()
+    assert scalar_product(n, m, un, vn, "schur_sum") == (pref ** m) * box
+    if n == 0:
+        return
+    for k in range(0, m + 1):
+        want = _tableau_pair_sum(
+            (lam, u2, SkewShape(lam, hook(k)), vm2[1:]) for lam in psi1_support(k, n, m)
+        )
+        pref = prefactor(vs[1:]) * prefactor(us).monomial_inverse()
+        assert correlator_one_hole(k, n, m, un, vn, "schur_sum") == (pref ** m) * want, k
+    for k in range(0, n + 1):
+        want = _tableau_pair_sum(
+            (SkewShape(lam, column(k)), u2[: n - k], lam, vm2) for lam in psi2_support(k, n, m)
+        )
+        pref = prefactor(vs) * prefactor(us[: n - k]).monomial_inverse()
+        assert correlator_seeded(k, n, m, un, vn, "schur_sum") == (pref ** m) * want, k
 
 
 def test_schur_examples():
