@@ -1,11 +1,15 @@
 """Exact multivariate Laurent polynomials with rational coefficients.
 
 A polynomial is a map from exponent vectors (integers, negative allowed) to
-nonzero Fractions.  Instances are immutable and always canonical:
+nonzero rationals, stored as integer numerators over one positive common
+denominator: ``nums`` maps each exponent vector to its nonzero int numerator
+and ``den`` is the denominator.  Instances are immutable and always
+canonical:
 
   * the variable tuple lists, in the global variable order, exactly the
     variables that occur with a nonzero exponent somewhere;
-  * no zero coefficients are stored.
+  * no zero numerator is stored, and ``gcd(den, *nums) == 1`` (the zero
+    polynomial is ``{}`` over 1).
 
 Two mathematically equal polynomials therefore have identical
 representations, which makes equality, hashing and the text serialization
@@ -13,24 +17,27 @@ byte-stable.  The global variable order is a natural order on names: an
 alphabetic prefix compared lexicographically, then a numeric suffix compared
 numerically, so ``u2 < u10 < v1``.
 
-The text form sorts terms by graded reverse-lexicographic order (highest
-first) and prints each term as ``coeff*var^exp*...``, e.g.
-``-2/3*u1^2*v2^-1``; the zero polynomial prints as ``0``.
+``terms`` is a read-only view that maps each exponent vector to its
+``Fraction`` coefficient; only its values build Fractions.  The text form
+sorts terms by graded reverse-lexicographic order (highest first) and prints
+each term as ``coeff*var^exp*...``, e.g. ``-2/3*u1^2*v2^-1``; the zero
+polynomial prints as ``0``.
 
-Arithmetic keeps this representation at its surface only.  A product of two
-multi-term polynomials runs on integers, with each exponent vector packed
-into one int and the coefficients as numerators over a common denominator
-(``_packed_product``).  Results that are canonical by construction go
-through the trusted constructor ``_make`` instead of ``__init__``.
+Every ring operation runs on the integers it stores.  A product of two
+multi-term polynomials packs each exponent vector into one int
+(``_packed_product``); exact division reduces on grevlex-ordered packed keys.
+Results go through the trusted constructor ``_make``, which prunes unused
+variables and divides out ``gcd(den, *nums)``.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from ..errors import DivisionByZero, NegativeExponent, NotDivisible
 
@@ -53,131 +60,174 @@ def grevlex_key(expvec: Sequence[int]) -> tuple:
     return (sum(expvec), tuple(-e for e in reversed(expvec)))
 
 
+def _scalar(value) -> Scalar:
+    if isinstance(value, (int, Fraction)):
+        return value
+    raise TypeError(f"a coefficient must be an int or a Fraction, not {type(value).__name__}")
+
+
+class _Terms(Mapping):
+    """Read-only map from exponent vector to ``Fraction`` coefficient; its
+    length, keys and membership read the numerators without building one."""
+
+    __slots__ = ("_p",)
+
+    def __init__(self, p: "MultiPoly"):
+        self._p = p
+
+    def __len__(self) -> int:
+        return len(self._p.nums)
+
+    def __iter__(self):
+        return iter(self._p.nums)
+
+    def __contains__(self, exps) -> bool:
+        return exps in self._p.nums
+
+    def __getitem__(self, exps) -> Fraction:
+        return Fraction(self._p.nums[exps], self._p.den)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 class MultiPoly:
     """Immutable sparse Laurent polynomial over the rationals."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "nums", "den")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple, Scalar]):
-        cleaned = {}
-        for exps, coeff in terms.items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            if len(exps) != len(variables):
-                raise ValueError("exponent vector length != variable count")
-            cleaned[tuple(exps)] = coeff
-        # prune unused variables, then sort the survivors into global order
         nvars = len(variables)
-        used = [i for i in range(nvars) if any(e[i] != 0 for e in cleaned)]
+        cleaned = []
+        den = 1
+        for exps, coeff in terms.items():
+            if not _scalar(coeff):
+                continue
+            if len(exps) != nvars:
+                raise ValueError("exponent vector length != variable count")
+            cleaned.append((exps, coeff))
+            den = lcm(den, coeff.denominator)
+        # prune unused variables, then sort the survivors into global order
+        used = [i for i in range(nvars) if any(e[i] != 0 for e, _ in cleaned)]
         order = sorted(used, key=lambda i: var_key(variables[i]))
-        object.__setattr__(self, "vars", tuple(variables[i] for i in order))
-        object.__setattr__(
-            self,
-            "terms",
-            {tuple(e[i] for i in order): c for e, c in cleaned.items()},
-        )
-        if len(self.terms) != len(cleaned):
+        # over the lcm of reduced denominators the numerators share no
+        # factor with it, so the result is canonical without a gcd
+        nums = {
+            tuple(e[i] for i in order): c.numerator * (den // c.denominator) for e, c in cleaned
+        }
+        if len(nums) != len(cleaned):
             raise ValueError("duplicate exponent vectors")
-        if len(set(self.vars)) != len(self.vars):
+        kept = tuple(variables[i] for i in order)
+        if len(set(kept)) != len(kept):
             raise ValueError("duplicate variable names")
+        _set_vars(self, kept)
+        _set_nums(self, nums)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
     @classmethod
-    def _make(cls, variables: tuple, terms: dict) -> "MultiPoly":
-        """Trusted constructor for results that are canonical by construction.
+    def _make(cls, variables: tuple, nums: dict, den: int = 1) -> "MultiPoly":
+        """Trusted constructor for results that are canonical up to pruning
+        and one gcd.
 
         ``variables`` must be in global order without duplicates, every key
-        must be a tuple of their length and no coefficient may be zero; the
-        dict is taken over, not copied.  Only variables whose exponent
-        cancelled to 0 in every term are pruned.
+        must be a tuple of their length, no numerator may be zero and ``den``
+        must be positive; the dict is taken over, not copied.  Variables whose
+        exponent cancelled to 0 in every term are pruned, and when ``den`` is
+        not 1 the numerators and ``den`` are divided by their gcd.
         """
-        self = object.__new__(cls)
-        if not terms:
-            variables = ()
-        elif variables and not all(map(any, zip(*terms))):
-            used = [i for i, col in enumerate(zip(*terms)) if any(col)]
-            variables = tuple(variables[i] for i in used)
-            terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
-        object.__setattr__(self, "vars", variables)
-        object.__setattr__(self, "terms", terms)
-        return self
+        if not nums:
+            return _new((), nums, 1)
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {e: c // g for e, c in nums.items()}
+        return _pruned(variables, nums, den)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "MultiPoly":
-        return cls._make((), {})
+        return _new((), {}, 1)
 
     @classmethod
     def const(cls, value: Scalar) -> "MultiPoly":
-        value = Fraction(value)
-        return cls._make((), {(): value} if value else {})
+        value = _scalar(value)
+        if not value:
+            return _new((), {}, 1)
+        return _new((), {(): value.numerator}, value.denominator)
 
     @classmethod
     def var(cls, name: str, power: int = 1) -> "MultiPoly":
         if power == 0:
             return cls.const(1)
-        return cls._make((name,), {(power,): Fraction(1)})
+        return _new((name,), {(power,): 1}, 1)
 
     @classmethod
     def monomial(cls, coeff: Scalar, powers: Mapping[str, int]) -> "MultiPoly":
         names = tuple(powers)
-        return cls(names, {tuple(powers[n] for n in names): Fraction(coeff)})
+        return cls(names, {tuple(powers[n] for n in names): coeff})
 
     # -- basic queries -----------------------------------------------------
 
+    @property
+    def terms(self) -> _Terms:
+        """The terms as a read-only map to ``Fraction`` coefficients."""
+        return _Terms(self)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
         return not self.vars
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self.nums) == 1
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (zero polynomial gives 0)."""
         if self.vars:
             raise ValueError(f"not a constant: {self}")
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.nums.get((), 0), self.den)
 
     def degree_in(self, name: str) -> int:
         """Highest exponent of ``name`` (0 if absent or zero polynomial)."""
-        if name not in self.vars or not self.terms:
+        if name not in self.vars or not self.nums:
             return 0
         i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self.nums)
 
     def low_degree_in(self, name: str) -> int:
         """Lowest exponent of ``name`` (0 if absent or zero polynomial)."""
-        if name not in self.vars or not self.terms:
+        if name not in self.vars or not self.nums:
             return 0
         i = self.vars.index(name)
-        return min(e[i] for e in self.terms)
+        return min(e[i] for e in self.nums)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.nums)
 
     # -- alignment helpers -------------------------------------------------
 
     def _embed(self, allvars: tuple) -> dict:
-        """Re-key the term dict onto a superset variable tuple."""
+        """The numerators keyed on a superset variable tuple; ``self.nums``
+        itself when the tuples agree, so the result must not be mutated."""
         if allvars == self.vars:
-            return dict(self.terms)
+            return self.nums
         pos = [allvars.index(v) for v in self.vars]
         n = len(allvars)
         out = {}
-        for exps, coeff in self.terms.items():
+        for exps, c in self.nums.items():
             vec = [0] * n
             for p, e in zip(pos, exps):
                 vec[p] = e
-            out[tuple(vec)] = coeff
+            out[tuple(vec)] = c
         return out
 
     @staticmethod
@@ -197,9 +247,10 @@ class MultiPoly:
             return MultiPoly.const(value)
         return NotImplemented
 
-    def _scaled(self, c: Fraction) -> "MultiPoly":
-        """Product with a nonzero rational."""
-        return MultiPoly._make(self.vars, {e: k * c for e, k in self.terms.items()})
+    def _scaled(self, num: int, den: int = 1) -> "MultiPoly":
+        """Product with the nonzero rational num/den (coprime, den > 0)."""
+        g, f, d = _scale_parts(self, num, den)
+        return _new(self.vars, {e: c // g * f for e, c in self.nums.items()}, d)
 
     # -- ring operations ---------------------------------------------------
 
@@ -207,57 +258,38 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        if self.vars == other.vars:
-            allvars, big, small = self.vars, self.terms, other.terms
-        else:
-            allvars = self._union_vars(self, other)
-            big, small = self._embed(allvars), other._embed(allvars)
-        if len(big) < len(small):
-            big, small = small, big
-        terms = dict(big)
-        for exps, coeff in small.items():
-            prev = terms.get(exps)
-            if prev is None:
-                terms[exps] = coeff
-            else:
-                coeff += prev
-                if coeff:
-                    terms[exps] = coeff
-                else:
-                    del terms[exps]
-        return MultiPoly._make(allvars, terms)
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
+        return _new(self.vars, {e: -c for e, c in self.nums.items()}, self.den)
 
     def __sub__(self, other) -> "MultiPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __rsub__(self, other) -> "MultiPoly":
-        return (-self) + other
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _combine(other, self, -1)
 
     def __mul__(self, other) -> "MultiPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.terms or not other.terms:
+        if not self.nums or not other.nums:
             return MultiPoly.zero()
         if not other.vars:
-            return self._scaled(other.terms[()])
+            return self._scaled(other.nums[()], other.den)
         if not self.vars:
-            return other._scaled(self.terms[()])
-        if len(other.terms) == 1:
+            return other._scaled(self.nums[()], self.den)
+        if len(other.nums) == 1:
             return _monomial_product(self, other)
-        if len(self.terms) == 1:
+        if len(self.nums) == 1:
             return _monomial_product(other, self)
         return _packed_product(self, other)
 
@@ -282,21 +314,25 @@ class MultiPoly:
 
     def monomial_inverse(self) -> "MultiPoly":
         """Inverse of a single-term polynomial; other inputs are not units."""
-        if len(self.terms) != 1:
+        if len(self.nums) != 1:
             raise NotDivisible(f"not an invertible monomial: {self}")
-        ((exps, coeff),) = self.terms.items()
-        return MultiPoly._make(self.vars, {tuple(-e for e in exps): 1 / coeff})
+        ((exps, c),) = self.nums.items()
+        inv = tuple(-e for e in exps)
+        if c > 0:
+            return _new(self.vars, {inv: self.den}, c)
+        return _new(self.vars, {inv: -self.den}, -c)
 
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        if not isinstance(other, MultiPoly):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.den == other.den and self.vars == other.vars and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash((self.vars, tuple(sorted(self.terms.items()))))
+        return hash((self.vars, self.den, frozenset(self.nums.items())))
 
     # -- calculus and extraction -------------------------------------------
 
@@ -307,21 +343,19 @@ class MultiPoly:
         if name not in self.vars:
             return MultiPoly.zero()
         i = self.vars.index(name)
-        if any(e[i] < 0 for e in self.terms):
+        if any(e[i] < 0 for e in self.nums):
             raise NegativeExponent(f"cannot differentiate Laurent variable {name}")
         cur = self
         for _ in range(order):
             if name not in cur.vars:
                 return MultiPoly.zero()
             i = cur.vars.index(name)
-            terms = {}
-            for exps, coeff in cur.terms.items():
+            nums = {}
+            for exps, c in cur.nums.items():
                 e = exps[i]
-                if e == 0:
-                    continue
-                key = exps[:i] + (e - 1,) + exps[i + 1 :]
-                terms[key] = coeff * e
-            cur = MultiPoly(cur.vars, terms)
+                if e:
+                    nums[exps[:i] + (e - 1,) + exps[i + 1 :]] = c * e
+            cur = MultiPoly._make(cur.vars, nums, cur.den)
         return cur
 
     def coeff_of(self, name: str, power: int) -> "MultiPoly":
@@ -330,11 +364,10 @@ class MultiPoly:
             return self if power == 0 else MultiPoly.zero()
         i = self.vars.index(name)
         rest = self.vars[:i] + self.vars[i + 1 :]
-        terms = {}
-        for exps, coeff in self.terms.items():
-            if exps[i] == power:
-                terms[exps[:i] + exps[i + 1 :]] = coeff
-        return MultiPoly(rest, terms)
+        nums = {
+            exps[:i] + exps[i + 1 :]: c for exps, c in self.nums.items() if exps[i] == power
+        }
+        return MultiPoly._make(rest, nums, self.den)
 
     def subs(self, assignment: Mapping[str, Union[Scalar, "MultiPoly"]]) -> "MultiPoly":
         """Substitute values for variables (partial assignments allowed).
@@ -342,50 +375,55 @@ class MultiPoly:
         A variable occurring with negative exponents may receive a nonzero
         rational or an invertible monomial; assigning 0 there raises
         DivisionByZero.
+
+        Terms are grouped by their exponents of the substituted variables,
+        so each group is multiplied once by its product of powers; the sum
+        of the groups is taken on numerators and divided by ``den`` once.
         """
-        relevant = {k: v for k, v in assignment.items() if k in self.vars}
-        if not relevant:
-            return self
-        idx = {name: self.vars.index(name) for name in relevant}
-        values = {}
-        for name, val in relevant.items():
+        values = []
+        for name, val in assignment.items():
+            if name not in self.vars:
+                continue
+            i = self.vars.index(name)
             val = val if isinstance(val, MultiPoly) else MultiPoly.const(val)
-            i = idx[name]
-            if any(e[i] < 0 for e in self.terms) and val.is_zero():
+            if val.is_zero() and any(e[i] < 0 for e in self.nums):
                 raise DivisionByZero(f"{name} assigned 0 but occurs with negative exponent")
-            values[name] = val
-        keep = [i for i, v in enumerate(self.vars) if self.vars[i] not in relevant]
+            values.append((i, val))
+        if not values:
+            return self
+        gone = {i for i, _ in values}
+        keep = [i for i in range(len(self.vars)) if i not in gone]
+        kept_vars = tuple(self.vars[i] for i in keep)
+        groups: dict = {}
+        for exps, c in self.nums.items():
+            key = tuple(exps[i] for i, _ in values)
+            groups.setdefault(key, {})[tuple(exps[i] for i in keep)] = c
         result = MultiPoly.zero()
         pow_cache: dict = {}
-        for exps, coeff in self.terms.items():
-            term = MultiPoly(
-                tuple(self.vars[i] for i in keep),
-                {tuple(exps[i] for i in keep): coeff},
-            )
-            for name, val in values.items():
-                e = exps[idx[name]]
+        for key, nums in groups.items():
+            term = MultiPoly._make(kept_vars, nums)
+            for (i, val), e in zip(values, key):
                 if e == 0:
                     continue
-                key = (name, e)
-                if key not in pow_cache:
-                    pow_cache[key] = val ** e
-                term = term * pow_cache[key]
+                if (i, e) not in pow_cache:
+                    pow_cache[i, e] = val ** e
+                term = term * pow_cache[i, e]
             result = result + term
-        return result
+        return result._scaled(1, self.den) if self.den != 1 and result.nums else result
 
     # -- division ----------------------------------------------------------
 
     def leading_term(self) -> tuple:
         """The grevlex-leading (exponent vector, coefficient) of a nonzero
         polynomial, by the packed keys that ``divide_exact`` orders by."""
-        if not self.terms:
+        if not self.nums:
             raise ValueError("the zero polynomial has no leading term")
         # grevlex order is invariant under a common shift of all exponents
-        low = [min(col) for col in zip(*self.terms)]
-        shifted = {tuple(map(sub, e, low)): e for e in self.terms}
+        low = [min(col) for col in zip(*self.nums)]
+        shifted = {tuple(map(sub, e, low)): e for e in self.nums}
         weights, unpack = _grevlex_packing(len(self.vars), max(map(sum, shifted)))
         lead = shifted[unpack(max(sum(map(mul, e, weights)) for e in shifted))]
-        return lead, self.terms[lead]
+        return lead, Fraction(self.nums[lead], self.den)
 
     def divide_exact(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact division; raises NotDivisible on a nonzero remainder.
@@ -394,22 +432,23 @@ class MultiPoly:
         packed leading key falls at every step and, all keys lying in a
         finite box, the loop ends.
 
-        The loop runs on integers.  The dividend is scaled to integer
-        numerators and the divisor to a primitive integer polynomial; by
-        Gauss's lemma a quotient over Q is then integral, so each step is one
-        ``divmod`` by the divisor's leading coefficient and a nonzero
-        remainder proves non-divisibility.  Exponent vectors are packed into
-        grevlex-ordered int keys (``_grevlex_packing``), so the leading term
-        is a plain ``max`` and shifting by the quotient term is an addition.
+        The loop runs on the stored integer numerators, with the divisor
+        made primitive; by Gauss's lemma a quotient over Q is then integral,
+        so each step is one ``divmod`` by the divisor's leading coefficient
+        and a nonzero remainder proves non-divisibility.  Exponent vectors
+        are packed into grevlex-ordered int keys (``_grevlex_packing``), so
+        the leading term is a plain ``max`` and shifting by the quotient term
+        is an addition.
         """
         divisor = self._coerce(divisor)
-        if divisor.is_zero():
+        if not divisor.nums:
             raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
+        if not self.nums:
             return MultiPoly.zero()
-        if divisor.is_constant():
-            return self._scaled(1 / divisor.constant_value())
-        if len(divisor.terms) == 1:
+        if not divisor.vars:
+            c = divisor.nums[()]
+            return self._scaled(divisor.den, c) if c > 0 else self._scaled(-divisor.den, -c)
+        if len(divisor.nums) == 1:
             return self * divisor.monomial_inverse()
         # a monomial is a unit of the Laurent ring: strip the lowest power of
         # every variable from each side, so that both become polynomials
@@ -424,11 +463,9 @@ class MultiPoly:
         # every remainder term has a total degree of at most top
         top = max(map(sum, nexps + dexps))
         weights, unpack = _grevlex_packing(len(allvars), top)
-        dn, nums = _numerators(nterms.values())
-        dd, dnums = _numerators(dterms.values())
-        g = gcd(*dnums)
-        rem = {sum(map(mul, e, weights)): c for e, c in zip(nexps, nums)}
-        dpacked = {sum(map(mul, e, weights)): c // g for e, c in zip(dexps, dnums)}
+        g = gcd(*dterms.values())
+        rem = {sum(map(mul, e, weights)): c for e, c in zip(nexps, nterms.values())}
+        dpacked = {sum(map(mul, e, weights)): c // g for e, c in zip(dexps, dterms.values())}
         lead_dk = max(dpacked)
         lead_dc = dpacked.pop(lead_dk)
         lead_d = unpack(lead_dk)
@@ -451,27 +488,32 @@ class MultiPoly:
                     rem[k] = v
                 else:
                     del rem[k]
+        # with divisor = g * primitive / divisor.den and self = quot *
+        # primitive / self.den, the quotient is quot * divisor.den / (g * self.den)
         lift = list(map(sub, low_n, low_d))
-        scale = g * dn
+        dd = divisor.den
         return MultiPoly._make(
-            allvars, {tuple(map(add, e, lift)): Fraction(c * dd, scale) for e, c in quot.items()}
+            allvars, {tuple(map(add, e, lift)): c * dd for e, c in quot.items()}, g * self.den
         )
 
     def content(self) -> Fraction:
         """Positive rational content (gcd of numerators / lcm of denominators)."""
-        if not self.terms:
+        if not self.nums:
             return Fraction(0)
-        coeffs = self.terms.values()
-        return Fraction(gcd(*[c.numerator for c in coeffs]), lcm(*[c.denominator for c in coeffs]))
+        return Fraction(gcd(*self.nums.values()), self.den)
 
     # -- serialization -----------------------------------------------------
 
     def sorted_terms(self) -> list:
         """Terms in canonical (grevlex-descending) order."""
-        return sorted(self.terms.items(), key=lambda kv: grevlex_key(kv[0]), reverse=True)
+        den = self.den
+        return [
+            (e, Fraction(self.nums[e], den))
+            for e in sorted(self.nums, key=grevlex_key, reverse=True)
+        ]
 
     def to_str(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
         for exps, coeff in self.sorted_terms():
@@ -489,8 +531,23 @@ class MultiPoly:
         return f"MultiPoly({self.to_str()!r})"
 
 
+_set_vars = MultiPoly.vars.__set__
+_set_nums = MultiPoly.nums.__set__
+_set_den = MultiPoly.den.__set__
+
+
+def _new(variables: tuple, nums: dict, den: int) -> MultiPoly:
+    """A polynomial from parts that are already canonical."""
+    self = object.__new__(MultiPoly)
+    _set_vars(self, variables)
+    _set_nums(self, nums)
+    _set_den(self, den)
+    return self
+
+
 def as_poly(value) -> MultiPoly:
-    """A MultiPoly as is, a name as that variable, anything else as a constant."""
+    """A MultiPoly as is, a name as that variable, an int or a Fraction as a
+    constant; anything else is a TypeError."""
     if isinstance(value, MultiPoly):
         return value
     if isinstance(value, str):
@@ -498,11 +555,51 @@ def as_poly(value) -> MultiPoly:
     return MultiPoly.const(value)
 
 
-def _numerators(coeffs) -> tuple:
-    """(d, numerators): the lcm d of the denominators and each c * d."""
-    coeffs = list(coeffs)
-    d = lcm(*[c.denominator for c in coeffs])
-    return d, [c.numerator * (d // c.denominator) for c in coeffs]
+def _scale_parts(p: MultiPoly, num: int, den: int) -> tuple:
+    """(g, f, d) such that p * num/den has the numerators c // g * f over d,
+    canonical.  ``num`` and ``den`` must be coprime and den positive.
+
+    A prime that divided d and every new numerator would have to divide
+    p.den and every numerator of p, or den and every numerator of p, or
+    num and den; ``f`` and ``d`` are cut so that none can."""
+    g1 = gcd(num, p.den)
+    g = gcd(den, *p.nums.values()) if den != 1 else 1
+    return g, num // g1, p.den // g1 * (den // g)
+
+
+def _combine(a: MultiPoly, b: MultiPoly, sign: int) -> MultiPoly:
+    """a + sign * b (sign is 1 or -1), over the lcm of the denominators."""
+    if not b.nums:
+        return a
+    if not a.nums:
+        return b if sign == 1 else -b
+    if a.vars == b.vars:
+        allvars, x, y = a.vars, a.nums, b.nums
+    else:
+        allvars = MultiPoly._union_vars(a, b)
+        x, y = a._embed(allvars), b._embed(allvars)
+    if a.den == b.den:
+        den, fx, fy = a.den, 1, sign
+    else:
+        den = lcm(a.den, b.den)
+        fx, fy = den // a.den, den // b.den * sign
+    # copy the larger side, merge the smaller into it
+    if len(x) < len(y):
+        x, y, fx, fy = y, x, fy, fx
+    nums = dict(x) if fx == 1 else {e: c * fx for e, c in x.items()}
+    get = nums.get
+    for e, c in y.items():
+        c *= fy
+        prev = get(e)
+        if prev is None:
+            nums[e] = c
+        else:
+            c += prev
+            if c:
+                nums[e] = c
+            else:
+                del nums[e]
+    return MultiPoly._make(allvars, nums, den)
 
 
 def _grevlex_packing(n: int, top: int) -> tuple:
@@ -533,13 +630,22 @@ def _grevlex_packing(n: int, top: int) -> tuple:
 
 
 def _monomial_product(a: MultiPoly, m: MultiPoly) -> MultiPoly:
-    """Product with a single-term ``m``: a shift of every exponent of ``a``,
-    so no two terms collide and nothing needs packing."""
+    """Product with a single-term ``m``: a shift of every exponent of ``a``
+    and a scaling, so no two terms collide and nothing needs packing."""
     allvars = MultiPoly._union_vars(a, m)
     ((em, cm),) = m._embed(allvars).items()
-    return MultiPoly._make(
-        allvars, {tuple(map(add, e, em)): c * cm for e, c in a._embed(allvars).items()}
-    )
+    g, f, d = _scale_parts(a, cm, m.den)
+    nums = {tuple(map(add, e, em)): c // g * f for e, c in a._embed(allvars).items()}
+    return _pruned(allvars, nums, d)
+
+
+def _pruned(variables: tuple, nums: dict, den: int) -> MultiPoly:
+    """``_make`` without the gcd, for nonzero numerators already reduced."""
+    if variables and not all(map(any, zip(*nums))):
+        used = [i for i, col in enumerate(zip(*nums)) if any(col)]
+        variables = tuple(variables[i] for i in used)
+        nums = {tuple(e[i] for i in used): c for e, c in nums.items()}
+    return _new(variables, nums, den)
 
 
 def _packed_product(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -551,7 +657,7 @@ def _packed_product(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     monomial and no field can carry into the next.  Negative exponents need
     no shift before packing, because the map is injective on the box of
     product exponents; the box's low corner is subtracted when unpacking.
-    Coefficients are integer numerators over the lcm of each operand's
+    The numerators multiply as stored, over the product of the two
     denominators, so the inner loop does one int multiply and one int add.
     """
     allvars = MultiPoly._union_vars(a, b)
@@ -562,7 +668,7 @@ def _packed_product(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     for p in (a, b):
         pos = range(n) if p.vars == allvars else [allvars.index(v) for v in p.vars]
         positions.append(pos)
-        for i, col in zip(pos, zip(*p.terms)):
+        for i, col in zip(pos, zip(*p.nums)):
             lo = min(col)
             low[i] += lo
             width[i] += max(col) - lo
@@ -572,12 +678,9 @@ def _packed_product(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         radix.append(r)
         r *= w
     packed = []
-    den = 1
     for p, pos in zip((a, b), positions):
         rad = [radix[i] for i in pos]
-        d, nums = _numerators(p.terms.values())
-        den *= d
-        packed.append([(sum(map(mul, e, rad)), c) for e, c in zip(p.terms, nums)])
+        packed.append([(sum(map(mul, e, rad)), c) for e, c in p.nums.items()])
     pa, pb = packed
     out: dict = {}
     get = out.get
@@ -587,12 +690,10 @@ def _packed_product(a: MultiPoly, b: MultiPoly) -> MultiPoly:
             out[k] = get(k, 0) + ca * cb
     base = sum(map(mul, low, radix))
     fields = list(zip(radix, width, low))
-    terms = {
-        tuple([(k - base) // r % w + lo for r, w, lo in fields]): Fraction(v, den)
-        for k, v in out.items()
-        if v
+    nums = {
+        tuple([(k - base) // r % w + lo for r, w, lo in fields]): v for k, v in out.items() if v
     }
-    return MultiPoly._make(allvars, terms)
+    return MultiPoly._make(allvars, nums, a.den * b.den)
 
 
 ZERO = MultiPoly.zero()

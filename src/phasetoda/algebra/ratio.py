@@ -39,7 +39,7 @@ def reduce_pair(num: MultiPoly, den: MultiPoly) -> tuple:
 
 def exponent_spans(p: MultiPoly) -> dict:
     """Exponent span (max - min) of every variable of p."""
-    return {v: max(col) - min(col) for v, col in zip(p.vars, zip(*p.terms))}
+    return {v: max(col) - min(col) for v, col in zip(p.vars, zip(*p.nums))}
 
 
 def wider_than(f: MultiPoly, spans: dict) -> bool:
@@ -78,7 +78,7 @@ class RatioPoly:
             return
         kept = []
         spans = None
-        for f in sorted(self.factors, key=lambda f: len(f.terms)):
+        for f in sorted(self.factors, key=len):
             if f.is_constant():
                 self.num = self.num.divide_exact(f)
                 continue

@@ -40,7 +40,7 @@ class StateVector:
         coefficients (a cancelled sum, a scaling by 0) are dropped."""
         out = object.__new__(StateVector)
         out.m = self.m
-        out.terms = {occ: c for occ, c in terms.items() if c.terms}
+        out.terms = {occ: c for occ, c in terms.items() if c.nums}
         out.dual = self.dual
         return out
 

@@ -70,7 +70,9 @@ from .toda import (
     check_wave_inverses,
     check_zakharov_shabat,
     h20_expected_coefficients,
+    linear_difference,
     power_sum_append_zeros_check,
+    prop1_sides,
     restrict_tau,
     schur_pair_sum,
     shifted_tau,
@@ -337,41 +339,57 @@ def _bilinear_residues(ctx: TauContext, size: int, rng: random.Random) -> dict:
 def _tau_expansion(seed: int) -> Iterator[dict]:
     for size in range(1, BOUNDS["schur_expand_size"] + 1):
         ctx = TauContext.generic(0, size, seed=seed + size)
-        ok = all(tau(ctx, s) == tau_schur_expand(ctx, s) for s in range(0, size + 1))
-        yield _item("tau-character-expansion", {"size": size}, ok)
+        witness = None
+        for s in range(0, size + 1):
+            got, want = tau(ctx, s), tau_schur_expand(ctx, s)
+            if got != want:
+                witness = f"s={s}: tau={_clip(got.to_str())} schur expansion={_clip(want.to_str())}"
+                break
+        yield _item("tau-character-expansion", {"size": size}, witness is None, witness)
+
+
+def _shifted_tau_miss(ctx: TauContext, s: int, which: str, bounded: bool) -> str | None:
+    """Witness for the first lam^k coefficient of a shifted tau that is not
+    its wave numerator, else None; ``bounded`` also refuses a lam degree
+    beyond the last wave numerator."""
+    st = shifted_tau(ctx, s, which)
+    want = h20_expected_coefficients(ctx, s, which)
+    top = st.degree_in("lam")
+    for k in range(max(len(want), top + 1 if bounded else 0)):
+        got = st.coeff_of("lam", k)
+        expected = want[k] if k < len(want) else MultiPoly.zero()
+        if got != expected:
+            return (
+                f"s={s} which={which} k={k}: coefficient={_clip(got.to_str())} "
+                f"wave numerator={_clip(expected.to_str())}"
+            )
+    return None
 
 
 def _prop1(seed: int) -> Iterator[dict]:
     for size in range(2, BOUNDS["prop1_size"] + 1):
         ctx = TauContext.generic(0, size, seed=seed + size)
-        ok = True
+        witness = None
         for s in range(1, size):
             for kind in WAVE_KINDS:
                 kmax = s if kind in ("w_inf", "w_star_zero") else size - s - 1
                 for k in range(0, kmax + 1):
-                    if not verify_prop1(ctx, s, k, kind):
-                        ok = False
-        yield _item("wave-derivative-identities", {"size": size}, ok)
+                    if not verify_prop1(ctx, s, k, kind) and witness is None:
+                        lhs, rhs = prop1_sides(ctx, s, kind, k)
+                        witness = (
+                            f"s={s} kind={kind} k={k}: wave numerator={_clip(lhs.to_str())} "
+                            f"tau derivative={_clip(rhs.to_str())}"
+                        )
+        yield _item("wave-derivative-identities", {"size": size}, witness is None, witness)
 
-        ok = True
+        witness = None
         for s in range(0, size + 1):
-            for which in ("x_minus", "y_plus"):
-                if s > size - 1:
+            for which, bounded in (("x_minus", True), ("y_plus", True),
+                                   ("x_plus", False), ("y_minus", False)):
+                if (s > size - 1) if bounded else (s < 1):
                     continue
-                st = shifted_tau(ctx, s, which)
-                want = h20_expected_coefficients(ctx, s, which)
-                if [st.coeff_of("lam", k) for k in range(len(want))] != want:
-                    ok = False
-                if st.degree_in("lam") > len(want) - 1:
-                    ok = False
-            for which in ("x_plus", "y_minus"):
-                if s < 1:
-                    continue
-                st = shifted_tau(ctx, s, which)
-                want = h20_expected_coefficients(ctx, s, which)
-                if [st.coeff_of("lam", k) for k in range(len(want))] != want:
-                    ok = False
-        yield _item("shifted-tau-weighted-sums", {"size": size}, ok)
+                witness = witness or _shifted_tau_miss(ctx, s, which, bounded)
+        yield _item("shifted-tau-weighted-sums", {"size": size}, witness is None, witness)
 
 
 def _bilinear(seed: int) -> Iterator[dict]:
@@ -379,25 +397,40 @@ def _bilinear(seed: int) -> Iterator[dict]:
     yield _bilinear_residues(TauContext.generic(0, size, seed=seed), size, random.Random(seed))
 
 
+def _linear_item(identity: str, parameters: dict, ok: bool, ctx: TauContext, *args) -> dict:
+    """One matrix identity's item; a failure is recomputed for the first
+    differing (i, j)."""
+    witness = None
+    miss = None if ok else linear_difference(identity, ctx, *args)
+    if miss is not None:
+        label, i, j, lhs, rhs = miss
+        witness = f"{label} (i, j)=({i}, {j}): lhs={_clip(str(lhs))} rhs={_clip(str(rhs))}"
+    return _item(identity, parameters, ok, witness)
+
+
 def _linear(seed: int) -> Iterator[dict]:
     size = BOUNDS["linear_size"]
     ctx = TauContext.generic(0, size, seed=seed + 1)
-    yield _item("wave-inverse-identities", {"size": size}, check_wave_inverses(ctx))
-    yield _item("initial-value-relation", {"size": size}, check_initial_value_relation(ctx))
+    yield _linear_item("wave-inverse-identities", {"size": size}, check_wave_inverses(ctx), ctx)
+    yield _linear_item(
+        "initial-value-relation", {"size": size}, check_initial_value_relation(ctx), ctx
+    )
     for j in range(1, min(BOUNDS["linear_flows"], size - 1) + 1):
         for flow in ("x", "y"):
             for kind in ("w_inf", "w_zero"):
-                yield _item(
+                yield _linear_item(
                     "linear-flow-equation",
                     {"size": size, "j": j, "flow": flow, "wave": kind},
                     check_linear_flow(ctx, j, flow, kind),
+                    ctx, j, flow, kind,
                 )
     for j in range(1, min(BOUNDS["linear_flows"], size - 1) + 1):
         for k in range(1, min(BOUNDS["linear_flows"], size - 1) + 1):
-            yield _item(
+            yield _linear_item(
                 "zakharov-shabat-identities",
                 {"size": size, "j": j, "k": k},
                 check_zakharov_shabat(ctx, j, k),
+                ctx, j, k,
             )
 
 

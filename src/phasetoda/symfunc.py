@@ -102,8 +102,8 @@ def zeta_diff_apply(
     slots = [MultiPoly.var(f"_t{j}") for j in range(1, k + 1)]
     zk = zeta_all(k, slots)[k]
     result = MultiPoly.zero()
-    for exps, coeff in zk.terms.items():
-        factor = Fraction(coeff)
+    for exps, num in zk.nums.items():
+        factor = Fraction(num, zk.den)
         term = p
         for name, e in zip(zk.vars, exps):
             j = int(name[2:])

@@ -97,47 +97,85 @@ def flow_generators(ctx: TauContext, kmax: int) -> tuple:
     return bs, cs
 
 
-def check_initial_value_relation(ctx: TauContext) -> bool:
-    """W0 == Winf * A with the constant matrix in the middle."""
+def _first_difference(pairs) -> tuple | None:
+    """(label, i, j, lhs entry, rhs entry) at the first entry where a pair
+    (label, lhs, rhs) of matrices differs, or None; an rhs of None stands for
+    the zero matrix.  ``pairs`` is lazy, so the pairs after the first
+    difference are never built."""
+    for label, lhs, rhs in pairs:
+        for i in range(lhs.rows):
+            for j in range(lhs.cols):
+                a = lhs[i, j]
+                if (not a.is_zero()) if rhs is None else a != rhs[i, j]:
+                    return label, i, j, a, MultiPoly.zero() if rhs is None else rhs[i, j]
+    return None
+
+
+def _initial_value_pairs(ctx: TauContext):
     winf = full_wave_matrix(ctx, "w_inf")
-    wzero = full_wave_matrix(ctx, "w_zero")
-    return wzero == winf @ ctx.a
+    yield "W0 = Winf A", full_wave_matrix(ctx, "w_zero"), winf @ ctx.a
 
 
-def check_wave_inverses(ctx: TauContext) -> bool:
+def _wave_inverse_pairs(ctx: TauContext):
     for kind in ("w_inf", "w_zero"):
         prod = hat_wave_matrix(ctx, kind) @ hat_wave_inverse(ctx, kind)
-        if prod != RingMatrix.identity(ctx.n - ctx.m):
-            return False
-    return True
+        yield f"{kind} times inverse = 1", prod, RingMatrix.identity(ctx.n - ctx.m)
 
 
-def check_linear_flow(ctx: TauContext, j: int, flow: str, kind: str) -> bool:
-    """d/dt_j W == (flow generator_j) W, exactly."""
+def _linear_flow_pairs(ctx: TauContext, j: int, flow: str, kind: str):
     if flow not in ("x", "y"):
         raise ValueError(flow)
     bs, cs = flow_generators(ctx, j)
     gen = bs[j] if flow == "x" else cs[j]
     w = full_wave_matrix(ctx, kind)
-    lhs = w.diff(f"{flow}{j}")
-    rhs = gen @ w
-    return lhs == rhs
+    yield f"d/d{flow}{j} {kind} = generator {kind}", w.diff(f"{flow}{j}"), gen @ w
+
+
+def _zakharov_shabat_pairs(ctx: TauContext, j: int, k: int):
+    """The three compatibility identities at orders (j, k), each against 0."""
+    bs, cs = flow_generators(ctx, max(j, k))
+    xj, xk = f"x{j}", f"x{k}"
+    yj, yk = f"y{j}", f"y{k}"
+    yield f"dB{k}/d{xj} - dB{j}/d{xk} + [B{k}, B{j}] = 0", (
+        bs[k].diff(xj) - bs[j].diff(xk) + bs[k].commutator(bs[j])), None
+    yield f"dC{k}/d{yj} - dC{j}/d{yk} + [C{k}, C{j}] = 0", (
+        cs[k].diff(yj) - cs[j].diff(yk) + cs[k].commutator(cs[j])), None
+    yield f"dB{k}/d{yj} - dC{j}/d{xk} + [B{k}, C{j}] = 0", (
+        bs[k].diff(yj) - cs[j].diff(xk) + bs[k].commutator(cs[j])), None
+
+
+_PAIRS = {
+    "initial-value-relation": _initial_value_pairs,
+    "wave-inverse-identities": _wave_inverse_pairs,
+    "linear-flow-equation": _linear_flow_pairs,
+    "zakharov-shabat-identities": _zakharov_shabat_pairs,
+}
+
+
+def linear_difference(identity: str, ctx: TauContext, *args) -> tuple | None:
+    """Where one of the four matrix identities fails: (label, i, j, lhs
+    entry, rhs entry) at its first differing entry, or None when it holds.
+    ``args`` are those of the identity's check after ``ctx``."""
+    return _first_difference(_PAIRS[identity](ctx, *args))
+
+
+def check_initial_value_relation(ctx: TauContext) -> bool:
+    """W0 == Winf * A with the constant matrix in the middle."""
+    return linear_difference("initial-value-relation", ctx) is None
+
+
+def check_wave_inverses(ctx: TauContext) -> bool:
+    return linear_difference("wave-inverse-identities", ctx) is None
+
+
+def check_linear_flow(ctx: TauContext, j: int, flow: str, kind: str) -> bool:
+    """d/dt_j W == (flow generator_j) W, exactly."""
+    return linear_difference("linear-flow-equation", ctx, j, flow, kind) is None
 
 
 def check_zakharov_shabat(ctx: TauContext, j: int, k: int) -> bool:
     """The three compatibility identities at orders (j, k)."""
-    kmax = max(j, k)
-    bs, cs = flow_generators(ctx, kmax)
-    xj, xk = f"x{j}", f"x{k}"
-    yj, yk = f"y{j}", f"y{k}"
-    one = bs[k].diff(xj) - bs[j].diff(xk) + bs[k].commutator(bs[j])
-    if not one.is_zero():
-        return False
-    two = cs[k].diff(yj) - cs[j].diff(yk) + cs[k].commutator(cs[j])
-    if not two.is_zero():
-        return False
-    three = bs[k].diff(yj) - cs[j].diff(xk) + bs[k].commutator(cs[j])
-    return three.is_zero()
+    return linear_difference("zakharov-shabat-identities", ctx, j, k) is None
 
 
 def verify_linear_problem(ctx: TauContext, j: int, flow: str, kind: str) -> bool:

@@ -6,13 +6,16 @@ ring operations, and every result must equal its re-canonicalised form.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from phasetoda.algebra import MultiPoly, RingMatrix, det_cofactor, det_exact, grevlex_key
+from phasetoda.algebra import (
+    MultiPoly, RingMatrix, det_cofactor, det_exact, grevlex_key, var_key,
+)
 from phasetoda.algebra.ratio import exponent_spans, wider_than
-from phasetoda.errors import NotDivisible
+from phasetoda.errors import NegativeExponent, NotDivisible
 
 sympy = pytest.importorskip("sympy")
 
@@ -68,8 +71,16 @@ def from_sympy(expr) -> MultiPoly:
 
 
 def canonical(r: MultiPoly) -> MultiPoly:
-    """Assert r is in canonical form, return it."""
+    """Assert r is in canonical form, return it: integer numerators over a
+    positive denominator sharing no factor with all of them, no zero
+    numerator, no unused variable, and the same value rebuilt from terms."""
+    assert type(r.den) is int and r.den > 0
+    assert all(type(c) is int and c != 0 for c in r.nums.values())
+    assert gcd(r.den, *r.nums.values()) == 1
+    assert r.vars == tuple(sorted(r.vars, key=var_key))
+    assert all(any(col) for col in zip(*r.nums)) and (r.nums or not r.vars)
     again = MultiPoly(r.vars, r.terms)
+    assert again == r and hash(again) == hash(r)
     assert r.vars == again.vars and r.terms == again.terms
     assert all(type(c) is Fraction and c != 0 for c in r.terms.values())
     assert all(len(e) == len(r.vars) for e in r.terms)
@@ -86,6 +97,29 @@ def test_ring_operations_match_sympy(p, q):
     assert canonical(-p) == from_sympy(-P)
     assert canonical(p * 3) == canonical(Fraction(3) * p) == from_sympy(3 * P)
     assert canonical(p + Fraction(1, 2)) == from_sympy(P + sympy.Rational(1, 2))
+
+
+@settings(max_examples=120, deadline=None)
+@given(polys(), polys(), st.sampled_from(NAMES), st.integers(-2, 2), coeffs, st.integers(0, 3))
+def test_every_operation_returns_canonical_form(p, q, name, power, value, k):
+    # each operation on its own, checked by canonical(); no sympy involved
+    for r in (p + q, p - q, q - p, p * q, p * value, p ** k, -p, p.coeff_of(name, power)):
+        canonical(r)
+    if value:
+        canonical(p.subs({name: value}))
+        canonical(p.subs({name: value * MultiPoly.var("v1", power)}))
+    try:
+        canonical(p.diff(name))
+    except NegativeExponent:
+        assert any(e[p.vars.index(name)] < 0 for e in p.terms)
+    if not q.is_zero():
+        quot = canonical((p * q).divide_exact(q))
+        # equal values reached by different routes: equal and equally hashed
+        assert quot == p and hash(quot) == hash(p)
+        diff = canonical((p + q) - q)
+        assert diff == p and hash(diff) == hash(p)
+        scaled = canonical((p * q * value).divide_exact(q * value)) if value else p
+        assert scaled == p and hash(scaled) == hash(p)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phasetoda.algebra import MultiPoly
+from phasetoda.algebra import MultiPoly, RingMatrix, as_poly
 from phasetoda.errors import DivisionByZero, NegativeExponent, NotDivisible
 
 x = MultiPoly.var("x")
@@ -163,3 +163,59 @@ def test_eval_is_ring_homomorphism(p, q):
 
     assert at(p * q) == at(p) * at(q)
     assert at(p + q) == at(p) + at(q)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MultiPoly(("x",), {(1,): 0.1}),
+        lambda: MultiPoly.const(0.1),
+        lambda: MultiPoly.monomial(0.5, {"x": 1}),
+        lambda: as_poly(0.1),
+        lambda: as_poly(None),
+        lambda: RingMatrix.from_rows([[0.1]]),
+        lambda: x.subs({"x": 0.5}),
+        lambda: x * 0.5,
+        lambda: x + 0.5,
+    ],
+    ids=["init", "const", "monomial", "as_poly", "as_poly-none", "from_rows", "subs", "mul", "add"],
+)
+def test_floats_are_refused(build):
+    # a float would be stored as its binary expansion, 0.1 as 3602879701896397/2^55
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_exact_scalars_are_accepted():
+    assert as_poly(Fraction(1, 10)) == MultiPoly.const(Fraction(1, 10)) == MultiPoly(
+        (), {(): Fraction(1, 10)}
+    )
+    assert as_poly(True) == MultiPoly.const(1) and as_poly(True).to_str() == "1"
+    assert as_poly("x") == x and as_poly(x) is x
+
+
+def test_kernel_builds_no_fraction(monkeypatch):
+    p = Fraction(2, 3) * x ** 2 * y - Fraction(1, 4) * MultiPoly.var("y", -1) + 5
+    q = x * y + Fraction(3, 7) * x - 2
+    m = Fraction(-2, 5) * x * y
+    built = []
+    make = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return make(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    prod = p * q
+    results = [
+        prod, p + q, p - q, 3 - p, -p, p * 3, p ** 3, prod.divide_exact(q),
+        prod.divide_exact(MultiPoly.const(-6)), (x * q).diff("x"), p.coeff_of("y", 1),
+        p.subs({"x": 2, "y": x}), m.monomial_inverse(),
+    ]
+    # the length, keys and membership of the Fraction view read numerators only
+    assert [len(r.terms) for r in results] == [len(r.nums) for r in results]
+    assert [list(r.terms) for r in results] == [list(r.nums) for r in results]
+    assert all(e in r.terms for r in results for e in r.nums)
+    assert not built
+    assert prod.terms[(3, 2)] == Fraction(2, 3)
+    assert built

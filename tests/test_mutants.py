@@ -1,18 +1,21 @@
 """Mutant gate: each planted fault must make the checks fail, with witnesses.
 
-Every row of ``FAULTS`` replaces one function with a wrong copy in every
-module that holds it.  Under each fault, every family of its row must yield
-at least one failed item of its own identities that carries a witness, and
-``run_family`` must return rather than raise.  ``BOUNDS`` is shrunk for
-speed; the same small bounds pass without the fault.
+Every row of ``FAULTS`` replaces one function with a wrong copy: a Schur
+layer function in every module that holds it, a kernel routine of the
+polynomial module where it is looked up.  Under each fault, every family of
+its row must yield at least one failed item of its own identities that
+carries a witness, and ``run_family`` must return rather than raise.
+``BOUNDS`` is shrunk for speed; the same small bounds pass without the fault.
 """
 
+import inspect
 import sys
+import textwrap
 
 import pytest
 
-from phasetoda import suites, symfunc
-from phasetoda.algebra import MultiPoly, RingMatrix, det_exact
+from phasetoda import suites, symfunc, toda
+from phasetoda.algebra import MultiPoly, RingMatrix, det_exact, multipoly
 from phasetoda.combinatorics import Partition, SkewShape
 
 # M = 2 puts (2, 1) in the box: a flipped Jacobi-Trudi offset still gives
@@ -20,8 +23,10 @@ from phasetoda.combinatorics import Partition, SkewShape
 SMALL = dict(
     scalar_symbolic_n=2, scalar_symbolic_m=2, scalar_numeric_n=(2,), scalar_numeric_m=1,
     scalar_numeric_points=2, combi_n=2, combi_m=1,
+    schur_expand_size=3, prop1_size=3, bilinear_size=3, bilinear_tuples=4, linear_flows=1,
 )
-FAMILIES = ("scalar-equivalence", "triple-agreement")
+SCHUR_FAMILIES = ("scalar-equivalence", "triple-agreement")
+KERNEL_FAMILIES = ("tau-expansion", "prop1", "bilinear")
 
 
 def jacobi_trudi_offset_flipped(shape, h):
@@ -42,21 +47,66 @@ def h_row_without_last_letter(kmax, gens):
     return RIGHT["h_row"](kmax, list(gens)[:-1])
 
 
-RIGHT = {"h_row": symfunc.h_row, "jacobi_trudi": symfunc.jacobi_trudi}
+def edited(owner, name, old, new):
+    """A copy of ``owner.name`` compiled from its own source in a copy of its
+    module's namespace, with the one occurrence of ``old`` replaced."""
+    fn = getattr(owner, name)
+    module = sys.modules[fn.__module__]
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[name]
+
+
+# every field of the packed product one slot narrower, so the top exponent
+# of a variable carries into the next field (a width-1 field holds a single
+# exponent and cannot carry, so it stays 1)
+packed_product_narrow_fields = edited(
+    multipoly, "_packed_product",
+    "    radix = []\n",
+    "    width = [max(w - 1, 1) for w in width]\n    radix = []\n",
+)
+# results keep numerators and denominator with a common factor, 2/2 for 1
+make_without_gcd = edited(MultiPoly, "_make", "if den != 1:", "if False:")
+# the raising Toeplitz band one step off: zeta_{j-i+1} for zeta_{j-i}
+shift_exp_band_off_by_one = edited(toda, "shift_exp", "z(j - i) if", "z(j - i + 1) if")
+
+RIGHT = {"h_row": symfunc.h_row, "jacobi_trudi": symfunc.jacobi_trudi, "shift_exp": toda.shift_exp}
+
+
+def plant_everywhere(name, fake):
+    def plant(monkeypatch):
+        """Replace the function in every phasetoda module that imported it."""
+        planted = 0
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("phasetoda") and getattr(module, name, None) is RIGHT[name]:
+                monkeypatch.setattr(module, name, fake)
+                planted += 1
+        assert planted
+    return plant
+
+
+def plant_on(owner, name, fake):
+    def plant(monkeypatch):
+        assert name in vars(owner)
+        monkeypatch.setattr(owner, name, fake)
+    return plant
+
+
 FAULTS = {
-    "jacobi-trudi-offset": ("jacobi_trudi", jacobi_trudi_offset_flipped),
-    "h-row-drops-last-letter": ("h_row", h_row_without_last_letter),
+    "jacobi-trudi-offset":
+        (plant_everywhere("jacobi_trudi", jacobi_trudi_offset_flipped), SCHUR_FAMILIES),
+    "h-row-drops-last-letter":
+        (plant_everywhere("h_row", h_row_without_last_letter), SCHUR_FAMILIES),
+    "packed-product-narrow-fields":
+        (plant_on(multipoly, "_packed_product", packed_product_narrow_fields), KERNEL_FAMILIES),
+    "make-skips-gcd": (plant_on(MultiPoly, "_make", make_without_gcd), KERNEL_FAMILIES),
+    # the matrix identities of the linear problem name their first differing (i, j)
+    "shift-exp-band-off-by-one":
+        (plant_everywhere("shift_exp", shift_exp_band_off_by_one), ("linear",)),
 }
-
-
-def plant(monkeypatch, name, fake):
-    """Replace the function in every phasetoda module that imported it."""
-    planted = 0
-    for modname, module in list(sys.modules.items()):
-        if modname.startswith("phasetoda") and getattr(module, name, None) is RIGHT[name]:
-            monkeypatch.setattr(module, name, fake)
-            planted += 1
-    assert planted
+CASES = [(fault, family) for fault in sorted(FAULTS) for family in FAULTS[fault][1]]
 
 
 @pytest.fixture
@@ -65,20 +115,21 @@ def small_bounds(monkeypatch):
         monkeypatch.setitem(suites.BOUNDS, key, value)
 
 
-@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("family", SCHUR_FAMILIES + KERNEL_FAMILIES + ("linear",))
 def test_small_bounds_pass_without_a_fault(small_bounds, family):
     items = suites.run_family(family, 7)
     assert items and all(it["pass"] for it in items)
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("fault, family", CASES, ids=[f"{f}-{g}" for f, g in CASES])
 def test_fault_fails_family_with_witness(small_bounds, monkeypatch, fault, family):
-    name, fake = FAULTS[fault]
-    plant(monkeypatch, name, fake)
+    plant, _ = FAULTS[fault]
+    plant(monkeypatch)
     items = suites.run_family(family, 7)
     own = suites.FAMILIES[family].identities
     caught = [it for it in items if not it["pass"] and it["identity"] in own]
     assert caught, (fault, family)
+    if family == "linear":
+        assert all("(i, j)=" in it["witness"] for it in caught)
     for it in items:
         assert it["pass"] or it.get("witness"), it
