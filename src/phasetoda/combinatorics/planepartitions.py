@@ -1,22 +1,30 @@
 """Boxed plane partitions, their diagonal halves, and the tableau bijections.
 
 An N x N array with entries in [0, M], weakly decreasing along rows and
-columns, is a plane partition in the N x N x M box.  Reading the k-th
-diagonal above (below) the main one as a partition slices the array into an
-upper and a lower half; each half with fixed main diagonal lambda bijects
-with a semi-standard tableau of shape lambda (descending convention for the
-upper half, ascending for the lower).
+columns, is a plane partition in the N x N x M box.  Cutting it along the
+main diagonal gives an upper and a lower half, diagonal included.  A half
+is stored as its interlacing diagonals: diagonal k holds the N-k entries k
+steps off the main one, read from the top, and each diagonal interlaces the
+one before it (a Gelfand-Tsetlin pattern).  A half with main diagonal
+lambda bijects with a semi-standard tableau of shape lambda whose letter k
+fills the strip between diagonals k-1 and k (descending convention for the
+upper half, ascending with letter N+1-k for the lower).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from ..errors import ShapeViolation
 from .partitions import Partition, SkewShape
 from .tableaux import Tableau
+
+
+def _diagonals(array, n: int) -> tuple:
+    """The diagonals on and above the main one: array[i][i + k], k = 0..n-1."""
+    return tuple(tuple(array[i][i + k] for i in range(n - k)) for k in range(n))
 
 
 @dataclass(frozen=True)
@@ -43,88 +51,66 @@ class PlanePartitionBox:
         return Partition(tuple(self.array[i][i] for i in range(self.n)))
 
     def upper_half(self) -> "HalfPlanePartition":
-        rows = tuple(tuple(self.array[i][i:]) for i in range(self.n))
-        return HalfPlanePartition(self.n, self.m, "upper", rows)
+        return HalfPlanePartition(self.n, self.m, "upper", _diagonals(self.array, self.n))
 
     def lower_half(self) -> "HalfPlanePartition":
-        rows = tuple(tuple(self.array[i][: i + 1]) for i in range(self.n))
-        return HalfPlanePartition(self.n, self.m, "lower", rows)
+        transposed = tuple(zip(*self.array))
+        return HalfPlanePartition(self.n, self.m, "lower", _diagonals(transposed, self.n))
 
 
 @dataclass(frozen=True)
 class HalfPlanePartition:
     """One diagonal half of a boxed plane partition, diagonal included.
 
-    For the upper half, rows[i] = (pi_{i+1,i+1}, .., pi_{i+1,N}); for the
-    lower half, rows[i] = (pi_{i+1,1}, .., pi_{i+1,i+1}).
+    diagonals[k] = (pi_{1,1+k}, .., pi_{N-k,N}) for the upper half and
+    (pi_{1+k,1}, .., pi_{N,N-k}) for the lower half.  ``side`` only picks
+    the tableau convention and which half ``combine_halves`` takes it as.
     """
 
     n: int
     m: int
     side: str
-    rows: tuple
+    diagonals: tuple
 
     def __post_init__(self):
         if self.side not in ("upper", "lower"):
             raise ValueError(self.side)
-        if len(self.rows) != self.n:
-            raise ShapeViolation("wrong number of rows")
-        for i, row in enumerate(self.rows):
-            want = self.n - i if self.side == "upper" else i + 1
-            if len(row) != want:
-                raise ShapeViolation("ragged half")
-            if any(not (0 <= v <= self.m) for v in row):
-                raise ShapeViolation("entry outside box")
-        for i in range(1, self.n + 1):
-            for j in self._cols(i):
-                v = self.entry(i, j)
-                if j + 1 <= self.n and self._in_half(i, j + 1) and v < self.entry(i, j + 1):
-                    raise ShapeViolation("rows must weakly decrease")
-                if i + 1 <= self.n and self._in_half(i + 1, j) and v < self.entry(i + 1, j):
-                    raise ShapeViolation("columns must weakly decrease")
-
-    def _in_half(self, i, j):
-        return j >= i if self.side == "upper" else j <= i
-
-    def _cols(self, i):
-        return range(i, self.n + 1) if self.side == "upper" else range(1, i + 1)
+        if len(self.diagonals) != self.n or any(
+            len(d) != self.n - k for k, d in enumerate(self.diagonals)
+        ):
+            raise ShapeViolation("ragged half")
+        if any(not (0 <= v <= self.m) for d in self.diagonals for v in d):
+            raise ShapeViolation("entry outside box")
+        # interlacing is row and column monotonicity on either side
+        for prev, cur in zip(self.diagonals, self.diagonals[1:]):
+            if any(not (prev[i + 1] <= v <= prev[i]) for i, v in enumerate(cur)):
+                raise ShapeViolation("diagonals must interlace")
 
     def entry(self, i: int, j: int) -> int:
-        if self.side == "upper":
-            return self.rows[i - 1][j - i]
-        return self.rows[i - 1][j - 1]
+        return self.diagonals[abs(j - i)][min(i, j) - 1]
 
     def diagonal(self) -> Partition:
-        return Partition(tuple(self.entry(i, i) for i in range(1, self.n + 1)))
+        return self.diagonal_partition(0)
 
     def diagonal_sums(self) -> list:
         """Sums over the k-th diagonal of this half, k = 0..N-1."""
-        out = []
-        for k in range(self.n):
-            if self.side == "upper":
-                out.append(sum(self.entry(i, i + k) for i in range(1, self.n - k + 1)))
-            else:
-                out.append(sum(self.entry(i + k, i) for i in range(1, self.n - k + 1)))
-        return out
+        return [sum(d) for d in self.diagonals]
 
     def diagonal_partition(self, k: int) -> Partition:
-        """The k-th off-diagonal of the half, as a partition."""
-        if self.side == "upper":
-            vals = [self.entry(i, i + k) for i in range(1, self.n - k + 1)]
-        else:
-            vals = [self.entry(i + k, i) for i in range(1, self.n - k + 1)]
-        return Partition(vals)
+        """The k-th off-diagonal of the half, as a partition (empty for k >= N)."""
+        return Partition(self.diagonals[k] if k < self.n else ())
 
 
 def macmahon_count(n: int, m: int) -> int:
-    """Number of plane partitions in the n x n x m box (exact product)."""
-    total = Fraction(1)
+    """Number of plane partitions in the n x n x m box: MacMahon's product
+    over the base cells (i, j) of (i + j + m - 1) / (i + j - 1)."""
+    num = den = 1
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            for k in range(1, m + 1):
-                total *= Fraction(i + j + k - 1, i + j + k - 2)
-    assert total.denominator == 1
-    return total.numerator
+            num *= i + j + m - 1
+            den *= i + j - 1
+    assert num % den == 0
+    return num // den
 
 
 def enumerate_plane_partitions(n: int, m: int) -> Iterator[PlanePartitionBox]:
@@ -156,44 +142,21 @@ def enumerate_plane_partitions(n: int, m: int) -> Iterator[PlanePartitionBox]:
 
 
 def _enumerate_half(lam: Partition, n: int, m: int, side: str) -> Iterator[HalfPlanePartition]:
+    """Halves with main diagonal lam: each diagonal ranges over the entries
+    that interlace the one before it, largest entries first."""
     if not lam.fits_in_box(n, m):
         raise ShapeViolation(f"{lam} outside ({m})^{n}")
-    diag = lam.padded(n)
-    # fill off-diagonals k = 1..n-1; entry (i, i+k) for upper
-    cells = [(i, k) for k in range(1, n) for i in range(1, n - k + 1)]
-    values = {}
 
-    def get(i, k):
-        # value on diagonal k at row index i (1-based along the diagonal)
-        if k == 0:
-            return diag[i - 1]
-        return values[(i, k)]
-
-    def rec(pos):
-        if pos == len(cells):
-            if side == "upper":
-                rows = tuple(
-                    tuple(get(i, j - i) for j in range(i, n + 1)) for i in range(1, n + 1)
-                )
-            else:
-                rows = tuple(
-                    tuple(get(j, i - j) for j in range(1, i + 1)) for i in range(1, n + 1)
-                )
-            yield HalfPlanePartition(n, m, side, rows)
+    def grow(diagonals):
+        if len(diagonals) >= n:
+            yield HalfPlanePartition(n, m, side, diagonals[:n])
             return
-        i, k = cells[pos]
-        # constraints against the previous diagonal (k-1) and within this one
-        hi = min(get(i, k - 1), m)
-        lo = 0
-        if i + 1 <= n - (k - 1):
-            lo = get(i + 1, k - 1)
-        for v in range(hi, lo - 1, -1):
-            values[(i, k)] = v
-            yield from rec(pos + 1)
-        values.pop((i, k), None)
-        return
+        prev = diagonals[-1]
+        ranges = [range(prev[i], prev[i + 1] - 1, -1) for i in range(len(prev) - 1)]
+        for cur in itertools.product(*ranges):
+            yield from grow(diagonals + (cur,))
 
-    yield from rec(0)
+    yield from grow((lam.padded(n),))
 
 
 def upper_diagonal(lam: Partition, n: int, m: int) -> Iterator[HalfPlanePartition]:
@@ -215,9 +178,7 @@ def combine_halves(upper: HalfPlanePartition, lower: HalfPlanePartition) -> Plan
         raise ShapeViolation("diagonals differ")
     n = upper.n
     arr = tuple(
-        tuple(
-            upper.entry(i, j) if j >= i else lower.entry(i, j) for j in range(1, n + 1)
-        )
+        tuple((upper if j >= i else lower).entry(i, j) for j in range(1, n + 1))
         for i in range(1, n + 1)
     )
     return PlanePartitionBox(n, upper.m, arr)
@@ -232,11 +193,7 @@ def constant_half(lam: Partition, n: int, m: int, side: str) -> HalfPlanePartiti
     if not lam.fits_in_box(n, m):
         raise ShapeViolation(f"{lam} outside ({m})^{n}")
     diag = lam.padded(n)
-    if side == "upper":
-        rows = tuple(tuple(diag[i - 1] for _ in range(i, n + 1)) for i in range(1, n + 1))
-    else:
-        rows = tuple(tuple(diag[j - 1] for j in range(1, i + 1)) for i in range(1, n + 1))
-    return HalfPlanePartition(n, m, side, rows)
+    return HalfPlanePartition(n, m, side, tuple(diag[: n - k] for k in range(n)))
 
 
 # -- tableau bijections ----------------------------------------------------
@@ -245,54 +202,39 @@ def constant_half(lam: Partition, n: int, m: int, side: str) -> HalfPlanePartiti
 def pp_half_to_tableau(half: HalfPlanePartition) -> Tableau:
     """Layer the half's diagonals into a tableau of shape = main diagonal.
 
-    Upper halves produce descending tableaux (letter k fills the skew strip
-    between diagonals k-1 and k); lower halves produce ascending tableaux
-    (letter N+1-k fills that strip).
+    Layer k, the strip between diagonals k-1 and k, holds letter k in the
+    descending tableau of an upper half and letter N+1-k in the ascending
+    tableau of a lower half; a row reads its layers from N down to 1.
     """
     n = half.n
     lam = half.diagonal()
-    deltas = [half.diagonal_partition(k) for k in range(n)] + [Partition(())]
-    rows = []
-    for i in range(1, lam.length() + 1):
-        row = []
-        for j in range(1, lam.get(i) + 1):
-            k = next(k for k in range(1, n + 1) if deltas[k].get(i) < j)
-            letter = k if half.side == "upper" else n + 1 - k
-            row.append(letter)
-        rows.append(tuple(row))
-    convention = "descending" if half.side == "upper" else "ascending"
-    return Tableau(SkewShape(lam, Partition(())), tuple(rows), convention)
+    deltas = [half.diagonal_partition(k) for k in range(n + 1)]
+    upper = half.side == "upper"
+    rows = tuple(
+        tuple(
+            k if upper else n + 1 - k
+            for k in range(n, 0, -1)
+            for _ in range(deltas[k - 1].get(i) - deltas[k].get(i))
+        )
+        for i in range(1, lam.length() + 1)
+    )
+    convention = "descending" if upper else "ascending"
+    return Tableau(SkewShape(lam, Partition(())), rows, convention)
 
 
 def tableau_to_pp_half(tab: Tableau, n: int, m: int) -> HalfPlanePartition:
-    """Inverse of pp_half_to_tableau."""
+    """Inverse of pp_half_to_tableau: entry i of diagonal k counts the
+    cells of row i whose layer lies above k."""
     if tab.shape.inner.parts:
         raise ShapeViolation("only straight shapes correspond to halves")
     lam = tab.shape.outer
     if not lam.fits_in_box(n, m):
         raise ShapeViolation(f"{lam} outside ({m})^{n}")
     side = "upper" if tab.convention == "descending" else "lower"
-    # delta_k row i = number of cells in row i with layer index > k
-    deltas = []
-    for k in range(n):
-        vals = []
-        for i in range(1, n + 1):
-            if i <= lam.length():
-                row = tab.rows[i - 1]
-                if side == "upper":
-                    cnt = sum(1 for v in row if v > k)
-                else:
-                    cnt = sum(1 for v in row if n + 1 - v > k)
-            else:
-                cnt = 0
-            vals.append(cnt)
-        deltas.append(vals)
-    if side == "upper":
-        rows = tuple(
-            tuple(deltas[j - i][i - 1] for j in range(i, n + 1)) for i in range(1, n + 1)
-        )
-    else:
-        rows = tuple(
-            tuple(deltas[i - j][j - 1] for j in range(1, i + 1)) for i in range(1, n + 1)
-        )
-    return HalfPlanePartition(n, m, side, rows)
+    rows = tab.rows + ((),) * (n - len(tab.rows))
+    layers = [[v if side == "upper" else n + 1 - v for v in row] for row in rows]
+    diagonals = tuple(
+        tuple(sum(1 for layer in layers[i] if layer > k) for i in range(n - k))
+        for k in range(n)
+    )
+    return HalfPlanePartition(n, m, side, diagonals)

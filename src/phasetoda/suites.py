@@ -138,20 +138,42 @@ def _bijections(seed: int) -> Iterator[dict]:
 
     for n in range(1, nmax + 1):
         for m in range(0, mmax + 1):
-            round_trip = all(
-                pp_to_path(path_to_pp(cfg)) == cfg and path_to_pp(cfg).diagonal() == cfg.diagonal()
-                for cfg in enumerate_path_configs(n, m)
+            witness = _first_path_miss(n, m)
+            yield _item("path-pp-round-trip", {"N": n, "M": m}, witness is None, witness)
+            witness = _first_half_miss(n, m)
+            yield _item("half-tableau-round-trip", {"N": n, "M": m}, witness is None, witness)
+
+
+def _lists(rows) -> list:
+    return [list(r) for r in rows]
+
+
+def _first_path_miss(n: int, m: int) -> str | None:
+    """Witness for the first path configuration that does not come back from
+    its plane partition, or whose plane partition has another diagonal."""
+    for cfg in enumerate_path_configs(n, m):
+        pp = path_to_pp(cfg)
+        back = pp_to_path(pp)
+        if back != cfg or pp.diagonal() != cfg.diagonal():
+            return (
+                f"turns={_lists(cfg.turns)} diagonal={cfg.diagonal()} -> pp={_lists(pp.array)} "
+                f"diagonal={pp.diagonal()} -> turns={_lists(back.turns)}"
             )
-            yield _item("path-pp-round-trip", {"N": n, "M": m}, round_trip)
-            halves_ok = True
-            for lam in partitions_in_box(n, m):
-                for half in itertools.chain(
-                    upper_diagonal(lam, n, m), lower_diagonal(lam, n, m)
-                ):
-                    tab = pp_half_to_tableau(half)
-                    if tableau_to_pp_half(tab, n, m) != half:
-                        halves_ok = False
-            yield _item("half-tableau-round-trip", {"N": n, "M": m}, halves_ok)
+    return None
+
+
+def _first_half_miss(n: int, m: int) -> str | None:
+    """Witness for the first half that does not come back from its tableau."""
+    for lam in partitions_in_box(n, m):
+        for half in itertools.chain(upper_diagonal(lam, n, m), lower_diagonal(lam, n, m)):
+            tab = pp_half_to_tableau(half)
+            back = tableau_to_pp_half(tab, n, m)
+            if back != half:
+                return (
+                    f"{half.side} diagonals={_lists(half.diagonals)} -> {tab.convention} "
+                    f"tableau={_lists(tab.rows)} -> {back.side} diagonals={_lists(back.diagonals)}"
+                )
+    return None
 
 
 PICTURES = ("paths", "pp", "tableaux")

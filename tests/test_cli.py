@@ -9,7 +9,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phasetoda import cli
 from phasetoda.cli import main
+from phasetoda.combinatorics import macmahon_count
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -109,6 +111,29 @@ def test_matrix_file_validation(tmp_path):
          str(tmp_path / "o2.json")]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("obj, n, m", [("pp", 6, 6), ("pp", 5, 3), ("paths", 5, 3)])
+def test_enumerate_refuses_a_box_above_the_cap(obj, n, m, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("a refused box was enumerated")
+
+    monkeypatch.setattr(cli, "enumerate_plane_partitions", never)
+    monkeypatch.setattr(cli, "enumerate_path_configs", never)
+    assert macmahon_count(n, m) > cli.ENUMERATE_CAP
+    assert main(["enumerate", obj, "--N", str(n), "--M", str(m)]) == 2
+    captured = capsys.readouterr()
+    assert str(macmahon_count(n, m)) in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("obj", ["pp", "paths"])
+def test_enumerate_lists_the_largest_box_under_the_cap(obj, monkeypatch, tmp_path):
+    # N = 4, M = 4 is listed; the stub stands in for its 232,848 objects
+    monkeypatch.setattr(cli, "enumerate_plane_partitions", lambda n, m: iter(()))
+    monkeypatch.setattr(cli, "enumerate_path_configs", lambda n, m, occupation: iter(()))
+    assert macmahon_count(4, 4) <= cli.ENUMERATE_CAP
+    code, out = run_cli(["enumerate", obj, "--N", "4", "--M", "4"], tmp_path)
+    assert code == 0 and json.loads(out.read_text())["count"] == 0
 
 
 def test_entry_point_subprocess():

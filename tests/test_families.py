@@ -8,6 +8,7 @@ import pytest
 
 from phasetoda import suites
 from phasetoda.cli import main
+from phasetoda.combinatorics import enumerate_path_configs
 from phasetoda.errors import ConfigError, NotDivisible
 from phasetoda.suites import FAMILIES, SUITES
 
@@ -136,3 +137,17 @@ def test_config_error_in_a_generator_still_exits_2(monkeypatch, capsys):
     monkeypatch.setitem(FAMILIES, "power-sums", suites.Family(row.suite, raising, row.identities))
     assert main(["verify", "power-sums"]) == 2
     assert "bad bound" in capsys.readouterr().err
+
+
+def test_failed_path_round_trip_names_the_configuration(monkeypatch):
+    # every plane partition is read back as the first configuration of its box
+    monkeypatch.setattr(suites, "pp_to_path", lambda pp: next(enumerate_path_configs(pp.n, pp.m)))
+    monkeypatch.setitem(suites.BOUNDS, "combi_n", 1)
+    monkeypatch.setitem(suites.BOUNDS, "combi_m", 1)
+    failed = [it for it in suites.run_family("bijections", 0) if not it["pass"]]
+    assert failed == [{
+        "identity": "path-pp-round-trip",
+        "parameters": {"N": 1, "M": 1},
+        "pass": False,
+        "witness": "turns=[[0]] diagonal=() -> pp=[[0]] diagonal=() -> turns=[[1]]",
+    }]

@@ -16,7 +16,7 @@ import pytest
 
 from phasetoda import suites, symfunc, toda
 from phasetoda.algebra import MultiPoly, RingMatrix, det_exact, multipoly
-from phasetoda.combinatorics import Partition, SkewShape
+from phasetoda.combinatorics import Partition, SkewShape, planepartitions
 
 # M = 2 puts (2, 1) in the box: a flipped Jacobi-Trudi offset still gives
 # the right S_(1,1), so a 2x1 box cannot see it
@@ -72,7 +72,21 @@ make_without_gcd = edited(MultiPoly, "_make", "if den != 1:", "if False:")
 # the raising Toeplitz band one step off: zeta_{j-i+1} for zeta_{j-i}
 shift_exp_band_off_by_one = edited(toda, "shift_exp", "z(j - i) if", "z(j - i + 1) if")
 
-RIGHT = {"h_row": symfunc.h_row, "jacobi_trudi": symfunc.jacobi_trudi, "shift_exp": toda.shift_exp}
+# diagonal k of the half counts the cells of layer >= k, so every diagonal
+# repeats the one before it
+tableau_to_half_layer_off_by_one = edited(
+    planepartitions, "tableau_to_pp_half", "layer > k", "layer >= k"
+)
+# each entry of a diagonal stops one above its lower bound (the next entry
+# of the diagonal before it), so fewer halves are listed
+enumerate_half_drops_lower_end = edited(
+    planepartitions, "_enumerate_half", "prev[i + 1] - 1", "prev[i + 1]"
+)
+
+RIGHT = {
+    "h_row": symfunc.h_row, "jacobi_trudi": symfunc.jacobi_trudi, "shift_exp": toda.shift_exp,
+    "tableau_to_pp_half": planepartitions.tableau_to_pp_half,
+}
 
 
 def plant_everywhere(name, fake):
@@ -105,6 +119,13 @@ FAULTS = {
     # the matrix identities of the linear problem name their first differing (i, j)
     "shift-exp-band-off-by-one":
         (plant_everywhere("shift_exp", shift_exp_band_off_by_one), ("linear",)),
+    # the failing round trip names the half, its tableau and the half it maps back to
+    "tableau-to-half-layer-off-by-one":
+        (plant_everywhere("tableau_to_pp_half", tableau_to_half_layer_off_by_one),
+         ("bijections",)),
+    "enumerate-half-drops-lower-end":
+        (plant_on(planepartitions, "_enumerate_half", enumerate_half_drops_lower_end),
+         ("triple-agreement",)),
 }
 CASES = [(fault, family) for fault in sorted(FAULTS) for family in FAULTS[fault][1]]
 
@@ -115,7 +136,7 @@ def small_bounds(monkeypatch):
         monkeypatch.setitem(suites.BOUNDS, key, value)
 
 
-@pytest.mark.parametrize("family", SCHUR_FAMILIES + KERNEL_FAMILIES + ("linear",))
+@pytest.mark.parametrize("family", SCHUR_FAMILIES + KERNEL_FAMILIES + ("linear", "bijections"))
 def test_small_bounds_pass_without_a_fault(small_bounds, family):
     items = suites.run_family(family, 7)
     assert items and all(it["pass"] for it in items)
@@ -131,5 +152,7 @@ def test_fault_fails_family_with_witness(small_bounds, monkeypatch, fault, famil
     assert caught, (fault, family)
     if family == "linear":
         assert all("(i, j)=" in it["witness"] for it in caught)
+    if family == "bijections":
+        assert all("tableau=" in it["witness"] for it in caught)
     for it in items:
         assert it["pass"] or it.get("witness"), it

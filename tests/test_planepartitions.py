@@ -3,6 +3,7 @@
 import pytest
 
 from phasetoda.combinatorics import (
+    HalfPlanePartition,
     Partition,
     PlanePartitionBox,
     combine_halves,
@@ -53,8 +54,42 @@ def test_half_enumerators_fix_diagonal():
         list(upper_diagonal(Partition((5,)), 2, 2))
 
 
-def test_halves_recombine_to_full_boxes():
-    n = m = 2
+def test_invalid_halves_rejected():
+    # not interlacing: the first entry of diagonal 1 lies in [1, 2], and
+    # diagonal 2 may not exceed the first entry of diagonal 1
+    with pytest.raises(ShapeViolation):
+        HalfPlanePartition(3, 2, "upper", ((2, 1, 0), (0, 0), (0,)))
+    with pytest.raises(ShapeViolation):
+        HalfPlanePartition(3, 2, "lower", ((2, 1, 0), (1, 1), (2,)))
+    # ragged: diagonal k holds N - k entries, and there are N diagonals
+    with pytest.raises(ShapeViolation):
+        HalfPlanePartition(3, 2, "lower", ((2, 1, 0), (1, 0, 0), (0,)))
+    with pytest.raises(ShapeViolation):
+        HalfPlanePartition(3, 2, "upper", ((2, 1, 0), (1, 0)))
+
+
+def test_upper_diagonal_order_is_pinned():
+    # each diagonal interlaces the one before it, entries largest first
+    halves = upper_diagonal(Partition((2, 1)), 3, 2)
+    assert [h.diagonals for h in halves] == [
+        ((2, 1, 0), (2, 1), (2,)),
+        ((2, 1, 0), (2, 1), (1,)),
+        ((2, 1, 0), (2, 0), (2,)),
+        ((2, 1, 0), (2, 0), (1,)),
+        ((2, 1, 0), (2, 0), (0,)),
+        ((2, 1, 0), (1, 1), (1,)),
+        ((2, 1, 0), (1, 0), (1,)),
+        ((2, 1, 0), (1, 0), (0,)),
+    ]
+
+
+def test_box_is_its_two_halves():
+    for pp in enumerate_plane_partitions(3, 3):
+        assert combine_halves(pp.upper_half(), pp.lower_half()) == pp
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 3)])
+def test_halves_recombine_to_full_boxes(n, m):
     total = 0
     for lam in partitions_in_box(n, m):
         ups = list(upper_diagonal(lam, n, m))
