@@ -36,6 +36,11 @@ from .toda import TauContext, generic_constant_matrix, tau, tau_schur_expand
 # (731,808) is refused.
 ENUMERATE_CAP = 250_000
 
+# The largest M that `compute scalar` (all three routes) runs at N = 0..4, a
+# larger N is refused: each row stands where a run takes about 10 s on 2 CPUs
+# (README), most of it in the determinant route's Vandermonde divisions.
+SCALAR_MAX_M = (700, 700, 30, 6, 2)
+
 
 def _names(prefix, count):
     return [f"{prefix}{i}" for i in range(1, count + 1)]
@@ -114,6 +119,9 @@ def cmd_compute(args) -> int:
                 }
             )
     elif args.object == "scalar":
+        if args.N >= len(SCALAR_MAX_M) or args.M > SCALAR_MAX_M[args.N]:
+            raise ConfigError(f"compute scalar refuses N={args.N}, M={args.M}: the largest M "
+                              f"it runs at N = 0..{len(SCALAR_MAX_M) - 1} is {SCALAR_MAX_M}")
         un, vn = _names("u", args.N), _names("v", args.N)
         methods = ["fock_pairing", "schur_sum", "determinant"]
         values = {meth: scalar_product(args.N, args.M, un, vn, meth) for meth in methods}

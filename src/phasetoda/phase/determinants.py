@@ -20,7 +20,7 @@ from typing import Sequence
 from ..algebra import MultiPoly, RingMatrix, as_poly, det_exact
 from ..errors import RangeViolation
 from ..symfunc import hk
-from .scalar import prefactor, vandermonde_divide
+from .scalar import boundary_monomial, scalar_product, vandermonde_divide
 from .skew import validate_npoint_indices
 
 
@@ -41,8 +41,7 @@ def one_hole_det(q: int, n: int, m: int, u_values: Sequence, v_values: Sequence)
     det = det_exact(RingMatrix.from_rows(rows))
     det = vandermonde_divide(det, u2, descending=True)
     det = vandermonde_divide(det, v2[1:])
-    pref = (prefactor(us) * prefactor(vs[1:])).monomial_inverse()
-    return (pref ** m) * det
+    return boundary_monomial((), us + vs[1:], m) * det
 
 
 def npoint_det(
@@ -69,8 +68,7 @@ def npoint_det(
         rows.append(row)
     det = det_exact(RingMatrix.from_rows(rows))
     det = vandermonde_divide(det, v2)
-    pref = (prefactor(us[: n - nn]) * prefactor(vs)).monomial_inverse()
-    return (pref ** m) * det
+    return boundary_monomial((), us[: n - nn] + vs, m) * det
 
 
 def single_det_form(
@@ -94,31 +92,31 @@ def single_det_form(
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def stack_sides(kind: str, n: int, m: int, u_values: Sequence, v_values: Sequence) -> tuple:
+    """(stack, scalar product by pairing) of one reassembly, equal exactly:
+    'hole' stacks sum_q v_1^{M-2q} * one_hole_det(q), 'point' stacks
+    sum_j u_N^{2j-M} * one_point_det(j)."""
+    if kind == "hole":
+        v1 = as_poly(v_values[0])
+        terms = (v1 ** (m - 2 * q) * one_hole_det(q, n, m, u_values, v_values) for q in range(m + 1))
+    elif kind == "point":
+        u_last = as_poly(u_values[-1])
+        terms = (u_last ** (2 * j - m) * npoint_det((j,), n, m, u_values, v_values) for j in range(m + 1))
+    else:
+        raise ValueError(f"unknown stack {kind!r}")
+    return sum(terms, MultiPoly.zero()), scalar_product(n, m, u_values, v_values, "fock_pairing")
+
+
 def one_hole_stack_check(n: int, m: int, u_values: Sequence, v_values: Sequence) -> bool:
-    """The hole determinants reassemble the scalar product along v_1 powers.
-
-    sum_q v_1^{M-2q} * one_hole_det(q) == scalar product, exactly.
-    """
-    from .scalar import scalar_product
-
-    vs = list(map(as_poly, v_values))
-    v1 = vs[0]
-    total = MultiPoly.zero()
-    for q in range(0, m + 1):
-        total = total + (v1 ** (m - 2 * q)) * one_hole_det(q, n, m, u_values, v_values)
-    return total == scalar_product(n, m, u_values, v_values, "fock_pairing")
+    """The hole determinants reassemble the scalar product (``stack_sides``)."""
+    stack, pairing = stack_sides("hole", n, m, u_values, v_values)
+    return stack == pairing
 
 
 def one_point_stack_check(n: int, m: int, u_values: Sequence, v_values: Sequence) -> bool:
-    """sum_j u_N^{2j-M} * one_point_det(j) == scalar product, exactly."""
-    from .scalar import scalar_product
-
-    us = list(map(as_poly, u_values))
-    un = us[-1]
-    total = MultiPoly.zero()
-    for j in range(0, m + 1):
-        total = total + (un ** (2 * j - m)) * npoint_det((j,), n, m, u_values, v_values)
-    return total == scalar_product(n, m, u_values, v_values, "fock_pairing")
+    """The one-point determinants reassemble the scalar product (``stack_sides``)."""
+    stack, pairing = stack_sides("point", n, m, u_values, v_values)
+    return stack == pairing
 
 
 def recursion_expand_check(

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..algebra import MultiPoly, as_poly
+from ..algebra import MultiPoly
 from ..errors import RangeViolation
 from ..toda import restricted_context, wave_numerator
-from .scalar import prefactor
+from .scalar import boundary_monomial
 from .skew import correlator_one_hole, correlator_seeded
 
 LIMIT_KINDS = ("v1_to_infinity", "u_tail_to_zero")
@@ -33,19 +33,18 @@ LIMIT_KINDS = ("v1_to_infinity", "u_tail_to_zero")
 def limit_sides(
     kind: str, k: int, n: int, m: int, u_names: Sequence[str], v_names: Sequence[str]
 ) -> tuple:
-    """(limit of the cleared wave entry, prefactor times correlator) of one
-    limit identity; names must be symbolic."""
+    """(limit of the cleared wave entry, boundary monomial times correlator)
+    of one limit identity; names must be symbolic."""
     if len(u_names) != n or len(v_names) != n:
         raise ValueError("need N creation and N annihilation names")
-    us = list(map(as_poly, u_names))
-    vs = list(map(as_poly, v_names))
     if kind == "v1_to_infinity":
         if not (0 <= k <= m):
             raise RangeViolation(f"k={k} outside 0..{m}")
         ctx = restricted_context(u_names, v_names[1:], m)
         limit = wave_numerator(ctx, ctx.m + n - 1, "w_zero", k)
-        pref = prefactor(us) * prefactor(vs[1:]).monomial_inverse()
-        rhs = (pref ** m) * correlator_one_hole(k, n, m, us, vs, "pairing")
+        rhs = boundary_monomial(u_names, v_names[1:], m) * correlator_one_hole(
+            k, n, m, u_names, v_names, "pairing"
+        )
         return limit, rhs
     if kind == "u_tail_to_zero":
         if not (0 <= k <= min(n, m)):
@@ -54,9 +53,8 @@ def limit_sides(
             raise RangeViolation("seed limit needs M >= 1")
         ctx = restricted_context(u_names[: n - k], v_names, m)
         limit = wave_numerator(ctx, ctx.m + n, "w_inf", k)
-        sign = MultiPoly.const((-1) ** k)
-        pref = prefactor(us[: n - k]) * prefactor(vs).monomial_inverse()
-        rhs = sign * (pref ** m) * correlator_seeded(k, n, m, us, vs, "pairing")
+        pref = MultiPoly.const((-1) ** k) * boundary_monomial(u_names[: n - k], v_names, m)
+        rhs = pref * correlator_seeded(k, n, m, u_names, v_names, "pairing")
         return limit, rhs
     raise ValueError(f"unknown limit kind {kind!r}")
 

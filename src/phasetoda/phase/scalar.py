@@ -1,10 +1,12 @@
 """The N-particle scalar product in its three equivalent forms.
 
 fock_pairing builds both state vectors by monodromy corners and contracts
-them; schur_sum evaluates the diagonal Schur pair sum with its monomial
-prefactor; determinant evaluates the single-determinant form whose entries
-are two-letter complete homogeneous polynomials, dividing out the
-Vandermonde prefactors exactly.  All three agree as Laurent polynomials.
+them; schur_sum is the boundary monomial (prod v / prod u)^M times the
+diagonal pair sum of S_lam(u^2) S_lam(v^-2) over the (M^N) box, the one
+pair sum of ``symfunc`` that the correlators use too; determinant evaluates
+the single-determinant form whose entries are two-letter complete
+homogeneous polynomials, dividing out the Vandermonde factors exactly.  All
+three agree as Laurent polynomials.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Sequence
 from ..algebra import MultiPoly, RingMatrix, as_poly, det_exact
 from ..combinatorics.partitions import partitions_in_box
 from ..errors import DegenerateVandermonde
-from ..symfunc import h_row, hk, jacobi_trudi
+from ..symfunc import hk, pair_sum
 from .fock import pair
 from .monodromy import build_conj_state, build_state
 
@@ -40,32 +42,25 @@ def scalar_product(
     if method == "fock_pairing":
         return pair(build_conj_state(vs, m), build_state(us, m))
     if method == "schur_sum":
-        return _schur_sum(n, m, us, vs)
+        box = partitions_in_box(n, m)
+        u2, vm2 = [u * u for u in us], [v ** (-2) for v in vs]
+        return boundary_monomial(vs, us, m) * pair_sum(zip(box, box), u2, vm2)
     if method == "determinant":
         return _determinant_form(n, m, us, vs)
     raise ValueError(f"unknown method {method!r}")
 
 
-def prefactor(values: Sequence[MultiPoly]) -> MultiPoly:
-    """Product of the values, 1 for none: the monomial prefactors such as
-    u_1 .. u_N."""
+def boundary_monomial(top: Sequence, bottom: Sequence, m: int) -> MultiPoly:
+    """(prod top / prod bottom)^m: the monomial in front of every Schur and
+    determinant form.  Entries are names, symbols or nonzero rationals; an
+    empty product is 1."""
     out = MultiPoly.const(1)
-    for v in values:
-        out = out * v
-    return out
-
-
-def _schur_sum(n: int, m: int, us, vs) -> MultiPoly:
-    # every Jacobi-Trudi index of a shape in the (M^N) box is below M + N
-    hu = h_row(m + n - 1, [u * u for u in us])
-    hv = h_row(m + n - 1, [v ** (-2) for v in vs])
-    total = MultiPoly.zero()
-    for lam in partitions_in_box(n, m):
-        total = total + jacobi_trudi(lam, hu) * jacobi_trudi(lam, hv)
-    if n == 0:
-        return total
-    pref = prefactor(vs) * prefactor(us).monomial_inverse()
-    return (pref ** m) * total
+    for t in top:
+        out = out * as_poly(t)
+    below = MultiPoly.const(1)
+    for b in bottom:
+        below = below * as_poly(b)
+    return (out * below.monomial_inverse()) ** m
 
 
 def vandermonde_divide(
@@ -93,10 +88,7 @@ def _determinant_form(n: int, m: int, us, vs) -> MultiPoly:
     u2 = [u * u for u in us]
     v2 = [v * v for v in vs]
     rows = [[hk(m + n - 1, [u2[r], v2[c]]) for c in range(n)] for r in range(n)]
-    det = det_exact(RingMatrix.from_rows(rows)) if n else MultiPoly.const(1)
+    det = det_exact(RingMatrix.from_rows(rows))
     det = vandermonde_divide(det, u2, descending=True)
     det = vandermonde_divide(det, v2)
-    if n == 0:
-        return MultiPoly.const(1)
-    inv_uv = (prefactor(us) * prefactor(vs)).monomial_inverse()
-    return (inv_uv ** m) * det
+    return boundary_monomial((), us + vs, m) * det

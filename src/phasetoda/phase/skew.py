@@ -6,6 +6,11 @@ seeded vector starts from k quanta at site 1 and is grown by N-k creation
 corners.  Their coefficient supports and values match the constrained
 weighted sums of the combinatorics layer, and their pairings against the
 full N-particle states are the boundary correlators.
+
+Their Schur forms have the shape of the scalar product's: a boundary
+monomial (prod v / prod u)^M over the surviving letters times one pair sum
+of ``symfunc`` over the support, with the hook (one hole) or the column
+(seeded) removed from one side of each pair.
 """
 
 from __future__ import annotations
@@ -15,10 +20,10 @@ from typing import Sequence
 from ..algebra import MultiPoly, as_poly
 from ..combinatorics.partitions import SkewShape, column, hook
 from ..errors import RangeViolation
-from ..symfunc import h_row, jacobi_trudi
+from ..symfunc import pair_sum
 from .fock import StateVector, pair
 from .monodromy import build_conj_state, build_state, grow_state
-from .scalar import prefactor
+from .scalar import boundary_monomial
 
 
 def skew_conj_state(k: int, v_tail: Sequence, m: int) -> StateVector:
@@ -70,16 +75,11 @@ def correlator_one_hole(
     if method == "pairing":
         return pair(skew_conj_state(k, vs[1:], m), build_state(us, m))
     if method == "schur_sum":
-        # the support lies in the (M^N) box: one row of h_0..h_{M+N-1} each
-        hu = h_row(m + n - 1, [u * u for u in us])
-        hv = h_row(m + n - 1, [v ** (-2) for v in vs[1:]])
-        total = MultiPoly.zero()
         from ..combinatorics.weights import psi1_support
 
-        for lam in psi1_support(k, n, m):
-            total = total + jacobi_trudi(lam, hu) * jacobi_trudi(SkewShape(lam, hook(k)), hv)
-        pref = prefactor(vs[1:]) * prefactor(us).monomial_inverse()
-        return (pref ** m) * total
+        pairs = ((lam, SkewShape(lam, hook(k))) for lam in psi1_support(k, n, m))
+        total = pair_sum(pairs, [u * u for u in us], [v ** (-2) for v in vs[1:]])
+        return boundary_monomial(vs[1:], us, m) * total
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -97,15 +97,11 @@ def correlator_seeded(
     if method == "pairing":
         return pair(build_conj_state(vs, m), skew_state(k, us[: n - k], m))
     if method == "schur_sum":
-        hu = h_row(m + n - 1, [u * u for u in us[: n - k]])
-        hv = h_row(m + n - 1, [v ** (-2) for v in vs])
-        total = MultiPoly.zero()
         from ..combinatorics.weights import psi2_support
 
-        for lam in psi2_support(k, n, m):
-            total = total + jacobi_trudi(SkewShape(lam, column(k)), hu) * jacobi_trudi(lam, hv)
-        pref = prefactor(vs) * prefactor(us[: n - k]).monomial_inverse()
-        return (pref ** m) * total
+        pairs = ((SkewShape(lam, column(k)), lam) for lam in psi2_support(k, n, m))
+        total = pair_sum(pairs, [u * u for u in us[: n - k]], [v ** (-2) for v in vs])
+        return boundary_monomial(vs, us[: n - k], m) * total
     raise ValueError(f"unknown method {method!r}")
 
 

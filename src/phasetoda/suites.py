@@ -48,6 +48,7 @@ from .combinatorics import (
 )
 from .errors import ConfigError, DegenerateDenominator
 from .phase import (
+    boundary_monomial,
     build_conj_state,
     build_state,
     correlator_npoint,
@@ -55,10 +56,9 @@ from .phase import (
     limit_sides,
     npoint_det,
     one_hole_det,
-    one_hole_stack_check,
-    one_point_stack_check,
     recursion_expand_check,
     scalar_product,
+    stack_sides,
     verify_rtt,
 )
 from .toda import (
@@ -110,14 +110,12 @@ def _distinct_rationals(rng: random.Random, count: int) -> list:
 
 def _closed_f(lam, n, m):
     gens = sf.alphabet(_names("u", n), "squared")
-    pref = MultiPoly.monomial(1, {nm: -m for nm in _names("u", n)}) if n else MultiPoly.const(1)
-    return pref * sf.schur(lam, gens)
+    return boundary_monomial((), _names("u", n), m) * sf.schur(lam, gens)
 
 
 def _closed_g(lam, n, m):
     gens = sf.alphabet(_names("v", n), "inverse-squared")
-    pref = MultiPoly.monomial(1, {nm: m for nm in _names("v", n)}) if n else MultiPoly.const(1)
-    return pref * sf.schur(lam, gens)
+    return boundary_monomial(_names("v", n), (), m) * sf.schur(lam, gens)
 
 
 # -- combinatorics ----------------------------------------------------------
@@ -179,20 +177,26 @@ def _first_half_miss(n: int, m: int) -> str | None:
 PICTURES = ("paths", "pp", "tableaux")
 
 
+def _first_unequal(cases, lhs: str, rhs: str) -> str | None:
+    """Witness for the first (label, left side, right side) case whose sides
+    differ, both sides named and cut, else None.  ``cases`` is lazy, so the
+    cases after the first miss are never built."""
+    for label, a, b in cases:
+        if a != b:
+            return f"{label}: {lhs}={_clip(a.to_str())} {rhs}={_clip(b.to_str())}"
+    return None
+
+
 def _first_miss(cases) -> str | None:
     """Witness for the first (label, weighted sum, closed form) case whose
-    weighted sum differs from the closed form in some picture, else None.
-    ``cases`` is lazy, so the closed forms after the first miss are never
-    built."""
-    for label, weighted, want in cases:
-        for pic in PICTURES:
-            got = weighted(pic)
-            if got != want:
-                return (
-                    f"{label} picture={pic}: weighted sum={_clip(got.to_str())} "
-                    f"closed form={_clip(want.to_str())}"
-                )
-    return None
+    weighted sum differs from the closed form in some picture, else None."""
+    return _first_unequal(
+        (
+            (f"{label} picture={pic}", weighted(pic), want)
+            for label, weighted, want in cases for pic in PICTURES
+        ),
+        "weighted sum", "closed form",
+    )
 
 
 def _triple_agreement(seed: int) -> Iterator[dict]:
@@ -213,7 +217,7 @@ def _triple_agreement(seed: int) -> Iterator[dict]:
                     witness,
                 )
             tail = vn[1:]
-            pref = MultiPoly.monomial(1, {nm: m for nm in tail}) if tail else MultiPoly.const(1)
+            pref = boundary_monomial(tail, (), m)
             gens = sf.alphabet(tail, "inverse-squared")
             for k in range(0, m + 1):
                 witness = _first_miss(
@@ -229,7 +233,7 @@ def _triple_agreement(seed: int) -> Iterator[dict]:
                 )
             for k in range(0, n + 1):
                 head = un[: n - k]
-                pref = MultiPoly.monomial(1, {nm: -m for nm in head}) if head else MultiPoly.const(1)
+                pref = boundary_monomial((), head, m)
                 gens = sf.alphabet(head, "squared")
                 witness = _first_miss(
                     (
@@ -361,12 +365,10 @@ def _bilinear_residues(ctx: TauContext, size: int, rng: random.Random) -> dict:
 def _tau_expansion(seed: int) -> Iterator[dict]:
     for size in range(1, BOUNDS["schur_expand_size"] + 1):
         ctx = TauContext.generic(0, size, seed=seed + size)
-        witness = None
-        for s in range(0, size + 1):
-            got, want = tau(ctx, s), tau_schur_expand(ctx, s)
-            if got != want:
-                witness = f"s={s}: tau={_clip(got.to_str())} schur expansion={_clip(want.to_str())}"
-                break
+        witness = _first_unequal(
+            ((f"s={s}", tau(ctx, s), tau_schur_expand(ctx, s)) for s in range(0, size + 1)),
+            "tau", "schur expansion",
+        )
         yield _item("tau-character-expansion", {"size": size}, witness is None, witness)
 
 
@@ -471,22 +473,14 @@ def _prop2(seed: int) -> Iterator[dict]:
     for n in range(0, BOUNDS["correspondence_n"] + 1):
         for m in range(0, BOUNDS["correspondence_m"] + 1):
             un, vn = _names("u", n), _names("v", n)
-            lhs = restrict_tau(un, vn, m)
-            mid = schur_pair_sum(un, vn, m)
-            yield _item(
-                "restricted-tau-scalar-product",
-                {"N": n, "M": m},
-                lhs == mid and _prop2_ok(n, m, un, vn, lhs),
+            restricted, box_sum = restrict_tau(un, vn, m), schur_pair_sum(un, vn, m)
+            pairing = scalar_product(n, m, un, vn, "fock_pairing")
+            ok = restricted == box_sum and boundary_monomial(vn, un, m) * restricted == pairing
+            witness = None if ok else (
+                f"N={n} M={m}: restricted tau={_clip(restricted.to_str())} "
+                f"pair sum={_clip(box_sum.to_str())} pairing={_clip(pairing.to_str())}"
             )
-
-
-def _prop2_ok(n, m, un, vn, restricted) -> bool:
-    if n == 0:
-        return restricted == MultiPoly.const(1)
-    pref = MultiPoly.const(1)
-    for a, b in zip(vn, un):
-        pref = pref * MultiPoly.var(a) * MultiPoly.var(b, -1)
-    return (pref ** m) * restricted == scalar_product(n, m, un, vn, "fock_pairing")
+            yield _item("restricted-tau-scalar-product", {"N": n, "M": m}, ok, witness)
 
 
 def _limits(seed: int) -> Iterator[dict]:
@@ -499,36 +493,42 @@ def _limits(seed: int) -> Iterator[dict]:
             )
             for identity, kind, k_max in kinds:
                 for k in range(0, k_max + 1):
-                    limit, rhs = limit_sides(kind, k, n, m, un, vn)
-                    ok = limit == rhs
-                    witness = None if ok else (
-                        f"{kind} k={k}: limit={_clip(limit.to_str())} "
-                        f"correlator side={_clip(rhs.to_str())}"
+                    witness = _first_unequal(
+                        [(f"{kind} k={k}", *limit_sides(kind, k, n, m, un, vn))],
+                        "limit", "correlator side",
                     )
-                    yield _item(identity, {"N": n, "M": m, "k": k}, ok, witness)
+                    yield _item(identity, {"N": n, "M": m, "k": k}, witness is None, witness)
 
 
 def _determinant_forms(seed: int) -> Iterator[dict]:
     for n in range(1, BOUNDS["correspondence_n"] + 1):
         for m in range(1, BOUNDS["correspondence_m"] + 1):
             un, vn = _names("u", n), _names("v", n)
-            ok = all(
-                one_hole_det(q, n, m, un, vn) == correlator_one_hole(q, n, m, un, vn, "pairing")
-                for q in range(0, m + 1)
+            # the n-point seeds: r_1, then 0s and 1s, weakly decreasing
+            seeds = (
+                (r1,) + tail
+                for order in range(1, min(n, BOUNDS["npoint_order"]) + 1)
+                for r1 in range(0, m + 1)
+                for tail in itertools.product((0, 1), repeat=order - 1)
+                if all(a >= b for a, b in zip((r1,) + tail, tail))
             )
-            yield _item("hole-determinant-form", {"N": n, "M": m}, ok)
-            ok = True
-            for order in range(1, min(n, BOUNDS["npoint_order"]) + 1):
-                for r1 in range(0, m + 1):
-                    for tail in itertools.product((0, 1), repeat=order - 1):
-                        rs = (r1,) + tail
-                        if any(rs[i] < rs[i + 1] for i in range(len(rs) - 1)):
-                            continue
-                        if npoint_det(rs, n, m, un, vn) != correlator_npoint(rs, n, m, un, vn):
-                            ok = False
-            yield _item("npoint-determinant-form", {"N": n, "M": m}, ok)
-            yield _item("hole-stack-reassembly", {"N": n, "M": m}, one_hole_stack_check(n, m, un, vn))
-            yield _item("point-stack-reassembly", {"N": n, "M": m}, one_point_stack_check(n, m, un, vn))
+            forms = (
+                ("hole-determinant-form", (
+                    (f"q={q}", one_hole_det(q, n, m, un, vn),
+                     correlator_one_hole(q, n, m, un, vn, "pairing"))
+                    for q in range(0, m + 1))),
+                ("npoint-determinant-form", (
+                    (f"rs={list(rs)}", npoint_det(rs, n, m, un, vn),
+                     correlator_npoint(rs, n, m, un, vn))
+                    for rs in seeds)),
+            )
+            for identity, cases in forms:
+                witness = _first_unequal(cases, "determinant", "pairing")
+                yield _item(identity, {"N": n, "M": m}, witness is None, witness)
+            for kind in ("hole", "point"):
+                stack = [(f"{kind} stack", *stack_sides(kind, n, m, un, vn))]
+                witness = _first_unequal(stack, "stack", "pairing")
+                yield _item(f"{kind}-stack-reassembly", {"N": n, "M": m}, witness is None, witness)
             ok = True
             for order in range(1, min(n - 1, BOUNDS["npoint_order"]) + 1):
                 for q in range(0, order + 1):

@@ -117,6 +117,16 @@ def zeta_diff_apply(
     return result
 
 
+def _skew(shape) -> SkewShape:
+    return shape if isinstance(shape, SkewShape) else SkewShape(shape, Partition(()))
+
+
+def _reach(skew: SkewShape) -> int:
+    """lam_1 + rows - 1, rows the nonzero parts of lam: the largest h index
+    a Jacobi-Trudi matrix of lam/mu can read."""
+    return skew.outer.get(1) + len(skew.outer.parts) - 1
+
+
 def jacobi_trudi(shape, h: Sequence[MultiPoly]) -> MultiPoly:
     """det[h_{lam_i - mu_j + j - i}] of a (skew) shape, read from the row
     h = [h_0, h_1, ..] of one alphabet; a negative index reads as 0.
@@ -124,19 +134,27 @@ def jacobi_trudi(shape, h: Sequence[MultiPoly]) -> MultiPoly:
     The row must reach lam_1 + rows - 1, where rows counts the nonzero parts
     of lam, so one row of a box's alphabet serves every shape in the box.
     """
-    skew = shape if isinstance(shape, SkewShape) else SkewShape(shape, Partition(()))
-    n = len(skew.outer.parts)
+    skew = _skew(shape)
+    lam, mu, n = skew.outer, skew.inner, len(skew.outer.parts)
     if n == 0:
         return MultiPoly.const(1)
     zero = MultiPoly.zero()
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            d = skew.outer.get(i) - skew.inner.get(j) + j - i
-            row.append(h[d] if d >= 0 else zero)
-        rows.append(row)
-    return det_exact(RingMatrix.from_rows(rows))
+    return det_exact(RingMatrix.from_rows([
+        [h[d] if d >= 0 else zero for d in (lam.get(i) - mu.get(j) + j - i for j in range(1, n + 1))]
+        for i in range(1, n + 1)
+    ]))
+
+
+def pair_sum(pairs, a: Sequence[MultiPoly], b: Sequence[MultiPoly]) -> MultiPoly:
+    """sum over (shape_a, shape_b) in pairs of s_{shape_a}(a) * s_{shape_b}(b).
+
+    Every Schur factor is a Jacobi-Trudi determinant read from one h-row per
+    alphabet, built once for the whole sum; nothing is kept between calls.
+    """
+    pairs = [(_skew(sa), _skew(sb)) for sa, sb in pairs]
+    ha = h_row(max((_reach(sa) for sa, _ in pairs), default=-1), a)
+    hb = h_row(max((_reach(sb) for _, sb in pairs), default=-1), b)
+    return sum((jacobi_trudi(sa, ha) * jacobi_trudi(sb, hb) for sa, sb in pairs), MultiPoly.zero())
 
 
 def schur(shape, gens: Sequence[MultiPoly], method: str = "jacobi_trudi") -> MultiPoly:
@@ -145,10 +163,9 @@ def schur(shape, gens: Sequence[MultiPoly], method: str = "jacobi_trudi") -> Mul
     ``shape`` is a Partition or SkewShape.  Both methods return identical
     polynomials; the tableau sum is the slower independent construction.
     """
-    skew = shape if isinstance(shape, SkewShape) else SkewShape(shape, Partition(()))
+    skew = _skew(shape)
     if method == "jacobi_trudi":
-        outer = skew.outer
-        return jacobi_trudi(skew, h_row(outer.get(1) + len(outer.parts) - 1, gens))
+        return jacobi_trudi(skew, h_row(_reach(skew), gens))
     if method == "tableau_sum":
         from .combinatorics.tableaux import enumerate_tableaux
 
@@ -169,28 +186,17 @@ def char_poly(
     rows: int,
     inner: Partition | None = None,
 ) -> MultiPoly:
-    """Character polynomial det[zeta_{lam_i - mu_j + j - i}] of size ``rows``."""
+    """Character polynomial det[zeta_{lam_i - mu_j + j - i}] of size ``rows``:
+    the Jacobi-Trudi determinant of lam/mu over the one-row characters, since
+    the rows past the length of lam add a unitriangular block."""
     if len(lam.parts) > rows:
         raise ShapeViolation(f"{lam} needs more than {rows} rows")
     if inner is None:
         inner = Partition(())
     if len(inner.parts) > rows:
         raise ShapeViolation(f"inner {inner} needs more than {rows} rows")
-    if rows == 0:
-        return MultiPoly.const(1)
-    kmax = max(lam.get(i) - inner.get(j) + j - i for i in range(1, rows + 1) for j in range(1, rows + 1))
-    zs = zeta_all(max(kmax, 0), times)
-
-    def z(idx):
-        return zs[idx] if 0 <= idx <= len(zs) - 1 else MultiPoly.zero()
-
-    mat = RingMatrix.from_rows(
-        [
-            [z(lam.get(i) - inner.get(j) + j - i) for j in range(1, rows + 1)]
-            for i in range(1, rows + 1)
-        ]
-    )
-    return det_exact(mat)
+    skew = SkewShape(lam, inner)
+    return jacobi_trudi(skew, zeta_all(_reach(skew), times))
 
 
 def negate_times(times: Sequence[MultiPoly]) -> list:

@@ -7,7 +7,7 @@ from typing import Sequence
 from ..algebra import MultiPoly, RingMatrix
 from ..combinatorics.partitions import partitions_in_box
 from ..errors import ShapeViolation
-from ..symfunc import alphabet, h_row, jacobi_trudi, miwa_map, pk
+from ..symfunc import alphabet, miwa_map, pair_sum, pk
 from .context import TauContext, tau
 
 
@@ -43,13 +43,10 @@ def schur_pair_sum(
     u_names: Sequence[str], v_names: Sequence[str], site_bound: int
 ) -> MultiPoly:
     """sum over boxed partitions of S_lam(u^2) * S_lam(v^-2)."""
-    n_particles = len(u_names)
-    hu = h_row(site_bound + n_particles - 1, alphabet(u_names, "squared"))
-    hv = h_row(site_bound + n_particles - 1, alphabet(v_names, "inverse-squared"))
-    total = MultiPoly.zero()
-    for lam in partitions_in_box(n_particles, site_bound):
-        total = total + jacobi_trudi(lam, hu) * jacobi_trudi(lam, hv)
-    return total
+    box = partitions_in_box(len(u_names), site_bound)
+    return pair_sum(
+        zip(box, box), alphabet(u_names, "squared"), alphabet(v_names, "inverse-squared")
+    )
 
 
 def power_sum_append_zeros_check(

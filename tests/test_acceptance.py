@@ -209,8 +209,8 @@ def test_criterion_08_restricted_tau(batteries):
 def test_criterion_09_limit_correspondences(batteries):
     ok = _all_pass(batteries, "limits")
     # the sign matters: dropping it must break an odd-k seed identity
-    from phasetoda.algebra import as_poly
-    from phasetoda.phase import correlator_seeded, prefactor
+    from phasetoda.algebra import MultiPoly
+    from phasetoda.phase import correlator_seeded
     from phasetoda.toda import restricted_context, wave_numerator
 
     n = m = 2
@@ -218,9 +218,8 @@ def test_criterion_09_limit_correspondences(batteries):
     vn = [f"v{i}" for i in range(1, n + 1)]
     ctx = restricted_context(un, vn, m)
     cleared = wave_numerator(ctx, ctx.m + n, "w_inf", 1).subs({un[-1]: 0})
-    us, vs = list(map(as_poly, un)), list(map(as_poly, vn))
-    pref = prefactor(us[:1]) * prefactor(vs).monomial_inverse()
-    unsigned = (pref ** m) * correlator_seeded(1, n, m, un, vn, "pairing")
+    pref = MultiPoly.monomial(1, {**{nm: m for nm in un[:1]}, **{nm: -m for nm in vn}})
+    unsigned = pref * correlator_seeded(1, n, m, un, vn, "pairing")
     sign_essential = cleared == -unsigned and cleared != unsigned
     announce(9, "wave-correlator-limits", ok and sign_essential)
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phasetoda import cli
+from phasetoda.algebra import MultiPoly
 from phasetoda.cli import main
 from phasetoda.combinatorics import macmahon_count
 
@@ -134,6 +135,25 @@ def test_enumerate_lists_the_largest_box_under_the_cap(obj, monkeypatch, tmp_pat
     assert macmahon_count(4, 4) <= cli.ENUMERATE_CAP
     code, out = run_cli(["enumerate", obj, "--N", "4", "--M", "4"], tmp_path)
     assert code == 0 and json.loads(out.read_text())["count"] == 0
+
+
+@pytest.mark.parametrize("n, m", [(4, 3), (5, 0), (3, 7), (2, 31), (1, 701), (0, 701)])
+def test_compute_scalar_refuses_a_size_above_the_cap(n, m, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("a refused size was computed")
+
+    monkeypatch.setattr(cli, "scalar_product", never)
+    assert main(["compute", "scalar", "--N", str(n), "--M", str(m)]) == 2
+    captured = capsys.readouterr()
+    assert f"N={n}, M={m}" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("n", range(len(cli.SCALAR_MAX_M)))
+def test_compute_scalar_runs_the_largest_size_under_the_cap(n, monkeypatch, tmp_path):
+    # the stub stands in for the three routes at the capped size
+    monkeypatch.setattr(cli, "scalar_product", lambda n, m, un, vn, meth: MultiPoly.const(1))
+    code, out = run_cli(["compute", "scalar", "--N", str(n), "--M", str(cli.SCALAR_MAX_M[n])], tmp_path)
+    assert code == 0 and json.loads(out.read_text())["items"][0]["pass"]
 
 
 def test_entry_point_subprocess():

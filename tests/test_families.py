@@ -151,3 +151,32 @@ def test_failed_path_round_trip_names_the_configuration(monkeypatch):
         "pass": False,
         "witness": "turns=[[0]] diagonal=() -> pp=[[0]] diagonal=() -> turns=[[1]]",
     }]
+
+
+def test_failed_restricted_tau_names_its_three_sides(monkeypatch):
+    # a pair sum off by one fails every (N, M) with the restricted tau, the
+    # pair sum and the pairing in the witness
+    right = suites.schur_pair_sum
+    monkeypatch.setattr(suites, "schur_pair_sum", lambda *args: right(*args) + 1)
+    monkeypatch.setitem(suites.BOUNDS, "correspondence_n", 1)
+    monkeypatch.setitem(suites.BOUNDS, "correspondence_m", 1)
+    items = suites.run_family("prop2", 0)
+    assert len(items) == 4
+    for it in items:
+        assert not it["pass"]
+        n, m = it["parameters"]["N"], it["parameters"]["M"]
+        assert it["witness"].startswith(f"N={n} M={m}: restricted tau=")
+        assert " pair sum=" in it["witness"] and " pairing=" in it["witness"]
+
+
+def test_failed_npoint_form_names_the_first_seed(monkeypatch):
+    # an n-point determinant off by one fails at the first seed, rs = [0]
+    right = suites.npoint_det
+    monkeypatch.setattr(suites, "npoint_det", lambda *args: right(*args) + 1)
+    monkeypatch.setitem(suites.BOUNDS, "correspondence_n", 1)
+    monkeypatch.setitem(suites.BOUNDS, "correspondence_m", 1)
+    items = suites.run_family("single-determinant", 0)
+    failed = [it for it in items if not it["pass"]]
+    assert [it["identity"] for it in failed] == ["npoint-determinant-form"]
+    assert failed[0]["witness"].startswith("rs=[0]: determinant=")
+    assert " pairing=" in failed[0]["witness"]

@@ -3,9 +3,9 @@
 import pytest
 
 from phasetoda import cli, suites
-from phasetoda.algebra import as_poly
+from phasetoda.algebra import MultiPoly
 from phasetoda.errors import RangeViolation
-from phasetoda.phase import correlator_seeded, limit_correspondence, limit_sides, prefactor
+from phasetoda.phase import correlator_seeded, limit_correspondence, limit_sides
 from phasetoda.phase import limits
 from phasetoda.toda import restricted_context
 from phasetoda.toda.waves import wave_numerator
@@ -59,9 +59,8 @@ def test_seed_limit_sign_is_essential():
     s = ctx.m + n
     cleared = wave_numerator(ctx, s, "w_inf", k)
     limit = cleared.subs({nm: 0 for nm in un[n - k:]})
-    us, vs = list(map(as_poly, un)), list(map(as_poly, vn))
-    pref = prefactor(us[: n - k]) * prefactor(vs).monomial_inverse()
-    unsigned = (pref ** m) * correlator_seeded(k, n, m, un, vn, "pairing")
+    pref = MultiPoly.monomial(1, {**{nm: m for nm in un[: n - k]}, **{nm: -m for nm in vn}})
+    unsigned = pref * correlator_seeded(k, n, m, un, vn, "pairing")
     assert limit == -unsigned
     assert limit != unsigned
 

@@ -17,13 +17,16 @@ import pytest
 from phasetoda import suites, symfunc, toda
 from phasetoda.algebra import MultiPoly, RingMatrix, det_exact, multipoly
 from phasetoda.combinatorics import Partition, SkewShape, planepartitions
+from phasetoda.phase import scalar
 
 # M = 2 puts (2, 1) in the box: a flipped Jacobi-Trudi offset still gives
-# the right S_(1,1), so a 2x1 box cannot see it
+# the right S_(1,1), so a 2x1 box cannot see it; for the same reason the
+# tau expansion needs size 4, whose boxes at s = 2 hold (2, 1)
 SMALL = dict(
     scalar_symbolic_n=2, scalar_symbolic_m=2, scalar_numeric_n=(2,), scalar_numeric_m=1,
     scalar_numeric_points=2, combi_n=2, combi_m=1,
-    schur_expand_size=3, prop1_size=3, bilinear_size=3, bilinear_tuples=4, linear_flows=1,
+    schur_expand_size=4, prop1_size=3, bilinear_size=3, bilinear_tuples=4, linear_flows=1,
+    correspondence_n=2, correspondence_m=1,
 )
 SCHUR_FAMILIES = ("scalar-equivalence", "triple-agreement")
 KERNEL_FAMILIES = ("tau-expansion", "prop1", "bilinear")
@@ -59,6 +62,13 @@ def edited(owner, name, old, new):
     return namespace[name]
 
 
+# both Vandermonde products divided in ascending order: at N = 2 the
+# determinant forms with a descending creation product change sign
+vandermonde_ignores_orientation = edited(
+    scalar, "vandermonde_divide",
+    "squares[k] - squares[j] if descending else squares[j] - squares[k]",
+    "squares[j] - squares[k]",
+)
 # every field of the packed product one slot narrower, so the top exponent
 # of a variable carries into the next field (a width-1 field holds a single
 # exponent and cannot carry, so it stays 1)
@@ -86,6 +96,7 @@ enumerate_half_drops_lower_end = edited(
 RIGHT = {
     "h_row": symfunc.h_row, "jacobi_trudi": symfunc.jacobi_trudi, "shift_exp": toda.shift_exp,
     "tableau_to_pp_half": planepartitions.tableau_to_pp_half,
+    "vandermonde_divide": scalar.vandermonde_divide,
 }
 
 
@@ -109,8 +120,10 @@ def plant_on(owner, name, fake):
 
 
 FAULTS = {
+    # char_poly, and so the tau expansion, reads jacobi_trudi too
     "jacobi-trudi-offset":
-        (plant_everywhere("jacobi_trudi", jacobi_trudi_offset_flipped), SCHUR_FAMILIES),
+        (plant_everywhere("jacobi_trudi", jacobi_trudi_offset_flipped),
+         SCHUR_FAMILIES + ("tau-expansion",)),
     "h-row-drops-last-letter":
         (plant_everywhere("h_row", h_row_without_last_letter), SCHUR_FAMILIES),
     "packed-product-narrow-fields":
@@ -126,6 +139,10 @@ FAULTS = {
     "enumerate-half-drops-lower-end":
         (plant_on(planepartitions, "_enumerate_half", enumerate_half_drops_lower_end),
          ("triple-agreement",)),
+    # the failing determinant forms name their first q and both sides
+    "vandermonde-orientation":
+        (plant_everywhere("vandermonde_divide", vandermonde_ignores_orientation),
+         ("scalar-equivalence", "single-determinant")),
 }
 CASES = [(fault, family) for fault in sorted(FAULTS) for family in FAULTS[fault][1]]
 
@@ -136,7 +153,9 @@ def small_bounds(monkeypatch):
         monkeypatch.setitem(suites.BOUNDS, key, value)
 
 
-@pytest.mark.parametrize("family", SCHUR_FAMILIES + KERNEL_FAMILIES + ("linear", "bijections"))
+@pytest.mark.parametrize(
+    "family", SCHUR_FAMILIES + KERNEL_FAMILIES + ("linear", "bijections", "single-determinant")
+)
 def test_small_bounds_pass_without_a_fault(small_bounds, family):
     items = suites.run_family(family, 7)
     assert items and all(it["pass"] for it in items)
@@ -154,5 +173,8 @@ def test_fault_fails_family_with_witness(small_bounds, monkeypatch, fault, famil
         assert all("(i, j)=" in it["witness"] for it in caught)
     if family == "bijections":
         assert all("tableau=" in it["witness"] for it in caught)
+    if family == "single-determinant":
+        hole = [it for it in caught if it["identity"] == "hole-determinant-form"]
+        assert hole and all(it["witness"].startswith("q=") for it in hole)
     for it in items:
         assert it["pass"] or it.get("witness"), it

@@ -157,30 +157,31 @@ def test_box_sums_equal_per_shape_tableau_route(n, m):
     # each box sum reads every shape from one row per alphabet; the oracle
     # builds every Schur polynomial of the sum from its tableaux
     from phasetoda.combinatorics import column, hook, partitions_in_box, psi1_support, psi2_support
-    from phasetoda.phase import correlator_one_hole, correlator_seeded, prefactor, scalar_product
+    from phasetoda.phase import correlator_one_hole, correlator_seeded, scalar_product
     from phasetoda.toda import schur_pair_sum
 
+    def monomial(top, bottom):
+        # (prod top / prod bottom)^m, written out independently of the package's helper
+        return MultiPoly.monomial(1, {**{nm: m for nm in top}, **{nm: -m for nm in bottom}})
+
     un, vn = [f"u{i}" for i in range(1, n + 1)], [f"v{i}" for i in range(1, n + 1)]
-    us, vs = [MultiPoly.var(nm) for nm in un], [MultiPoly.var(nm) for nm in vn]
     u2, vm2 = sf.alphabet(un, "squared"), sf.alphabet(vn, "inverse-squared")
     box = _tableau_pair_sum((lam, u2, lam, vm2) for lam in partitions_in_box(n, m))
     assert schur_pair_sum(un, vn, m) == box
-    pref = prefactor(vs) * prefactor(us).monomial_inverse()
-    assert scalar_product(n, m, un, vn, "schur_sum") == (pref ** m) * box
+    assert scalar_product(n, m, un, vn, "schur_sum") == monomial(vn, un) * box
     if n == 0:
         return
     for k in range(0, m + 1):
         want = _tableau_pair_sum(
             (lam, u2, SkewShape(lam, hook(k)), vm2[1:]) for lam in psi1_support(k, n, m)
         )
-        pref = prefactor(vs[1:]) * prefactor(us).monomial_inverse()
-        assert correlator_one_hole(k, n, m, un, vn, "schur_sum") == (pref ** m) * want, k
+        assert correlator_one_hole(k, n, m, un, vn, "schur_sum") == monomial(vn[1:], un) * want, k
     for k in range(0, n + 1):
         want = _tableau_pair_sum(
             (SkewShape(lam, column(k)), u2[: n - k], lam, vm2) for lam in psi2_support(k, n, m)
         )
-        pref = prefactor(vs) * prefactor(us[: n - k]).monomial_inverse()
-        assert correlator_seeded(k, n, m, un, vn, "schur_sum") == (pref ** m) * want, k
+        want = monomial(vn, un[: n - k]) * want
+        assert correlator_seeded(k, n, m, un, vn, "schur_sum") == want, k
 
 
 def test_schur_examples():
@@ -198,6 +199,32 @@ def test_char_poly():
     assert sf.char_poly(Partition((1,)), x, 1) == x[0]
     with pytest.raises(ShapeViolation):
         sf.char_poly(Partition((1, 1)), x, 1)
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2])
+def test_char_poly_equals_explicit_zeta_determinant(extra):
+    # oracle: the full rows x rows matrix [zeta_{lam_i - mu_j + j - i}],
+    # rows = len(lam) + extra, expanded by cofactors; char_poly reads only
+    # the leading len(lam) x len(lam) block
+    from phasetoda.algebra import RingMatrix, det_cofactor
+    from phasetoda.combinatorics import column, hook, partitions_in_box
+
+    x = [MultiPoly.var(f"x{j}") for j in range(1, 4)]
+    zs = sf.zeta_all(7, x)
+    for lam in partitions_in_box(3, 2):
+        rows = len(lam.parts) + extra
+        inners = {hook(j) for j in range(0, 3)} | {column(j) for j in range(0, 4)}
+        for inner in sorted((mu for mu in inners if lam.contains(mu)), key=lambda mu: mu.parts):
+            mat = RingMatrix.from_rows(
+                [
+                    [
+                        zs[d] if d >= 0 else MultiPoly.zero()
+                        for d in (lam.get(i) - inner.get(j) + j - i for j in range(1, rows + 1))
+                    ]
+                    for i in range(1, rows + 1)
+                ]
+            )
+            assert sf.char_poly(lam, x, rows, inner) == det_cofactor(mat), (lam, inner, rows)
 
 
 def test_char_poly_equals_schur_after_restriction():
