@@ -3,11 +3,24 @@ exact determinants.
 
 Entries are MultiPolys or RatioPolys; the tau minors and the scalar product
 use polynomial entries, the 2-Toda wave and Lax matrices rational ones, and
-a product may mix the two.  Determinants (polynomial entries) use minor
-expansion with memoization on column subsets up to 4x4 and fraction-free
-Bareiss elimination (exact divisions) from 5x5 on.  ``det_cofactor`` is a
-deliberately naive first-row expansion kept as an independent oracle for
-tests.
+a product may mix the two.  ``det_exact`` (polynomial entries) takes one
+route per size:
+
+  * n <= 2: directly, ``a*d - b*c`` at n = 2;
+  * n = 3, 4: ``_det_minor_dp``, a division-free expansion along rows,
+    memoized on column subsets, on one packing of the whole matrix;
+  * n >= 5: ``_det_bareiss``, fraction-free elimination with exact
+    divisions.
+
+The packing invariant of the expansion: row i is scaled to integer
+numerators over the lcm d_i of its denominators, variable v gets the field
+width sum_i span_i(v) + 1 (span_i(v) the range of v's exponents over row
+i), and each entry is keyed on its exponents minus row i's low corner.  A
+product of one entry from each of the top k rows then has the sum of their
+keys as its key and no field can carry, so every minor is a dict from int
+key to int numerator and only the determinant, over the product of the
+d_i, is unpacked.  ``det_cofactor`` is a deliberately naive first-row
+expansion kept as an independent oracle for tests.
 """
 
 from __future__ import annotations
@@ -15,7 +28,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..errors import NonSquare
-from .multipoly import MultiPoly, as_poly
+from .multipoly import MultiPoly, _packing, as_poly, var_key
 from .ratio import RatioPoly
 
 
@@ -148,30 +161,45 @@ def det_exact(m: RingMatrix) -> MultiPoly:
 
 
 def _det_minor_dp(m: RingMatrix) -> MultiPoly:
-    """Expansion along rows with memoization on the active column subset."""
-    n = m.rows
-    # memo maps a frozenset of column indices (size k) to the determinant of
-    # the top-k rows restricted to those columns
-    memo = {frozenset(): MultiPoly.const(1)}
-    for k in range(1, n + 1):
-        new = {}
-        from itertools import combinations
+    """Division-free expansion along rows, memoized on column subsets, on one
+    packing of the whole matrix, each row one group of ``_packing`` (the
+    invariant is in the module docstring).
 
-        for cols in combinations(range(n), k):
-            acc = MultiPoly.zero()
-            # expanding along the last row of the k x k block: cofactor sign
-            # is (-1)^((k-1)+pos) for the entry at column position pos
-            sign = 1 if (k - 1) % 2 == 0 else -1
-            for pos, j in enumerate(cols):
-                entry = m[k - 1, j]
-                if not entry.is_zero():
-                    sub = memo[frozenset(cols[:pos] + cols[pos + 1 :])]
-                    term = entry * sub
-                    acc = acc + term if sign > 0 else acc - term
-                sign = -sign
-            new[frozenset(cols)] = acc
+    The minor of the top k rows on a column subset is a dict from packed key
+    to numerator, keyed by the subset's bitmask; row k adds
+    ``sign * entry * minor`` straight into the dict of the subset one column
+    larger, and only the full determinant is unpacked.
+    """
+    n = m.rows
+    allvars = tuple(sorted({v for e in m.entries for v in e.vars}, key=var_key))
+    packed, den, unpack = _packing(allvars, [m.row(i) for i in range(n)])
+    memo = {0: {0: 1}}
+    for k, row in enumerate(packed):
+        new: dict = {}
+        for cols, minor in memo.items():
+            # a numerator that cancelled to 0 drops out here, and with all
+            # of them a vanished minor
+            minor = [t for t in minor.items() if t[1]]
+            if not minor:
+                continue
+            for j, entry in enumerate(row):
+                bit = 1 << j
+                if cols & bit or not entry:
+                    continue
+                # the cofactor sign (-1)^(k + pos), pos = the position of
+                # column j among the columns of the k + 1 rows' minor
+                neg = (k + (cols & (bit - 1)).bit_count()) & 1
+                acc = new.setdefault(cols | bit, {})
+                get = acc.get
+                outer, inner = (entry, minor) if len(entry) <= len(minor) else (minor, entry)
+                for ko, co in outer:
+                    if neg:
+                        co = -co
+                    for ki, ci in inner:
+                        key = ko + ki
+                        acc[key] = get(key, 0) + co * ci
         memo = new
-    return memo[frozenset(range(n))]
+    return MultiPoly._make(allvars, unpack(memo.get((1 << n) - 1, {})), den)
 
 
 def _det_bareiss(m: RingMatrix) -> MultiPoly:

@@ -25,9 +25,10 @@ polynomial prints as ``0``.
 
 Every ring operation runs on the integers it stores.  A product of two
 multi-term polynomials packs each exponent vector into one int
-(``_packed_product``); exact division reduces on grevlex-ordered packed keys.
-Results go through the trusted constructor ``_make``, which prunes unused
-variables and divides out ``gcd(den, *nums)``.
+(``_packing``, which the determinant expansion shares); exact division
+reduces on grevlex-ordered packed keys.  Results go through the trusted
+constructor ``_make``, which prunes unused variables and divides out
+``gcd(den, *nums)``.
 """
 
 from __future__ import annotations
@@ -648,52 +649,89 @@ def _pruned(variables: tuple, nums: dict, den: int) -> MultiPoly:
     return _new(variables, nums, den)
 
 
-def _packed_product(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Product of two non-constant polynomials on integers.
+def _packing(allvars: tuple, groups: Sequence[Sequence[MultiPoly]]) -> tuple:
+    """Int keys for the products that take one polynomial from each group:
+    ``(packed, den, unpack)``.
 
-    Each exponent vector is packed into one int in mixed radix: variable i
-    gets the width span_a + span_b + 1 (spans of its exponents in each
-    operand), so the sum of two packed keys is the packed key of the product
-    monomial and no field can carry into the next.  Negative exponents need
-    no shift before packing, because the map is injective on the box of
-    product exponents; the box's low corner is subtracted when unpacking.
-    The numerators multiply as stored, over the product of the two
-    denominators, so the inner loop does one int multiply and one int add.
+    Each group is scaled to integer numerators over the lcm of its
+    denominators, and ``den`` is the product of those lcms.  Each exponent
+    vector is packed into one int in mixed radix: variable i gets the width
+    sum over groups of the span of its exponents in the group, plus 1, and a
+    polynomial is keyed on its exponents minus its group's low corner.  So the
+    sum of one key from each group is the packed key of the product monomial,
+    every field stays in its width and none can carry into the next.
+    ``packed[g][t]`` lists the (key, numerator) pairs of ``groups[g][t]``;
+    ``unpack`` maps a dict from such key sums to numerators to the dict from
+    exponent vectors (over ``allvars``) to its nonzero numerators.
     """
-    allvars = MultiPoly._union_vars(a, b)
     n = len(allvars)
     low = [0] * n
     width = [1] * n
-    positions = []
-    for p in (a, b):
-        pos = range(n) if p.vars == allvars else [allvars.index(v) for v in p.vars]
-        positions.append(pos)
-        for i, col in zip(pos, zip(*p.nums)):
-            lo = min(col)
-            low[i] += lo
-            width[i] += max(col) - lo
+    rows = []
+    for group in groups:
+        placed = []
+        lo = hi = None
+        for p in group:
+            pos = range(n) if p.vars == allvars else [allvars.index(v) for v in p.vars]
+            placed.append(pos)
+            if not p.nums:
+                continue
+            # a variable that p lacks has exponent 0 in each of its terms
+            plo, phi = [0] * n, [0] * n
+            for i, col in zip(pos, zip(*p.nums)):
+                plo[i] = min(col)
+                phi[i] = max(col)
+            if lo is None:
+                lo, hi = plo, phi
+            else:
+                lo, hi = list(map(min, lo, plo)), list(map(max, hi, phi))
+        if lo is None:
+            lo = hi = [0] * n
+        low = list(map(add, low, lo))
+        width = [w + h - l for w, h, l in zip(width, hi, lo)]
+        rows.append((group, placed, lo))
     radix = []
     r = 1
     for w in width:
         radix.append(r)
         r *= w
     packed = []
-    for p, pos in zip((a, b), positions):
-        rad = [radix[i] for i in pos]
-        packed.append([(sum(map(mul, e, rad)), c) for e, c in p.nums.items()])
-    pa, pb = packed
+    den = 1
+    for group, placed, lo in rows:
+        d = lcm(*[p.den for p in group])
+        den *= d
+        off = sum(map(mul, lo, radix))
+        keyed = []
+        for p, pos in zip(group, placed):
+            rad = [radix[i] for i in pos]
+            f = d // p.den
+            keyed.append([(sum(map(mul, e, rad)) - off, c * f) for e, c in p.nums.items()])
+        packed.append(keyed)
+    fields = list(zip(radix, width, low))
+
+    def unpack(out: dict) -> dict:
+        return {tuple([k // r % w + lo for r, w, lo in fields]): v for k, v in out.items() if v}
+
+    return packed, den, unpack
+
+
+def _packed_product(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """Product of two non-constant polynomials on integers.
+
+    Both operands are packed as groups of one (``_packing``), so the sum of
+    two keys is the key of the product monomial.  The numerators multiply as
+    stored, over the product of the two denominators, so the inner loop does
+    one int multiply and one int add.
+    """
+    allvars = MultiPoly._union_vars(a, b)
+    ((pa,), (pb,)), den, unpack = _packing(allvars, ((a,), (b,)))
     out: dict = {}
     get = out.get
     for ka, ca in pa:
         for kb, cb in pb:
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
-    base = sum(map(mul, low, radix))
-    fields = list(zip(radix, width, low))
-    nums = {
-        tuple([(k - base) // r % w + lo for r, w, lo in fields]): v for k, v in out.items() if v
-    }
-    return MultiPoly._make(allvars, nums, a.den * b.den)
+    return MultiPoly._make(allvars, unpack(out), den)
 
 
 ZERO = MultiPoly.zero()

@@ -15,7 +15,7 @@ N, M <= 3):
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ..algebra import MultiPoly, RingMatrix, as_poly, det_exact
 from ..errors import RangeViolation
@@ -119,16 +119,20 @@ def one_point_stack_check(n: int, m: int, u_values: Sequence, v_values: Sequence
     return stack == pairing
 
 
-def recursion_expand_check(
+def recursion_sides(
     rs: Sequence[int], n: int, m: int, u_values: Sequence, v_values: Sequence
-) -> bool:
-    """Expand an n-point determinant in the last free creation variable.
+) -> Iterator[tuple]:
+    """(label, coefficient, recursion) for each j of the expansion of an
+    n-point determinant in the last free creation variable, then
+    ("window", determinant, its part inside the window) that is equal
+    exactly when no power of the variable lies outside [-M, M].
 
     The coefficient of u_{N-n}^{2j-M} must be the stated sum of
     (n+1)-point determinants: for the all-zero seed (order q = n), the
     single term with leading index j; otherwise the j = 0 coefficient is the
     seed extended by one zero, the j = M coefficient prepends a row-M seed,
-    and each 0 < j < M coefficient is a two-term sum.
+    and each 0 < j < M coefficient is a two-term sum.  The sides are built
+    lazily, one j at a time.
     """
     nn = len(rs)
     if nn >= n:
@@ -149,20 +153,25 @@ def recursion_expand_check(
     if any(r not in (0, 1) for r in rs):
         raise RangeViolation("recursion applies to seeds of zeros and ones")
     for j in range(0, m + 1):
-        got = target.coeff_of(name, 2 * j - m)
         if all(r == 0 for r in rs):
             want = child([j] + list(rs))
+        elif j == 0:
+            want = child(list(rs) + [0])
+        elif j == m:
+            want = child([m] + list(rs))
         else:
-            if j == 0:
-                want = child(list(rs) + [0])
-            elif j == m:
-                want = child([m] + list(rs))
-            else:
-                want = child([j] + list(rs)) + child(
-                    [j + 1] + list(ones[1:]) + [0] + list(zeros)
-                )
-        if got != want:
-            return False
-    # no stray powers outside the stated window
-    lo, hi = target.low_degree_in(name), target.degree_in(name)
-    return lo >= -m and hi <= m
+            want = child([j] + list(rs)) + child([j + 1] + list(ones[1:]) + [0] + list(zeros))
+        yield f"j={j}", target.coeff_of(name, 2 * j - m), want
+    window = sum(
+        (target.coeff_of(name, e) * MultiPoly.var(name, e) for e in range(-m, m + 1)),
+        MultiPoly.zero(),
+    )
+    yield "window", target, window
+
+
+def recursion_expand_check(
+    rs: Sequence[int], n: int, m: int, u_values: Sequence, v_values: Sequence
+) -> bool:
+    """Every side of ``recursion_sides`` agrees; stops at the first that
+    does not."""
+    return all(got == want for _, got, want in recursion_sides(rs, n, m, u_values, v_values))

@@ -56,7 +56,7 @@ from .phase import (
     limit_sides,
     npoint_det,
     one_hole_det,
-    recursion_expand_check,
+    recursion_sides,
     scalar_product,
     stack_sides,
     verify_rtt,
@@ -260,12 +260,11 @@ def _scalar_equivalence(seed: int) -> Iterator[dict]:
             a = scalar_product(n, m, un, vn, "fock_pairing")
             b = scalar_product(n, m, un, vn, "schur_sum")
             c = scalar_product(n, m, un, vn, "determinant")
-            yield _item(
-                "scalar-three-way-symbolic",
-                {"N": n, "M": m},
-                a == b == c,
-                witness=f"pairing={a.to_str()} schur={b.to_str()} det={c.to_str()}",
+            ok = a == b == c
+            witness = None if ok else (
+                f"pairing={_clip(a.to_str())} schur={_clip(b.to_str())} det={_clip(c.to_str())}"
             )
+            yield _item("scalar-three-way-symbolic", {"N": n, "M": m}, ok, witness)
 
     for n in BOUNDS["scalar_numeric_n"]:
         for m in range(0, BOUNDS["scalar_numeric_m"] + 1):
@@ -529,13 +528,14 @@ def _determinant_forms(seed: int) -> Iterator[dict]:
                 stack = [(f"{kind} stack", *stack_sides(kind, n, m, un, vn))]
                 witness = _first_unequal(stack, "stack", "pairing")
                 yield _item(f"{kind}-stack-reassembly", {"N": n, "M": m}, witness is None, witness)
-            ok = True
-            for order in range(1, min(n - 1, BOUNDS["npoint_order"]) + 1):
-                for q in range(0, order + 1):
-                    rs = (1,) * (order - q) + (0,) * q
-                    if not recursion_expand_check(rs, n, m, un, vn):
-                        ok = False
-            yield _item("expansion-recursions", {"N": n, "M": m}, ok)
+            recursions = (
+                (f"rs={list(rs)} {label}", got, want)
+                for order in range(1, min(n - 1, BOUNDS["npoint_order"]) + 1)
+                for rs in ((1,) * (order - q) + (0,) * q for q in range(0, order + 1))
+                for label, got, want in recursion_sides(rs, n, m, un, vn)
+            )
+            witness = _first_unequal(recursions, "expansion", "recursion")
+            yield _item("expansion-recursions", {"N": n, "M": m}, witness is None, witness)
 
 
 # -- the table ----------------------------------------------------------------

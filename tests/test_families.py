@@ -7,9 +7,11 @@ import json
 import pytest
 
 from phasetoda import suites
+from phasetoda.algebra import MultiPoly, as_poly
 from phasetoda.cli import main
 from phasetoda.combinatorics import enumerate_path_configs
 from phasetoda.errors import ConfigError, NotDivisible
+from phasetoda.phase import determinants
 from phasetoda.suites import FAMILIES, SUITES
 
 CHEAP = ("bijections", "triple-agreement", "tau-expansion", "bilinear", "power-sums")
@@ -180,3 +182,61 @@ def test_failed_npoint_form_names_the_first_seed(monkeypatch):
     assert [it["identity"] for it in failed] == ["npoint-determinant-form"]
     assert failed[0]["witness"].startswith("rs=[0]: determinant=")
     assert " pairing=" in failed[0]["witness"]
+
+
+def test_failed_recursion_names_the_first_seed_and_j(monkeypatch):
+    # every two-point determinant doubled: the one-point seed rs = [1] fails
+    # at its first coefficient, j = 0
+    right = determinants.npoint_det
+    monkeypatch.setattr(
+        determinants, "npoint_det",
+        lambda rs, *args: right(rs, *args) * (2 if len(rs) == 2 else 1),
+    )
+    monkeypatch.setitem(suites.BOUNDS, "correspondence_n", 2)
+    monkeypatch.setitem(suites.BOUNDS, "correspondence_m", 1)
+    failed = [it for it in suites.run_family("recursions", 0) if not it["pass"]]
+    assert [it["parameters"] for it in failed] == [{"N": 2, "M": 1}]
+    assert failed[0]["witness"] == (
+        "rs=[1] j=0: expansion=1*v1*v2^-1 + 1*v1^-1*v2 recursion=2*v1*v2^-1 + 2*v1^-1*v2"
+    )
+
+
+def test_failed_recursion_window_names_the_stray_power(monkeypatch):
+    # a one-point determinant with a power of u1 beyond u1^M: every
+    # coefficient agrees, the degree window does not
+    right = determinants.npoint_det
+    monkeypatch.setattr(
+        determinants, "npoint_det",
+        lambda rs, n, m, us, vs: right(rs, n, m, us, vs)
+        + (as_poly(us[0]) ** (m + 2) if len(rs) == 1 else 0),
+    )
+    monkeypatch.setitem(suites.BOUNDS, "correspondence_n", 2)
+    monkeypatch.setitem(suites.BOUNDS, "correspondence_m", 1)
+    items = suites.run_family("recursions", 0)
+    failed = [it for it in items if it["identity"] == "expansion-recursions" and not it["pass"]]
+    assert [it["parameters"] for it in failed] == [{"N": 2, "M": 1}]
+    assert failed[0]["witness"].startswith("rs=[1] window: expansion=")
+    assert " recursion=" in failed[0]["witness"]
+
+
+def test_failed_symbolic_scalar_product_names_its_three_sides_cut(monkeypatch):
+    # the determinant route off by a long polynomial: only the symbolic
+    # items carry a witness, each side cut like every other witness
+    right = suites.scalar_product
+    junk = sum((MultiPoly.var(f"w{i}") for i in range(60)), MultiPoly.zero())
+    monkeypatch.setattr(
+        suites, "scalar_product",
+        lambda n, m, us, vs, method: right(n, m, us, vs, method)
+        + (junk if method == "determinant" and n == 1 else 0),
+    )
+    monkeypatch.setitem(suites.BOUNDS, "scalar_symbolic_n", 1)
+    monkeypatch.setitem(suites.BOUNDS, "scalar_symbolic_m", 1)
+    monkeypatch.setitem(suites.BOUNDS, "scalar_numeric_n", ())
+    items = suites.run_family("scalar-equivalence", 0)
+    assert [it["pass"] for it in items] == [True, True, False, False]
+    assert "witness" not in items[0] and "witness" not in items[1]
+    for it in items[2:]:
+        pairing, rest = it["witness"].split(" schur=")
+        schur, det = rest.split(" det=")
+        assert pairing.startswith("pairing=") and schur == pairing[len("pairing="):]
+        assert det.endswith(" chars)") and len(det) < 200

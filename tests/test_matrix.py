@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasetoda.algebra import MultiPoly, RatioPoly, RingMatrix, det_cofactor, det_exact
+from phasetoda.algebra.matrix import _det_minor_dp
 from phasetoda.errors import NonSquare
 
 
@@ -115,6 +117,58 @@ def test_bareiss_zero_pivot_swap():
         ]
     )
     assert det_exact(m) == det_cofactor(m)
+
+
+# mixed denominators, so rows scale over different lcms
+COEFFS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3, 4, 6)))
+
+
+def _entries(names):
+    """Sparse Laurent polynomials in ``names``: up to three terms, zero when
+    every drawn coefficient is."""
+    exps = st.tuples(*[st.integers(-2, 2) for _ in names])
+    return st.dictionaries(exps, COEFFS, min_size=1, max_size=3).map(
+        lambda t: MultiPoly(names, t)
+    )
+
+
+# each row is one of: zero; constants; entries sharing no variable (entry j
+# in t_j alone); entries over a few shared names whose global order differs
+# from string order
+ROW_KINDS = ("zero",) + ("constant",) * 2 + ("disjoint",) * 3 + ("shared",) * 6
+
+
+@st.composite
+def laurent_matrices(draw, sizes):
+    n = draw(sizes)
+    # one matrix in five is all constant
+    kinds = ("constant",) if draw(st.integers(0, 4)) == 0 else ROW_KINDS
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "constant":
+            rows.append([draw(COEFFS) for _ in range(n)])
+        elif kind == "disjoint":
+            rows.append([draw(_entries((f"t{j}",))) for j in range(n)])
+        else:
+            names = draw(st.lists(st.sampled_from(("x", "u2", "u10")), unique=True, max_size=3))
+            rows.append([draw(_entries(tuple(names))) for _ in range(n)])
+    return RingMatrix(n, n, [e for row in rows for e in row])
+
+
+@settings(max_examples=80, deadline=None)
+@given(laurent_matrices(st.integers(0, 5)))
+def test_det_exact_matches_cofactor_on_sparse_laurent_matrices(m):
+    assert det_exact(m) == det_cofactor(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurent_matrices(st.integers(2, 5)))
+def test_minor_dp_matches_cofactor_at_every_size(m):
+    # det_exact sends n = 2 to the direct formula and n = 5 to Bareiss
+    assert _det_minor_dp(m) == det_cofactor(m)
 
 
 def test_matmul_and_identity():

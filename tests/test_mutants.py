@@ -1,8 +1,9 @@
 """Mutant gate: each planted fault must make the checks fail, with witnesses.
 
 Every row of ``FAULTS`` replaces one function with a wrong copy: a Schur
-layer function in every module that holds it, a kernel routine of the
-polynomial module where it is looked up.  Under each fault, every family of
+layer function in every module that holds it, a kernel routine in the
+module that looks it up (the packing helper once in the polynomial module,
+once in the determinant module).  Under each fault, every family of
 its row must yield at least one failed item of its own identities that
 carries a witness, and ``run_family`` must return rather than raise.
 ``BOUNDS`` is shrunk for speed; the same small bounds pass without the fault.
@@ -15,7 +16,7 @@ import textwrap
 import pytest
 
 from phasetoda import suites, symfunc, toda
-from phasetoda.algebra import MultiPoly, RingMatrix, det_exact, multipoly
+from phasetoda.algebra import MultiPoly, RingMatrix, det_exact, matrix, multipoly
 from phasetoda.combinatorics import Partition, SkewShape, planepartitions
 from phasetoda.phase import scalar
 
@@ -69,13 +70,21 @@ vandermonde_ignores_orientation = edited(
     "squares[k] - squares[j] if descending else squares[j] - squares[k]",
     "squares[j] - squares[k]",
 )
-# every field of the packed product one slot narrower, so the top exponent
-# of a variable carries into the next field (a width-1 field holds a single
-# exponent and cannot carry, so it stays 1)
-packed_product_narrow_fields = edited(
-    multipoly, "_packed_product",
+# every packed field one slot narrower, so the top exponent of a variable
+# carries into the next field (a width-1 field holds a single exponent and
+# cannot carry, so it stays 1); planted where the product looks the packing
+# up, and separately where the determinant expansion does
+packing_narrow_fields = edited(
+    multipoly, "_packing",
     "    radix = []\n",
     "    width = [max(w - 1, 1) for w in width]\n    radix = []\n",
+)
+# the cofactor sign (-1)^pos without the row's (-1)^k, so every 3x3
+# determinant changes sign
+det_dp_sign_flipped = edited(
+    matrix, "_det_minor_dp",
+    "neg = (k + (cols & (bit - 1)).bit_count()) & 1",
+    "neg = (cols & (bit - 1)).bit_count() & 1",
 )
 # results keep numerators and denominator with a common factor, 2/2 for 1
 make_without_gcd = edited(MultiPoly, "_make", "if den != 1:", "if False:")
@@ -127,7 +136,14 @@ FAULTS = {
     "h-row-drops-last-letter":
         (plant_everywhere("h_row", h_row_without_last_letter), SCHUR_FAMILIES),
     "packed-product-narrow-fields":
-        (plant_on(multipoly, "_packed_product", packed_product_narrow_fields), KERNEL_FAMILIES),
+        (plant_on(multipoly, "_packing", packing_narrow_fields), KERNEL_FAMILIES),
+    # a determinant seldom reaches the top of every field at once: the
+    # tau expansion's symbolic 3x3 minors do
+    "det-dp-narrow-fields": (plant_on(matrix, "_packing", packing_narrow_fields), ("tau-expansion",)),
+    # the 3x3 determinants of the state vectors, taus and wave functions
+    "det-dp-cofactor-sign":
+        (plant_on(matrix, "_det_minor_dp", det_dp_sign_flipped),
+         ("state-coefficients", "tau-expansion", "bilinear", "linear")),
     "make-skips-gcd": (plant_on(MultiPoly, "_make", make_without_gcd), KERNEL_FAMILIES),
     # the matrix identities of the linear problem name their first differing (i, j)
     "shift-exp-band-off-by-one":
@@ -154,7 +170,9 @@ def small_bounds(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "family", SCHUR_FAMILIES + KERNEL_FAMILIES + ("linear", "bijections", "single-determinant")
+    "family",
+    SCHUR_FAMILIES + KERNEL_FAMILIES
+    + ("linear", "bijections", "single-determinant", "state-coefficients"),
 )
 def test_small_bounds_pass_without_a_fault(small_bounds, family):
     items = suites.run_family(family, 7)
