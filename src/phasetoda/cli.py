@@ -13,7 +13,9 @@ import csv
 import json
 import sys
 import time
-from .algebra import RingMatrix, det_exact
+from math import comb
+
+from .algebra import MultiPoly, RingMatrix, det_exact
 from .combinatorics import (
     OccupationSequence,
     Partition,
@@ -28,12 +30,14 @@ from .errors import ConfigError, PhaseTodaError
 from .phase import boundary_correlator, scalar_product
 from .reports import build_report, emit_report
 from .suites import FAMILIES, SUITES, run_family, run_suite
+from .symfunc import _reach, jacobi_trudi
 from .toda import TauContext, generic_constant_matrix, tau, tau_schur_expand
 
 
-# The most plane partitions `enumerate pp` or `enumerate paths` lists: the
-# N = 4, M = 4 box (232,848) takes about 13 s on 2 CPUs, N = 5, M = 3
-# (731,808) is refused.
+# The most objects `enumerate` lists, counted before listing (MacMahon's
+# product for pp and paths, C(N+M, N) partitions, the Jacobi-Trudi count of
+# tableaux): the N = 4, M = 4 box (232,848 plane partitions) takes about
+# 13 s on 2 CPUs, N = 5, M = 3 (731,808) is refused.
 ENUMERATE_CAP = 250_000
 
 # The largest M that `compute scalar` (all three routes) runs at N = 0..4, a
@@ -170,33 +174,43 @@ def cmd_compute(args) -> int:
     return 0 if report["failed"] == 0 else 1
 
 
+def _tableau_count(shape: SkewShape, n: int) -> int:
+    """s_shape(1^n), the number of tableaux with entries in 1..n: the
+    Jacobi-Trudi determinant over h_d(1^n) = C(n + d - 1, d)."""
+    h = [MultiPoly.const(comb(n + d - 1, d) if d else 1) for d in range(_reach(shape) + 1)]
+    return int(jacobi_trudi(shape, h).constant_value())
+
+
+def _refuse_over_cap(count: int, where: str, what: str) -> None:
+    """Refuse (a ConfigError, exit 2) before anything is listed when count
+    exceeds the cap."""
+    if count > ENUMERATE_CAP:
+        raise ConfigError(f"{where} holds {count} {what}, more than the {ENUMERATE_CAP} that enumerate lists")
+
+
 def cmd_enumerate(args) -> int:
     t0 = time.time()
-    count = macmahon_count(args.N, args.M) if args.object in ("pp", "paths") else 0
-    if count > ENUMERATE_CAP:
-        raise ConfigError(
-            f"the N={args.N}, M={args.M} box holds {count} plane partitions, "
-            f"more than the {ENUMERATE_CAP} that enumerate lists"
-        )
+    box = f"the N={args.N}, M={args.M} box"
+    if args.object in ("pp", "paths"):
+        _refuse_over_cap(macmahon_count(args.N, args.M), box, "plane partitions")
+    elif args.object == "partitions":
+        _refuse_over_cap(comb(args.N + args.M, args.N), box, "partitions")
     items = []
     if args.object == "pp":
         contains = None
         if args.contains:
             contains = Partition(_ints(args.contains))
+        first = None
         for pp in enumerate_plane_partitions(args.N, args.M):
             if contains is not None and pp.diagonal() != contains:
                 continue
+            first = first or pp
             items.append({"array": [list(r) for r in pp.array]})
         if args.svg:
             from .svg import pp_to_svg
 
-            if not items:
+            if first is None:
                 raise ConfigError("no plane partition to render")
-            first = next(
-                pp
-                for pp in enumerate_plane_partitions(args.N, args.M)
-                if contains is None or pp.diagonal() == contains
-            )
             with open(args.svg, "w") as fh:
                 fh.write(pp_to_svg(first))
     elif args.object == "partitions":
@@ -210,6 +224,8 @@ def cmd_enumerate(args) -> int:
             items.append({"turning_rows": [list(t) for t in cfg.turns]})
     elif args.object == "tableaux":
         shape = SkewShape(Partition(_ints(args.shape)), Partition(_ints(args.inner)))
+        count = _tableau_count(shape, args.entries)
+        _refuse_over_cap(count, f"the shape {shape}", f"tableaux over {args.entries} letters")
         for tab in enumerate_tableaux(shape, args.entries, args.convention):
             items.append({"rows": [list(r) for r in tab.rows]})
     else:

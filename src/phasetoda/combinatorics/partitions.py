@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable
@@ -16,14 +17,13 @@ class Partition:
     parts: tuple
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        parts = tuple(map(int, parts))
+        if not all(map(operator.ge, parts, parts[1:])):
             raise ShapeViolation(f"not weakly decreasing: {parts}")
-        if any(p < 0 for p in parts):
+        # decreasing: the last part is the least, and the zeros trail
+        if parts and parts[-1] < 0:
             raise ShapeViolation(f"negative part: {parts}")
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
-        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "parts", parts[: len(parts) - parts.count(0)])
 
     def get(self, i: int) -> int:
         """1-based part access, 0 beyond the last part."""

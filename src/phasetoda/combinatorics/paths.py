@@ -12,6 +12,10 @@ Multiple paths may share a horizontal edge (that is how site occupations
 above one arise); vertical edges are never shared (column strictness),
 which is equivalent to the plane-partition inequalities.
 
+Non-crossing puts each path's turn row componentwise below the row of the
+path before it, so the configurations are enumerated as chains of weakly
+increasing rows by the plane partitions' ``_row_chains``.
+
 Each vertex line carries one spectral variable.  At a vertex the pair
 (vertical edge below occupied?, above occupied?) selects one of four
 letters: (0,0) d, (1,1) a, (0,1) b, (1,0) c, and the weight exponent of the
@@ -21,12 +25,14 @@ lines x = -(N+1-l) carry the l-th annihilation variable.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from ..errors import ShapeViolation
 from .partitions import OccupationSequence, Partition, occupation_to_partition
-from .planepartitions import PlanePartitionBox
+from .planepartitions import PlanePartitionBox, _row_chains
 
 
 @dataclass(frozen=True)
@@ -37,16 +43,15 @@ class LatticePathConfig:
 
     def __post_init__(self):
         t = self.turns
-        if len(t) != self.n or any(len(row) != self.n for row in t):
+        if [*map(len, t)] != [self.n] * self.n:
             raise ShapeViolation("need N paths with N runs each")
         for row in t:
-            if any(not (0 <= r <= self.m) for r in row):
+            if not (0 <= min(row) and max(row) <= self.m):
                 raise ShapeViolation("run row outside [0, M]")
-            if any(row[i] > row[i + 1] for i in range(len(row) - 1)):
+            if not all(map(operator.le, row, row[1:])):
                 raise ShapeViolation("run rows must weakly increase")
-        for p in range(self.n - 1):
-            if any(t[p][i] < t[p + 1][i] for i in range(self.n)):
-                raise ShapeViolation("paths cross")
+        if not all(all(map(operator.ge, upper, lower)) for upper, lower in zip(t, t[1:])):
+            raise ShapeViolation("paths cross")
 
     def diagonal(self) -> Partition:
         return Partition(tuple(self.turns[p][self.n - 1 - p] for p in range(self.n)))
@@ -123,42 +128,20 @@ def enumerate_path_configs(
     """All configurations, optionally constrained to a start/end pattern.
 
     The constraint fixes the occupation sequence, i.e. the partition read
-    off the middle crossings.  Deterministic order: paths are filled in
+    off the middle crossings: path p takes only turn rows whose entry N-1-p
+    is the partition's part p.  Deterministic order: paths are filled in
     order with run rows chosen largest first.
     """
-    diag = None
+    keep = None
     if occupation is not None:
         if occupation.total != n or occupation.site_bound != m:
             raise ShapeViolation("occupation pattern does not match (N, M)")
         diag = occupation_to_partition(occupation).padded(n)
-    turns: list = []
 
-    def rec(p):
-        if p == n:
-            yield LatticePathConfig(n, m, tuple(tuple(r) for r in turns))
-            return
-        upper = turns[p - 1] if p else None
+        def keep(p, row):
+            return row[n - 1 - p] == diag[p]
 
-        def fill(row, i):
-            if i == n:
-                turns.append(tuple(row))
-                yield from rec(p + 1)
-                turns.pop()
-                return
-            hi = m if upper is None else upper[i]
-            lo = row[-1] if row else 0
-            if diag is not None and i == n - 1 - p:
-                v = diag[p]
-                if lo <= v <= hi:
-                    row.append(v)
-                    yield from fill(row, i + 1)
-                    row.pop()
-                return
-            for v in range(hi, lo - 1, -1):
-                row.append(v)
-                yield from fill(row, i + 1)
-                row.pop()
-
-        yield from fill([], 0)
-
-    yield from rec(0)
+    # weakly increasing turn rows, lexicographically descending
+    rows = list(itertools.combinations_with_replacement(range(m + 1), n))[::-1]
+    for chain in _row_chains(rows, n, keep):
+        yield LatticePathConfig(n, m, chain)

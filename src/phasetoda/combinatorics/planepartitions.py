@@ -9,11 +9,16 @@ one before it (a Gelfand-Tsetlin pattern).  A half with main diagonal
 lambda bijects with a semi-standard tableau of shape lambda whose letter k
 fills the strip between diagonals k-1 and k (descending convention for the
 upper half, ascending with letter N+1-k for the lower).
+
+A box is a chain of N rows (Stanley, EC2 7.20), each one of the C(N+M, N)
+weakly decreasing N-tuples over [0, M] and componentwise >= the next; it is
+enumerated by ``_row_chains``, N rows deep, as are the lattice paths.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -34,17 +39,21 @@ class PlanePartitionBox:
     array: tuple  # N rows of N entries
 
     def __post_init__(self):
-        a = self.array
-        if len(a) != self.n or any(len(row) != self.n for row in a):
+        a, m = self.array, self.m
+        if [*map(len, a)] != [self.n] * self.n:
             raise ShapeViolation("array is not N x N")
-        for i in range(self.n):
-            for j in range(self.n):
-                v = a[i][j]
-                if not (0 <= v <= self.m):
-                    raise ShapeViolation(f"entry {v} outside [0, {self.m}]")
-                if j + 1 < self.n and v < a[i][j + 1]:
+        # a row that decreases, is >= the next entry by entry and has its
+        # ends in [0, M] is sound; else its first faulty cell names the fault
+        for row, below in zip(a, a[1:] + a[-1:]):
+            if (all(map(operator.ge, row, row[1:])) and all(map(operator.ge, row, below))
+                    and 0 <= row[-1] and row[0] <= m):
+                continue
+            for j, v in enumerate(row):
+                if not (0 <= v <= m):
+                    raise ShapeViolation(f"entry {v} outside [0, {m}]")
+                if j + 1 < self.n and v < row[j + 1]:
                     raise ShapeViolation("rows must weakly decrease")
-                if i + 1 < self.n and v < a[i + 1][j]:
+                if v < below[j]:
                     raise ShapeViolation("columns must weakly decrease")
 
     def diagonal(self) -> Partition:
@@ -75,15 +84,14 @@ class HalfPlanePartition:
     def __post_init__(self):
         if self.side not in ("upper", "lower"):
             raise ValueError(self.side)
-        if len(self.diagonals) != self.n or any(
-            len(d) != self.n - k for k, d in enumerate(self.diagonals)
-        ):
+        d = self.diagonals
+        if [*map(len, d)] != [*range(self.n, 0, -1)]:
             raise ShapeViolation("ragged half")
-        if any(not (0 <= v <= self.m) for d in self.diagonals for v in d):
+        if d and not (0 <= min(map(min, d)) and max(map(max, d)) <= self.m):
             raise ShapeViolation("entry outside box")
         # interlacing is row and column monotonicity on either side
-        for prev, cur in zip(self.diagonals, self.diagonals[1:]):
-            if any(not (prev[i + 1] <= v <= prev[i]) for i, v in enumerate(cur)):
+        for prev, cur in zip(d, d[1:]):
+            if not (all(map(operator.le, cur, prev)) and all(map(operator.ge, cur, prev[1:]))):
                 raise ShapeViolation("diagonals must interlace")
 
     def entry(self, i: int, j: int) -> int:
@@ -113,32 +121,40 @@ def macmahon_count(n: int, m: int) -> int:
     return num // den
 
 
+def _row_chains(rows: list, depth: int, keep=None) -> Iterator[tuple]:
+    """Chains of depth rows, each componentwise >= the next, in the order of
+    ``rows`` at every level; ``keep(p, row)`` prunes the rows of level p.
+    A row's rows below are listed once, when a chain first reaches it."""
+    below: dict = {}
+
+    def grow(chain, candidates):
+        p = len(chain)
+        if keep is not None:
+            candidates = [row for row in candidates if keep(p, row)]
+        if p + 1 == depth:
+            for row in candidates:
+                yield chain + (row,)
+            return
+        for row in candidates:
+            if row not in below:
+                below[row] = [b for b in rows if all(map(operator.ge, row, b))]
+            yield from grow(chain + (row,), below[row])
+
+    if depth == 0:
+        yield ()
+        return
+    yield from grow((), rows)
+
+
 def enumerate_plane_partitions(n: int, m: int) -> Iterator[PlanePartitionBox]:
     """All plane partitions in the box, row-major entries descending from
     their upper bound; restartable generator."""
     if n < 0 or m < 0:
         raise ShapeViolation("box dimensions must be non-negative")
-    if n == 0:
-        yield PlanePartitionBox(0, m, ())
-        return
-    grid = [[0] * n for _ in range(n)]
-
-    def rec(pos):
-        if pos == n * n:
-            yield PlanePartitionBox(n, m, tuple(tuple(r) for r in grid))
-            return
-        i, j = divmod(pos, n)
-        hi = m
-        if i > 0:
-            hi = min(hi, grid[i - 1][j])
-        if j > 0:
-            hi = min(hi, grid[i][j - 1])
-        for v in range(hi, -1, -1):
-            grid[i][j] = v
-            yield from rec(pos + 1)
-        grid[i][j] = 0
-
-    yield from rec(0)
+    # weakly decreasing rows, lexicographically descending
+    rows = list(itertools.combinations_with_replacement(range(m, -1, -1), n))
+    for chain in _row_chains(rows, n):
+        yield PlanePartitionBox(n, m, chain)
 
 
 def _enumerate_half(lam: Partition, n: int, m: int, side: str) -> Iterator[HalfPlanePartition]:

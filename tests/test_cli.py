@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from phasetoda import cli
 from phasetoda.algebra import MultiPoly
 from phasetoda.cli import main
-from phasetoda.combinatorics import macmahon_count
+from phasetoda.combinatorics import Partition, SkewShape, enumerate_tableaux, macmahon_count
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -135,6 +136,70 @@ def test_enumerate_lists_the_largest_box_under_the_cap(obj, monkeypatch, tmp_pat
     assert macmahon_count(4, 4) <= cli.ENUMERATE_CAP
     code, out = run_cli(["enumerate", obj, "--N", "4", "--M", "4"], tmp_path)
     assert code == 0 and json.loads(out.read_text())["count"] == 0
+
+
+def hook_content(shape, n):
+    """s_shape(1^n) of a straight shape: prod over its cells (n + content) / hook."""
+    conj = [sum(1 for p in shape if p > j) for j in range(shape[0])] if shape else []
+    num = den = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            num *= n + j - i
+            den *= row - j + conj[j] - i - 1
+    return num // den
+
+
+def never(*args):
+    raise AssertionError("a refused count was enumerated")
+
+
+@pytest.mark.parametrize(
+    "args, count",
+    [
+        (["partitions", "--N", "30", "--M", "30"], comb(60, 30)),
+        (["partitions", "--N", "1", "--M", "250000"], 250_001),
+        (["tableaux", "--shape", "3,2,1", "--entries", "16"], hook_content((3, 2, 1), 16)),
+        (["tableaux", "--shape", "5", "--entries", "30"], hook_content((5,), 30)),
+        # the skew shape (4,3,2)/(2,1): 273,988 tableaux over 12 letters
+        (["tableaux", "--shape", "4,3,2", "--inner", "2,1", "--entries", "12"], 273_988),
+    ],
+)
+def test_enumerate_refuses_a_count_above_the_cap(args, count, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "partitions_in_box", never)
+    monkeypatch.setattr(cli, "enumerate_tableaux", never)
+    assert count > cli.ENUMERATE_CAP
+    argv = ["enumerate", *args] + (["--N", "0", "--M", "0"] if "--N" not in args else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert str(count) in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["partitions", "--N", "1", "--M", "249999"],
+        ["tableaux", "--N", "0", "--M", "0", "--shape", "3,2,1", "--entries", "15"],
+        ["tableaux", "--N", "0", "--M", "0", "--shape", "4,3,2", "--inner", "2,1", "--entries", "11"],
+    ],
+)
+def test_enumerate_lists_a_count_under_the_cap(args, monkeypatch, tmp_path):
+    # the stubs stand in for the 250,000, 247,520 and 163,372 objects
+    monkeypatch.setattr(cli, "partitions_in_box", lambda n, m: [])
+    monkeypatch.setattr(cli, "enumerate_tableaux", lambda shape, n, convention: iter(()))
+    code, out = run_cli(["enumerate", *args], tmp_path)
+    assert code == 0 and json.loads(out.read_text())["count"] == 0
+
+
+def test_tableau_count_matches_the_enumeration():
+    shapes = [((2, 1), ()), ((3, 3), (1,)), ((2, 2, 1), (1, 1)), ((4, 1), (2,)), ((), ()), ((1, 1, 1), ())]
+    for outer, inner in shapes:
+        shape = SkewShape(Partition(outer), Partition(inner))
+        for n in range(5):
+            for convention in ("ascending", "descending"):
+                listed = sum(1 for _ in enumerate_tableaux(shape, n, convention))
+                assert cli._tableau_count(shape, n) == listed, (outer, inner, n)
+        if not inner:
+            assert cli._tableau_count(shape, 7) == hook_content(outer, 7)
 
 
 @pytest.mark.parametrize("n, m", [(4, 3), (5, 0), (3, 7), (2, 31), (1, 701), (0, 701)])

@@ -102,8 +102,20 @@ enumerate_half_drops_lower_end = edited(
     planepartitions, "_enumerate_half", "prev[i + 1] - 1", "prev[i + 1]"
 )
 
+# MacMahon's factor (i + j + m - 1) / (i + j - 1) one step high: the
+# product is then the count of the box one taller
+macmahon_factor_off_by_one = edited(
+    planepartitions, "macmahon_count", "num *= i + j + m - 1", "num *= i + j + m"
+)
+# a row leads only to the rows strictly below it in every entry, so every
+# box of two rows or more loses chains
+row_chains_strictly_below = edited(
+    planepartitions, "_row_chains", "operator.ge", "operator.gt"
+)
+
 RIGHT = {
     "h_row": symfunc.h_row, "jacobi_trudi": symfunc.jacobi_trudi, "shift_exp": toda.shift_exp,
+    "macmahon_count": planepartitions.macmahon_count, "_row_chains": planepartitions._row_chains,
     "tableau_to_pp_half": planepartitions.tableau_to_pp_half,
     "vandermonde_divide": scalar.vandermonde_divide,
 }
@@ -152,6 +164,12 @@ FAULTS = {
     "tableau-to-half-layer-off-by-one":
         (plant_everywhere("tableau_to_pp_half", tableau_to_half_layer_off_by_one),
          ("bijections",)),
+    # the failing count names the enumerated count and the formula's
+    "macmahon-factor-off-by-one":
+        (plant_everywhere("macmahon_count", macmahon_factor_off_by_one), ("bijections",)),
+    # planted for the plane partitions and the paths alike
+    "row-chains-strictly-below":
+        (plant_everywhere("_row_chains", row_chains_strictly_below), ("bijections",)),
     "enumerate-half-drops-lower-end":
         (plant_on(planepartitions, "_enumerate_half", enumerate_half_drops_lower_end),
          ("triple-agreement",)),
@@ -190,7 +208,8 @@ def test_fault_fails_family_with_witness(small_bounds, monkeypatch, fault, famil
     if family == "linear":
         assert all("(i, j)=" in it["witness"] for it in caught)
     if family == "bijections":
-        assert all("tableau=" in it["witness"] for it in caught)
+        marks = {"half-tableau-round-trip": "tableau=", "plane-partition-count-macmahon": "enumerated "}
+        assert all(marks.get(it["identity"], "") in it["witness"] for it in caught)
     if family == "single-determinant":
         hole = [it for it in caught if it["identity"] == "hole-determinant-form"]
         assert hole and all(it["witness"].startswith("q=") for it in hole)

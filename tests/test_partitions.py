@@ -3,6 +3,7 @@
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from phasetoda.combinatorics import (
     OccupationSequence,
@@ -67,3 +68,34 @@ def test_conjugate():
     assert Partition((3, 1, 1)).conjugate() == Partition((3, 1, 1))
     assert Partition((2, 2)).conjugate() == Partition((2, 2))
     assert Partition((3,)).conjugate() == Partition((1, 1, 1))
+
+
+def partition_verdict(parts):
+    """The per-part check: the stored parts, or the message of its fault."""
+    parts = tuple(int(p) for p in parts)
+    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        return f"not weakly decreasing: {parts}"
+    if any(p < 0 for p in parts):
+        return f"negative part: {parts}"
+    while parts and parts[-1] == 0:
+        parts = parts[:-1]
+    return parts
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(-2, 4), max_size=6),
+    st.lists(st.integers(-2, 4), max_size=6).map(lambda ps: sorted(ps, reverse=True)),
+))
+@example([])
+@example([0, 0])
+@example([2, -1, -1])
+@example([-1, 0])
+def test_partition_check_agrees_with_the_per_part_check(parts):
+    want = partition_verdict(parts)
+    if isinstance(want, tuple):
+        assert Partition(parts).parts == want
+    else:
+        with pytest.raises(ShapeViolation) as exc:
+            Partition(parts)
+        assert str(exc.value) == want

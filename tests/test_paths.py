@@ -1,6 +1,9 @@
 """Lattice path configurations and their weight statistics."""
 
+import itertools
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from phasetoda.combinatorics import (
     LatticePathConfig,
@@ -9,6 +12,7 @@ from phasetoda.combinatorics import (
     PlanePartitionBox,
     enumerate_path_configs,
     macmahon_count,
+    occupation_to_partition,
     path_to_pp,
     pp_to_path,
 )
@@ -118,3 +122,105 @@ def test_weight_preservation_against_tableaux():
                         d_lo[n - l] - d_lo[n + 1 - l]
                     )
                     assert cfg.annihilation_exponent(l) == m - 2 * t_asc[l - 1]
+
+
+# -- row chains against the cell-by-cell oracle ---------------------------------
+
+
+def cell_by_cell_path_configs(n, m, diag=None):
+    """The turn rows path by path and run by run, each run row descending
+    from the least of M and the run above it; diag[p], if given, is the only
+    row run N-1-p of path p may take."""
+    turns = []
+
+    def rec(p):
+        if p == n:
+            yield tuple(turns)
+            return
+        upper = turns[p - 1] if p else None
+
+        def fill(row, i):
+            if i == n:
+                turns.append(tuple(row))
+                yield from rec(p + 1)
+                turns.pop()
+                return
+            hi = m if upper is None else upper[i]
+            lo = row[-1] if row else 0
+            choices = range(hi, lo - 1, -1)
+            if diag is not None and i == n - 1 - p:
+                choices = [diag[p]] if lo <= diag[p] <= hi else []
+            for v in choices:
+                row.append(v)
+                yield from fill(row, i + 1)
+                row.pop()
+
+        yield from fill([], 0)
+
+    return rec(0)
+
+
+def occupations(n, m):
+    return [c for c in itertools.product(range(n + 1), repeat=m + 1) if sum(c) == n]
+
+
+@pytest.mark.parametrize("m", range(4))
+@pytest.mark.parametrize("n", range(5))
+def test_row_chains_list_the_cell_by_cell_sequence(n, m):
+    assert [c.turns for c in enumerate_path_configs(n, m)] == list(cell_by_cell_path_configs(n, m))
+    for counts in occupations(n, m):
+        occ = OccupationSequence(counts)
+        diag = occupation_to_partition(occ).padded(n)
+        got = [c.turns for c in enumerate_path_configs(n, m, occ)]
+        assert got == list(cell_by_cell_path_configs(n, m, diag)), counts
+        assert all(c.diagonal() == occupation_to_partition(occ) for c in enumerate_path_configs(n, m, occ))
+
+
+def config_fault(n, m, t):
+    """The message of the per-entry check of a configuration, or None."""
+    if len(t) != n or any(len(row) != n for row in t):
+        return "need N paths with N runs each"
+    for row in t:
+        if any(not (0 <= r <= m) for r in row):
+            return "run row outside [0, M]"
+        if any(row[i] > row[i + 1] for i in range(len(row) - 1)):
+            return "run rows must weakly increase"
+    for p in range(n - 1):
+        if any(t[p][i] < t[p + 1][i] for i in range(n)):
+            return "paths cross"
+    return None
+
+
+@st.composite
+def near_configs(draw):
+    """(n, m, turns): the turn rows of a plane partition (rows sorted, then
+    columns) with up to three runs set anywhere in [-1, m + 1]."""
+    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    cells = draw(st.lists(st.integers(0, m), min_size=n * n, max_size=n * n))
+    rows = [sorted(cells[i * n:(i + 1) * n], reverse=True) for i in range(n)]
+    array = list(zip(*(sorted(c, reverse=True) for c in zip(*rows))))
+    turns = [[array[n - 1 - i][j] for i in range(n)] for j in range(n)]
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        p, i = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        turns[p][i] = draw(st.integers(-1, m + 1))
+    if n and draw(st.integers(0, 9)) == 0:
+        turns[-1].pop()
+    return n, m, tuple(map(tuple, turns))
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_configs())
+@example((0, 0, ()))
+@example((1, 0, ((1,),)))
+@example((2, 1, ((0, 2), (0, 0))))  # last run of the first path out of range
+@example((2, 1, ((-1, 1), (0, 0))))  # first run out of range, then crossing
+@example((2, 2, ((1, 0), (2, 2))))  # falls before it crosses
+def test_config_check_agrees_with_the_per_entry_check(case):
+    n, m, turns = case
+    want = config_fault(n, m, turns)
+    if want is None:
+        LatticePathConfig(n, m, turns)
+    else:
+        with pytest.raises(ShapeViolation) as exc:
+            LatticePathConfig(n, m, turns)
+        assert str(exc.value) == want

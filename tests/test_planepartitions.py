@@ -1,6 +1,7 @@
 """Boxed plane partitions, halves, and the tableau bijections."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from phasetoda.combinatorics import (
     HalfPlanePartition,
@@ -132,3 +133,125 @@ def test_half_tableau_round_trip(n, m):
         for half in lower_diagonal(lam, n, m):
             tab = pp_half_to_tableau(half)
             assert tableau_to_pp_half(tab, n, m) == half
+
+
+# -- row chains against the cell-by-cell oracles -------------------------------
+
+
+def cell_by_cell_plane_partitions(n, m):
+    """The arrays of the box one cell at a time, row-major, each entry
+    descending from the least of M, its left and its upper neighbour."""
+    grid = [[0] * n for _ in range(n)]
+
+    def rec(pos):
+        if pos == n * n:
+            yield tuple(tuple(r) for r in grid)
+            return
+        i, j = divmod(pos, n)
+        hi = min([m] + ([grid[i - 1][j]] if i else []) + ([grid[i][j - 1]] if j else []))
+        for v in range(hi, -1, -1):
+            grid[i][j] = v
+            yield from rec(pos + 1)
+        grid[i][j] = 0
+
+    return rec(0)
+
+
+@pytest.mark.parametrize("m", range(4))
+@pytest.mark.parametrize("n", range(5))
+def test_row_chains_list_the_cell_by_cell_sequence(n, m):
+    assert [pp.array for pp in enumerate_plane_partitions(n, m)] == list(
+        cell_by_cell_plane_partitions(n, m)
+    )
+
+
+def box_fault(n, m, a):
+    """The message of the per-cell check: the first faulty cell, row-major,
+    tried for range, then its row, then its column; None if sound."""
+    if len(a) != n or any(len(row) != n for row in a):
+        return "array is not N x N"
+    for i in range(n):
+        for j in range(n):
+            v = a[i][j]
+            if not (0 <= v <= m):
+                return f"entry {v} outside [0, {m}]"
+            if j + 1 < n and v < a[i][j + 1]:
+                return "rows must weakly decrease"
+            if i + 1 < n and v < a[i + 1][j]:
+                return "columns must weakly decrease"
+    return None
+
+
+def half_fault(n, m, diagonals):
+    """The message of the per-entry check of a half, or None."""
+    if len(diagonals) != n or any(len(d) != n - k for k, d in enumerate(diagonals)):
+        return "ragged half"
+    if any(not (0 <= v <= m) for d in diagonals for v in d):
+        return "entry outside box"
+    for prev, cur in zip(diagonals, diagonals[1:]):
+        if any(not (prev[i + 1] <= v <= prev[i]) for i, v in enumerate(cur)):
+            return "diagonals must interlace"
+    return None
+
+
+def assert_same_verdict(make, want):
+    if want is None:
+        make()
+    else:
+        with pytest.raises(ShapeViolation) as exc:
+            make()
+        assert str(exc.value) == want
+
+
+@st.composite
+def near_boxes(draw, n_max=4):
+    """(n, m, array): a plane partition (rows sorted, then columns) with up
+    to three cells set anywhere in [-1, m + 1], corners included."""
+    n, m = draw(st.integers(0, n_max)), draw(st.integers(0, 3))
+    cells = draw(st.lists(st.integers(0, m), min_size=n * n, max_size=n * n))
+    rows = [sorted(cells[i * n:(i + 1) * n], reverse=True) for i in range(n)]
+    array = [list(r) for r in zip(*(sorted(c, reverse=True) for c in zip(*rows)))]
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        array[i][j] = draw(st.integers(-1, m + 1))
+    return n, m, tuple(map(tuple, array))
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_boxes(), st.integers(0, 9))
+@example((0, 0, ()), 1)
+@example((1, 0, ((1,),)), 1)
+@example((2, 1, ((2, 1), (1, 0))), 1)  # top corner out of range
+@example((2, 1, ((1, -1), (0, -2))), 1)  # the first negative cell is named
+@example((2, 1, ((1, 0), (1, -1))), 1)  # bottom corner out of range
+@example((2, 2, ((2, 0), (0, 3))), 1)  # a column fault before a range fault
+def test_box_check_agrees_with_the_cell_by_cell_check(case, ragged):
+    n, m, array = case
+    if ragged == 0 and n:
+        array = array[:-1] + (array[-1][:-1],)
+    assert_same_verdict(lambda: PlanePartitionBox(n, m, array), box_fault(n, m, array))
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_boxes(), st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(-1, 4)), max_size=3))
+@example((2, 2, ((2, 0), (0, 0))), [(0, 1, 1)])  # main diagonal (2, 1) -> (2, 0) is fine
+@example((2, 1, ((0, 0), (0, 0))), [(0, 1, 1)])  # main diagonal (0, 1) rises
+@example((3, 2, ((2, 2, 2), (2, 2, 2), (2, 2, 2))), [(0, 1, 0), (0, 2, 3)])
+def test_half_check_agrees_with_the_per_entry_check(case, edits):
+    n, m, array = case
+    diagonals = [[array[i][i + k] for i in range(n - k)] for k in range(n)]
+    for k, i, v in edits:
+        if n:
+            d = diagonals[k % n]
+            d[i % len(d)] = v
+    diagonals = tuple(map(tuple, diagonals))
+    assert_same_verdict(
+        lambda: HalfPlanePartition(n, m, "upper", diagonals), half_fault(n, m, diagonals)
+    )
+
+
+def test_half_with_a_rising_main_diagonal_names_the_interlacing():
+    with pytest.raises(ShapeViolation, match="diagonals must interlace"):
+        HalfPlanePartition(2, 2, "lower", ((0, 1), (1,)))
+    with pytest.raises(ShapeViolation, match="diagonals must interlace"):
+        HalfPlanePartition(3, 2, "upper", ((1, 2, 0), (1, 0), (0,)))
