@@ -7,10 +7,9 @@ a product may mix the two.  ``det_exact`` (polynomial entries) takes one
 route per size:
 
   * n <= 2: directly, ``a*d - b*c`` at n = 2;
-  * n = 3, 4: ``_det_minor_dp``, a division-free expansion along rows,
-    memoized on column subsets, on one packing of the whole matrix;
-  * n >= 5: ``_det_bareiss``, fraction-free elimination with exact
-    divisions.
+  * n >= 3: ``_det_minor_dp``, a division-free expansion along rows,
+    memoized on column subsets, on one packing of the whole matrix
+    (n 2^(n-1) entry-times-minor products).
 
 The packing invariant of the expansion: row i is scaled to integer
 numerators over the lcm d_i of its denominators, variable v gets the field
@@ -19,8 +18,10 @@ i), and each entry is keyed on its exponents minus row i's low corner.  A
 product of one entry from each of the top k rows then has the sum of their
 keys as its key and no field can carry, so every minor is a dict from int
 key to int numerator and only the determinant, over the product of the
-d_i, is unpacked.  ``det_cofactor`` is a deliberately naive first-row
-expansion kept as an independent oracle for tests.
+d_i, is unpacked.  Two independent oracles are kept for tests and never
+called by the program: ``det_cofactor``, a deliberately naive first-row
+expansion, and ``_det_bareiss``, fraction-free elimination with exact
+divisions.
 """
 
 from __future__ import annotations
@@ -155,9 +156,7 @@ def det_exact(m: RingMatrix) -> MultiPoly:
         return m[0, 0]
     if n == 2:
         return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if n <= 4:
-        return _det_minor_dp(m)
-    return _det_bareiss(m)
+    return _det_minor_dp(m)
 
 
 def _det_minor_dp(m: RingMatrix) -> MultiPoly:
@@ -203,7 +202,8 @@ def _det_minor_dp(m: RingMatrix) -> MultiPoly:
 
 
 def _det_bareiss(m: RingMatrix) -> MultiPoly:
-    """Fraction-free elimination; all divisions are exact in the ring."""
+    """Fraction-free elimination; all divisions are exact in the ring (test
+    oracle for ``_det_minor_dp``)."""
     n = m.rows
     a = [[m[i, j] for j in range(n)] for i in range(n)]
     sign = 1

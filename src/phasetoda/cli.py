@@ -45,6 +45,10 @@ ENUMERATE_CAP = 250_000
 # (README), most of it in the determinant route's Vandermonde divisions.
 SCALAR_MAX_M = (700, 700, 30, 6, 2)
 
+# The largest size n - m that `compute tau` runs: size 6 over a seeded
+# random matrix takes about 5 s on 2 CPUs, size 7 over 90 s (README).
+TAU_MAX_N = 6
+
 
 def _names(prefix, count):
     return [f"{prefix}{i}" for i in range(1, count + 1)]
@@ -109,6 +113,9 @@ def cmd_compute(args) -> int:
     t0 = time.time()
     items = []
     if args.object == "tau":
+        if args.n - args.m > TAU_MAX_N:
+            raise ConfigError(f"compute tau refuses m={args.m}, n={args.n}: the largest size "
+                              f"n - m it runs is {TAU_MAX_N}")
         ctx = _context(args)
         sites = range(args.m, args.n + 1) if args.s is None else [args.s]
         for s in sites:
@@ -190,6 +197,8 @@ def _refuse_over_cap(count: int, where: str, what: str) -> None:
 
 def cmd_enumerate(args) -> int:
     t0 = time.time()
+    if args.object != "tableaux" and (args.N is None or args.M is None):
+        raise ConfigError(f"enumerate {args.object} needs --N and --M")
     box = f"the N={args.N}, M={args.M} box"
     if args.object in ("pp", "paths"):
         _refuse_over_cap(macmahon_count(args.N, args.M), box, "plane partitions")
@@ -309,8 +318,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("enumerate", help="enumerate combinatorial objects as JSON")
     pe.add_argument("object", choices=["pp", "partitions", "paths", "tableaux"])
-    pe.add_argument("--N", type=_count, required=True)
-    pe.add_argument("--M", type=_count, required=True)
+    pe.add_argument("--N", type=_count, default=None, help="box size (all but tableaux)")
+    pe.add_argument("--M", type=_count, default=None, help="box size (all but tableaux)")
     pe.add_argument("--contains", type=_int_list, default=None, help="diagonal partition filter")
     pe.add_argument("--occupation", type=_int_list, default=None, help="n_0,..,n_M")
     pe.add_argument("--shape", type=_int_list, default="")

@@ -106,20 +106,13 @@ class LatticePathConfig:
 
 
 def path_to_pp(config: LatticePathConfig) -> PlanePartitionBox:
-    """Column j of the array, read bottom to top, is path j's run-row list."""
-    n = config.n
-    arr = tuple(
-        tuple(config.turns[j][n - 1 - i] for j in range(n)) for i in range(n)
-    )
-    return PlanePartitionBox(n, config.m, arr)
+    """Column j of the array, read bottom to top, is path j's run-row list:
+    the array is the turn rows transposed, its rows taken bottom up."""
+    return PlanePartitionBox(config.n, config.m, tuple(zip(*config.turns))[::-1])
 
 
 def pp_to_path(pp: PlanePartitionBox) -> LatticePathConfig:
-    n = pp.n
-    turns = tuple(
-        tuple(pp.array[n - 1 - i][j] for i in range(n)) for j in range(n)
-    )
-    return LatticePathConfig(n, pp.m, turns)
+    return LatticePathConfig(pp.n, pp.m, tuple(zip(*pp.array[::-1])))
 
 
 def enumerate_path_configs(

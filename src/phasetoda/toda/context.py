@@ -7,7 +7,9 @@ leading principal minor of size s-m.  Because the shift matrices are
 nilpotent, every exponential is the finite triangular Toeplitz matrix of
 one-row character polynomials and everything stays polynomial.  Dressed
 entries are built on demand and kept in the context, so a minor pays only
-for the rows and columns it reads.
+for the rows and columns it reads; the linear problem's matrices are kept
+there too.  The cache belongs to the context and nothing else: every run
+and every ``at_point`` builds a fresh one.
 """
 
 from __future__ import annotations
@@ -93,13 +95,20 @@ class TauContext:
 
     # -- core objects -------------------------------------------------------
 
+    def kept(self, key, build):
+        """The value kept in this context under ``key``, made by ``build()``
+        on first use; every caller gets the same object, so none may
+        mutate it."""
+        cache = self._cache
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
+
     def dressed(self) -> RingMatrix:
         """The whole dressed matrix, assembled from its entries."""
-        if "dressed" not in self._cache:
-            idx = range(self.m, self.n)
-            ents = [self.entry(i, j) for i in idx for j in idx]
-            self._cache["dressed"] = RingMatrix(len(idx), len(idx), ents)
-        return self._cache["dressed"]
+        idx = range(self.m, self.n)
+        return self.kept("dressed", lambda: RingMatrix(
+            len(idx), len(idx), [self.entry(i, j) for i in idx for j in idx]))
 
     def entry(self, i: int, j: int) -> MultiPoly:
         """Dressed entry indexed by absolute indices in m..n-1, built on first
@@ -125,11 +134,8 @@ class TauContext:
     def minor(self, rows: Sequence[int], cols: Sequence[int]) -> MultiPoly:
         """Minor of the dressed matrix in absolute indices; builds only the
         entries it reads."""
-        key = ("minor", tuple(rows), tuple(cols))
-        if key not in self._cache:
-            ents = [self.entry(i, j) for i in rows for j in cols]
-            self._cache[key] = det_exact(RingMatrix(len(rows), len(cols), ents))
-        return self._cache[key]
+        return self.kept(("minor", tuple(rows), tuple(cols)), lambda: det_exact(
+            RingMatrix(len(rows), len(cols), [self.entry(i, j) for i in rows for j in cols])))
 
 
 def generic_constant_matrix(size: int, seed: int) -> RingMatrix:

@@ -5,6 +5,11 @@ site argument indexing rows for the direct matrices and columns for their
 inverses (the assembly convention is pinned by requiring the constant
 initial-value relation W0 = Winf * A and the product-with-inverse tests to
 hold; both are part of the verification battery).
+
+Every matrix of the linear problem (the wave factors, W and its inverse
+per kind, L and M, and L^k, M^k with B_k, C_k per k) is built once per
+context and kept in it (``TauContext.kept``), so the checks on one context
+share them.
 """
 
 from __future__ import annotations
@@ -25,17 +30,21 @@ def _hat_factor(ctx: TauContext, kind: str, inverse: bool) -> RingMatrix:
         raise ValueError(kind)
     entry_kind = {"w_inf": "w_star_inf", "w_zero": "w_star_zero"}[kind] if inverse else kind
     m, n = ctx.m, ctx.n
-    out = []
-    for i in range(m, n):
-        for j in range(m, n):
-            k = i - j if kind == "w_inf" else j - i
-            if k < 0:
-                out.append(MultiPoly.zero())
-                continue
-            site = j if inverse else i
-            den = tau(ctx, site + 1) if inverse else tau(ctx, site)
-            out.append(RatioPoly(wave_numerator(ctx, site, entry_kind, k), den))
-    return RingMatrix(n - m, n - m, out)
+
+    def build():
+        out = []
+        for i in range(m, n):
+            for j in range(m, n):
+                k = i - j if kind == "w_inf" else j - i
+                if k < 0:
+                    out.append(MultiPoly.zero())
+                    continue
+                site = j if inverse else i
+                den = tau(ctx, site + 1) if inverse else tau(ctx, site)
+                out.append(RatioPoly(wave_numerator(ctx, site, entry_kind, k), den))
+        return RingMatrix(n - m, n - m, out)
+
+    return ctx.kept(("hat_factor", kind, inverse), build)
 
 
 def hat_wave_matrix(ctx: TauContext, kind: str) -> RingMatrix:
@@ -58,11 +67,13 @@ def _exp_factor(ctx: TauContext, kind: str, inverse: bool) -> RingMatrix:
 
 
 def full_wave_matrix(ctx: TauContext, kind: str) -> RingMatrix:
-    return hat_wave_matrix(ctx, kind) @ _exp_factor(ctx, kind, inverse=False)
+    return ctx.kept(("full_wave_matrix", kind),
+                    lambda: hat_wave_matrix(ctx, kind) @ _exp_factor(ctx, kind, inverse=False))
 
 
 def full_wave_inverse(ctx: TauContext, kind: str) -> RingMatrix:
-    return _exp_factor(ctx, kind, inverse=True) @ hat_wave_inverse(ctx, kind)
+    return ctx.kept(("full_wave_inverse", kind),
+                    lambda: _exp_factor(ctx, kind, inverse=True) @ hat_wave_inverse(ctx, kind))
 
 
 def _shift_columns(w: RingMatrix, step: int) -> RingMatrix:
@@ -77,24 +88,31 @@ def _shift_columns(w: RingMatrix, step: int) -> RingMatrix:
 
 def lax_matrices(ctx: TauContext) -> tuple:
     """L and M conjugated from the two shift directions."""
-    lax_l = _shift_columns(full_wave_matrix(ctx, "w_inf"), 1) @ full_wave_inverse(ctx, "w_inf")
-    lax_m = _shift_columns(full_wave_matrix(ctx, "w_zero"), -1) @ full_wave_inverse(ctx, "w_zero")
-    return lax_l, lax_m
+    return ctx.kept("lax_matrices", lambda: (
+        _shift_columns(full_wave_matrix(ctx, "w_inf"), 1) @ full_wave_inverse(ctx, "w_inf"),
+        _shift_columns(full_wave_matrix(ctx, "w_zero"), -1) @ full_wave_inverse(ctx, "w_zero"),
+    ))
+
+
+def _flow(ctx: TauContext, k: int) -> tuple:
+    """(L^k, M^k, B_k, C_k) for k >= 1, the powers built from the ones
+    below them."""
+    def build():
+        lax_l, lax_m = lax_matrices(ctx)
+        if k == 1:
+            lp = mp = RingMatrix.identity(lax_l.rows)
+        else:
+            lp, mp, _, _ = _flow(ctx, k - 1)
+        lp, mp = lp @ lax_l, mp @ lax_m
+        return lp, mp, lp.project("plus"), mp.project("minus")
+
+    return ctx.kept(("flow", k), build)
 
 
 def flow_generators(ctx: TauContext, kmax: int) -> tuple:
     """B_k = (L^k)_+ and C_k = (M^k)_- for k = 1..kmax."""
-    lax_l, lax_m = lax_matrices(ctx)
-    bs = {}
-    cs = {}
-    lp = RingMatrix.identity(lax_l.rows)
-    mp = RingMatrix.identity(lax_m.rows)
-    for k in range(1, kmax + 1):
-        lp = lp @ lax_l
-        mp = mp @ lax_m
-        bs[k] = lp.project("plus")
-        cs[k] = mp.project("minus")
-    return bs, cs
+    flows = {k: _flow(ctx, k) for k in range(1, kmax + 1)}
+    return {k: f[2] for k, f in flows.items()}, {k: f[3] for k, f in flows.items()}
 
 
 def _first_difference(pairs) -> tuple | None:

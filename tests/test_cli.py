@@ -3,9 +3,11 @@
 import contextlib
 import io
 import json
+import shlex
 import subprocess
 import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,8 +180,8 @@ def test_enumerate_refuses_a_count_above_the_cap(args, count, monkeypatch, capsy
     "args",
     [
         ["partitions", "--N", "1", "--M", "249999"],
-        ["tableaux", "--N", "0", "--M", "0", "--shape", "3,2,1", "--entries", "15"],
-        ["tableaux", "--N", "0", "--M", "0", "--shape", "4,3,2", "--inner", "2,1", "--entries", "11"],
+        ["tableaux", "--shape", "3,2,1", "--entries", "15"],
+        ["tableaux", "--shape", "4,3,2", "--inner", "2,1", "--entries", "11"],
     ],
 )
 def test_enumerate_lists_a_count_under_the_cap(args, monkeypatch, tmp_path):
@@ -221,6 +223,39 @@ def test_compute_scalar_runs_the_largest_size_under_the_cap(n, monkeypatch, tmp_
     assert code == 0 and json.loads(out.read_text())["items"][0]["pass"]
 
 
+@pytest.mark.parametrize("m, n", [(0, 7), (2, 9), (-1, 6), (0, 10**6)])
+def test_compute_tau_refuses_a_size_above_the_cap(m, n, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("a refused size was computed")
+
+    for name in ("tau", "tau_schur_expand", "generic_constant_matrix"):
+        monkeypatch.setattr(cli, name, never)
+    argv = ["compute", "tau", "--m", str(m), "--n", str(n), "--matrix", "seeded-random"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"m={m}, n={n}" in captured.err and captured.out == ""
+
+
+def test_compute_tau_runs_the_largest_size_under_the_cap(monkeypatch, tmp_path):
+    # the stubs stand in for the minors and the character sums at the capped size
+    monkeypatch.setattr(cli, "tau", lambda ctx, s: MultiPoly.const(1))
+    monkeypatch.setattr(cli, "tau_schur_expand", lambda ctx, s: MultiPoly.const(1))
+    code, out = run_cli(["compute", "tau", "--m", "1", "--n", str(1 + cli.TAU_MAX_N)], tmp_path)
+    assert code == 0 and len(json.loads(out.read_text())["items"]) == cli.TAU_MAX_N + 1
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_enumerate_tableaux_lines_run(tmp_path):
+    # the tableaux take no box, so the README lines give no --N or --M
+    lines = [ln for ln in README.read_text().splitlines() if ln.startswith("phasetoda enumerate tableaux")]
+    assert lines
+    for line in lines:
+        code, out = run_cli(shlex.split(line)[1:], tmp_path)
+        assert code == 0 and json.loads(out.read_text())["count"] > 0, line
+
+
 def test_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "phasetoda.cli", "enumerate", "partitions", "--N", "1", "--M", "1"],
@@ -241,6 +276,8 @@ def test_entry_point_subprocess():
         ["compute", "correlator", "--kind", "n_point", "--r", ""],
         ["compute", "correlator", "--kind", "one_hole", "--N", "0"],
         ["enumerate", "tableaux", "--N", "1", "--M", "1", "--shape", "1", "--entries", "-1"],
+        ["enumerate", "pp", "--M", "2"],
+        ["enumerate", "paths", "--N", "2"],
     ],
 )
 def test_invalid_arguments_exit_2_without_traceback(args):
@@ -270,8 +307,9 @@ def _options(draw, table, flags=()):
 
 _COMPUTE = {
     "--N": _small, "--M": _small, "--k": _small, "--s": _small, "--r": _int_lists,
-    # n - m stays at most 3: a symbolic size-5 tau takes half a minute
-    "--m": st.integers(0, 2).map(str), "--n": st.integers(0, 3).map(str),
+    # n - m stays at most 3 or goes over the cap, which refuses it unrun
+    "--m": st.integers(0, 2).map(str),
+    "--n": st.one_of(st.integers(0, 3), st.integers(cli.TAU_MAX_N + 3, 10**9)).map(str),
     "--kind": st.sampled_from(["one_hole", "seeded", "n_point", "bogus"]),
     "--matrix": st.sampled_from(["identity", "delta", "seeded-random", "no-such-file.csv"]),
     "--seed": _seeds,
@@ -293,8 +331,8 @@ _argv = st.one_of(
     st.tuples(
         st.just(["enumerate"]),
         st.sampled_from(["pp", "partitions", "paths", "tableaux", "bogus"]).map(lambda o: [o]),
-        # --N and --M are required
-        st.tuples(_small, _small).map(lambda nm: ["--N", nm[0], "--M", nm[1]]),
+        # --N and --M are required except for tableaux
+        st.one_of(st.just([]), st.tuples(_small, _small).map(lambda nm: ["--N", nm[0], "--M", nm[1]])),
         _options(_ENUMERATE),
     ),
     st.tuples(

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phasetoda.algebra import MultiPoly, RatioPoly, RingMatrix, det_cofactor, det_exact
-from phasetoda.algebra.matrix import _det_minor_dp
+from phasetoda.algebra import matrix
+from phasetoda.algebra.matrix import _det_bareiss, _det_minor_dp
 from phasetoda.errors import NonSquare
 
 
@@ -76,11 +77,16 @@ def test_det_row_multilinearity(n):
     assert lhs == rhs
 
 
+# Bareiss is a test oracle only: det_exact expands every n >= 3 by the DP,
+# so the Bareiss tests call it directly and det_exact alongside it
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_bareiss_matches_cofactor(n):
     rng = random.Random(300 + n)
     rows = _random_poly_matrix(rng, n)
     m = RingMatrix.from_rows(rows)
+    assert _det_bareiss(m) == det_cofactor(m)
     assert det_exact(m) == det_cofactor(m)
 
 
@@ -100,10 +106,11 @@ def test_bareiss_with_fractional_coefficients_matches_cofactor():
             )
         rows.append(row)
     m = RingMatrix.from_rows(rows)
-    d = det_exact(m)
+    d = _det_bareiss(m)
     assert not d.is_zero()
     assert any(c.denominator > 1 for c in d.terms.values())
     assert d == det_cofactor(m)
+    assert det_exact(m) == d
 
 
 def test_bareiss_zero_pivot_swap():
@@ -116,6 +123,7 @@ def test_bareiss_zero_pivot_swap():
             [4, 1, 2, 3, 0],
         ]
     )
+    assert _det_bareiss(m) == det_cofactor(m)
     assert det_exact(m) == det_cofactor(m)
 
 
@@ -123,11 +131,11 @@ def test_bareiss_zero_pivot_swap():
 COEFFS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3, 4, 6)))
 
 
-def _entries(names):
-    """Sparse Laurent polynomials in ``names``: up to three terms, zero when
-    every drawn coefficient is."""
-    exps = st.tuples(*[st.integers(-2, 2) for _ in names])
-    return st.dictionaries(exps, COEFFS, min_size=1, max_size=3).map(
+def _entries(names, terms=3, reach=2):
+    """Sparse Laurent polynomials in ``names``: up to ``terms`` terms with
+    exponents in [-reach, reach], zero when every drawn coefficient is."""
+    exps = st.tuples(*[st.integers(-reach, reach) for _ in names])
+    return st.dictionaries(exps, COEFFS, min_size=1, max_size=terms).map(
         lambda t: MultiPoly(names, t)
     )
 
@@ -139,7 +147,7 @@ ROW_KINDS = ("zero",) + ("constant",) * 2 + ("disjoint",) * 3 + ("shared",) * 6
 
 
 @st.composite
-def laurent_matrices(draw, sizes):
+def laurent_matrices(draw, sizes, terms=3, reach=2):
     n = draw(sizes)
     # one matrix in five is all constant
     kinds = ("constant",) if draw(st.integers(0, 4)) == 0 else ROW_KINDS
@@ -151,10 +159,10 @@ def laurent_matrices(draw, sizes):
         elif kind == "constant":
             rows.append([draw(COEFFS) for _ in range(n)])
         elif kind == "disjoint":
-            rows.append([draw(_entries((f"t{j}",))) for j in range(n)])
+            rows.append([draw(_entries((f"t{j}",), terms, reach)) for j in range(n)])
         else:
             names = draw(st.lists(st.sampled_from(("x", "u2", "u10")), unique=True, max_size=3))
-            rows.append([draw(_entries(tuple(names))) for _ in range(n)])
+            rows.append([draw(_entries(tuple(names), terms, reach)) for _ in range(n)])
     return RingMatrix(n, n, [e for row in rows for e in row])
 
 
@@ -167,8 +175,29 @@ def test_det_exact_matches_cofactor_on_sparse_laurent_matrices(m):
 @settings(max_examples=60, deadline=None)
 @given(laurent_matrices(st.integers(2, 5)))
 def test_minor_dp_matches_cofactor_at_every_size(m):
-    # det_exact sends n = 2 to the direct formula and n = 5 to Bareiss
+    # det_exact sends n = 2 to the direct formula, so the DP is called
+    # directly to cover it there
     assert _det_minor_dp(m) == det_cofactor(m)
+
+
+# Bareiss swells on the default entries: up to 13 s for one 6x6 matrix
+# whose determinant has 3853 terms, against 40 ms for the DP
+@settings(max_examples=20, deadline=None)
+@given(laurent_matrices(st.integers(5, 6), terms=2, reach=1))
+def test_minor_dp_matches_bareiss_at_5_and_6(m):
+    # fraction-free elimination with exact divisions: a route that shares
+    # no step with the subset expansion
+    assert _det_minor_dp(m) == _det_bareiss(m)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_det_exact_never_takes_bareiss(n, monkeypatch):
+    def never(m):
+        raise AssertionError("det_exact took the Bareiss route")
+
+    monkeypatch.setattr(matrix, "_det_bareiss", never)
+    m = RingMatrix.from_rows(_random_poly_matrix(random.Random(400 + n), n))
+    assert det_exact(m) == det_cofactor(m)
 
 
 def test_matmul_and_identity():

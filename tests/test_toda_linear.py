@@ -1,8 +1,12 @@
-"""Wave-matrix assembly, the linear flows, compatibility identities."""
+"""Wave-matrix assembly, the linear flows, compatibility identities, and the
+matrices of the linear problem kept per context."""
+
+from collections import Counter
 
 import pytest
 
 from phasetoda.algebra import RingMatrix
+from phasetoda.toda import linear
 from phasetoda.toda import (
     TauContext,
     check_initial_value_relation,
@@ -99,3 +103,71 @@ def test_flow_generators_projections(ctx3):
                 assert bs[k][i, j].is_zero()
             for j in range(i, 3):
                 assert cs[k][i, j].is_zero()
+
+
+def _seven_checks(ctx):
+    """The linear checks the benchmark runs on one context."""
+    flows = [check_linear_flow(ctx, 1, flow, kind) for flow in ("x", "y") for kind in ("w_inf", "w_zero")]
+    return [check_wave_inverses(ctx), check_initial_value_relation(ctx), *flows,
+            check_zakharov_shabat(ctx, 1, 1)]
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of the steps that build the linear problem's matrices: the
+    wave entries by kind (each hat factor reads its entries once), the
+    exponential factors by (kind, inverse), the shifts that conjugate L and
+    M, and the projections to B_k and C_k."""
+    counts = Counter()
+
+    def counted(owner, name, key):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key(*args, **kwargs)] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(linear, "wave_numerator", lambda ctx, s, kind, k: kind)
+    counted(linear, "_exp_factor", lambda ctx, kind, inverse: ("exp", kind, inverse))
+    counted(linear, "_shift_columns", lambda w, step: ("shift", step))
+    counted(RingMatrix, "project", lambda m, part: part)
+    return counts
+
+
+def test_seven_linear_checks_build_each_matrix_once(builds):
+    ctx = TauContext.generic(0, 3, seed=23)
+    assert all(_seven_checks(ctx))
+    once = Counter({("exp", kind, inverse): 1 for kind in ("w_inf", "w_zero") for inverse in (False, True)})
+    once.update({("shift", 1): 1, ("shift", -1): 1, "plus": 1, "minus": 1})
+    # 6 entries on and below (or above) the diagonal of each 3x3 hat factor
+    once.update({kind: 6 for kind in ("w_inf", "w_zero", "w_star_inf", "w_star_zero")})
+    assert builds == once
+    # a second pass over the same context builds nothing
+    assert all(_seven_checks(ctx))
+    assert builds == once
+    # a fresh context over the same matrix builds everything again
+    assert all(_seven_checks(TauContext.generic(0, 3, seed=23)))
+    assert builds == once + once
+
+
+def test_two_contexts_share_nothing():
+    first, second = TauContext.generic(0, 3, seed=23), TauContext.generic(0, 3, seed=29)
+    assert first.a != second.a
+    assert all(_seven_checks(first)) and all(_seven_checks(second))
+
+    def kept(ctx):
+        """The linear problem's matrices kept in ctx, by key: 4 hat and 4 full
+        wave factors, L and M, and the k = 1 flow."""
+        names = ("hat_factor", "full_wave_matrix", "full_wave_inverse", "lax_matrices", "flow")
+        return {key: value for key, value in ctx._cache.items()
+                if (key if isinstance(key, str) else key[0]) in names}
+
+    assert kept(first).keys() == kept(second).keys() and len(kept(first)) == 10
+    for key, value in kept(first).items():
+        assert value is not kept(second)[key] and value != kept(second)[key], key
+    # each is what a fresh context over its own matrix builds
+    assert lax_matrices(second) == lax_matrices(TauContext.generic(0, 3, seed=29))
+    # a context at a point starts empty
+    assert first.at_point([1, 2], [0, 1])._cache == {}
