@@ -7,9 +7,12 @@ a product may mix the two.  ``det_exact`` (polynomial entries) takes one
 route per size:
 
   * n <= 2: directly, ``a*d - b*c`` at n = 2;
-  * n >= 3: ``_det_minor_dp``, a division-free expansion along rows,
-    memoized on column subsets, on one packing of the whole matrix
-    (n 2^(n-1) entry-times-minor products).
+  * 3 <= n <= DP_MAX_N: ``_det_minor_dp``, a division-free expansion along
+    rows, memoized on column subsets, on one packing of the whole matrix
+    (n 2^(n-1) entry-times-minor products);
+  * n > DP_MAX_N: ``_det_bareiss``, fraction-free elimination with exact
+    divisions (O(n^3) ring operations), where the subset expansion's
+    exponential count of products and minors would dominate.
 
 The packing invariant of the expansion: row i is scaled to integer
 numerators over the lcm d_i of its denominators, variable v gets the field
@@ -18,10 +21,9 @@ i), and each entry is keyed on its exponents minus row i's low corner.  A
 product of one entry from each of the top k rows then has the sum of their
 keys as its key and no field can carry, so every minor is a dict from int
 key to int numerator and only the determinant, over the product of the
-d_i, is unpacked.  Two independent oracles are kept for tests and never
-called by the program: ``det_cofactor``, a deliberately naive first-row
-expansion, and ``_det_bareiss``, fraction-free elimination with exact
-divisions.
+d_i, is unpacked.  ``det_cofactor``, a deliberately naive first-row
+expansion, is a test oracle the program never calls; ``_det_bareiss`` is the
+tests' oracle for the DP as well.
 """
 
 from __future__ import annotations
@@ -31,6 +33,11 @@ from typing import Sequence
 from ..errors import NonSquare
 from .multipoly import MultiPoly, _packing, as_poly, var_key
 from .ratio import RatioPoly
+
+# the largest size the subset expansion takes: at 8x8 it matches elimination
+# on constant entries and beats it tenfold on Laurent ones, and from there
+# its cost doubles with every row (a 20x20 constant matrix takes seconds)
+DP_MAX_N = 8
 
 
 class RingMatrix:
@@ -156,7 +163,7 @@ def det_exact(m: RingMatrix) -> MultiPoly:
         return m[0, 0]
     if n == 2:
         return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return _det_minor_dp(m)
+    return _det_minor_dp(m) if n <= DP_MAX_N else _det_bareiss(m)
 
 
 def _det_minor_dp(m: RingMatrix) -> MultiPoly:
@@ -202,8 +209,8 @@ def _det_minor_dp(m: RingMatrix) -> MultiPoly:
 
 
 def _det_bareiss(m: RingMatrix) -> MultiPoly:
-    """Fraction-free elimination; all divisions are exact in the ring (test
-    oracle for ``_det_minor_dp``)."""
+    """Fraction-free elimination; all divisions are exact in the ring (the
+    route above ``DP_MAX_N``, and the tests' oracle for ``_det_minor_dp``)."""
     n = m.rows
     a = [[m[i, j] for j in range(n)] for i in range(n)]
     sign = 1

@@ -76,6 +76,14 @@ def enumerate_tableaux(shape: SkewShape, n: int, convention: str) -> Iterator[Ta
     cells = shape.cells()
     rows = [[0] * (outer.get(i) - inner.get(i)) for i in range(1, nrows + 1)]
     up = convention == "ascending"
+    # the values a cell can take and still leave the strict run of its
+    # column below it one letter each: a cell with d cells under it takes
+    # at most n - d (ascending) or at least 1 + d (descending)
+    depth = outer.conjugate()
+    span = {
+        (i, j): range(1, n - depth.get(j) + i + 1) if up else range(1 + depth.get(j) - i, n + 1)
+        for i, j in cells
+    }
 
     def ok(i, j, val):
         if j - 1 > inner.get(i):
@@ -93,7 +101,7 @@ def enumerate_tableaux(shape: SkewShape, n: int, convention: str) -> Iterator[Ta
             yield Tableau(shape, tuple(tuple(r) for r in rows), convention)
             return
         i, j = cells[pos]
-        for val in range(1, n + 1):
+        for val in span[i, j]:
             if ok(i, j, val):
                 rows[i - 1][j - 1 - inner.get(i)] = val
                 yield from rec(pos + 1)

@@ -204,6 +204,16 @@ def test_tableau_count_matches_the_enumeration():
             assert cli._tableau_count(shape, 7) == hook_content(outer, 7)
 
 
+def test_enumerate_a_tall_shape_counts_and_lists_its_one_tableau(tmp_path):
+    # (1^30) over 30 letters: the count is a 30x30 triangular Jacobi-Trudi
+    # determinant, and the one tableau fills the column with 1..30
+    shape = ",".join(["1"] * 30)
+    code, out = run_cli(["enumerate", "tableaux", "--shape", shape, "--entries", "30"], tmp_path)
+    payload = json.loads(out.read_text())
+    assert code == 0 and payload["count"] == 1
+    assert payload["items"][0]["rows"] == [[v] for v in range(1, 31)]
+
+
 @pytest.mark.parametrize("n, m", [(4, 3), (5, 0), (3, 7), (2, 31), (1, 701), (0, 701)])
 def test_compute_scalar_refuses_a_size_above_the_cap(n, m, monkeypatch, capsys):
     def never(*args):

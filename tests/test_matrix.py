@@ -3,6 +3,7 @@ matrix operations over polynomial and rational entries."""
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,8 +78,8 @@ def test_det_row_multilinearity(n):
     assert lhs == rhs
 
 
-# Bareiss is a test oracle only: det_exact expands every n >= 3 by the DP,
-# so the Bareiss tests call it directly and det_exact alongside it
+# det_exact expands n = 3..DP_MAX_N by the DP, so the Bareiss tests at
+# those sizes call it directly and det_exact alongside it
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -190,14 +191,34 @@ def test_minor_dp_matches_bareiss_at_5_and_6(m):
     assert _det_minor_dp(m) == _det_bareiss(m)
 
 
-@pytest.mark.parametrize("n", [5, 6])
-def test_det_exact_never_takes_bareiss(n, monkeypatch):
+@pytest.mark.parametrize("n", [5, 6, matrix.DP_MAX_N])
+def test_det_exact_takes_the_dp_up_to_its_cap(n, monkeypatch):
+    m = RingMatrix.from_rows(_random_poly_matrix(random.Random(400 + n), n))
+    expected = det_cofactor(m) if n <= 6 else _det_bareiss(m)
+
     def never(m):
         raise AssertionError("det_exact took the Bareiss route")
 
     monkeypatch.setattr(matrix, "_det_bareiss", never)
-    m = RingMatrix.from_rows(_random_poly_matrix(random.Random(400 + n), n))
-    assert det_exact(m) == det_cofactor(m)
+    assert det_exact(m) == expected
+
+
+@pytest.mark.parametrize("n", [matrix.DP_MAX_N + 1, 30])
+def test_det_exact_eliminates_above_the_dp_cap(n, monkeypatch):
+    # above the cap the subset expansion's n 2^(n-1) products would dominate:
+    # a 30x30 triangular Jacobi-Trudi matrix hung in it
+    rng = random.Random(500 + n)
+    diag = [rng.choice((-2, -1, 1, 2)) for _ in range(n)]
+    rows = [[diag[i] if j == i else rng.randint(-3, 3) if j > i else 0 for j in range(n)] for i in range(n)]
+    # the first and last rows swapped: a zero pivot and one sign change
+    rows[0], rows[-1] = rows[-1], rows[0]
+    m = RingMatrix.from_rows(rows)
+
+    def never(m):
+        raise AssertionError("det_exact took the subset expansion above its cap")
+
+    monkeypatch.setattr(matrix, "_det_minor_dp", never)
+    assert det_exact(m) == MultiPoly.const(-prod(diag))
 
 
 def test_matmul_and_identity():

@@ -1,5 +1,7 @@
 """Semi-standard tableau enumeration in both conventions."""
 
+from itertools import product
+
 import pytest
 
 from phasetoda.combinatorics import Partition, SkewShape, Tableau, enumerate_tableaux
@@ -58,3 +60,37 @@ def test_stream_is_restartable():
     first = list(gen)
     second = list(enumerate_tableaux(shape((2, 1)), 2, "ascending"))
     assert [t.rows for t in first] == [t.rows for t in second]
+
+
+def _all_fillings(sk, n, convention):
+    """Every filling of the cells by 1..n in reading-word order, kept when
+    it validates (an oracle without the enumeration's pruning)."""
+    cells = sk.cells()
+    out = []
+    for word in product(range(1, n + 1), repeat=len(cells)):
+        rows = [[] for _ in range(sk.outer.length())]
+        for (i, _), v in zip(cells, word):
+            rows[i - 1].append(v)
+        try:
+            out.append(Tableau(sk, tuple(map(tuple, rows)), convention).rows)
+        except ShapeViolation:
+            pass
+    return out
+
+
+@pytest.mark.parametrize("outer, inner", [((1, 1, 1), ()), ((2, 1, 1), ()), ((2, 2, 1), (1,)), ((1, 1, 1, 1), (1,))])
+@pytest.mark.parametrize("convention", ["ascending", "descending"])
+def test_enumeration_matches_every_valid_filling_on_tall_shapes(outer, inner, convention):
+    # a column longer than the alphabet leaves nothing; the pruning by
+    # column depth must skip only values that lead nowhere, in order
+    sk = shape(outer, inner)
+    for n in range(5):
+        listed = [t.rows for t in enumerate_tableaux(sk, n, convention)]
+        assert listed == _all_fillings(sk, n, convention), (outer, inner, n)
+
+
+def test_one_column_as_tall_as_the_alphabet_is_listed_at_once():
+    # the only filling of (1^30) by 1..30 is 1..30 down the column; without
+    # pruning by column depth the search tried every dead prefix
+    tabs = list(enumerate_tableaux(shape((1,) * 30), 30, "ascending"))
+    assert [t.rows for t in tabs] == [tuple((v,) for v in range(1, 31))]
