@@ -416,14 +416,10 @@ class MultiPoly:
 
     def leading_term(self) -> tuple:
         """The grevlex-leading (exponent vector, coefficient) of a nonzero
-        polynomial, by the packed keys that ``divide_exact`` orders by."""
+        polynomial."""
         if not self.nums:
             raise ValueError("the zero polynomial has no leading term")
-        # grevlex order is invariant under a common shift of all exponents
-        low = [min(col) for col in zip(*self.nums)]
-        shifted = {tuple(map(sub, e, low)): e for e in self.nums}
-        weights, unpack = _grevlex_packing(len(self.vars), max(map(sum, shifted)))
-        lead = shifted[unpack(max(sum(map(mul, e, weights)) for e in shifted))]
+        lead = max(self.nums, key=grevlex_key)
         return lead, Fraction(self.nums[lead], self.den)
 
     def divide_exact(self, divisor: "MultiPoly") -> "MultiPoly":

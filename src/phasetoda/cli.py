@@ -15,7 +15,7 @@ import sys
 import time
 from math import comb
 
-from .algebra import MultiPoly, RingMatrix, det_exact
+from .algebra import MultiPoly, RingMatrix
 from .combinatorics import (
     OccupationSequence,
     Partition,
@@ -31,7 +31,7 @@ from .phase import boundary_correlator, scalar_product
 from .reports import build_report, emit_report
 from .suites import FAMILIES, SUITES, run_family, run_suite
 from .symfunc import _reach, jacobi_trudi
-from .toda import TauContext, generic_constant_matrix, tau, tau_schur_expand
+from .toda import TauContext, generic_constant_matrix, tau, tau_schur_expand, vanishing_leading_minor
 
 
 # The most objects `enumerate` lists, counted before listing (MacMahon's
@@ -90,9 +90,9 @@ def _load_matrix(path: str, size: int) -> RingMatrix:
     if len(rows) != size or any(len(r) != size for r in rows):
         raise ConfigError(f"matrix file must be {size}x{size} integers")
     mat = RingMatrix.from_rows(rows)
-    for s in range(1, size + 1):
-        if det_exact(mat.submatrix(range(s), range(s))).is_zero():
-            raise ConfigError(f"leading principal minor {s} vanishes")
+    s = vanishing_leading_minor(mat)
+    if s is not None:
+        raise ConfigError(f"leading principal minor {s} vanishes")
     return mat
 
 

@@ -224,15 +224,16 @@ def pp_half_to_tableau(half: HalfPlanePartition) -> Tableau:
     """
     n = half.n
     lam = half.diagonal()
-    deltas = [half.diagonal_partition(k) for k in range(n + 1)]
+    # each diagonal lies inside the one before it, so none is longer than lam
+    deltas = [half.diagonal_partition(k).padded(lam.length()) for k in range(n + 1)]
     upper = half.side == "upper"
     rows = tuple(
         tuple(
             k if upper else n + 1 - k
             for k in range(n, 0, -1)
-            for _ in range(deltas[k - 1].get(i) - deltas[k].get(i))
+            for _ in range(deltas[k - 1][i] - deltas[k][i])
         )
-        for i in range(1, lam.length() + 1)
+        for i in range(lam.length())
     )
     convention = "descending" if upper else "ascending"
     return Tableau(SkewShape(lam, Partition(())), rows, convention)

@@ -17,6 +17,21 @@ from .partitions import SkewShape
 CONVENTIONS = ("ascending", "descending")
 
 
+def _cell_ok(rows, outer: tuple, inner: tuple, r: int, j: int, val: int, up: bool) -> bool:
+    """Whether ``val`` in row r (from 0), column j (from 1) keeps a filling
+    semistandard against the filled cells left of it and above it;
+    ``outer`` and ``inner`` are the shape's parts, padded to its rows."""
+    if j - 1 > inner[r]:
+        left = rows[r][j - 2 - inner[r]]
+        if (left > val) if up else (left < val):
+            return False
+    if r and inner[r - 1] < j <= outer[r - 1]:
+        above = rows[r - 1][j - 1 - inner[r - 1]]
+        if (above >= val) if up else (above <= val):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class Tableau:
     shape: SkewShape
@@ -26,32 +41,19 @@ class Tableau:
     def __post_init__(self):
         if self.convention not in CONVENTIONS:
             raise ValueError(f"unknown convention {self.convention!r}")
-        outer, inner = self.shape.outer, self.shape.inner
-        if len(self.rows) != outer.length():
+        outer = self.shape.outer.parts
+        inner = self.shape.inner.padded(len(outer))
+        if len(self.rows) != len(outer):
             raise ShapeViolation("row count does not match shape")
-        for i in range(1, outer.length() + 1):
-            if len(self.rows[i - 1]) != outer.get(i) - inner.get(i):
+        for i, (row, o, p) in enumerate(zip(self.rows, outer, inner), 1):
+            if len(row) != o - p:
                 raise ShapeViolation(f"row {i} has wrong length")
-        if not self._monotone():
-            raise ShapeViolation("filling violates semi-standard conditions")
-
-    def _monotone(self) -> bool:
         up = self.convention == "ascending"
-        outer, inner = self.shape.outer, self.shape.inner
-        for i in range(1, outer.length() + 1):
-            row = self.rows[i - 1]
-            for a, b in zip(row, row[1:]):
-                if (a > b) if up else (a < b):
-                    return False
-            if i == 1:
-                continue
-            for j in range(inner.get(i) + 1, outer.get(i) + 1):
-                if inner.get(i - 1) < j <= outer.get(i - 1):
-                    above = self.rows[i - 2][j - 1 - inner.get(i - 1)]
-                    here = row[j - 1 - inner.get(i)]
-                    if (above >= here) if up else (above <= here):
-                        return False
-        return True
+        if not all(
+            _cell_ok(self.rows, outer, inner, r, j, val, up)
+            for r, row in enumerate(self.rows) for j, val in enumerate(row, inner[r] + 1)
+        ):
+            raise ShapeViolation("filling violates semi-standard conditions")
 
     def weight(self, n: int) -> tuple:
         """Multiplicity vector (t_1, .., t_n)."""
@@ -71,40 +73,30 @@ def enumerate_tableaux(shape: SkewShape, n: int, convention: str) -> Iterator[Ta
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    outer, inner = shape.outer, shape.inner
-    nrows = outer.length()
+    outer = shape.outer.parts
+    inner = shape.inner.padded(len(outer))
     cells = shape.cells()
-    rows = [[0] * (outer.get(i) - inner.get(i)) for i in range(1, nrows + 1)]
+    rows = [[0] * (o - p) for o, p in zip(outer, inner)]
     up = convention == "ascending"
     # the values a cell can take and still leave the strict run of its
     # column below it one letter each: a cell with d cells under it takes
     # at most n - d (ascending) or at least 1 + d (descending)
-    depth = outer.conjugate()
+    depth = shape.outer.conjugate()
     span = {
         (i, j): range(1, n - depth.get(j) + i + 1) if up else range(1 + depth.get(j) - i, n + 1)
         for i, j in cells
     }
-
-    def ok(i, j, val):
-        if j - 1 > inner.get(i):
-            left = rows[i - 1][j - 2 - inner.get(i)]
-            if (left > val) if up else (left < val):
-                return False
-        if i > 1 and inner.get(i - 1) < j <= outer.get(i - 1):
-            above = rows[i - 2][j - 1 - inner.get(i - 1)]
-            if (above >= val) if up else (above <= val):
-                return False
-        return True
 
     def rec(pos):
         if pos == len(cells):
             yield Tableau(shape, tuple(tuple(r) for r in rows), convention)
             return
         i, j = cells[pos]
+        r = i - 1
         for val in span[i, j]:
-            if ok(i, j, val):
-                rows[i - 1][j - 1 - inner.get(i)] = val
+            if _cell_ok(rows, outer, inner, r, j, val, up):
+                rows[r][j - 1 - inner[r]] = val
                 yield from rec(pos + 1)
-                rows[i - 1][j - 1 - inner.get(i)] = 0
+                rows[r][j - 1 - inner[r]] = 0
 
     yield from rec(0)

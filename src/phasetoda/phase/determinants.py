@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from ..algebra import MultiPoly, RingMatrix, as_poly, det_exact
+from ..algebra import MultiPoly, RingMatrix, det_exact
 from ..errors import RangeViolation
 from ..symfunc import hk
-from .scalar import boundary_monomial, scalar_product, vandermonde_divide
+from .scalar import boundary_monomial, letters, scalar_product, vandermonde_divide
 from .skew import validate_npoint_indices
 
 
@@ -30,8 +30,7 @@ def one_hole_det(q: int, n: int, m: int, u_values: Sequence, v_values: Sequence)
         raise RangeViolation(f"one-hole correlator needs N >= 1, got {n}")
     if not (0 <= q <= m):
         raise RangeViolation(f"hole row {q} outside 0..{m}")
-    us = list(map(as_poly, u_values))
-    vs = list(map(as_poly, v_values))
+    us, vs = letters(n, u_values, v_values)
     u2 = [u * u for u in us]
     v2 = [v * v for v in vs]
     q_row = [hk(q, [u2[k]] + v2[1:]) for k in range(n)]
@@ -55,8 +54,7 @@ def npoint_det(
     """
     validate_npoint_indices(rs, n, m)
     nn = len(rs)
-    us = list(map(as_poly, u_values))
-    vs = list(map(as_poly, v_values))
+    us, vs = letters(n, u_values, v_values)
     u2 = [u * u for u in us]
     v2 = [v * v for v in vs]
     head = u2[: n - nn]
@@ -96,15 +94,14 @@ def stack_sides(kind: str, n: int, m: int, u_values: Sequence, v_values: Sequenc
     """(stack, scalar product by pairing) of one reassembly, equal exactly:
     'hole' stacks sum_q v_1^{M-2q} * one_hole_det(q), 'point' stacks
     sum_j u_N^{2j-M} * one_point_det(j)."""
+    us, vs = letters(n, u_values, v_values)
     if kind == "hole":
-        v1 = as_poly(v_values[0])
-        terms = (v1 ** (m - 2 * q) * one_hole_det(q, n, m, u_values, v_values) for q in range(m + 1))
+        terms = (vs[0] ** (m - 2 * q) * one_hole_det(q, n, m, us, vs) for q in range(m + 1))
     elif kind == "point":
-        u_last = as_poly(u_values[-1])
-        terms = (u_last ** (2 * j - m) * npoint_det((j,), n, m, u_values, v_values) for j in range(m + 1))
+        terms = (us[-1] ** (2 * j - m) * npoint_det((j,), n, m, us, vs) for j in range(m + 1))
     else:
         raise ValueError(f"unknown stack {kind!r}")
-    return sum(terms, MultiPoly.zero()), scalar_product(n, m, u_values, v_values, "fock_pairing")
+    return sum(terms, MultiPoly.zero()), scalar_product(n, m, us, vs, "fock_pairing")
 
 
 def one_hole_stack_check(n: int, m: int, u_values: Sequence, v_values: Sequence) -> bool:
@@ -137,8 +134,7 @@ def recursion_sides(
     nn = len(rs)
     if nn >= n:
         raise RangeViolation("need a free creation variable to expand in")
-    us = list(map(as_poly, u_values))
-    vs = list(map(as_poly, v_values))
+    us, vs = letters(n, u_values, v_values)
     target = npoint_det(rs, n, m, us, vs)
     uvar = us[n - nn - 1]
     if not (uvar.is_monomial() and not uvar.is_constant()):

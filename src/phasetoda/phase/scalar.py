@@ -35,10 +35,7 @@ def scalar_product(
     u_values / v_values may be variable names, MultiPoly symbols, or
     rationals; they must have length n.
     """
-    us = list(map(as_poly, u_values))
-    vs = list(map(as_poly, v_values))
-    if len(us) != n or len(vs) != n:
-        raise ValueError("need N creation and N annihilation values")
+    us, vs = letters(n, u_values, v_values)
     if method == "fock_pairing":
         return pair(build_conj_state(vs, m), build_state(us, m))
     if method == "schur_sum":
@@ -48,6 +45,16 @@ def scalar_product(
     if method == "determinant":
         return _determinant_form(n, m, us, vs)
     raise ValueError(f"unknown method {method!r}")
+
+
+def letters(n: int, u_values: Sequence, v_values: Sequence) -> tuple:
+    """(us, vs): the creation and annihilation values as polynomials; a
+    ValueError unless there are N of each."""
+    us = list(map(as_poly, u_values))
+    vs = list(map(as_poly, v_values))
+    if len(us) != n or len(vs) != n:
+        raise ValueError("need N creation and N annihilation values")
+    return us, vs
 
 
 def boundary_monomial(top: Sequence, bottom: Sequence, m: int) -> MultiPoly:

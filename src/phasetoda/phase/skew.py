@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..algebra import MultiPoly, as_poly
+from ..algebra import MultiPoly
 from ..combinatorics.partitions import SkewShape, column, hook
 from ..errors import RangeViolation
 from ..symfunc import pair_sum
 from .fock import StateVector, pair
 from .monodromy import build_conj_state, build_state, grow_state
-from .scalar import boundary_monomial
+from .scalar import boundary_monomial, letters
 
 
 def skew_conj_state(k: int, v_tail: Sequence, m: int) -> StateVector:
@@ -66,10 +66,7 @@ def correlator_one_hole(
     which v_1 is absent from the result."""
     if n < 1:
         raise RangeViolation(f"one-hole correlator needs N >= 1, got {n}")
-    us = list(map(as_poly, u_values))
-    vs = list(map(as_poly, v_values))
-    if len(us) != n or len(vs) != n:
-        raise ValueError("need N creation and N annihilation values")
+    us, vs = letters(n, u_values, v_values)
     if not (0 <= k <= m):
         raise RangeViolation(f"hole row {k} outside 0..{m}")
     if method == "pairing":
@@ -88,10 +85,7 @@ def correlator_seeded(
 ) -> MultiPoly:
     """<full conjugate | k-fold seeded state>: u_values supplies u_1..u_N, of
     which the last k are absent from the result."""
-    us = list(map(as_poly, u_values))
-    vs = list(map(as_poly, v_values))
-    if len(us) != n or len(vs) != n:
-        raise ValueError("need N creation and N annihilation values")
+    us, vs = letters(n, u_values, v_values)
     if not (0 <= k <= n):
         raise RangeViolation(f"seed multiplicity {k} outside 0..{n}")
     if method == "pairing":
@@ -110,8 +104,7 @@ def correlator_npoint(
 ) -> MultiPoly:
     """<full conjugate | n-point seeded state> by pairing."""
     validate_npoint_indices(rs, n, m)
-    us = list(map(as_poly, u_values))
-    vs = list(map(as_poly, v_values))
+    us, vs = letters(n, u_values, v_values)
     return pair(build_conj_state(vs, m), npoint_state(rs, us[: n - len(rs)], m))
 
 

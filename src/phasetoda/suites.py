@@ -7,6 +7,11 @@ every row, and ``verify <name>`` runs its own row's generator only.
 
 Each item is a dict {identity, parameters, pass, witness} where witness is
 only present on failure and carries canonically serialized polynomials.
+A two-sided family gives its item a lazy stream of (label, left side,
+right side) cases and reads both the verdict and the witness from it
+through ``_two_sided`` and ``_first_unequal``: each side is computed once, the first unequal
+case is the witness ``label: lhs=... rhs=...`` and the cases after it are
+never built.
 Items are generated deterministically (fixed iteration orders, seeded
 randomness) so a report is byte-stable for a given (suite, seed).  A
 generator that raises (any exception but a configuration error) ends with
@@ -65,20 +70,15 @@ from .toda import (
     TauContext,
     WAVE_KINDS,
     bilinear_check,
-    check_initial_value_relation,
-    check_linear_flow,
-    check_wave_inverses,
-    check_zakharov_shabat,
     h20_expected_coefficients,
-    linear_difference,
-    power_sum_append_zeros_check,
+    linear_entries,
+    power_sum_sides,
     prop1_sides,
     restrict_tau,
     schur_pair_sum,
     shifted_tau,
     tau,
     tau_schur_expand,
-    verify_prop1,
 )
 
 def _item(identity: str, parameters: dict, ok: bool, witness: str | None = None) -> dict:
@@ -183,20 +183,24 @@ def _first_unequal(cases, lhs: str, rhs: str) -> str | None:
     cases after the first miss are never built."""
     for label, a, b in cases:
         if a != b:
-            return f"{label}: {lhs}={_clip(a.to_str())} {rhs}={_clip(b.to_str())}"
+            return f"{label}: {lhs}={_clip(str(a))} {rhs}={_clip(str(b))}"
     return None
 
 
-def _first_miss(cases) -> str | None:
-    """Witness for the first (label, weighted sum, closed form) case whose
-    weighted sum differs from the closed form in some picture, else None."""
-    return _first_unequal(
-        (
-            (f"{label} picture={pic}", weighted(pic), want)
-            for label, weighted, want in cases for pic in PICTURES
-        ),
-        "weighted sum", "closed form",
-    )
+def _two_sided(identity: str, parameters: dict, cases, lhs: str, rhs: str) -> dict:
+    """The item of a two-sided identity over ``cases``: it passes when no
+    case's sides differ, else ``_first_unequal`` is its witness."""
+    witness = _first_unequal(cases, lhs, rhs)
+    return _item(identity, parameters, witness is None, witness)
+
+
+def _pictures(identity: str, parameters: dict, cases) -> dict:
+    """``_two_sided`` over each (label, weighted sum, closed form) case in
+    every picture, the weighted sum a function of the picture."""
+    return _two_sided(identity, parameters, (
+        (f"{label} picture={pic}", weighted(pic), want)
+        for label, weighted, want in cases for pic in PICTURES
+    ), "weighted sum", "closed form")
 
 
 def _triple_agreement(seed: int) -> Iterator[dict]:
@@ -206,46 +210,35 @@ def _triple_agreement(seed: int) -> Iterator[dict]:
         for m in range(0, mmax + 1):
             un, vn = _names("u", n), _names("v", n)
             for lam in partitions_in_box(n, m):
-                witness = _first_miss((
+                parameters = {"N": n, "M": m, "lambda": list(lam.parts)}
+                yield _pictures("state-coefficient-triple-agreement", parameters, (
                     ("f", lambda pic: weighted_sum_f(lam, n, m, un, pic), _closed_f(lam, n, m)),
                     ("g", lambda pic: weighted_sum_g(lam, n, m, vn, pic), _closed_g(lam, n, m)),
                 ))
-                yield _item(
-                    "state-coefficient-triple-agreement",
-                    {"N": n, "M": m, "lambda": list(lam.parts)},
-                    witness is None,
-                    witness,
-                )
             tail = vn[1:]
             pref = boundary_monomial(tail, (), m)
             gens = sf.alphabet(tail, "inverse-squared")
             for k in range(0, m + 1):
-                witness = _first_miss(
+                yield _pictures("hole-coefficient-triple-agreement", {"N": n, "M": m, "k": k}, (
                     (
                         f"lambda={list(lam.parts)}",
                         lambda pic, lam=lam: weighted_sum_psi1(k, lam, n, m, tail, pic),
                         pref * sf.schur(SkewShape(lam, hook(k)), gens),
                     )
                     for lam in psi1_support(k, n, m)
-                )
-                yield _item(
-                    "hole-coefficient-triple-agreement", {"N": n, "M": m, "k": k}, witness is None, witness
-                )
+                ))
             for k in range(0, n + 1):
                 head = un[: n - k]
                 pref = boundary_monomial((), head, m)
                 gens = sf.alphabet(head, "squared")
-                witness = _first_miss(
+                yield _pictures("seed-coefficient-triple-agreement", {"N": n, "M": m, "k": k}, (
                     (
                         f"lambda={list(lam.parts)}",
                         lambda pic, lam=lam: weighted_sum_psi2(k, lam, n, m, head, pic),
                         pref * sf.schur(SkewShape(lam, column(k)), gens),
                     )
                     for lam in psi2_support(k, n, m)
-                )
-                yield _item(
-                    "seed-coefficient-triple-agreement", {"N": n, "M": m, "k": k}, witness is None, witness
-                )
+                ))
 
 
 # -- phase model -------------------------------------------------------------
@@ -289,21 +282,17 @@ def _state_coefficients(seed: int) -> Iterator[dict]:
         for m in range(0, BOUNDS["state_coeff_m"] + 1):
             un, vn = _names("u", n), _names("v", n)
             lams = partitions_in_box(n, m)
-            witness = None
-            for side, coeffs, closed in (
-                ("ket", build_state(un, m).partition_coefficients(), _closed_f),
-                ("bra", build_conj_state(vn, m).partition_coefficients(), _closed_g),
-            ):
-                # off the box the closed form is 0
-                for lam in lams + [lam for lam in coeffs if lam not in lams]:
-                    got = coeffs.get(lam, MultiPoly.zero())
-                    want = closed(lam, n, m) if lam in lams else MultiPoly.zero()
-                    if got != want and witness is None:
-                        witness = (
-                            f"{side} lambda={list(lam.parts)}: state={_clip(got.to_str())} "
-                            f"schur form={_clip(want.to_str())}"
-                        )
-            yield _item("state-coefficients-schur-form", {"N": n, "M": m}, witness is None, witness)
+            # off the box the closed form is 0
+            cases = (
+                (f"{side} lambda={list(lam.parts)}", coeffs.get(lam, MultiPoly.zero()),
+                 closed(lam, n, m) if lam in lams else MultiPoly.zero())
+                for side, coeffs, closed in (
+                    ("ket", build_state(un, m).partition_coefficients(), _closed_f),
+                    ("bra", build_conj_state(vn, m).partition_coefficients(), _closed_g),
+                )
+                for lam in lams + [lam for lam in coeffs if lam not in lams]
+            )
+            yield _two_sided("state-coefficients-schur-form", {"N": n, "M": m}, cases, "state", "schur form")
 
 
 def _rtt(seed: int) -> Iterator[dict]:
@@ -364,55 +353,45 @@ def _bilinear_residues(ctx: TauContext, size: int, rng: random.Random) -> dict:
 def _tau_expansion(seed: int) -> Iterator[dict]:
     for size in range(1, BOUNDS["schur_expand_size"] + 1):
         ctx = TauContext.generic(0, size, seed=seed + size)
-        witness = _first_unequal(
-            ((f"s={s}", tau(ctx, s), tau_schur_expand(ctx, s)) for s in range(0, size + 1)),
-            "tau", "schur expansion",
-        )
-        yield _item("tau-character-expansion", {"size": size}, witness is None, witness)
+        yield _two_sided("tau-character-expansion", {"size": size}, (
+            (f"s={s}", tau(ctx, s), tau_schur_expand(ctx, s)) for s in range(0, size + 1)
+        ), "tau", "schur expansion")
 
 
-def _shifted_tau_miss(ctx: TauContext, s: int, which: str, bounded: bool) -> str | None:
-    """Witness for the first lam^k coefficient of a shifted tau that is not
-    its wave numerator, else None; ``bounded`` also refuses a lam degree
-    beyond the last wave numerator."""
+def _shifted_tau_cases(ctx: TauContext, s: int, which: str, bounded: bool) -> Iterator[tuple]:
+    """(label, lam^k coefficient of a shifted tau, its wave numerator) for
+    each k; ``bounded`` also takes every lam degree beyond the last wave
+    numerator, against 0."""
     st = shifted_tau(ctx, s, which)
     want = h20_expected_coefficients(ctx, s, which)
     top = st.degree_in("lam")
     for k in range(max(len(want), top + 1 if bounded else 0)):
-        got = st.coeff_of("lam", k)
-        expected = want[k] if k < len(want) else MultiPoly.zero()
-        if got != expected:
-            return (
-                f"s={s} which={which} k={k}: coefficient={_clip(got.to_str())} "
-                f"wave numerator={_clip(expected.to_str())}"
-            )
-    return None
+        yield (f"s={s} which={which} k={k}", st.coeff_of("lam", k),
+               want[k] if k < len(want) else MultiPoly.zero())
 
 
 def _prop1(seed: int) -> Iterator[dict]:
     for size in range(2, BOUNDS["prop1_size"] + 1):
         ctx = TauContext.generic(0, size, seed=seed + size)
-        witness = None
-        for s in range(1, size):
-            for kind in WAVE_KINDS:
-                kmax = s if kind in ("w_inf", "w_star_zero") else size - s - 1
-                for k in range(0, kmax + 1):
-                    if not verify_prop1(ctx, s, k, kind) and witness is None:
-                        lhs, rhs = prop1_sides(ctx, s, kind, k)
-                        witness = (
-                            f"s={s} kind={kind} k={k}: wave numerator={_clip(lhs.to_str())} "
-                            f"tau derivative={_clip(rhs.to_str())}"
-                        )
-        yield _item("wave-derivative-identities", {"size": size}, witness is None, witness)
+        derivatives = (
+            (f"s={s} kind={kind} k={k}", *prop1_sides(ctx, s, kind, k))
+            for s in range(1, size)
+            for kind in WAVE_KINDS
+            for k in range(0, (s if kind in ("w_inf", "w_star_zero") else size - s - 1) + 1)
+        )
+        yield _two_sided("wave-derivative-identities", {"size": size}, derivatives,
+                         "wave numerator", "tau derivative")
 
-        witness = None
-        for s in range(0, size + 1):
+        shifted = (
+            case
+            for s in range(0, size + 1)
             for which, bounded in (("x_minus", True), ("y_plus", True),
-                                   ("x_plus", False), ("y_minus", False)):
-                if (s > size - 1) if bounded else (s < 1):
-                    continue
-                witness = witness or _shifted_tau_miss(ctx, s, which, bounded)
-        yield _item("shifted-tau-weighted-sums", {"size": size}, witness is None, witness)
+                                   ("x_plus", False), ("y_minus", False))
+            if ((s < size) if bounded else (s > 0))
+            for case in _shifted_tau_cases(ctx, s, which, bounded)
+        )
+        yield _two_sided("shifted-tau-weighted-sums", {"size": size}, shifted,
+                         "coefficient", "wave numerator")
 
 
 def _bilinear(seed: int) -> Iterator[dict]:
@@ -420,49 +399,25 @@ def _bilinear(seed: int) -> Iterator[dict]:
     yield _bilinear_residues(TauContext.generic(0, size, seed=seed), size, random.Random(seed))
 
 
-def _linear_item(identity: str, parameters: dict, ok: bool, ctx: TauContext, *args) -> dict:
-    """One matrix identity's item; a failure is recomputed for the first
-    differing (i, j)."""
-    witness = None
-    miss = None if ok else linear_difference(identity, ctx, *args)
-    if miss is not None:
-        label, i, j, lhs, rhs = miss
-        witness = f"{label} (i, j)=({i}, {j}): lhs={_clip(str(lhs))} rhs={_clip(str(rhs))}"
-    return _item(identity, parameters, ok, witness)
-
-
 def _linear(seed: int) -> Iterator[dict]:
     size = BOUNDS["linear_size"]
     ctx = TauContext.generic(0, size, seed=seed + 1)
-    yield _linear_item("wave-inverse-identities", {"size": size}, check_wave_inverses(ctx), ctx)
-    yield _linear_item(
-        "initial-value-relation", {"size": size}, check_initial_value_relation(ctx), ctx
-    )
-    for j in range(1, min(BOUNDS["linear_flows"], size - 1) + 1):
-        for flow in ("x", "y"):
-            for kind in ("w_inf", "w_zero"):
-                yield _linear_item(
-                    "linear-flow-equation",
-                    {"size": size, "j": j, "flow": flow, "wave": kind},
-                    check_linear_flow(ctx, j, flow, kind),
-                    ctx, j, flow, kind,
-                )
-    for j in range(1, min(BOUNDS["linear_flows"], size - 1) + 1):
-        for k in range(1, min(BOUNDS["linear_flows"], size - 1) + 1):
-            yield _linear_item(
-                "zakharov-shabat-identities",
-                {"size": size, "j": j, "k": k},
-                check_zakharov_shabat(ctx, j, k),
-                ctx, j, k,
-            )
+    orders = range(1, min(BOUNDS["linear_flows"], size - 1) + 1)
+    checks = [("wave-inverse-identities", {"size": size}, ()),
+              ("initial-value-relation", {"size": size}, ())]
+    checks += [
+        ("linear-flow-equation", {"size": size, "j": j, "flow": flow, "wave": kind}, (j, flow, kind))
+        for j in orders for flow in ("x", "y") for kind in ("w_inf", "w_zero")
+    ]
+    checks += [("zakharov-shabat-identities", {"size": size, "j": j, "k": k}, (j, k))
+               for j in orders for k in orders]
+    for identity, parameters, args in checks:
+        yield _two_sided(identity, parameters, linear_entries(identity, ctx, *args), "lhs", "rhs")
 
 
 def _power_sums(seed: int) -> Iterator[dict]:
-    yield _item(
-        "power-sum-append-zeros",
-        {"letters": 2, "zeros": 2, "horizon": 6},
-        power_sum_append_zeros_check(_names("m", 2), 2, 6),
-    )
+    yield _two_sided("power-sum-append-zeros", {"letters": 2, "zeros": 2, "horizon": 6},
+                     power_sum_sides(_names("m", 2), 2, 6), "appended zeros", "power sum")
 
 
 # -- correspondence -----------------------------------------------------------
@@ -492,11 +447,9 @@ def _limits(seed: int) -> Iterator[dict]:
             )
             for identity, kind, k_max in kinds:
                 for k in range(0, k_max + 1):
-                    witness = _first_unequal(
-                        [(f"{kind} k={k}", *limit_sides(kind, k, n, m, un, vn))],
-                        "limit", "correlator side",
-                    )
-                    yield _item(identity, {"N": n, "M": m, "k": k}, witness is None, witness)
+                    yield _two_sided(identity, {"N": n, "M": m, "k": k}, [
+                        (f"{kind} k={k}", *limit_sides(kind, k, n, m, un, vn))
+                    ], "limit", "correlator side")
 
 
 def _determinant_forms(seed: int) -> Iterator[dict]:
@@ -522,20 +475,17 @@ def _determinant_forms(seed: int) -> Iterator[dict]:
                     for rs in seeds)),
             )
             for identity, cases in forms:
-                witness = _first_unequal(cases, "determinant", "pairing")
-                yield _item(identity, {"N": n, "M": m}, witness is None, witness)
+                yield _two_sided(identity, {"N": n, "M": m}, cases, "determinant", "pairing")
             for kind in ("hole", "point"):
                 stack = [(f"{kind} stack", *stack_sides(kind, n, m, un, vn))]
-                witness = _first_unequal(stack, "stack", "pairing")
-                yield _item(f"{kind}-stack-reassembly", {"N": n, "M": m}, witness is None, witness)
+                yield _two_sided(f"{kind}-stack-reassembly", {"N": n, "M": m}, stack, "stack", "pairing")
             recursions = (
                 (f"rs={list(rs)} {label}", got, want)
                 for order in range(1, min(n - 1, BOUNDS["npoint_order"]) + 1)
                 for rs in ((1,) * (order - q) + (0,) * q for q in range(0, order + 1))
                 for label, got, want in recursion_sides(rs, n, m, un, vn)
             )
-            witness = _first_unequal(recursions, "expansion", "recursion")
-            yield _item("expansion-recursions", {"N": n, "M": m}, witness is None, witness)
+            yield _two_sided("expansion-recursions", {"N": n, "M": m}, recursions, "expansion", "recursion")
 
 
 # -- the table ----------------------------------------------------------------

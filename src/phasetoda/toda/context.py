@@ -114,22 +114,21 @@ class TauContext:
         """Dressed entry indexed by absolute indices in m..n-1, built on first
         use: row i of exp(x.raise) A times column j of exp(-y.lower), whose
         entries are zeta_{l-j}(-y) for l >= j."""
-        key = ("entry", i, j)
-        cache = self._cache
-        if key not in cache:
-            if "xa" not in cache:
-                cache["xa"] = shift_exp("raise", self.x, self.m, self.n) @ self.a
-                cache["zy"] = zeta_all(self.horizon, negate_times(self.y))
-            row = cache["xa"].row(i - self.m)
-            zy = cache["zy"]
+        def build():
+            xa, zy = self.kept("xa_zy", lambda: (
+                shift_exp("raise", self.x, self.m, self.n) @ self.a,
+                zeta_all(self.horizon, negate_times(self.y)),
+            ))
+            row = xa.row(i - self.m)
             c = j - self.m
             acc = MultiPoly.zero()
             for l in range(c, len(row)):
                 a, b = row[l], zy[l - c]
                 if not (a.is_zero() or b.is_zero()):
                     acc = acc + a * b
-            cache[key] = acc
-        return cache[key]
+            return acc
+
+        return self.kept(("entry", i, j), build)
 
     def minor(self, rows: Sequence[int], cols: Sequence[int]) -> MultiPoly:
         """Minor of the dressed matrix in absolute indices; builds only the
@@ -144,16 +143,16 @@ def generic_constant_matrix(size: int, seed: int) -> RingMatrix:
     for wave entries)."""
     rng = random.Random(seed)
     while True:
-        rows = [[rng.randint(-5, 5) for _ in range(size)] for _ in range(size)]
-        mat = RingMatrix.from_rows(rows)
-        ok = True
-        for s in range(1, size + 1):
-            lead = mat.submatrix(range(s), range(s))
-            if det_exact(lead).is_zero():
-                ok = False
-                break
-        if ok:
+        mat = RingMatrix.from_rows([[rng.randint(-5, 5) for _ in range(size)] for _ in range(size)])
+        if vanishing_leading_minor(mat) is None:
             return mat
+
+
+def vanishing_leading_minor(mat: RingMatrix) -> int | None:
+    """The size of the smallest leading principal minor of ``mat`` that
+    vanishes, or None when none does."""
+    return next((s for s in range(1, mat.rows + 1)
+                 if det_exact(mat.submatrix(range(s), range(s))).is_zero()), None)
 
 
 def tau(ctx: TauContext, s: int) -> MultiPoly:

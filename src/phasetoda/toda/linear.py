@@ -115,20 +115,6 @@ def flow_generators(ctx: TauContext, kmax: int) -> tuple:
     return {k: f[2] for k, f in flows.items()}, {k: f[3] for k, f in flows.items()}
 
 
-def _first_difference(pairs) -> tuple | None:
-    """(label, i, j, lhs entry, rhs entry) at the first entry where a pair
-    (label, lhs, rhs) of matrices differs, or None; an rhs of None stands for
-    the zero matrix.  ``pairs`` is lazy, so the pairs after the first
-    difference are never built."""
-    for label, lhs, rhs in pairs:
-        for i in range(lhs.rows):
-            for j in range(lhs.cols):
-                a = lhs[i, j]
-                if (not a.is_zero()) if rhs is None else a != rhs[i, j]:
-                    return label, i, j, a, MultiPoly.zero() if rhs is None else rhs[i, j]
-    return None
-
-
 def _initial_value_pairs(ctx: TauContext):
     winf = full_wave_matrix(ctx, "w_inf")
     yield "W0 = Winf A", full_wave_matrix(ctx, "w_zero"), winf @ ctx.a
@@ -170,11 +156,23 @@ _PAIRS = {
 }
 
 
+def linear_entries(identity: str, ctx: TauContext, *args):
+    """(label with (i, j), lhs entry, rhs entry) for every entry of each
+    matrix pair of one of the four identities, in order; a pair whose rhs
+    is None is compared against 0.  ``args`` are those of the identity's
+    check after ``ctx``.  The pairs are built lazily, so a reader that stops
+    at the first unequal entry never builds the pairs after it."""
+    zero = MultiPoly.zero()
+    for label, lhs, rhs in _PAIRS[identity](ctx, *args):
+        for i in range(lhs.rows):
+            for j in range(lhs.cols):
+                yield f"{label} (i, j)=({i}, {j})", lhs[i, j], zero if rhs is None else rhs[i, j]
+
+
 def linear_difference(identity: str, ctx: TauContext, *args) -> tuple | None:
-    """Where one of the four matrix identities fails: (label, i, j, lhs
-    entry, rhs entry) at its first differing entry, or None when it holds.
-    ``args`` are those of the identity's check after ``ctx``."""
-    return _first_difference(_PAIRS[identity](ctx, *args))
+    """The first (label, lhs entry, rhs entry) of ``linear_entries`` whose
+    sides differ, or None when the identity holds."""
+    return next(((label, a, b) for label, a, b in linear_entries(identity, ctx, *args) if a != b), None)
 
 
 def check_initial_value_relation(ctx: TauContext) -> bool:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ..algebra import MultiPoly, RingMatrix
 from ..combinatorics.partitions import partitions_in_box
@@ -49,14 +49,9 @@ def schur_pair_sum(
     )
 
 
-def power_sum_append_zeros_check(
-    mu_names: Sequence[str], zeros: int, horizon: int
-) -> bool:
-    """Appending zero letters never changes any power sum (trivial family).
-
-    Verified symbolically: p_k of the extended alphabet with the extra
-    letters set to 0 equals p_k of the original, k = 1..horizon.
-    """
+def power_sum_sides(mu_names: Sequence[str], zeros: int, horizon: int) -> Iterator[tuple]:
+    """(f"k={k}", p_k of the alphabet with ``zeros`` zero letters appended,
+    p_k of the alphabet) for k = 1..horizon, over the squared letters."""
     if zeros < 0 or horizon < 1:
         raise ValueError("need zeros >= 0 and horizon >= 1")
     base = alphabet(mu_names, "squared")
@@ -64,7 +59,11 @@ def power_sum_append_zeros_check(
     extended = base + alphabet(extra_names, "squared")
     assignment = {name: 0 for name in extra_names}
     for k in range(1, horizon + 1):
-        lhs = pk(k, extended).subs(assignment)
-        if lhs != pk(k, base):
-            return False
-    return True
+        yield f"k={k}", pk(k, extended).subs(assignment), pk(k, base)
+
+
+def power_sum_append_zeros_check(mu_names: Sequence[str], zeros: int, horizon: int) -> bool:
+    """Appending zero letters never changes any power sum (trivial family):
+    every side of ``power_sum_sides`` agrees; stops at the first that does
+    not."""
+    return all(lhs == rhs for _, lhs, rhs in power_sum_sides(mu_names, zeros, horizon))

@@ -8,12 +8,16 @@ from phasetoda.algebra import MultiPoly
 from phasetoda.phase import (
     correlator_npoint,
     correlator_one_hole,
+    correlator_seeded,
     npoint_det,
     one_hole_det,
     one_hole_stack_check,
     one_point_stack_check,
     recursion_expand_check,
+    recursion_sides,
+    scalar_product,
     single_det_form,
+    stack_sides,
 )
 
 
@@ -84,3 +88,25 @@ def test_recursions(n, m):
         for q in range(0, order + 1):
             rs = (1,) * (order - q) + (0,) * q
             assert recursion_expand_check(rs, n, m, un, vn), (order, q)
+
+
+# every phase entry point that takes N creation and N annihilation values,
+# at N = 2, M = 1
+LETTER_ENTRY_POINTS = {
+    "scalar_product": lambda us, vs: scalar_product(2, 1, us, vs),
+    "one_hole_det": lambda us, vs: one_hole_det(0, 2, 1, us, vs),
+    "npoint_det": lambda us, vs: npoint_det((0,), 2, 1, us, vs),
+    "hole stack_sides": lambda us, vs: stack_sides("hole", 2, 1, us, vs),
+    "point stack_sides": lambda us, vs: stack_sides("point", 2, 1, us, vs),
+    "recursion_sides": lambda us, vs: list(recursion_sides((0,), 2, 1, us, vs)),
+    "correlator_one_hole": lambda us, vs: correlator_one_hole(0, 2, 1, us, vs),
+    "correlator_seeded": lambda us, vs: correlator_seeded(1, 2, 1, us, vs),
+    "correlator_npoint": lambda us, vs: correlator_npoint((0,), 2, 1, us, vs),
+}
+
+
+@pytest.mark.parametrize("us, vs", [(names("u", 3), names("v", 2)), (names("u", 2), names("v", 1))])
+@pytest.mark.parametrize("entry", sorted(LETTER_ENTRY_POINTS))
+def test_wrong_letter_count_is_a_value_error(entry, us, vs):
+    with pytest.raises(ValueError, match="need N creation and N annihilation values"):
+        LETTER_ENTRY_POINTS[entry](us, vs)

@@ -9,6 +9,7 @@ carries a witness, and ``run_family`` must return rather than raise.
 ``BOUNDS`` is shrunk for speed; the same small bounds pass without the fault.
 """
 
+import collections
 import inspect
 import sys
 import textwrap
@@ -19,7 +20,7 @@ from phasetoda import suites, symfunc, toda
 from phasetoda.algebra import MultiPoly, RingMatrix, det_exact, matrix, multipoly
 from phasetoda.combinatorics import Partition, SkewShape, planepartitions
 from phasetoda.phase import scalar
-from phasetoda.toda import linear
+from phasetoda.toda import linear, restrict
 
 # M = 2 puts (2, 1) in the box: a flipped Jacobi-Trudi offset still gives
 # the right S_(1,1), so a 2x1 box cannot see it; for the same reason the
@@ -50,6 +51,10 @@ def jacobi_trudi_offset_flipped(shape, h):
 
 def h_row_without_last_letter(kmax, gens):
     return RIGHT["h_row"](kmax, list(gens)[:-1])
+
+
+def pk_without_last_letter(k, gens):
+    return symfunc.pk(k, list(gens)[:-1])
 
 
 def edited(owner, name, old, new):
@@ -196,6 +201,8 @@ FAULTS = {
     "vandermonde-orientation":
         (plant_everywhere("vandermonde_divide", vandermonde_ignores_orientation),
          ("scalar-equivalence", "single-determinant")),
+    # the failing power sum names its first k and both sides
+    "power-sum-drops-last-letter": (plant_on(restrict, "pk", pk_without_last_letter), ("power-sums",)),
 }
 CASES = [(fault, family) for fault in sorted(FAULTS) for family in FAULTS[fault][1]]
 
@@ -209,7 +216,7 @@ def small_bounds(monkeypatch):
 @pytest.mark.parametrize(
     "family",
     SCHUR_FAMILIES + KERNEL_FAMILIES
-    + ("linear", "bijections", "single-determinant", "state-coefficients"),
+    + ("linear", "bijections", "single-determinant", "state-coefficients", "power-sums"),
 )
 def test_small_bounds_pass_without_a_fault(small_bounds, family):
     items = suites.run_family(family, 7)
@@ -235,8 +242,25 @@ def test_fault_fails_family_with_witness(small_bounds, monkeypatch, fault, famil
     if family == "bijections":
         marks = {"half-tableau-round-trip": "tableau=", "plane-partition-count-macmahon": "enumerated "}
         assert all(marks.get(it["identity"], "") in it["witness"] for it in caught)
+    if family == "power-sums":
+        assert all(it["witness"].startswith("k=") for it in caught)
     if family == "single-determinant":
         hole = [it for it in caught if it["identity"] == "hole-determinant-form"]
         assert hole and all(it["witness"].startswith("q=") for it in hole)
     for it in items:
         assert it["pass"] or it.get("witness"), it
+
+
+def test_failing_linear_items_build_their_sides_once(small_bounds, monkeypatch):
+    """Each linear item runs its identity's pair generator once, and a
+    failing item reads its witness from that one run."""
+    FAULTS["shift-exp-band-off-by-one"][0](monkeypatch)
+    calls = collections.Counter()
+    for identity, pairs in list(linear._PAIRS.items()):
+        def counted(*args, identity=identity, pairs=pairs):
+            calls[identity] += 1
+            return pairs(*args)
+        monkeypatch.setitem(linear._PAIRS, identity, counted)
+    items = suites.run_family("linear", 7)
+    assert any(not it["pass"] for it in items)
+    assert calls == collections.Counter(it["identity"] for it in items)
