@@ -7,9 +7,11 @@ a product may mix the two.  ``det_exact`` (polynomial entries) takes one
 route per size:
 
   * n <= 2: directly, ``a*d - b*c`` at n = 2;
-  * 3 <= n <= DP_MAX_N: ``_det_minor_dp``, a division-free expansion along
-    rows, memoized on column subsets, on one packing of the whole matrix
-    (n 2^(n-1) entry-times-minor products);
+  * n >= 3, every entry a constant: ``_det_integer``, fraction-free
+    elimination (Bareiss) on the rows' integer numerators, at any size;
+  * otherwise, 3 <= n <= DP_MAX_N: ``_det_minor_dp``, a division-free
+    expansion along rows, memoized on column subsets, on one packing of the
+    whole matrix (n 2^(n-1) entry-times-minor products);
   * n > DP_MAX_N: ``_det_bareiss``, fraction-free elimination with exact
     divisions (O(n^3) ring operations), where the subset expansion's
     exponential count of products and minors would dominate.
@@ -22,12 +24,14 @@ product of one entry from each of the top k rows then has the sum of their
 keys as its key and no field can carry, so every minor is a dict from int
 key to int numerator and only the determinant, over the product of the
 d_i, is unpacked.  ``det_cofactor``, a deliberately naive first-row
-expansion, is a test oracle the program never calls; ``_det_bareiss`` is the
-tests' oracle for the DP as well.
+expansion, is a test oracle the program never calls; in the tests
+``_det_bareiss`` and ``_det_minor_dp`` are also oracles for each other and
+for the integer route.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Sequence
 
 from ..errors import NonSquare
@@ -163,7 +167,46 @@ def det_exact(m: RingMatrix) -> MultiPoly:
         return m[0, 0]
     if n == 2:
         return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    if all(isinstance(e, MultiPoly) and not e.vars for e in m.entries):
+        return _det_integer(m)
     return _det_minor_dp(m) if n <= DP_MAX_N else _det_bareiss(m)
+
+
+def _det_integer(m: RingMatrix) -> MultiPoly:
+    """Fraction-free elimination (Bareiss) on the integer numerators of a
+    matrix of constants.
+
+    Row i is scaled to integers by the lcm d_i of its denominators, so the
+    determinant is that of the integer matrix over the product of the d_i.
+    After step k every entry below row k is a (k + 1)-minor of the integer
+    matrix, so each division by the previous pivot is exact.
+    """
+    n = m.rows
+    a = []
+    scale = 1
+    for i in range(n):
+        row = m.row(i)
+        d = lcm(*[e.den for e in row])
+        scale *= d
+        a.append([e.nums[()] * (d // e.den) if e.nums else 0 for e in row])
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return MultiPoly.zero()
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        top = a[k]
+        pivot = top[k]
+        for row in a[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - lead * top[j]) // prev
+        prev = pivot
+    num = sign * a[-1][-1]
+    return MultiPoly._make((), {(): num} if num else {}, scale)
 
 
 def _det_minor_dp(m: RingMatrix) -> MultiPoly:

@@ -23,7 +23,9 @@ sorts terms by graded reverse-lexicographic order (highest first) and prints
 each term as ``coeff*var^exp*...``, e.g. ``-2/3*u1^2*v2^-1``; the zero
 polynomial prints as ``0``.
 
-Every ring operation runs on the integers it stores.  A product of two
+Every ring operation runs on the integers it stores.  A product, sum or
+difference of two constants is one numerator and one denominator over
+their gcd, with no exponent vectors touched.  A product of two
 multi-term polynomials packs each exponent vector into one int
 (``_packing``, which the determinant expansion shares); exact division
 reduces on grevlex-ordered packed keys.  Results go through the trusted
@@ -284,6 +286,11 @@ class MultiPoly:
             return NotImplemented
         if not self.nums or not other.nums:
             return MultiPoly.zero()
+        if not self.vars and not other.vars:
+            # two constants: one numerator and one denominator product
+            num, den = self.nums[()] * other.nums[()], self.den * other.den
+            g = gcd(num, den)
+            return _new((), {(): num // g}, den // g)
         if not other.vars:
             return self._scaled(other.nums[()], other.den)
         if not self.vars:
@@ -570,6 +577,15 @@ def _combine(a: MultiPoly, b: MultiPoly, sign: int) -> MultiPoly:
         return a
     if not a.nums:
         return b if sign == 1 else -b
+    if not a.vars and not b.vars:
+        # two constants: na*db + sign*nb*da over da*db
+        da, db = a.den, b.den
+        num = a.nums[()] * db + sign * b.nums[()] * da
+        if not num:
+            return _new((), {}, 1)
+        den = da * db
+        g = gcd(num, den)
+        return _new((), {(): num // g}, den // g)
     if a.vars == b.vars:
         allvars, x, y = a.vars, a.nums, b.nums
     else:

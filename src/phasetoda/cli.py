@@ -27,7 +27,7 @@ from .combinatorics import (
     SkewShape,
 )
 from .errors import ConfigError, PhaseTodaError
-from .phase import boundary_correlator, scalar_product
+from .phase import boundary_correlator, build_conj_state, build_state, scalar_product
 from .reports import build_report, emit_report
 from .suites import FAMILIES, SUITES, run_family, run_suite
 from .symfunc import _reach, jacobi_trudi
@@ -44,6 +44,16 @@ ENUMERATE_CAP = 250_000
 # larger N is refused: each row stands where a run takes about 10 s on 2 CPUs
 # (README), most of it in the determinant route's Vandermonde divisions.
 SCALAR_MAX_M = (700, 700, 30, 6, 2)
+
+# The largest M that `compute state` (either side) runs at N = 0..18, a
+# larger N is refused: from N = 1 each row stands where a run takes about
+# 10 s on 2 CPUs (README); at N = 0 the work is linear in M and a million
+# takes about 1 s.
+STATE_MAX_M = (1_000_000, 900, 90, 24, 12, 7, 5, 4, 3, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1)
+
+# The same for `compute correlator` at N = 0..10, taken over its kinds,
+# whose slowest is the seeded pairing at k = 0.
+CORRELATOR_MAX_M = (1_000_000, 700, 40, 10, 5, 3, 2, 1, 1, 1, 1)
 
 # The largest size n - m that `compute tau` runs: size 6 over a seeded
 # random matrix takes about 5 s on 2 CPUs, size 7 over 90 s (README).
@@ -109,6 +119,14 @@ def _context(args) -> TauContext:
     return TauContext.symbolic(args.m, args.n, mat)
 
 
+def _refuse_over_m_cap(what: str, args, caps: tuple) -> None:
+    """Refuse (a ConfigError, exit 2) before any work an N beyond the table
+    ``caps`` or an M above its row."""
+    if args.N >= len(caps) or args.M > caps[args.N]:
+        raise ConfigError(f"compute {what} refuses N={args.N}, M={args.M}: the largest M "
+                          f"it runs at N = 0..{len(caps) - 1} is {caps}")
+
+
 def cmd_compute(args) -> int:
     t0 = time.time()
     items = []
@@ -130,9 +148,7 @@ def cmd_compute(args) -> int:
                 }
             )
     elif args.object == "scalar":
-        if args.N >= len(SCALAR_MAX_M) or args.M > SCALAR_MAX_M[args.N]:
-            raise ConfigError(f"compute scalar refuses N={args.N}, M={args.M}: the largest M "
-                              f"it runs at N = 0..{len(SCALAR_MAX_M) - 1} is {SCALAR_MAX_M}")
+        _refuse_over_m_cap("scalar", args, SCALAR_MAX_M)
         un, vn = _names("u", args.N), _names("v", args.N)
         methods = ["fock_pairing", "schur_sum", "determinant"]
         values = {meth: scalar_product(args.N, args.M, un, vn, meth) for meth in methods}
@@ -146,6 +162,7 @@ def cmd_compute(args) -> int:
             }
         )
     elif args.object == "correlator":
+        _refuse_over_m_cap("correlator", args, CORRELATOR_MAX_M)
         un, vn = _names("u", args.N), _names("v", args.N)
         if args.kind == "n_point":
             rs = _ints(args.r)
@@ -161,8 +178,7 @@ def cmd_compute(args) -> int:
             }
         )
     elif args.object == "state":
-        from .phase import build_conj_state, build_state
-
+        _refuse_over_m_cap("state", args, STATE_MAX_M)
         un, vn = _names("u", args.N), _names("v", args.N)
         sv = build_conj_state(vn, args.M) if args.dual else build_state(un, args.M)
         for occ, coeff in sorted(sv.terms.items()):

@@ -16,6 +16,7 @@ from phasetoda import cli
 from phasetoda.algebra import MultiPoly
 from phasetoda.cli import main
 from phasetoda.combinatorics import Partition, SkewShape, enumerate_tableaux, macmahon_count
+from phasetoda.phase import StateVector
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -254,6 +255,49 @@ def test_compute_tau_runs_the_largest_size_under_the_cap(monkeypatch, tmp_path):
     assert code == 0 and len(json.loads(out.read_text())["items"]) == cli.TAU_MAX_N + 1
 
 
+# (object, extra arguments, cap table)
+_M_CAPPED = [
+    ("state", [], cli.STATE_MAX_M),
+    ("state", ["--dual"], cli.STATE_MAX_M),
+    ("correlator", ["--kind", "one_hole"], cli.CORRELATOR_MAX_M),
+    ("correlator", ["--kind", "seeded"], cli.CORRELATOR_MAX_M),
+    ("correlator", ["--kind", "n_point", "--r", "0"], cli.CORRELATOR_MAX_M),
+]
+# every row one above its cap, the first N past the table, and a huge size
+_OVER_CAP = [
+    (obj, extra, n, m)
+    for obj, extra, caps in _M_CAPPED
+    for n, m in [*((n, cap + 1) for n, cap in enumerate(caps)), (len(caps), 0), (10**9, 10**9)]
+]
+_AT_CAP = [(obj, extra, n, cap) for obj, extra, caps in _M_CAPPED for n, cap in enumerate(caps)]
+
+
+def _ids(cases):
+    return [f"{obj}{''.join(extra)}-N{n}-M{m}" for obj, extra, n, m in cases]
+
+
+@pytest.mark.parametrize("obj, extra, n, m", _OVER_CAP, ids=_ids(_OVER_CAP))
+def test_compute_state_and_correlator_refuse_a_size_above_the_cap(obj, extra, n, m, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a refused size was computed")
+
+    for name in ("build_state", "build_conj_state", "boundary_correlator"):
+        monkeypatch.setattr(cli, name, never)
+    assert main(["compute", obj, "--N", str(n), "--M", str(m), *extra]) == 2
+    captured = capsys.readouterr()
+    assert f"compute {obj} refuses N={n}, M={m}" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("obj, extra, n, m", _AT_CAP, ids=_ids(_AT_CAP))
+def test_compute_state_and_correlator_run_the_largest_size_under_the_cap(obj, extra, n, m, monkeypatch, tmp_path):
+    # the stubs stand in for the state or the pairing at the capped size
+    monkeypatch.setattr(cli, "build_state", lambda names, m: StateVector(m, {}))
+    monkeypatch.setattr(cli, "build_conj_state", lambda names, m: StateVector(m, {}, dual=True))
+    monkeypatch.setattr(cli, "boundary_correlator", lambda *args, **kwargs: MultiPoly.const(1))
+    code, out = run_cli(["compute", obj, "--N", str(n), "--M", str(m), *extra], tmp_path)
+    assert code == 0
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -315,8 +359,11 @@ def _options(draw, table, flags=()):
     return argv + draw(st.lists(st.sampled_from(flags), unique=True)) if flags else argv
 
 
+# a box over every cap of compute scalar, state and correlator, refused unrun
+_over_cap = st.integers(10**7, 10**9).map(str)
 _COMPUTE = {
-    "--N": _small, "--M": _small, "--k": _small, "--s": _small, "--r": _int_lists,
+    "--N": st.one_of(_small, _over_cap), "--M": st.one_of(_small, _over_cap),
+    "--k": _small, "--s": _small, "--r": _int_lists,
     # n - m stays at most 3 or goes over the cap, which refuses it unrun
     "--m": st.integers(0, 2).map(str),
     "--n": st.one_of(st.integers(0, 3), st.integers(cli.TAU_MAX_N + 3, 10**9)).map(str),

@@ -221,6 +221,105 @@ def test_det_exact_eliminates_above_the_dp_cap(n, monkeypatch):
     assert det_exact(m) == MultiPoly.const(-prod(diag))
 
 
+def test_det_exact_takes_bareiss_for_polynomials_above_the_dp_cap(monkeypatch):
+    n = matrix.DP_MAX_N + 1
+    rng = random.Random(510)
+    p = MultiPoly.var("p")
+    diag = [p + rng.choice((-2, -1, 1, 2)) for _ in range(n)]
+    rows = [[diag[i] if j == i else rng.randint(-3, 3) if j > i else 0 for j in range(n)] for i in range(n)]
+
+    def never(m):
+        raise AssertionError("det_exact left the Bareiss route")
+
+    monkeypatch.setattr(matrix, "_det_minor_dp", never)
+    monkeypatch.setattr(matrix, "_det_integer", never)
+    assert det_exact(RingMatrix.from_rows(rows)) == prod(diag, start=MultiPoly.const(1))
+
+
+# rationals over the denominators 1, 2, 3 and 6
+CONSTANTS = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 6)))
+
+
+@st.composite
+def constant_matrices(draw, sizes):
+    """Constant matrices, some with a zero row, a zero column, or a zero
+    leading pivot over a nonzero entry below it (so elimination swaps)."""
+    n = draw(sizes)
+    rows = [[draw(CONSTANTS) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(("none", "row", "column", "pivot", "pivot")))
+    k = draw(st.integers(0, n - 1))
+    if kind == "row":
+        rows[k] = [0] * n
+    elif kind == "column":
+        for row in rows:
+            row[k] = 0
+    elif kind == "pivot":
+        rows[0][0] = 0
+        rows[max(k, 1)][0] = draw(st.integers(1, 9)) * draw(st.sampled_from((-1, 1)))
+    return RingMatrix.from_rows(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(constant_matrices(st.integers(3, matrix.DP_MAX_N)))
+def test_integer_route_matches_dp_and_cofactor(m):
+    d = det_exact(m)
+    assert d == _det_minor_dp(m)
+    assert d == det_cofactor(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(constant_matrices(st.integers(3, matrix.DP_MAX_N + 2)))
+def test_integer_route_matches_bareiss(m):
+    assert det_exact(m) == _det_bareiss(m)
+
+
+def _constant_rows(n):
+    rng = random.Random(600 + n)
+    return [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 6))) for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [3, matrix.DP_MAX_N, matrix.DP_MAX_N + 1, 20])
+def test_det_exact_takes_the_integer_route_for_constants(n, monkeypatch):
+    m = RingMatrix.from_rows(_constant_rows(n))
+    expected = _det_bareiss(m)
+
+    def never(m):
+        raise AssertionError("det_exact took a polynomial route for a constant matrix")
+
+    monkeypatch.setattr(matrix, "_det_minor_dp", never)
+    monkeypatch.setattr(matrix, "_det_bareiss", never)
+    # the route runs on integer numerators and builds no Fraction
+    built = []
+    make = Fraction.__new__
+    monkeypatch.setattr(
+        Fraction, "__new__", staticmethod(lambda cls, *a, **k: built.append(a) or make(cls, *a, **k))
+    )
+    d = det_exact(m)
+    assert not built
+    monkeypatch.undo()
+    assert d == expected
+
+
+@pytest.mark.parametrize("n", [3, matrix.DP_MAX_N + 1])
+def test_one_variable_entry_keeps_the_polynomial_route(n, monkeypatch):
+    rows = _constant_rows(n)
+    rows[-1][-1] = MultiPoly.var("p")
+    m = RingMatrix.from_rows(rows)
+
+    def never(m):
+        raise AssertionError("det_exact took the integer route for a polynomial matrix")
+
+    monkeypatch.setattr(matrix, "_det_integer", never)
+    assert det_exact(m) == _det_bareiss(m)
+
+
+def test_integer_route_swaps_a_zero_pivot_and_flips_the_sign():
+    # the leading pivot is 0, so rows 0 and 1 trade places: det = -(2 * 3 * 5)
+    m = RingMatrix.from_rows([[0, 2, 1], [Fraction(3, 2), 1, 1], [0, 0, 5]])
+    assert matrix._det_integer(m) == MultiPoly.const(-15) == det_cofactor(m)
+    assert matrix._det_integer(RingMatrix.from_rows([[0, 1, 2], [0, 3, 4], [0, 5, 6]])).is_zero()
+
+
 def test_matmul_and_identity():
     a = RingMatrix.from_rows([[1, 2], [3, 4]])
     assert a @ RingMatrix.identity(2) == a

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,6 +136,39 @@ def polys(draw):
     return MultiPoly(("x", "y"), terms)
 
 
+# small and large numerators, either sign, over small and large denominators
+rationals = st.builds(
+    Fraction,
+    st.one_of(st.integers(-12, 12), st.integers(-(10 ** 30), 10 ** 30)),
+    st.one_of(st.integers(1, 12), st.integers(1, 10 ** 20)),
+)
+
+
+def _canonical_constant(p: MultiPoly) -> bool:
+    if not p.nums:
+        return p.den == 1
+    ((exps, num),) = p.nums.items()
+    return exps == () and num != 0 and p.den > 0 and gcd(p.den, num) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(rationals, rationals)
+def test_constant_arithmetic_matches_fraction(a, b):
+    pa, pb = MultiPoly.const(a), MultiPoly.const(b)
+    cases = [
+        (pa * pb, a * b), (pa + pb, a + b), (pa - pb, a - b),
+        # sums that cancel to 0
+        (pa - pa, 0), (pa + MultiPoly.const(-a), 0), (pb - MultiPoly.const(b), 0),
+        # a product whose factors share the denominators' primes
+        (pa * MultiPoly.const(Fraction(b.denominator, a.denominator)),
+         a * Fraction(b.denominator, a.denominator)),
+    ]
+    for got, want in cases:
+        assert _canonical_constant(got), got
+        assert got.constant_value() == want
+        assert got == MultiPoly.const(want)
+
+
 @settings(max_examples=120, deadline=None)
 @given(polys(), polys(), polys())
 def test_ring_axioms(p, q, r):
@@ -198,6 +232,7 @@ def test_kernel_builds_no_fraction(monkeypatch):
     p = Fraction(2, 3) * x ** 2 * y - Fraction(1, 4) * MultiPoly.var("y", -1) + 5
     q = x * y + Fraction(3, 7) * x - 2
     m = Fraction(-2, 5) * x * y
+    c, d = MultiPoly.const(Fraction(-9, 4)), MultiPoly.const(Fraction(10, 3))
     built = []
     make = Fraction.__new__
 
@@ -210,7 +245,7 @@ def test_kernel_builds_no_fraction(monkeypatch):
     results = [
         prod, p + q, p - q, 3 - p, -p, p * 3, p ** 3, prod.divide_exact(q),
         prod.divide_exact(MultiPoly.const(-6)), (x * q).diff("x"), p.coeff_of("y", 1),
-        p.subs({"x": 2, "y": x}), m.monomial_inverse(),
+        p.subs({"x": 2, "y": x}), m.monomial_inverse(), c * d, c + d, c - d, c - c,
     ]
     # the length, keys and membership of the Fraction view read numerators only
     assert [len(r.terms) for r in results] == [len(r.nums) for r in results]

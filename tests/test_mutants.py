@@ -19,7 +19,7 @@ import pytest
 from phasetoda import suites, symfunc, toda
 from phasetoda.algebra import MultiPoly, RingMatrix, det_exact, matrix, multipoly
 from phasetoda.combinatorics import Partition, SkewShape, planepartitions
-from phasetoda.phase import scalar
+from phasetoda.phase import monodromy, scalar
 from phasetoda.toda import linear, restrict
 
 # M = 2 puts (2, 1) in the box: a flipped Jacobi-Trudi offset still gives
@@ -94,6 +94,13 @@ det_dp_sign_flipped = edited(
 )
 # results keep numerators and denominator with a common factor, 2/2 for 1
 make_without_gcd = edited(MultiPoly, "_make", "if den != 1:", "if False:")
+# the same for a product of two constants, which bypasses _make
+constant_product_without_gcd = edited(MultiPoly, "__mul__", "g = gcd(num, den)", "g = 1")
+# the integer elimination of constant determinants without its exact
+# division by the previous pivot, so each step scales the rows below it
+det_integer_without_division = edited(matrix, "_det_integer", " // prev", "")
+# the diagonal weight of the intertwiner from v^2 instead of u^2
+r_matrix_weight_from_v = edited(monodromy, "r_matrix", "f = u * u / denom", "f = v * v / denom")
 # the raising Toeplitz band one step off: zeta_{j-i+1} for zeta_{j-i}
 shift_exp_band_off_by_one = edited(toda, "shift_exp", "z(j - i) if", "z(j - i + 1) if")
 
@@ -177,6 +184,16 @@ FAULTS = {
         (plant_on(matrix, "_det_minor_dp", det_dp_sign_flipped),
          ("state-coefficients", "tau-expansion", "bilinear", "linear")),
     "make-skips-gcd": (plant_on(MultiPoly, "_make", make_without_gcd), KERNEL_FAMILIES),
+    # 2/2 is not equal to 1: the numeric scalar products and the intertwining
+    # at rational points compare constants
+    "constant-product-skips-gcd":
+        (plant_on(MultiPoly, "__mul__", constant_product_without_gcd), ("scalar-equivalence", "rtt")),
+    # the taus of the constant matrices; no family's constant determinant
+    # has a vanishing leading minor, so a row swap (and its sign) is left
+    # to the oracle tests of tests/test_matrix.py
+    "det-integer-skips-division":
+        (plant_on(matrix, "_det_integer", det_integer_without_division), ("tau-expansion",)),
+    "r-matrix-weight-from-v": (plant_on(monodromy, "r_matrix", r_matrix_weight_from_v), ("rtt",)),
     # the matrix identities of the linear problem name their first differing (i, j)
     "shift-exp-band-off-by-one":
         (plant_everywhere("shift_exp", shift_exp_band_off_by_one), ("linear",)),
@@ -216,7 +233,7 @@ def small_bounds(monkeypatch):
 @pytest.mark.parametrize(
     "family",
     SCHUR_FAMILIES + KERNEL_FAMILIES
-    + ("linear", "bijections", "single-determinant", "state-coefficients", "power-sums"),
+    + ("linear", "bijections", "single-determinant", "state-coefficients", "power-sums", "rtt"),
 )
 def test_small_bounds_pass_without_a_fault(small_bounds, family):
     items = suites.run_family(family, 7)
