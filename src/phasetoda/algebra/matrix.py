@@ -7,14 +7,14 @@ a product may mix the two.  ``det_exact`` (polynomial entries) takes one
 route per size:
 
   * n <= 2: directly, ``a*d - b*c`` at n = 2;
-  * n >= 3, every entry a constant: ``_det_integer``, fraction-free
-    elimination (Bareiss) on the rows' integer numerators, at any size;
+  * n >= 3 with every entry a constant, or n > DP_MAX_N: ``_det_bareiss``,
+    fraction-free elimination (O(n^3) ring operations) with exact
+    divisions, on the rows' integer numerators when every entry is a
+    constant and on the polynomials otherwise; above DP_MAX_N the subset
+    expansion's exponential count of products and minors would dominate;
   * otherwise, 3 <= n <= DP_MAX_N: ``_det_minor_dp``, a division-free
     expansion along rows, memoized on column subsets, on one packing of the
-    whole matrix (n 2^(n-1) entry-times-minor products);
-  * n > DP_MAX_N: ``_det_bareiss``, fraction-free elimination with exact
-    divisions (O(n^3) ring operations), where the subset expansion's
-    exponential count of products and minors would dominate.
+    whole matrix (n 2^(n-1) entry-times-minor products).
 
 The packing invariant of the expansion: row i is scaled to integer
 numerators over the lcm d_i of its denominators, variable v gets the field
@@ -25,17 +25,18 @@ keys as its key and no field can carry, so every minor is a dict from int
 key to int numerator and only the determinant, over the product of the
 d_i, is unpacked.  ``det_cofactor``, a deliberately naive first-row
 expansion, is a test oracle the program never calls; in the tests
-``_det_bareiss`` and ``_det_minor_dp`` are also oracles for each other and
-for the integer route.
+``_det_bareiss`` and ``_det_minor_dp`` are also oracles for each other, on
+constant and on polynomial entries.
 """
 
 from __future__ import annotations
 
 from math import lcm
+from operator import floordiv
 from typing import Sequence
 
 from ..errors import NonSquare
-from .multipoly import MultiPoly, _packing, as_poly, var_key
+from .multipoly import MultiPoly, _packing, _unpack, as_poly, var_key
 from .ratio import RatioPoly
 
 # the largest size the subset expansion takes: at 8x8 it matches elimination
@@ -167,46 +168,13 @@ def det_exact(m: RingMatrix) -> MultiPoly:
         return m[0, 0]
     if n == 2:
         return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if all(isinstance(e, MultiPoly) and not e.vars for e in m.entries):
-        return _det_integer(m)
-    return _det_minor_dp(m) if n <= DP_MAX_N else _det_bareiss(m)
+    if n > DP_MAX_N or _constant(m):
+        return _det_bareiss(m)
+    return _det_minor_dp(m)
 
 
-def _det_integer(m: RingMatrix) -> MultiPoly:
-    """Fraction-free elimination (Bareiss) on the integer numerators of a
-    matrix of constants.
-
-    Row i is scaled to integers by the lcm d_i of its denominators, so the
-    determinant is that of the integer matrix over the product of the d_i.
-    After step k every entry below row k is a (k + 1)-minor of the integer
-    matrix, so each division by the previous pivot is exact.
-    """
-    n = m.rows
-    a = []
-    scale = 1
-    for i in range(n):
-        row = m.row(i)
-        d = lcm(*[e.den for e in row])
-        scale *= d
-        a.append([e.nums[()] * (d // e.den) if e.nums else 0 for e in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return MultiPoly.zero()
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        top = a[k]
-        pivot = top[k]
-        for row in a[k + 1 :]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = (pivot * row[j] - lead * top[j]) // prev
-        prev = pivot
-    num = sign * a[-1][-1]
-    return MultiPoly._make((), {(): num} if num else {}, scale)
+def _constant(m: RingMatrix) -> bool:
+    return all(isinstance(e, MultiPoly) and not e.vars for e in m.entries)
 
 
 def _det_minor_dp(m: RingMatrix) -> MultiPoly:
@@ -221,7 +189,7 @@ def _det_minor_dp(m: RingMatrix) -> MultiPoly:
     """
     n = m.rows
     allvars = tuple(sorted({v for e in m.entries for v in e.vars}, key=var_key))
-    packed, den, unpack = _packing(allvars, [m.row(i) for i in range(n)])
+    packed, den, fields = _packing(allvars, [m.row(i) for i in range(n)])
     memo = {0: {0: 1}}
     for k, row in enumerate(packed):
         new: dict = {}
@@ -248,33 +216,53 @@ def _det_minor_dp(m: RingMatrix) -> MultiPoly:
                         key = ko + ki
                         acc[key] = get(key, 0) + co * ci
         memo = new
-    return MultiPoly._make(allvars, unpack(memo.get((1 << n) - 1, {})), den)
+    return MultiPoly._make(allvars, _unpack(fields, memo.get((1 << n) - 1, {})), den)
 
 
 def _det_bareiss(m: RingMatrix) -> MultiPoly:
-    """Fraction-free elimination; all divisions are exact in the ring (the
-    route above ``DP_MAX_N``, and the tests' oracle for ``_det_minor_dp``)."""
+    """Fraction-free elimination (Bareiss).
+
+    After step k every entry below row k is a (k + 1)-minor, so each
+    division by the previous pivot is exact; a zero pivot swaps in a lower
+    row and flips the sign.  A matrix of constants runs on integers: row i
+    is scaled by the lcm d_i of its denominators, the determinant is that
+    of the integer matrix over the product of the d_i, and each division is
+    ``//``.  Any other matrix runs on its entries with ``divide_exact``.
+    """
     n = m.rows
-    a = [[m[i, j] for j in range(n)] for i in range(n)]
+    if _constant(m):
+        a = []
+        scale = 1
+        for i in range(n):
+            row = m.row(i)
+            d = lcm(*[e.den for e in row])
+            scale *= d
+            a.append([e.nums[()] * (d // e.den) if e.nums else 0 for e in row])
+        divide = floordiv
+    else:
+        a = [m.row(i) for i in range(n)]
+        scale = None
+        divide = MultiPoly.divide_exact
     sign = 1
-    prev = MultiPoly.const(1)
+    prev = 1
     for k in range(n - 1):
-        pivot_row = k
-        while pivot_row < n and a[pivot_row][k].is_zero():
-            pivot_row += 1
-        if pivot_row == n:
-            return MultiPoly.zero()
-        if pivot_row != k:
-            a[pivot_row], a[k] = a[k], a[pivot_row]
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return MultiPoly.zero()
+            a[k], a[swap] = a[swap], a[k]
             sign = -sign
-        for i in range(k + 1, n):
+        top = a[k]
+        pivot = top[k]
+        for row in a[k + 1 :]:
+            lead = row[k]
             for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num.divide_exact(prev)
-            a[i][k] = MultiPoly.zero()
-        prev = a[k][k]
-    result = a[n - 1][n - 1]
-    return result if sign > 0 else -result
+                row[j] = divide(pivot * row[j] - lead * top[j], prev)
+        prev = pivot
+    det = a[-1][-1] if sign > 0 else -a[-1][-1]
+    if scale is None:
+        return det
+    return MultiPoly._make((), {(): det} if det else {}, scale)
 
 
 def det_cofactor(m: RingMatrix) -> MultiPoly:

@@ -27,8 +27,8 @@ Every ring operation runs on the integers it stores.  A product, sum or
 difference of two constants is one numerator and one denominator over
 their gcd, with no exponent vectors touched.  A product of two
 multi-term polynomials packs each exponent vector into one int
-(``_packing``, which the determinant expansion shares); exact division
-reduces on grevlex-ordered packed keys.  Results go through the trusted
+(``_packing``, which the determinant expansion shares), and exact
+division reduces on the same keys.  Results go through the trusted
 constructor ``_make``, which prunes unused variables and divides out
 ``gcd(den, *nums)``.
 """
@@ -39,7 +39,7 @@ import re
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Sequence, Union
 
 from ..errors import DivisionByZero, NegativeExponent, NotDivisible
@@ -432,17 +432,22 @@ class MultiPoly:
     def divide_exact(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact division; raises NotDivisible on a nonzero remainder.
 
-        Each step removes the grevlex-leading term of the remainder, so the
-        packed leading key falls at every step and, all keys lying in a
-        finite box, the loop ends.
+        A monomial is a unit of the Laurent ring, so each side is taken
+        after removing its own low corner, the lowest power of every
+        variable (v1 + 1 over v1^2 + v1 is v1^-1).  Exponent spans add under
+        multiplication, so a divisor wider than the dividend in some
+        variable is refused before anything is packed.  Otherwise both
+        sides are keyed on one ``_packing``, and an exact quotient, less its
+        low corner, lies in the box [0, span(self) - span(divisor)] of each
+        variable; a quotient term outside it is refused.  Every remainder
+        term then stays inside the dividend's box, where no field carries,
+        so the key order is a monomial order: the largest key is the leading
+        term, and it falls at every step until the loop ends.
 
         The loop runs on the stored integer numerators, with the divisor
         made primitive; by Gauss's lemma a quotient over Q is then integral,
         so each step is one ``divmod`` by the divisor's leading coefficient
-        and a nonzero remainder proves non-divisibility.  Exponent vectors
-        are packed into grevlex-ordered int keys (``_grevlex_packing``), so
-        the leading term is a plain ``max`` and shifting by the quotient term
-        is an addition.
+        and a nonzero remainder proves non-divisibility.
         """
         divisor = self._coerce(divisor)
         if not divisor.nums:
@@ -454,51 +459,49 @@ class MultiPoly:
             return self._scaled(divisor.den, c) if c > 0 else self._scaled(-divisor.den, -c)
         if len(divisor.nums) == 1:
             return self * divisor.monomial_inverse()
-        # a monomial is a unit of the Laurent ring: strip the lowest power of
-        # every variable from each side, so that both become polynomials
-        # without a monomial factor and polynomial division decides
-        # divisibility (v1 + 1 over v1^2 + v1 is v1^-1)
+        n_low, n_span = _corner(self)
+        d_low, d_span = _corner(divisor)
+        if any(s > n_span.get(v, 0) for v, s in d_span.items()):
+            raise NotDivisible("divisor wider than the dividend")
         allvars = self._union_vars(self, divisor)
-        nterms, dterms = self._embed(allvars), divisor._embed(allvars)
-        low_n = [min(col) for col in zip(*nterms)]
-        low_d = [min(col) for col in zip(*dterms)]
-        nexps = [tuple(map(sub, e, low_n)) for e in nterms]
-        dexps = [tuple(map(sub, e, low_d)) for e in dterms]
-        # every remainder term has a total degree of at most top
-        top = max(map(sum, nexps + dexps))
-        weights, unpack = _grevlex_packing(len(allvars), top)
-        g = gcd(*dterms.values())
-        rem = {sum(map(mul, e, weights)): c for e, c in zip(nexps, nterms.values())}
-        dpacked = {sum(map(mul, e, weights)): c // g for e, c in zip(dexps, dterms.values())}
-        lead_dk = max(dpacked)
-        lead_dc = dpacked.pop(lead_dk)
-        lead_d = unpack(lead_dk)
+        ((rem,), (dterms,)), _, fields = _packing(allvars, ((self,), (divisor,)))
+        rem = dict(rem)
+        g = gcd(*divisor.nums.values())
+        dterms = {k: c // g for k, c in dterms}
+        lead_dk = max(dterms)
+        lead_dc = dterms.pop(lead_dk)
+        # the fields a remainder key may hold for its quotient term to lie
+        # in the box (the divisor's leading exponent plus [0, span
+        # difference]), and the fields that unpack a quotient key: with
+        # divisor = g * primitive / divisor.den and self = quot * primitive
+        # / self.den, the quotient is quot * divisor.den / (g * self.den),
+        # its low corner that of self less that of the divisor
+        box, lift = [], []
+        for (rad, w, _), v in zip(fields, allvars):
+            lo = lead_dk // rad % w
+            box.append((rad, w, lo, lo + n_span.get(v, 0) - d_span.get(v, 0)))
+            lift.append((rad, w, n_low.get(v, 0) - d_low.get(v, 0)))
+        dd = divisor.den
         quot: dict = {}
         get = rem.get
         while rem:
             lk = max(rem)
-            qexp = tuple(map(sub, unpack(lk), lead_d))
-            if any(e < 0 for e in qexp):
-                raise NotDivisible("leading term not divisible")
+            for rad, w, lo, hi in box:
+                if not lo <= lk // rad % w <= hi:
+                    raise NotDivisible("quotient term outside the box")
             qc, r = divmod(rem.pop(lk), lead_dc)
             if r:
                 raise NotDivisible("leading coefficient not divisible")
-            quot[qexp] = qc
             qk = lk - lead_dk
-            for dk, dc in dpacked.items():
+            quot[qk] = qc * dd
+            for dk, dc in dterms.items():
                 k = qk + dk
                 v = get(k, 0) - qc * dc
                 if v:
                     rem[k] = v
                 else:
                     del rem[k]
-        # with divisor = g * primitive / divisor.den and self = quot *
-        # primitive / self.den, the quotient is quot * divisor.den / (g * self.den)
-        lift = list(map(sub, low_n, low_d))
-        dd = divisor.den
-        return MultiPoly._make(
-            allvars, {tuple(map(add, e, lift)): c * dd for e, c in quot.items()}, g * self.den
-        )
+        return MultiPoly._make(allvars, _unpack(lift, quot), g * self.den)
 
     def content(self) -> Fraction:
         """Positive rational content (gcd of numerators / lcm of denominators)."""
@@ -615,33 +618,6 @@ def _combine(a: MultiPoly, b: MultiPoly, sign: int) -> MultiPoly:
     return MultiPoly._make(allvars, nums, den)
 
 
-def _grevlex_packing(n: int, top: int) -> tuple:
-    """Grevlex-ordered int keys for exponent vectors e >= 0 of total degree
-    at most ``top``: ``(weights, unpack)``.
-
-    The key of e is sum(e[i] * weights[i]).  Shifted by a constant offset,
-    it holds the total degree in its top field and top - e[i] in field i
-    below it (fields of width top + 1, the last variable most significant);
-    no field can carry, so the int order is the grevlex order.  The key is
-    linear in e, so the key of a product of monomials is the sum of their
-    keys.  ``unpack`` inverts it with n divmods.
-    """
-    b = top + 1
-    radix = [b ** i for i in range(n)]
-    weights = [b ** n - r for r in radix]
-    offset = top * sum(radix)
-
-    def unpack(key: int) -> tuple:
-        key += offset
-        out = []
-        for _ in range(n):
-            key, r = divmod(key, b)
-            out.append(top - r)
-        return tuple(out)
-
-    return weights, unpack
-
-
 def _monomial_product(a: MultiPoly, m: MultiPoly) -> MultiPoly:
     """Product with a single-term ``m``: a shift of every exponent of ``a``
     and a scaling, so no two terms collide and nothing needs packing."""
@@ -663,7 +639,7 @@ def _pruned(variables: tuple, nums: dict, den: int) -> MultiPoly:
 
 def _packing(allvars: tuple, groups: Sequence[Sequence[MultiPoly]]) -> tuple:
     """Int keys for the products that take one polynomial from each group:
-    ``(packed, den, unpack)``.
+    ``(packed, den, fields)``.
 
     Each group is scaled to integer numerators over the lcm of its
     denominators, and ``den`` is the product of those lcms.  Each exponent
@@ -673,8 +649,8 @@ def _packing(allvars: tuple, groups: Sequence[Sequence[MultiPoly]]) -> tuple:
     sum of one key from each group is the packed key of the product monomial,
     every field stays in its width and none can carry into the next.
     ``packed[g][t]`` lists the (key, numerator) pairs of ``groups[g][t]``;
-    ``unpack`` maps a dict from such key sums to numerators to the dict from
-    exponent vectors (over ``allvars``) to its nonzero numerators.
+    ``fields`` lists the (radix, width, low) of each variable of ``allvars``,
+    what ``_unpack`` needs to map such key sums back to exponent vectors.
     """
     n = len(allvars)
     low = [0] * n
@@ -719,12 +695,24 @@ def _packing(allvars: tuple, groups: Sequence[Sequence[MultiPoly]]) -> tuple:
             f = d // p.den
             keyed.append([(sum(map(mul, e, rad)) - off, c * f) for e, c in p.nums.items()])
         packed.append(keyed)
-    fields = list(zip(radix, width, low))
+    return packed, den, list(zip(radix, width, low))
 
-    def unpack(out: dict) -> dict:
-        return {tuple([k // r % w + lo for r, w, lo in fields]): v for k, v in out.items() if v}
 
-    return packed, den, unpack
+def _unpack(fields: Sequence[tuple], out: dict) -> dict:
+    """The dict from packed keys to numerators as the dict from exponent
+    vectors to its nonzero numerators; ``fields`` lists each variable's
+    (radix, width, low), as ``_packing`` returns them."""
+    return {tuple([k // r % w + lo for r, w, lo in fields]): v for k, v in out.items() if v}
+
+
+def _corner(p: MultiPoly) -> tuple:
+    """The low corner and the exponent span of each variable of ``p``, as
+    two dicts keyed on its variable names."""
+    low, span = {}, {}
+    for v, col in zip(p.vars, zip(*p.nums)):
+        low[v] = lo = min(col)
+        span[v] = max(col) - lo
+    return low, span
 
 
 def _packed_product(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -736,14 +724,14 @@ def _packed_product(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     one int multiply and one int add.
     """
     allvars = MultiPoly._union_vars(a, b)
-    ((pa,), (pb,)), den, unpack = _packing(allvars, ((a,), (b,)))
+    ((pa,), (pb,)), den, fields = _packing(allvars, ((a,), (b,)))
     out: dict = {}
     get = out.get
     for ka, ca in pa:
         for kb, cb in pb:
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
-    return MultiPoly._make(allvars, unpack(out), den)
+    return MultiPoly._make(allvars, _unpack(fields, out), den)
 
 
 ZERO = MultiPoly.zero()

@@ -5,7 +5,9 @@ factors (tau-functions and their products, in practice).  Products and
 sums cancel factors against the numerator by exact division, factor by
 factor, which keeps the intermediate objects near their reduced size; a
 factor that does not divide is simply kept, so correctness never depends
-on the reduction succeeding.  Identity checks cross-multiply.
+on the reduction succeeding.  Each factor goes straight to
+``MultiPoly.divide_exact``, whose span test refuses a factor wider than
+the numerator before any packing.  Identity checks cross-multiply.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ def reduce_pair(num: MultiPoly, den: MultiPoly) -> tuple:
         raise ZeroDivisionError("zero denominator")
     if num.is_zero():
         return MultiPoly.zero(), MultiPoly.const(1)
-    if den.is_constant():
-        return num.divide_exact(den), MultiPoly.const(1)
     try:
         return num.divide_exact(den), MultiPoly.const(1)
     except NotDivisible:
@@ -35,19 +35,6 @@ def reduce_pair(num: MultiPoly, den: MultiPoly) -> tuple:
     den = den.divide_exact(MultiPoly.const(c))
     num = num * MultiPoly.const(Fraction(1) / c)
     return num, den
-
-
-def exponent_spans(p: MultiPoly) -> dict:
-    """Exponent span (max - min) of every variable of p."""
-    return {v: max(col) - min(col) for v, col in zip(p.vars, zip(*p.nums))}
-
-
-def wider_than(f: MultiPoly, spans: dict) -> bool:
-    """True when f spans more exponents in some variable than the spans of a
-    numerator allow (a variable missing from them has span 0).  Spans add
-    under Laurent multiplication, so such an f cannot divide that numerator;
-    the test only spares divide_exact a refusal it would reach anyway."""
-    return any(w > spans.get(v, 0) for v, w in exponent_spans(f).items())
 
 
 class RatioPoly:
@@ -64,10 +51,7 @@ class RatioPoly:
             den = as_poly(den)
             if den.is_zero():
                 raise ZeroDivisionError("zero denominator")
-            if den.is_constant():
-                num = num.divide_exact(den)
-            else:
-                factors.append(den)
+            factors.append(den)
         self.num = num
         self.factors = factors
         self._cancel()
@@ -77,19 +61,9 @@ class RatioPoly:
             self.factors = []
             return
         kept = []
-        spans = None
         for f in sorted(self.factors, key=len):
-            if f.is_constant():
-                self.num = self.num.divide_exact(f)
-                continue
-            if spans is None:
-                spans = exponent_spans(self.num)
-            if wider_than(f, spans):
-                kept.append(f)
-                continue
             try:
                 self.num = self.num.divide_exact(f)
-                spans = None
             except NotDivisible:
                 kept.append(f)
         self.factors = kept

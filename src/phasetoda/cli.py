@@ -29,7 +29,7 @@ from .combinatorics import (
 from .errors import ConfigError, PhaseTodaError
 from .phase import boundary_correlator, build_conj_state, build_state, scalar_product
 from .reports import build_report, emit_report
-from .suites import FAMILIES, SUITES, run_family, run_suite
+from .suites import FAMILIES, SUITES, _names, run_family, run_suite
 from .symfunc import _reach, jacobi_trudi
 from .toda import TauContext, generic_constant_matrix, tau, tau_schur_expand, vanishing_leading_minor
 
@@ -58,10 +58,6 @@ CORRELATOR_MAX_M = (1_000_000, 700, 40, 10, 5, 3, 2, 1, 1, 1, 1)
 # The largest size n - m that `compute tau` runs: size 6 over a seeded
 # random matrix takes about 5 s on 2 CPUs, size 7 over 90 s (README).
 TAU_MAX_N = 6
-
-
-def _names(prefix, count):
-    return [f"{prefix}{i}" for i in range(1, count + 1)]
 
 
 def _count(text: str) -> int:

@@ -31,6 +31,7 @@ from . import symfunc as sf
 from .algebra import MultiPoly
 from .bounds import BOUNDS
 from .combinatorics import (
+    PICTURES,
     SkewShape,
     column,
     enumerate_path_configs,
@@ -172,9 +173,6 @@ def _first_half_miss(n: int, m: int) -> str | None:
                     f"tableau={_lists(tab.rows)} -> {back.side} diagonals={_lists(back.diagonals)}"
                 )
     return None
-
-
-PICTURES = ("paths", "pp", "tableaux")
 
 
 def _first_unequal(cases, lhs: str, rhs: str) -> str | None:

@@ -60,10 +60,3 @@ def power_sum_sides(mu_names: Sequence[str], zeros: int, horizon: int) -> Iterat
     assignment = {name: 0 for name in extra_names}
     for k in range(1, horizon + 1):
         yield f"k={k}", pk(k, extended).subs(assignment), pk(k, base)
-
-
-def power_sum_append_zeros_check(mu_names: Sequence[str], zeros: int, horizon: int) -> bool:
-    """Appending zero letters never changes any power sum (trivial family):
-    every side of ``power_sum_sides`` agrees; stops at the first that does
-    not."""
-    return all(lhs == rhs for _, lhs, rhs in power_sum_sides(mu_names, zeros, horizon))

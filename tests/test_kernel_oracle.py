@@ -14,7 +14,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from phasetoda.algebra import (
     MultiPoly, RingMatrix, det_cofactor, det_exact, grevlex_key, var_key,
 )
-from phasetoda.algebra.ratio import exponent_spans, wider_than
 from phasetoda.errors import NegativeExponent, NotDivisible
 
 sympy = pytest.importorskip("sympy")
@@ -68,6 +67,11 @@ def from_sympy(expr) -> MultiPoly:
         key = tuple(int(powers.get(SYMBOLS[name], 0)) for name in NAMES)
         terms[key] = terms.get(key, Fraction(0)) + Fraction(int(c.p), int(c.q))
     return MultiPoly(NAMES, terms)
+
+
+def spans(p: MultiPoly) -> dict:
+    """Exponent span (max - min) of every variable of p."""
+    return {v: max(col) - min(col) for v, col in zip(p.vars, zip(*p.terms))}
 
 
 def canonical(r: MultiPoly) -> MultiPoly:
@@ -177,13 +181,48 @@ def test_divide_exact_by_scaled_divisor_matches_sympy(p, d):
 # u2 is missing from the numerator
 @example(MultiPoly.var("v1") + 1, MultiPoly.var("u2") + MultiPoly.var("v1"))
 def test_span_pretest_refuses_only_non_divisors(p, q):
-    # the RatioPoly._cancel pre-test: a refusal must be one that
-    # divide_exact makes too, and an exact product is never refused
+    # divide_exact's span test: a divisor wider than the numerator in some
+    # variable is refused, and an exact product is never refused
     assume(not p.is_zero() and len(q.terms) > 1)
-    if wider_than(q, exponent_spans(p)):
+    p_spans = spans(p)
+    if any(w > p_spans.get(v, 0) for v, w in spans(q).items()):
         with pytest.raises(NotDivisible):
             p.divide_exact(q)
-    assert not wider_than(q, exponent_spans(p * q))
+    assert canonical((p * q).divide_exact(q)) == p
+
+
+def packed_lead(p: MultiPoly, allvars: tuple) -> list:
+    """The leading exponent vector of p over allvars in divide_exact's key
+    order (the last variable most significant), less p's low corner."""
+    vecs = [tuple(e[p.vars.index(v)] if v in p.vars else 0 for v in allvars) for e in p.terms]
+    low = [min(col) for col in zip(*vecs)]
+    lead = max(vecs, key=lambda e: e[::-1])
+    return [a - b for a, b in zip(lead, low)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(), polys())
+# leading quotient u2 * v1 against the box [0, 0] x [0, 1]; without the
+# box bound the division reaches an empty remainder with the wrong quotient
+# -u2^3 + u2 * v1 + v1 + 1
+@example(
+    MultiPoly(("u2", "v1"), {(2, 1): 1, (1, 2): 1, (2, 0): 1, (0, 2): 1}),
+    MultiPoly(("u2", "v1"), {(2, 0): 1, (0, 1): 1}),
+)
+def test_quotient_term_outside_the_box_is_refused(p, q):
+    # an exact quotient, less its low corner, lies in the box
+    # [0, span(p) - span(q)]: a leading quotient term outside it proves
+    # that q does not divide p
+    assume(not p.is_zero() and len(q.terms) > 1)
+    allvars = tuple(sorted(set(p.vars) | set(q.vars), key=var_key))
+    lead = [a - b for a, b in zip(packed_lead(p, allvars), packed_lead(q, allvars))]
+    p_spans, q_spans = spans(p), spans(q)
+    box = [p_spans.get(v, 0) - q_spans.get(v, 0) for v in allvars]
+    assume(any(not 0 <= e <= top for e, top in zip(lead, box)))
+    _, den = sympy.fraction(sympy.cancel(to_sympy(p) / to_sympy(q)))
+    assert len(sympy.Add.make_args(sympy.expand(den))) > 1
+    with pytest.raises(NotDivisible):
+        p.divide_exact(q)
 
 
 @settings(max_examples=100, deadline=None)
@@ -245,7 +284,8 @@ def test_cancellation_cases():
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_det_exact_matches_cofactor(n, data):
-    # sizes 3 and 4 take the minor expansion, size 5 the Bareiss path
+    # a polynomial matrix takes the minor expansion, a constant one the
+    # fraction-free elimination
     flat = data.draw(st.lists(polys(max_terms=3), min_size=n * n, max_size=n * n))
     m = RingMatrix(n, n, flat)
     assert canonical(det_exact(m)) == canonical(det_cofactor(m))

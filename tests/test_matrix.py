@@ -232,7 +232,6 @@ def test_det_exact_takes_bareiss_for_polynomials_above_the_dp_cap(monkeypatch):
         raise AssertionError("det_exact left the Bareiss route")
 
     monkeypatch.setattr(matrix, "_det_minor_dp", never)
-    monkeypatch.setattr(matrix, "_det_integer", never)
     assert det_exact(RingMatrix.from_rows(rows)) == prod(diag, start=MultiPoly.const(1))
 
 
@@ -270,7 +269,11 @@ def test_integer_route_matches_dp_and_cofactor(m):
 @settings(max_examples=60, deadline=None)
 @given(constant_matrices(st.integers(3, matrix.DP_MAX_N + 2)))
 def test_integer_route_matches_bareiss(m):
-    assert det_exact(m) == _det_bareiss(m)
+    # every entry times t takes the elimination's polynomial branch, and
+    # its determinant is t^n times the constant one
+    t = MultiPoly.var("t")
+    scaled = RingMatrix(m.rows, m.cols, [e * t for e in m.entries])
+    assert _det_bareiss(scaled) == det_exact(m) * t ** m.rows
 
 
 def _constant_rows(n):
@@ -278,16 +281,36 @@ def _constant_rows(n):
     return [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 6))) for _ in range(n)] for _ in range(n)]
 
 
+def _fraction_det(rows):
+    """Gaussian elimination over Fractions: a route sharing no step with
+    the fraction-free one."""
+    a = [[Fraction(e) for e in row] for row in rows]
+    n, det = len(a), Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for row in a[k + 1 :]:
+            f = row[k] / a[k][k]
+            row[k:] = [x - f * y for x, y in zip(row[k:], a[k][k:])]
+    return det
+
+
 @pytest.mark.parametrize("n", [3, matrix.DP_MAX_N, matrix.DP_MAX_N + 1, 20])
 def test_det_exact_takes_the_integer_route_for_constants(n, monkeypatch):
-    m = RingMatrix.from_rows(_constant_rows(n))
-    expected = _det_bareiss(m)
+    rows = _constant_rows(n)
+    m = RingMatrix.from_rows(rows)
+    expected = MultiPoly.const(_fraction_det(rows))
 
-    def never(m):
+    def never(*args):
         raise AssertionError("det_exact took a polynomial route for a constant matrix")
 
     monkeypatch.setattr(matrix, "_det_minor_dp", never)
-    monkeypatch.setattr(matrix, "_det_bareiss", never)
+    monkeypatch.setattr(MultiPoly, "divide_exact", never)
     # the route runs on integer numerators and builds no Fraction
     built = []
     make = Fraction.__new__
@@ -306,18 +329,23 @@ def test_one_variable_entry_keeps_the_polynomial_route(n, monkeypatch):
     rows[-1][-1] = MultiPoly.var("p")
     m = RingMatrix.from_rows(rows)
 
-    def never(m):
+    def never(a, b):
         raise AssertionError("det_exact took the integer route for a polynomial matrix")
 
-    monkeypatch.setattr(matrix, "_det_integer", never)
-    assert det_exact(m) == _det_bareiss(m)
+    monkeypatch.setattr(matrix, "floordiv", never)
+    assert det_exact(m) == _det_minor_dp(m)
 
 
 def test_integer_route_swaps_a_zero_pivot_and_flips_the_sign():
     # the leading pivot is 0, so rows 0 and 1 trade places: det = -(2 * 3 * 5)
     m = RingMatrix.from_rows([[0, 2, 1], [Fraction(3, 2), 1, 1], [0, 0, 5]])
-    assert matrix._det_integer(m) == MultiPoly.const(-15) == det_cofactor(m)
-    assert matrix._det_integer(RingMatrix.from_rows([[0, 1, 2], [0, 3, 4], [0, 5, 6]])).is_zero()
+    assert _det_bareiss(m) == MultiPoly.const(-15) == det_cofactor(m)
+    assert _det_bareiss(RingMatrix.from_rows([[0, 1, 2], [0, 3, 4], [0, 5, 6]])).is_zero()
+    # the same swap on polynomial entries: det = -(q * p * 5)
+    p, q = MultiPoly.var("p"), MultiPoly.var("q")
+    m = RingMatrix.from_rows([[0, p, 1], [q, 1, 1], [0, 0, 5]])
+    assert _det_bareiss(m) == -5 * p * q == det_cofactor(m)
+    assert _det_bareiss(RingMatrix.from_rows([[0, p, 1], [0, q, 1], [0, 1, p]])).is_zero()
 
 
 def test_matmul_and_identity():

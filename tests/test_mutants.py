@@ -6,6 +6,7 @@ module that looks it up (the packing helper once in the polynomial module,
 once in the determinant module).  Under each fault, every family of
 its row must yield at least one failed item of its own identities that
 carries a witness, and ``run_family`` must return rather than raise.
+Every family of ``suites.FAMILIES`` must be in at least one row.
 ``BOUNDS`` is shrunk for speed; the same small bounds pass without the fault.
 """
 
@@ -19,7 +20,7 @@ import pytest
 from phasetoda import suites, symfunc, toda
 from phasetoda.algebra import MultiPoly, RingMatrix, det_exact, matrix, multipoly
 from phasetoda.combinatorics import Partition, SkewShape, planepartitions
-from phasetoda.phase import monodromy, scalar
+from phasetoda.phase import determinants, monodromy, scalar
 from phasetoda.toda import linear, restrict
 
 # M = 2 puts (2, 1) in the box: a flipped Jacobi-Trudi offset still gives
@@ -76,6 +77,12 @@ vandermonde_ignores_orientation = edited(
     "squares[k] - squares[j] if descending else squares[j] - squares[k]",
     "squares[j] - squares[k]",
 )
+# the n-point seed columns one degree high: M - r_i + i for M - r_i + i - 1
+npoint_det_shape_off_by_one = edited(
+    determinants, "npoint_det", "m - rs[i - 1] + i - 1", "m - rs[i - 1] + i"
+)
+# (prod top / prod bottom)^-M for ^M, so every boundary monomial is inverted
+boundary_monomial_exponent_sign = edited(scalar, "boundary_monomial", "** m", "** -m")
 # every packed field one slot narrower, so the top exponent of a variable
 # carries into the next field (a width-1 field holds a single exponent and
 # cannot carry, so it stays 1); planted where the product looks the packing
@@ -96,9 +103,13 @@ det_dp_sign_flipped = edited(
 make_without_gcd = edited(MultiPoly, "_make", "if den != 1:", "if False:")
 # the same for a product of two constants, which bypasses _make
 constant_product_without_gcd = edited(MultiPoly, "__mul__", "g = gcd(num, den)", "g = 1")
-# the integer elimination of constant determinants without its exact
-# division by the previous pivot, so each step scales the rows below it
-det_integer_without_division = edited(matrix, "_det_integer", " // prev", "")
+# fraction-free elimination without its exact division by the previous
+# pivot, so each step scales the rows below it; the constant determinants
+# take this route at every size
+det_integer_without_division = edited(
+    matrix, "_det_bareiss",
+    "divide(pivot * row[j] - lead * top[j], prev)", "pivot * row[j] - lead * top[j]",
+)
 # the diagonal weight of the intertwiner from v^2 instead of u^2
 r_matrix_weight_from_v = edited(monodromy, "r_matrix", "f = u * u / denom", "f = v * v / denom")
 # the raising Toeplitz band one step off: zeta_{j-i+1} for zeta_{j-i}
@@ -136,7 +147,8 @@ RIGHT = {
     "h_row": symfunc.h_row, "jacobi_trudi": symfunc.jacobi_trudi, "shift_exp": toda.shift_exp,
     "macmahon_count": planepartitions.macmahon_count, "_row_chains": planepartitions._row_chains,
     "tableau_to_pp_half": planepartitions.tableau_to_pp_half,
-    "vandermonde_divide": scalar.vandermonde_divide,
+    "vandermonde_divide": scalar.vandermonde_divide, "npoint_det": determinants.npoint_det,
+    "boundary_monomial": scalar.boundary_monomial,
 }
 
 
@@ -192,7 +204,7 @@ FAULTS = {
     # has a vanishing leading minor, so a row swap (and its sign) is left
     # to the oracle tests of tests/test_matrix.py
     "det-integer-skips-division":
-        (plant_on(matrix, "_det_integer", det_integer_without_division), ("tau-expansion",)),
+        (plant_on(matrix, "_det_bareiss", det_integer_without_division), ("tau-expansion",)),
     "r-matrix-weight-from-v": (plant_on(monodromy, "r_matrix", r_matrix_weight_from_v), ("rtt",)),
     # the matrix identities of the linear problem name their first differing (i, j)
     "shift-exp-band-off-by-one":
@@ -220,6 +232,15 @@ FAULTS = {
          ("scalar-equivalence", "single-determinant")),
     # the failing power sum names its first k and both sides
     "power-sum-drops-last-letter": (plant_on(restrict, "pk", pk_without_last_letter), ("power-sums",)),
+    # the recursion's children and its target are n-point determinants too,
+    # but the expansion of the wrong target stops matching its children
+    "npoint-det-shape-off-by-one":
+        (plant_everywhere("npoint_det", npoint_det_shape_off_by_one),
+         ("recursions", "single-determinant")),
+    # the restricted tau against the pairing, and the limits against the
+    # correlator sides, carry the monomial on one side only
+    "boundary-monomial-exponent-sign":
+        (plant_everywhere("boundary_monomial", boundary_monomial_exponent_sign), ("prop2", "limits")),
 }
 CASES = [(fault, family) for fault in sorted(FAULTS) for family in FAULTS[fault][1]]
 
@@ -230,11 +251,7 @@ def small_bounds(monkeypatch):
         monkeypatch.setitem(suites.BOUNDS, key, value)
 
 
-@pytest.mark.parametrize(
-    "family",
-    SCHUR_FAMILIES + KERNEL_FAMILIES
-    + ("linear", "bijections", "single-determinant", "state-coefficients", "power-sums", "rtt"),
-)
+@pytest.mark.parametrize("family", tuple(suites.FAMILIES))
 def test_small_bounds_pass_without_a_fault(small_bounds, family):
     items = suites.run_family(family, 7)
     assert items and all(it["pass"] for it in items)
@@ -262,10 +279,19 @@ def test_fault_fails_family_with_witness(small_bounds, monkeypatch, fault, famil
     if family == "power-sums":
         assert all(it["witness"].startswith("k=") for it in caught)
     if family == "single-determinant":
-        hole = [it for it in caught if it["identity"] == "hole-determinant-form"]
-        assert hole and all(it["witness"].startswith("q=") for it in hole)
+        marks = {"hole-determinant-form": "q=", "npoint-determinant-form": "rs="}
+        assert all(it["witness"].startswith(marks.get(it["identity"], "")) for it in caught)
+        if fault == "vandermonde-orientation":
+            assert any(it["identity"] == "hole-determinant-form" for it in caught)
     for it in items:
         assert it["pass"] or it.get("witness"), it
+
+
+@pytest.mark.parametrize("family", tuple(suites.FAMILIES))
+def test_every_family_is_made_false_by_a_fault(family):
+    # the rows come from the family table, so a family added without a
+    # planted fault fails here; each listed pair is run by the test above
+    assert any(family in families for _, families in FAULTS.values()), family
 
 
 def test_failing_linear_items_build_their_sides_once(small_bounds, monkeypatch):

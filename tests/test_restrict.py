@@ -3,7 +3,7 @@
 from phasetoda.algebra import MultiPoly
 from phasetoda.phase import scalar_product
 from phasetoda.toda import (
-    power_sum_append_zeros_check,
+    power_sum_sides,
     restrict_tau,
     schur_pair_sum,
 )
@@ -41,6 +41,7 @@ def test_restrict_matches_scalar_product():
 
 
 def test_append_zeros():
-    assert power_sum_append_zeros_check(["m1"], 1, 3)
-    assert power_sum_append_zeros_check(["m1", "m2"], 2, 6)
-    assert power_sum_append_zeros_check(["m2", "m1"], 3, 4)
+    for names, zeros, horizon in ((["m1"], 1, 3), (["m1", "m2"], 2, 6), (["m2", "m1"], 3, 4)):
+        sides = list(power_sum_sides(names, zeros, horizon))
+        assert len(sides) == horizon
+        assert all(lhs == rhs for _, lhs, rhs in sides)
