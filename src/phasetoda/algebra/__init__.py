@@ -4,6 +4,7 @@ from .multipoly import (
     ZERO,
     as_poly,
     grevlex_key,
+    poly_sum,
     var_key,
 )
 from .matrix import RingMatrix, det_cofactor, det_exact
@@ -19,6 +20,7 @@ __all__ = [
     "det_cofactor",
     "det_exact",
     "grevlex_key",
+    "poly_sum",
     "reduce_pair",
     "var_key",
 ]

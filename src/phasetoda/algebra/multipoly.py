@@ -28,9 +28,11 @@ difference of two constants is one numerator and one denominator over
 their gcd, with no exponent vectors touched.  A product of two
 multi-term polynomials packs each exponent vector into one int
 (``_packing``, which the determinant expansion shares), and exact
-division reduces on the same keys.  Results go through the trusted
-constructor ``_make``, which prunes unused variables and divides out
-``gcd(den, *nums)``.
+division reduces on the same keys.  Binary ``+`` and ``-`` merge the
+smaller operand into a copy of the larger (``_combine``); a sum of many
+terms is one ``poly_sum``, which merges them all into one dict and
+normalises once.  Results go through the trusted constructor ``_make``,
+which prunes unused variables and divides out ``gcd(den, *nums)``.
 """
 
 from __future__ import annotations
@@ -385,8 +387,9 @@ class MultiPoly:
         DivisionByZero.
 
         Terms are grouped by their exponents of the substituted variables,
-        so each group is multiplied once by its product of powers; the sum
-        of the groups is taken on numerators and divided by ``den`` once.
+        so each group is multiplied once by its product of powers; the
+        groups, on numerators, are added by one ``poly_sum`` and the result
+        is divided by ``den`` once.
         """
         values = []
         for name, val in assignment.items():
@@ -406,7 +409,7 @@ class MultiPoly:
         for exps, c in self.nums.items():
             key = tuple(exps[i] for i, _ in values)
             groups.setdefault(key, {})[tuple(exps[i] for i in keep)] = c
-        result = MultiPoly.zero()
+        terms = []
         pow_cache: dict = {}
         for key, nums in groups.items():
             term = MultiPoly._make(kept_vars, nums)
@@ -416,7 +419,8 @@ class MultiPoly:
                 if (i, e) not in pow_cache:
                     pow_cache[i, e] = val ** e
                 term = term * pow_cache[i, e]
-            result = result + term
+            terms.append(term)
+        result = poly_sum(terms)
         return result._scaled(1, self.den) if self.den != 1 and result.nums else result
 
     # -- division ----------------------------------------------------------
@@ -616,6 +620,32 @@ def _combine(a: MultiPoly, b: MultiPoly, sign: int) -> MultiPoly:
             else:
                 del nums[e]
     return MultiPoly._make(allvars, nums, den)
+
+
+def poly_sum(polys) -> MultiPoly:
+    """The sum of an iterable of polynomials, normalised once.
+
+    Zero terms are dropped; two terms are one ``_combine``.  More are
+    scaled to the lcm of their denominators and merged on the union of
+    their variables into one dict, which ``_make`` then takes over, so each
+    term is copied once instead of the whole running sum per term.
+    """
+    terms = [p for p in polys if p.nums]
+    if len(terms) < 3:
+        if len(terms) == 2:
+            return _combine(terms[0], terms[1], 1)
+        return terms[0] if terms else ZERO
+    names = set().union(*[p.vars for p in terms])
+    widest = max(terms, key=lambda p: len(p.vars)).vars
+    allvars = widest if len(widest) == len(names) else tuple(sorted(names, key=var_key))
+    den = lcm(*[p.den for p in terms])
+    nums: dict = {}
+    get = nums.get
+    for p in terms:
+        f = den // p.den
+        for e, c in p._embed(allvars).items():
+            nums[e] = get(e, 0) + c * f
+    return MultiPoly._make(allvars, {e: c for e, c in nums.items() if c}, den)
 
 
 def _monomial_product(a: MultiPoly, m: MultiPoly) -> MultiPoly:

@@ -53,7 +53,7 @@ STATE_MAX_M = (1_000_000, 900, 90, 24, 12, 7, 5, 4, 3, 2, 2, 2, 1, 1, 1, 1, 1, 1
 
 # The same for `compute correlator` at N = 0..10, taken over its kinds,
 # whose slowest is the seeded pairing at k = 0.
-CORRELATOR_MAX_M = (1_000_000, 700, 40, 10, 5, 3, 2, 1, 1, 1, 1)
+CORRELATOR_MAX_M = (1_000_000, 800, 68, 13, 6, 3, 2, 1, 1, 1, 1)
 
 # The largest size n - m that `compute tau` runs: size 6 over a seeded
 # random matrix takes about 5 s on 2 CPUs, size 7 over 90 s (README).

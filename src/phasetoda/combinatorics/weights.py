@@ -16,6 +16,7 @@ Exponent dictionaries per picture, with t_l the tableau multiplicity of l:
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
 from ..algebra import MultiPoly
@@ -32,11 +33,6 @@ from .planepartitions import (
 from .tableaux import enumerate_tableaux
 
 PICTURES = ("paths", "pp", "tableaux")
-
-
-def _monomial(names: Sequence[str], exponents: Sequence[int]) -> MultiPoly:
-    powers = {n: e for n, e in zip(names, exponents) if e != 0}
-    return MultiPoly.monomial(1, powers)
 
 
 def _full_config_from_upper(upper: HalfPlanePartition) -> LatticePathConfig:
@@ -79,22 +75,17 @@ def weighted_sum_g(
     """Annihilation-side coefficient: (v_1..v_N)^M * S_lambda(v^-2)."""
     if not lam.fits_in_box(n, m):
         raise ShapeViolation(f"{lam} outside ({m})^{n}")
-    total = MultiPoly.zero()
     if picture == "paths":
-        for lower in lower_diagonal(lam, n, m):
-            config = _full_config_from_lower(lower)
-            exps = [config.annihilation_exponent(l) for l in range(1, n + 1)]
-            total = total + _monomial(v_names, exps)
+        exps = ([config.annihilation_exponent(l) for l in range(1, n + 1)]
+                for config in map(_full_config_from_lower, lower_diagonal(lam, n, m)))
     elif picture == "pp":
-        for lower in lower_diagonal(lam, n, m):
-            total = total + _monomial(v_names, _lower_exponents_pp(lower))
+        exps = map(_lower_exponents_pp, lower_diagonal(lam, n, m))
     elif picture == "tableaux":
-        for tab in enumerate_tableaux(SkewShape(lam, Partition(())), n, "ascending"):
-            exps = [m - 2 * t for t in tab.weight(n)]
-            total = total + _monomial(v_names, exps)
+        exps = ([m - 2 * t for t in tab.weight(n)]
+                for tab in enumerate_tableaux(SkewShape(lam, Partition(())), n, "ascending"))
     else:
         raise ValueError(f"unknown picture {picture!r}")
-    return total
+    return MultiPoly(v_names, Counter(map(tuple, exps)))
 
 
 def psi1_support(k: int, n: int, m: int) -> list:
@@ -133,7 +124,7 @@ def weighted_sum_psi1(
         raise ShapeViolation("need N-1 annihilation variables")
     if not (lam.contains(hook(k)) and lam.fits_in_box(n, m) and lam.get(n) <= k):
         raise ShapeViolation(f"{lam} outside the allowed range for hole {k}")
-    total = MultiPoly.zero()
+    exps = []
     if picture in ("paths", "pp"):
         for lower in lower_diagonal(lam, n, m):
             if lower.entry(n, 1) != k:
@@ -141,17 +132,15 @@ def weighted_sum_psi1(
             if picture == "paths":
                 config = _full_config_from_lower(lower)
                 assert config.turns[0][0] == k
-                exps = [config.annihilation_exponent(l) for l in range(2, n + 1)]
+                exps.append([config.annihilation_exponent(l) for l in range(2, n + 1)])
             else:
-                exps = _lower_exponents_pp(lower)[1:]
-            total = total + _monomial(v_names, exps)
+                exps.append(_lower_exponents_pp(lower)[1:])
     elif picture == "tableaux":
-        for tab in enumerate_tableaux(SkewShape(lam, hook(k)), n - 1, "ascending"):
-            exps = [m - 2 * t for t in tab.weight(n - 1)]
-            total = total + _monomial(v_names, exps)
+        exps = ([m - 2 * t for t in tab.weight(n - 1)]
+                for tab in enumerate_tableaux(SkewShape(lam, hook(k)), n - 1, "ascending"))
     else:
         raise ValueError(f"unknown picture {picture!r}")
-    return total
+    return MultiPoly(v_names, Counter(map(tuple, exps)))
 
 
 def weighted_sum_psi2(
@@ -171,7 +160,7 @@ def weighted_sum_psi2(
     )
     if not ok:
         raise ShapeViolation(f"{lam} outside the allowed range for seed 1^{k}")
-    total = MultiPoly.zero()
+    exps = []
     if picture in ("paths", "pp"):
         for upper in upper_diagonal(lam, n, m):
             if not all(
@@ -182,14 +171,12 @@ def weighted_sum_psi2(
                 continue
             if picture == "paths":
                 config = _full_config_from_upper(upper)
-                exps = [config.creation_exponent(l) for l in range(1, n - k + 1)]
+                exps.append([config.creation_exponent(l) for l in range(1, n - k + 1)])
             else:
-                exps = _upper_exponents_pp(upper)[: n - k]
-            total = total + _monomial(u_names, exps)
+                exps.append(_upper_exponents_pp(upper)[: n - k])
     elif picture == "tableaux":
-        for tab in enumerate_tableaux(SkewShape(lam, column(k)), n - k, "descending"):
-            exps = [2 * t - m for t in tab.weight(n - k)]
-            total = total + _monomial(u_names, exps)
+        exps = ([2 * t - m for t in tab.weight(n - k)]
+                for tab in enumerate_tableaux(SkewShape(lam, column(k)), n - k, "descending"))
     else:
         raise ValueError(f"unknown picture {picture!r}")
-    return total
+    return MultiPoly(u_names, Counter(map(tuple, exps)))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from ..algebra import MultiPoly, RingMatrix, det_exact
+from ..algebra import MultiPoly, RingMatrix, det_exact, poly_sum
 from ..errors import RangeViolation
 from ..symfunc import hk
 from .scalar import boundary_monomial, letters, scalar_product, vandermonde_divide
@@ -101,7 +101,7 @@ def stack_sides(kind: str, n: int, m: int, u_values: Sequence, v_values: Sequenc
         terms = (us[-1] ** (2 * j - m) * npoint_det((j,), n, m, us, vs) for j in range(m + 1))
     else:
         raise ValueError(f"unknown stack {kind!r}")
-    return sum(terms, MultiPoly.zero()), scalar_product(n, m, us, vs, "fock_pairing")
+    return poly_sum(terms), scalar_product(n, m, us, vs, "fock_pairing")
 
 
 def one_hole_stack_check(n: int, m: int, u_values: Sequence, v_values: Sequence) -> bool:
@@ -158,10 +158,7 @@ def recursion_sides(
         else:
             want = child([j] + list(rs)) + child([j + 1] + list(ones[1:]) + [0] + list(zeros))
         yield f"j={j}", target.coeff_of(name, 2 * j - m), want
-    window = sum(
-        (target.coeff_of(name, e) * MultiPoly.var(name, e) for e in range(-m, m + 1)),
-        MultiPoly.zero(),
-    )
+    window = poly_sum(target.coeff_of(name, e) * MultiPoly.var(name, e) for e in range(-m, m + 1))
     yield "window", target, window
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-from ..algebra import MultiPoly, as_poly
+from ..algebra import MultiPoly, as_poly, poly_sum
 from ..combinatorics.partitions import OccupationSequence, occupation_to_partition
 
 FockState = Tuple[int, ...]
@@ -67,11 +67,10 @@ class StateVector:
 
     def partition_coefficients(self) -> dict:
         """Coefficients keyed by the partition of each occupation state."""
-        out = {}
+        groups: dict = {}
         for occ, coeff in self.terms.items():
-            lam = occupation_to_partition(OccupationSequence(occ))
-            out[lam] = out.get(lam, MultiPoly.zero()) + coeff
-        return {lam: c for lam, c in out.items() if not c.is_zero()}
+            groups.setdefault(occupation_to_partition(OccupationSequence(occ)), []).append(coeff)
+        return {lam: c for lam, cs in groups.items() if (c := poly_sum(cs)).nums}
 
     def __repr__(self) -> str:
         kind = "bra" if self.dual else "ket"
@@ -84,18 +83,14 @@ def vacuum(m: int, dual: bool = False) -> StateVector:
 
 
 def pair(bra: StateVector, ket: StateVector) -> MultiPoly:
-    """Orthonormal pairing: matching occupation states contract to 1."""
+    """Orthonormal pairing: matching occupation states contract to 1; the
+    products are added by one ``poly_sum``, so the cost is linear in them."""
     if not bra.dual or ket.dual:
         raise ValueError("pair() wants (bra, ket)")
     if bra.m != ket.m:
         raise ValueError("site-bound mismatch")
     small, large = (bra.terms, ket.terms) if len(bra.terms) < len(ket.terms) else (ket.terms, bra.terms)
-    total = MultiPoly.zero()
-    for occ, coeff in small.items():
-        other = large.get(occ)
-        if other is not None:
-            total = total + coeff * other
-    return total
+    return poly_sum(coeff * large[occ] for occ, coeff in small.items() if occ in large)
 
 
 def all_occupations(total: int, m: int) -> list:

@@ -55,18 +55,11 @@ def apply_local_L(j: int, entry: str, u: Spectral, sv: StateVector) -> StateVect
         return sv.scale(u.monomial_inverse())
     if entry == "d":
         return sv.scale(u)
+    # a shift at one site is injective, so no two images collide
     creating = (entry == "b") != sv.dual
-    terms = {}
-    for occ, coeff in sv.terms.items():
-        if creating:
-            new = _shift_site(occ, j, +1)
-        else:
-            if occ[j] == 0:
-                continue
-            new = _shift_site(occ, j, -1)
-        prev = terms.get(new)
-        terms[new] = coeff if prev is None else prev + coeff
-    return sv.copy_with(terms)
+    delta = 1 if creating else -1
+    return sv.copy_with({_shift_site(occ, j, delta): coeff
+                         for occ, coeff in sv.terms.items() if creating or occ[j]})
 
 
 def _transfer(start: int, u: MultiPoly, sv: StateVector) -> list:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import MultiPoly, RingMatrix, det_exact
+from .algebra import MultiPoly, RingMatrix, det_exact, poly_sum
 from .combinatorics.partitions import Partition, SkewShape
 from .errors import ShapeViolation
 
@@ -63,10 +63,7 @@ def pk(k: int, gens: Sequence[MultiPoly]) -> MultiPoly:
     """Power sum p_k = sum of k-th powers."""
     if k < 1:
         raise ValueError("power sums start at k = 1")
-    total = MultiPoly.zero()
-    for g in gens:
-        total = total + g ** k
-    return total
+    return poly_sum(g ** k for g in gens)
 
 
 def zeta_all(kmax: int, times: Sequence[MultiPoly]) -> list:
@@ -79,9 +76,8 @@ def zeta_all(kmax: int, times: Sequence[MultiPoly]) -> list:
     """
     zs = [MultiPoly.const(1)]
     for d in range(1, kmax + 1):
-        acc = MultiPoly.zero()
-        for j in range(1, min(d, len(times)) + 1):
-            acc = acc + MultiPoly.const(j) * times[j - 1] * zs[d - j]
+        acc = poly_sum(MultiPoly.const(j) * times[j - 1] * zs[d - j]
+                       for j in range(1, min(d, len(times)) + 1))
         zs.append(acc * MultiPoly.const(Fraction(1, d)))
     return zs
 
@@ -101,7 +97,7 @@ def zeta_diff_apply(
         return p if k == 0 else MultiPoly.zero()
     slots = [MultiPoly.var(f"_t{j}") for j in range(1, k + 1)]
     zk = zeta_all(k, slots)[k]
-    result = MultiPoly.zero()
+    terms = []
     for exps, num in zk.nums.items():
         factor = Fraction(num, zk.den)
         term = p
@@ -113,8 +109,8 @@ def zeta_diff_apply(
             if term.is_zero():
                 break
         if not term.is_zero():
-            result = result + MultiPoly.const(factor) * term
-    return result
+            terms.append(MultiPoly.const(factor) * term)
+    return poly_sum(terms)
 
 
 def _skew(shape) -> SkewShape:
@@ -154,7 +150,7 @@ def pair_sum(pairs, a: Sequence[MultiPoly], b: Sequence[MultiPoly]) -> MultiPoly
     pairs = [(_skew(sa), _skew(sb)) for sa, sb in pairs]
     ha = h_row(max((_reach(sa) for sa, _ in pairs), default=-1), a)
     hb = h_row(max((_reach(sb) for _, sb in pairs), default=-1), b)
-    return sum((jacobi_trudi(sa, ha) * jacobi_trudi(sb, hb) for sa, sb in pairs), MultiPoly.zero())
+    return poly_sum(jacobi_trudi(sa, ha) * jacobi_trudi(sb, hb) for sa, sb in pairs)
 
 
 def schur(shape, gens: Sequence[MultiPoly], method: str = "jacobi_trudi") -> MultiPoly:
@@ -169,14 +165,14 @@ def schur(shape, gens: Sequence[MultiPoly], method: str = "jacobi_trudi") -> Mul
     if method == "tableau_sum":
         from .combinatorics.tableaux import enumerate_tableaux
 
-        total = MultiPoly.zero()
+        terms = []
         for tab in enumerate_tableaux(skew, len(gens), "ascending"):
             term = MultiPoly.const(1)
             for letter, mult in enumerate(tab.weight(len(gens)), start=1):
                 if mult:
                     term = term * gens[letter - 1] ** mult
-            total = total + term
-        return total
+            terms.append(term)
+        return poly_sum(terms)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from ..algebra import MultiPoly, RingMatrix, det_exact
+from ..algebra import MultiPoly, RingMatrix, det_exact, poly_sum
 from ..combinatorics.partitions import partitions_in_box
 from ..errors import RangeViolation
 from ..symfunc import char_poly, negate_times, zeta_all
@@ -121,12 +121,8 @@ class TauContext:
             ))
             row = xa.row(i - self.m)
             c = j - self.m
-            acc = MultiPoly.zero()
-            for l in range(c, len(row)):
-                a, b = row[l], zy[l - c]
-                if not (a.is_zero() or b.is_zero()):
-                    acc = acc + a * b
-            return acc
+            return poly_sum(row[l] * zy[l - c] for l in range(c, len(row))
+                            if row[l].nums and zy[l - c].nums)
 
         return self.kept(("entry", i, j), build)
 
@@ -178,14 +174,13 @@ def tau_schur_expand(ctx: TauContext, s: int) -> MultiPoly:
     neg_y = negate_times(ctx.y)
     chi_x = {lam: char_poly(lam, ctx.x, r) for lam in lams}
     chi_y = {lam: char_poly(lam, neg_y, r) for lam in lams}
-    total = MultiPoly.zero()
+    terms = []
     for lam in lams:
         lrows = [lam.get(r + 1 - i) + i + ctx.m - 1 for i in range(1, r + 1)]
         for mu in lams:
             mcols = [mu.get(r + 1 - j) + j + ctx.m - 1 for j in range(1, r + 1)]
             sub = ctx.a.submatrix([i - ctx.m for i in lrows], [j - ctx.m for j in mcols])
             coeff = det_exact(sub)
-            if coeff.is_zero():
-                continue
-            total = total + coeff * chi_x[lam] * chi_y[mu]
-    return total
+            if not coeff.is_zero():
+                terms.append(coeff * chi_x[lam] * chi_y[mu])
+    return poly_sum(terms)

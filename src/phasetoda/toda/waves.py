@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from ..algebra import MultiPoly, RingMatrix, det_exact
+from ..algebra import MultiPoly, RingMatrix, det_exact, poly_sum
 from ..errors import DegenerateDenominator, RangeViolation
 from ..symfunc import zeta_all, zeta_diff_apply
 from .context import TauContext, tau
@@ -117,13 +117,11 @@ def shifted_tau(ctx: TauContext, s: int, which: str) -> MultiPoly:
         steps = [lam**k for k in range(size)]
     along_rows = which.startswith("x")
     r = s - ctx.m
-    ents = []
-    for i in range(r):
-        for j in range(r):
-            entry = MultiPoly.zero()
-            for k, c in enumerate(steps[: size - (i if along_rows else j)]):
-                entry = entry + c * (d[i + k, j] if along_rows else d[i, j + k])
-            ents.append(entry)
+    ents = [
+        poly_sum(c * (d[i + k, j] if along_rows else d[i, j + k])
+                 for k, c in enumerate(steps[: size - (i if along_rows else j)]))
+        for i in range(r) for j in range(r)
+    ]
     return det_exact(RingMatrix(r, r, ents))
 
 
@@ -173,7 +171,7 @@ def bilinear_check(
         laurent = prod.subs({"lam": MultiPoly.var("lam", -1)}) * MultiPoly.var("lam", power)
         kmax = max(-1 - laurent.low_degree_in("lam"), 0)
         times = [MultiPoly.monomial(w, {"lam": l}) for l, w in enumerate(weights, 1)]
-        series = sum(zeta_all(kmax, times), MultiPoly.zero())
+        series = poly_sum(zeta_all(kmax, times))
         return (laurent * series).coeff_of("lam", -1)
 
     wy = [Fraction(a) - Fraction(b) for a, b in zip(y, y_prime)]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from phasetoda import suites
-from phasetoda.algebra import MultiPoly, as_poly
+from phasetoda.algebra import MultiPoly, as_poly, multipoly
 from phasetoda.errors import PoleViolation
 from phasetoda.phase import monodromy
 from phasetoda.phase import (
@@ -75,6 +75,22 @@ def test_pairing_desk_anchor():
     bra = build_conj_state([v], 1)
     got = pair(bra, sv)
     assert got == v * u.monomial_inverse() + u * v.monomial_inverse()
+
+
+def test_pair_adds_its_products_in_one_merge(monkeypatch):
+    # a running sum would call the binary add once per matching state
+    kets = build_state(["u1", "u2"], 3)
+    bra = build_conj_state(["v1", "v2"], 3)
+    assert len(kets.terms) > 3
+    want = MultiPoly.zero()
+    for occ, coeff in bra.terms.items():
+        want = want + coeff * kets.terms[occ]
+
+    def refuse(*args):
+        raise AssertionError("binary add called")
+
+    monkeypatch.setattr(multipoly, "_combine", refuse)
+    assert pair(bra, kets) == want
 
 
 def test_pair_requires_bra_ket():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from phasetoda.algebra import (
-    MultiPoly, RingMatrix, det_cofactor, det_exact, grevlex_key, var_key,
+    MultiPoly, RingMatrix, det_cofactor, det_exact, grevlex_key, poly_sum, var_key,
 )
 from phasetoda.errors import NegativeExponent, NotDivisible
 
@@ -101,6 +101,8 @@ def test_ring_operations_match_sympy(p, q):
     assert canonical(-p) == from_sympy(-P)
     assert canonical(p * 3) == canonical(Fraction(3) * p) == from_sympy(3 * P)
     assert canonical(p + Fraction(1, 2)) == from_sympy(P + sympy.Rational(1, 2))
+    assert canonical(poly_sum([p, q, p * q, -p, Fraction(1, 3) * q])) == from_sympy(
+        Q + P * Q + sympy.Rational(1, 3) * Q)
 
 
 @settings(max_examples=120, deadline=None)

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phasetoda.algebra import MultiPoly, RingMatrix, as_poly
+from phasetoda.algebra import MultiPoly, RingMatrix, as_poly, poly_sum
 from phasetoda.errors import DivisionByZero, NegativeExponent, NotDivisible
 
 x = MultiPoly.var("x")
@@ -254,3 +254,61 @@ def test_kernel_builds_no_fraction(monkeypatch):
     assert not built
     assert prod.terms[(3, 2)] == Fraction(2, 3)
     assert built
+
+
+z = MultiPoly.var("z")
+# numerators of either sign over denominators with different primes
+mixed = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 5, 6]))
+
+
+@st.composite
+def sparse_polys(draw):
+    """A polynomial in a random subset of x, y, z, so terms of one sum carry
+    disjoint, nested or equal variable tuples."""
+    names = draw(st.lists(st.sampled_from(("x", "y", "z")), unique=True, max_size=3))
+    exps = st.tuples(*[st.integers(min_value=-2, max_value=2) for _ in names])
+    return MultiPoly(tuple(names), draw(st.dictionaries(exps, mixed, max_size=4)))
+
+
+def left_fold(terms):
+    total = MultiPoly.zero()
+    for p in terms:
+        total = total + p
+    return total
+
+
+def _canonical(p: MultiPoly) -> bool:
+    return (p.den > 0 and all(p.nums.values()) and gcd(p.den, *p.nums.values()) == 1
+            and all(map(any, zip(*p.nums))) and (p.nums or p.vars == ()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(sparse_polys(), max_size=7))
+def test_poly_sum_matches_a_left_fold_of_add(terms):
+    want = left_fold(terms)
+    got = poly_sum(p for p in terms)  # a one-shot generator
+    assert got == want and _canonical(got)
+    cancelled = poly_sum(terms + [-p for p in terms])
+    assert (cancelled.vars, cancelled.nums, cancelled.den) == ((), {}, 1)
+
+
+@pytest.mark.parametrize(
+    "terms, want",
+    [
+        ([], MultiPoly.zero()),
+        ([MultiPoly.zero(), x, MultiPoly.zero()], x),
+        ([x, y, z], MultiPoly(("x", "y", "z"), {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})),
+        ([Fraction(1, 2) * x, Fraction(1, 3) * x, Fraction(1, 6) * y],
+         Fraction(5, 6) * x + Fraction(1, 6) * y),
+        ([x * y, -x * y, y, Fraction(1, 2) * z], y + Fraction(1, 2) * z),
+        ([MultiPoly.const(Fraction(c, d)) for c, d in ((1, 2), (1, 3), (-5, 6))], MultiPoly.zero()),
+        ([MultiPoly.const(Fraction(1, d)) for d in (2, 3, 4)], MultiPoly.const(Fraction(13, 12))),
+        ([-3 * x, Fraction(-2, 5) * y, -x, Fraction(-1, 10) * y], -4 * x - Fraction(1, 2) * y),
+    ],
+    ids=["empty", "zeros-dropped", "disjoint-vars", "mixed-denominators", "variable-cancels",
+         "constants-cancel", "constants-only", "negative-numerators"],
+)
+def test_poly_sum_cases(terms, want):
+    got = poly_sum(terms)
+    assert got == want and _canonical(got)
+    assert got.vars == want.vars and got.to_str() == want.to_str()
