@@ -205,13 +205,6 @@ class MultiPoly:
         i = self.vars.index(name)
         return max(e[i] for e in self.nums)
 
-    def low_degree_in(self, name: str) -> int:
-        """Lowest exponent of ``name`` (0 if absent or zero polynomial)."""
-        if name not in self.vars or not self.nums:
-            return 0
-        i = self.vars.index(name)
-        return min(e[i] for e in self.nums)
-
     def __bool__(self) -> bool:
         return bool(self.nums)
 
@@ -451,9 +444,10 @@ class MultiPoly:
         The loop runs on the stored integer numerators, with the divisor
         made primitive; by Gauss's lemma a quotient over Q is then integral,
         so each step is one ``divmod`` by the divisor's leading coefficient
-        and a nonzero remainder proves non-divisibility.
+        and a nonzero remainder proves non-divisibility.  A divisor that is
+        not a MultiPoly, int or Fraction is a TypeError, as in ``const``.
         """
-        divisor = self._coerce(divisor)
+        divisor = divisor if isinstance(divisor, MultiPoly) else MultiPoly.const(divisor)
         if not divisor.nums:
             raise ZeroDivisionError("division by zero polynomial")
         if not self.nums:

@@ -80,6 +80,7 @@ from .toda import (
     shifted_tau,
     tau,
     tau_schur_expand,
+    wave_k_max,
 )
 
 def _item(identity: str, parameters: dict, ok: bool, witness: str | None = None) -> dict:
@@ -375,7 +376,7 @@ def _prop1(seed: int) -> Iterator[dict]:
             (f"s={s} kind={kind} k={k}", *prop1_sides(ctx, s, kind, k))
             for s in range(1, size)
             for kind in WAVE_KINDS
-            for k in range(0, (s if kind in ("w_inf", "w_star_zero") else size - s - 1) + 1)
+            for k in range(wave_k_max(ctx, s, kind) + 1)
         )
         yield _two_sided("wave-derivative-identities", {"size": size}, derivatives,
                          "wave numerator", "tau derivative")

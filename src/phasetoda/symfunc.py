@@ -88,29 +88,18 @@ def zeta_diff_apply(
     """Apply zeta_k(sign * scaled-gradient) to p.
 
     The scaled gradient has j-th component (1/j) d/d(var_names[j-1]); sign
-    is +1 or -1.  Realized by expanding zeta_k over formal slots and turning
-    each monomial into an iterated exact derivative.
+    is +1 or -1.  Realized by ``zeta_all``'s own recurrence on the operators,
+    d*Z_d = sign * sum_j d/d(var_names[j-1]) Z_{d-j} with Z_0 = p; names
+    beyond the supplied ones are zero operators.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if k <= 0:
-        return p if k == 0 else MultiPoly.zero()
-    slots = [MultiPoly.var(f"_t{j}") for j in range(1, k + 1)]
-    zk = zeta_all(k, slots)[k]
-    terms = []
-    for exps, num in zk.nums.items():
-        factor = Fraction(num, zk.den)
-        term = p
-        for name, e in zip(zk.vars, exps):
-            j = int(name[2:])
-            for _ in range(e):
-                term = term.diff(var_names[j - 1])
-                factor *= Fraction(sign, j)
-            if term.is_zero():
-                break
-        if not term.is_zero():
-            terms.append(MultiPoly.const(factor) * term)
-    return poly_sum(terms)
+    zs = [p]
+    for d in range(1, k + 1):
+        acc = poly_sum(zs[d - j].diff(var_names[j - 1])
+                       for j in range(1, min(d, len(var_names)) + 1))
+        zs.append(acc * MultiPoly.const(Fraction(sign, d)))
+    return zs[k] if k >= 0 else MultiPoly.zero()
 
 
 def _skew(shape) -> SkewShape:

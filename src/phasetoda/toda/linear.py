@@ -6,8 +6,13 @@ inverses (the assembly convention is pinned by requiring the constant
 initial-value relation W0 = Winf * A and the product-with-inverse tests to
 hold; both are part of the verification battery).
 
-Every matrix of the linear problem (the wave factors, W and its inverse
-per kind, L and M, and L^k, M^k with B_k, C_k per k) is built once per
+L = W raise W^-1 and M = W lower W^-1 ('w_inf' and 'w_zero' W).  The
+exponential factor of W commutes with the shift, so each power is one
+product on the triangular factors, L^k = hatW raise^k hatW^-1.  The full
+W enters only the initial-value relation and the flow equations.
+
+Every matrix of the linear problem (the triangular factors and their
+inverses, the full W per kind, and L^k, M^k per k) is built once per
 context and kept in it (``TauContext.kept``), so the checks on one context
 share them.
 """
@@ -30,21 +35,16 @@ def _hat_factor(ctx: TauContext, kind: str, inverse: bool) -> RingMatrix:
         raise ValueError(kind)
     entry_kind = {"w_inf": "w_star_inf", "w_zero": "w_star_zero"}[kind] if inverse else kind
     m, n = ctx.m, ctx.n
+    zero = MultiPoly.zero()
 
-    def build():
-        out = []
-        for i in range(m, n):
-            for j in range(m, n):
-                k = i - j if kind == "w_inf" else j - i
-                if k < 0:
-                    out.append(MultiPoly.zero())
-                    continue
-                site = j if inverse else i
-                den = tau(ctx, site + 1) if inverse else tau(ctx, site)
-                out.append(RatioPoly(wave_numerator(ctx, site, entry_kind, k), den))
-        return RingMatrix(n - m, n - m, out)
+    def entry(i, j):
+        k = i - j if kind == "w_inf" else j - i
+        site = j if inverse else i
+        return zero if k < 0 else RatioPoly(
+            wave_numerator(ctx, site, entry_kind, k), tau(ctx, site + 1 if inverse else site))
 
-    return ctx.kept(("hat_factor", kind, inverse), build)
+    return ctx.kept(("hat_factor", kind, inverse), lambda: RingMatrix(
+        n - m, n - m, [entry(i, j) for i in range(m, n) for j in range(m, n)]))
 
 
 def hat_wave_matrix(ctx: TauContext, kind: str) -> RingMatrix:
@@ -72,13 +72,15 @@ def full_wave_matrix(ctx: TauContext, kind: str) -> RingMatrix:
 
 
 def full_wave_inverse(ctx: TauContext, kind: str) -> RingMatrix:
+    """W^-1; the checks read the triangular inverse instead."""
     return ctx.kept(("full_wave_inverse", kind),
                     lambda: _exp_factor(ctx, kind, inverse=True) @ hat_wave_inverse(ctx, kind))
 
 
 def _shift_columns(w: RingMatrix, step: int) -> RingMatrix:
-    """W times the raise shift (step 1) or the lower shift (step -1): column
-    j of the product is column j - step of W, or zero."""
+    """W times the step-th power of the raise shift (step > 0) or of the
+    lower shift (step < 0): column j of the product is column j - step of
+    W, or zero."""
     n = w.rows
     zero = MultiPoly.zero()
     return RingMatrix(
@@ -86,33 +88,25 @@ def _shift_columns(w: RingMatrix, step: int) -> RingMatrix:
     )
 
 
+def _lax_power(ctx: TauContext, kind: str, k: int) -> RingMatrix:
+    """L^k ('w_inf', raise shift) or M^k ('w_zero', lower shift) for k >= 1:
+    the shift power conjugated by the triangular factor alone, since the
+    exponential factor of W commutes with the shift."""
+    step = k if kind == "w_inf" else -k
+    return ctx.kept(("lax_power", kind, k), lambda: (
+        _shift_columns(hat_wave_matrix(ctx, kind), step) @ hat_wave_inverse(ctx, kind)))
+
+
 def lax_matrices(ctx: TauContext) -> tuple:
     """L and M conjugated from the two shift directions."""
-    return ctx.kept("lax_matrices", lambda: (
-        _shift_columns(full_wave_matrix(ctx, "w_inf"), 1) @ full_wave_inverse(ctx, "w_inf"),
-        _shift_columns(full_wave_matrix(ctx, "w_zero"), -1) @ full_wave_inverse(ctx, "w_zero"),
-    ))
-
-
-def _flow(ctx: TauContext, k: int) -> tuple:
-    """(L^k, M^k, B_k, C_k) for k >= 1, the powers built from the ones
-    below them."""
-    def build():
-        lax_l, lax_m = lax_matrices(ctx)
-        if k == 1:
-            lp = mp = RingMatrix.identity(lax_l.rows)
-        else:
-            lp, mp, _, _ = _flow(ctx, k - 1)
-        lp, mp = lp @ lax_l, mp @ lax_m
-        return lp, mp, lp.project("plus"), mp.project("minus")
-
-    return ctx.kept(("flow", k), build)
+    return _lax_power(ctx, "w_inf", 1), _lax_power(ctx, "w_zero", 1)
 
 
 def flow_generators(ctx: TauContext, kmax: int) -> tuple:
     """B_k = (L^k)_+ and C_k = (M^k)_- for k = 1..kmax."""
-    flows = {k: _flow(ctx, k) for k in range(1, kmax + 1)}
-    return {k: f[2] for k, f in flows.items()}, {k: f[3] for k, f in flows.items()}
+    ks = range(1, kmax + 1)
+    return ({k: _lax_power(ctx, "w_inf", k).project("plus") for k in ks},
+            {k: _lax_power(ctx, "w_zero", k).project("minus") for k in ks})
 
 
 def _initial_value_pairs(ctx: TauContext):

@@ -1,17 +1,19 @@
 """Wave-matrix entries, their derivative identities, and the bilinear relation.
 
 All four entry families are signed ratios of minors of the dressed matrix
-over a tau denominator.  The derivative identities say the numerators equal
-one-row character operators applied to tau, so every check here is an exact
-polynomial equality (numerators share the printed denominators).
+over a tau denominator.  Each starred kind is the transpose of an unstarred
+one (w_star_zero of w_inf, w_star_inf of w_zero), so its k range, its minor
+and its derivative identity are read off its base kind and the transpose.
+The derivative identities say the numerators equal one-row character
+operators applied to tau, so every check here is an exact polynomial
+equality (numerators share the printed denominators).
 
 The tau shifted along the spectral direction is the leading minor of the
 dressed matrix with each entry replaced by a lam-weighted sum along one
 index: (1 - lam*shift) takes one step with coefficient -lam, its nilpotent
 inverse takes every step k with lam^k.  Its lam coefficients reproduce the
 wave entries, which is both a theorem verified in the tests and the engine
-behind the bilinear residue check, a coefficient of 1/lam taken on the
-polynomial kernel.
+behind the bilinear residue check, sum_k zeta_k(w) [lam^(p+1+k)](tau_a tau_b).
 """
 
 from __future__ import annotations
@@ -25,44 +27,41 @@ from ..symfunc import zeta_all, zeta_diff_apply
 from .context import TauContext, tau
 
 WAVE_KINDS = ("w_inf", "w_zero", "w_star_inf", "w_star_zero")
+# each starred kind is the transpose of an unstarred one: (base, transposed)
+_BASE = {"w_inf": ("w_inf", False), "w_zero": ("w_zero", False),
+         "w_star_zero": ("w_inf", True), "w_star_inf": ("w_zero", True)}
 
 
-def wave_numerator(ctx: TauContext, s: int, kind: str, k: int) -> MultiPoly:
-    """Signed minor of the dressed matrix for one wave entry.
-
-    Bounds: k in [0, s-m] for w_inf / w_star_zero, [0, n-s-1] for the other
-    two; sites s in (m, n-1] (the formulas extend naturally to s = m, which
-    the wave-matrix assembly uses)."""
+def wave_k_max(ctx: TauContext, s: int, kind: str) -> int:
+    """The largest k of a wave entry at site s in (m, n-1] (the formulas
+    extend naturally to s = m, which the wave-matrix assembly uses): s - m
+    for w_inf / w_star_zero, n - s - 1 for the other two."""
     m, n = ctx.m, ctx.n
     if not (m <= s <= n - 1):
         raise RangeViolation(f"site {s} outside ({m}, {n-1}]")
-    if kind not in WAVE_KINDS:
+    if kind not in _BASE:
         raise ValueError(f"unknown kind {kind!r}")
+    return s - m if _BASE[kind][0] == "w_inf" else n - s - 1
+
+
+def wave_numerator(ctx: TauContext, s: int, kind: str, k: int) -> MultiPoly:
+    """Signed minor of the dressed matrix for one wave entry, k in
+    [0, wave_k_max]; a starred kind takes the rows and columns of its base
+    kind swapped."""
+    top = wave_k_max(ctx, s, kind)
     if k < 0:
         # entries below the band are zero by definition
         return MultiPoly.zero()
-    if kind in ("w_inf", "w_star_zero"):
-        if k > s - m:
-            raise RangeViolation(f"k={k} outside [0, {s-m}]")
+    if k > top:
+        raise RangeViolation(f"k={k} outside [0, {top}]")
+    m = ctx.m
+    base, transposed = _BASE[kind]
+    if base == "w_inf":
+        rows, cols = [i for i in range(m, s + 1) if i != s - k], list(range(m, s))
     else:
-        if k > n - s - 1:
-            raise RangeViolation(f"k={k} outside [0, {n-s-1}]")
-    sign = MultiPoly.const((-1) ** k)
-    if kind == "w_inf":
-        rows = [i for i in range(m, s + 1) if i != s - k]
-        cols = list(range(m, s))
-        return sign * ctx.minor(rows, cols)
-    if kind == "w_zero":
-        rows = list(range(m, s + 1))
-        cols = list(range(m, s)) + [s + k]
-        return ctx.minor(rows, cols)
-    if kind == "w_star_zero":
-        rows = list(range(m, s))
-        cols = [j for j in range(m, s + 1) if j != s - k]
-        return sign * ctx.minor(rows, cols)
-    rows = list(range(m, s)) + [s + k]
-    cols = list(range(m, s + 1))
-    return ctx.minor(rows, cols)
+        rows, cols = list(range(m, s + 1)), list(range(m, s)) + [s + k]
+    minor = ctx.minor(*((cols, rows) if transposed else (rows, cols)))
+    return -minor if base == "w_inf" and k % 2 else minor
 
 
 def prop1_sides(ctx: TauContext, s: int, kind: str, k: int) -> tuple:
@@ -72,19 +71,15 @@ def prop1_sides(ctx: TauContext, s: int, kind: str, k: int) -> tuple:
     w_zero:      minor        == zeta_k(-grad_y) tau(s+1)
     w_star_inf:  minor        == zeta_k(+grad_x) tau(s+1)
     w_star_zero: (-1)^k minor == zeta_k(+grad_y) tau(s)
+
+    The base kind gives the tau site; the transpose flips sign and family.
     """
-    xnames = [f"x{i}" for i in range(1, ctx.horizon + 1)]
-    ynames = [f"y{i}" for i in range(1, ctx.horizon + 1)]
     lhs = wave_numerator(ctx, s, kind, k)
-    if kind == "w_inf":
-        rhs = zeta_diff_apply(k, tau(ctx, s), xnames, -1)
-    elif kind == "w_zero":
-        rhs = zeta_diff_apply(k, tau(ctx, s + 1), ynames, -1)
-    elif kind == "w_star_inf":
-        rhs = zeta_diff_apply(k, tau(ctx, s + 1), xnames, +1)
-    else:
-        rhs = zeta_diff_apply(k, tau(ctx, s), ynames, +1)
-    return lhs, rhs
+    base, transposed = _BASE[kind]
+    family = "x" if (base == "w_inf") != transposed else "y"
+    names = [f"{family}{i}" for i in range(1, ctx.horizon + 1)]
+    site = s + 1 if base == "w_zero" else s
+    return lhs, zeta_diff_apply(k, tau(ctx, site), names, 1 if transposed else -1)
 
 
 def verify_prop1(ctx: TauContext, s: int, k: int, kind: str) -> bool:
@@ -125,18 +120,18 @@ def shifted_tau(ctx: TauContext, s: int, which: str) -> MultiPoly:
     return det_exact(RingMatrix(r, r, ents))
 
 
+# the wave kind and the site step whose entries a shifted tau expands into
+_EXPANSION = {"x_minus": ("w_inf", 0), "y_minus": ("w_zero", -1),
+              "x_plus": ("w_star_inf", -1), "y_plus": ("w_star_zero", 0)}
+
+
 def h20_expected_coefficients(ctx: TauContext, s: int, which: str) -> list:
     """The wave numerators that the shifted tau must expand into."""
-    m, n = ctx.m, ctx.n
-    if which == "x_minus":
-        return [wave_numerator(ctx, s, "w_inf", k) for k in range(0, s - m + 1)]
-    if which == "y_minus":
-        return [wave_numerator(ctx, s - 1, "w_zero", k) for k in range(0, n - s + 1)]
-    if which == "x_plus":
-        return [wave_numerator(ctx, s - 1, "w_star_inf", k) for k in range(0, n - s + 1)]
-    if which == "y_plus":
-        return [wave_numerator(ctx, s, "w_star_zero", k) for k in range(0, s - m + 1)]
-    raise ValueError(which)
+    if which not in _EXPANSION:
+        raise ValueError(which)
+    kind, step = _EXPANSION[which]
+    site = s + step
+    return [wave_numerator(ctx, site, kind, k) for k in range(wave_k_max(ctx, site, kind) + 1)]
 
 
 def bilinear_check(
@@ -150,8 +145,9 @@ def bilinear_check(
 ) -> bool:
     """Exact residue identity between two sites at rational time points.
 
-    Both sides are Laurent polynomials in the spectral variable after the
-    1/lam substitution; the contour integral is the coefficient of 1/lam.
+    Each side is a contour integral, the coefficient of 1/lam of
+    tau_a(1/lam) tau_b(1/lam) lam^p exp(sum_l w_l lam^l), w the time
+    differences, read off the polynomial product of the two shifted taus.
     Denominators tau(s), tau(s') are cleared (DegenerateDenominator if one
     vanishes at its point).
     """
@@ -166,13 +162,11 @@ def bilinear_check(
         raise DegenerateDenominator("tau vanishes at the evaluation point")
 
     def residue(ctx_a, sa, which_a, ctx_b, sb, which_b, power, weights):
-        # [1/lam] of tau_a(1/lam) tau_b(1/lam) lam^power exp(sum_l w_l lam^l)
+        # [1/lam] of tau_a(1/lam) tau_b(1/lam) lam^power exp(sum_l w_l lam^l):
+        # zeta_k(w) lam^k meets the lam^(power+1+k) coefficient of tau_a tau_b
         prod = shifted_tau(ctx_a, sa, which_a) * shifted_tau(ctx_b, sb, which_b)
-        laurent = prod.subs({"lam": MultiPoly.var("lam", -1)}) * MultiPoly.var("lam", power)
-        kmax = max(-1 - laurent.low_degree_in("lam"), 0)
-        times = [MultiPoly.monomial(w, {"lam": l}) for l, w in enumerate(weights, 1)]
-        series = poly_sum(zeta_all(kmax, times))
-        return (laurent * series).coeff_of("lam", -1)
+        zetas = zeta_all(prod.degree_in("lam") - power - 1, list(map(MultiPoly.const, weights)))
+        return poly_sum(z * prod.coeff_of("lam", power + 1 + k) for k, z in enumerate(zetas))
 
     wy = [Fraction(a) - Fraction(b) for a, b in zip(y, y_prime)]
     wx = [Fraction(a) - Fraction(b) for a, b in zip(x, x_prime)]

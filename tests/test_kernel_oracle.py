@@ -27,13 +27,20 @@ coeffs = st.builds(
 )
 
 
+nonzero_coeffs = st.builds(
+    Fraction, st.integers(1, 5) | st.integers(-5, -1), st.integers(min_value=1, max_value=4)
+)
+
+
 @st.composite
-def polys(draw, max_terms=5, coeffs=coeffs):
+def polys(draw, max_terms=5, coeffs=coeffs, min_terms=0):
     """Sparse Laurent polynomial in a random subset of NAMES, listed in a
-    random order so that __init__ has to sort."""
-    names = draw(st.permutations(NAMES).flatmap(lambda p: st.integers(0, 3).map(lambda k: p[:k])))
+    random order so that __init__ has to sort; with nonzero coefficients,
+    at least ``min_terms`` terms (two or more take at least one name)."""
+    fewest = 1 if min_terms > 1 else 0
+    names = draw(st.permutations(NAMES).flatmap(lambda p: st.integers(fewest, 3).map(lambda k: p[:k])))
     exps = st.tuples(*[st.integers(min_value=-2, max_value=2) for _ in names])
-    terms = draw(st.dictionaries(exps, coeffs, max_size=max_terms))
+    terms = draw(st.dictionaries(exps, coeffs, min_size=min_terms, max_size=max_terms))
     return MultiPoly(tuple(names), terms)
 
 
@@ -202,25 +209,46 @@ def packed_lead(p: MultiPoly, allvars: tuple) -> list:
     return [a - b for a, b in zip(lead, low)]
 
 
-@settings(max_examples=100, deadline=None)
-@given(polys(), polys())
-# leading quotient u2 * v1 against the box [0, 0] x [0, 1]; without the
-# box bound the division reaches an empty remainder with the wrong quotient
-# -u2^3 + u2 * v1 + v1 + 1
-@example(
-    MultiPoly(("u2", "v1"), {(2, 1): 1, (1, 2): 1, (2, 0): 1, (0, 2): 1}),
-    MultiPoly(("u2", "v1"), {(2, 0): 1, (0, 1): 1}),
-)
-def test_quotient_term_outside_the_box_is_refused(p, q):
-    # an exact quotient, less its low corner, lies in the box
-    # [0, span(p) - span(q)]: a leading quotient term outside it proves
-    # that q does not divide p
-    assume(not p.is_zero() and len(q.terms) > 1)
+def lead_outside_box(p: MultiPoly, q: MultiPoly) -> bool:
+    """Whether the leading quotient term of p / q, less its low corner,
+    falls outside the box [0, span(p) - span(q)] in some variable."""
     allvars = tuple(sorted(set(p.vars) | set(q.vars), key=var_key))
     lead = [a - b for a, b in zip(packed_lead(p, allvars), packed_lead(q, allvars))]
     p_spans, q_spans = spans(p), spans(q)
     box = [p_spans.get(v, 0) - q_spans.get(v, 0) for v in allvars]
-    assume(any(not 0 <= e <= top for e, top in zip(lead, box)))
+    return any(not 0 <= e <= top for e, top in zip(lead, box))
+
+
+@st.composite
+def outside_box_pairs(draw):
+    """(p, q): p nonzero, q of two terms or more, the leading quotient term
+    outside the box.  A drawn pair inside the box widens q past p in one of
+    its variables v, as q * (1 + v^(span_v(p) + 1)), which puts the box of
+    v below 0."""
+    p = draw(polys(coeffs=nonzero_coeffs, min_terms=1))
+    q = draw(polys(coeffs=nonzero_coeffs, min_terms=2))
+    if not lead_outside_box(p, q):
+        v = draw(st.sampled_from(q.vars))
+        q = q * (1 + MultiPoly.var(v, spans(p).get(v, 0) + 1))
+    return p, q
+
+
+@settings(max_examples=100, deadline=None)
+@given(outside_box_pairs())
+# leading quotient u2 * v1 against the box [0, 0] x [0, 1]; without the
+# box bound the division reaches an empty remainder with the wrong quotient
+# -u2^3 + u2 * v1 + v1 + 1
+@example((
+    MultiPoly(("u2", "v1"), {(2, 1): 1, (1, 2): 1, (2, 0): 1, (0, 2): 1}),
+    MultiPoly(("u2", "v1"), {(2, 0): 1, (0, 1): 1}),
+))
+def test_quotient_term_outside_the_box_is_refused(pair):
+    # an exact quotient, less its low corner, lies in the box
+    # [0, span(p) - span(q)]: a leading quotient term outside it proves
+    # that q does not divide p
+    p, q = pair
+    assert not p.is_zero() and len(q.terms) > 1
+    assert lead_outside_box(p, q)
     _, den = sympy.fraction(sympy.cancel(to_sympy(p) / to_sympy(q)))
     assert len(sympy.Add.make_args(sympy.expand(den))) > 1
     with pytest.raises(NotDivisible):

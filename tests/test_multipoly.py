@@ -109,6 +109,12 @@ def test_divide_exact_and_failure():
         (x ** 2 + y).divide_exact(x - y)
 
 
+@pytest.mark.parametrize("divisor", ["x", 1.5, None])
+def test_divide_exact_refuses_a_divisor_of_another_type(divisor):
+    with pytest.raises(TypeError):
+        (x ** 2).divide_exact(divisor)
+
+
 def test_divide_exact_laurent():
     p = MultiPoly.const(1) + MultiPoly.var("u", 2)
     assert p.divide_exact(u) == MultiPoly.var("u", -1) + u

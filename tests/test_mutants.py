@@ -21,7 +21,7 @@ from phasetoda import suites, symfunc, toda
 from phasetoda.algebra import MultiPoly, RingMatrix, det_exact, matrix, multipoly
 from phasetoda.combinatorics import Partition, SkewShape, planepartitions
 from phasetoda.phase import determinants, monodromy, scalar
-from phasetoda.toda import linear, restrict
+from phasetoda.toda import linear, restrict, waves
 
 # M = 2 puts (2, 1) in the box: a flipped Jacobi-Trudi offset still gives
 # the right S_(1,1), so a 2x1 box cannot see it; for the same reason the
@@ -118,10 +118,19 @@ poly_sum_skips_denominator_scale = edited(multipoly, "poly_sum", "f = den // p.d
 # the raising Toeplitz band one step off: zeta_{j-i+1} for zeta_{j-i}
 shift_exp_band_off_by_one = edited(toda, "shift_exp", "z(j - i) if", "z(j - i + 1) if")
 
-# W^-1 kept under W's key: whichever of the two a context builds first
-# stands in for both, so L and M come out wrong
+# the triangular W^-1 kept under W's key: whichever of the two a context
+# builds first stands in for both, so L and M come out wrong
 wave_inverse_reads_matrix_key = edited(
-    linear, "full_wave_inverse", '("full_wave_inverse", kind)', '("full_wave_matrix", kind)'
+    linear, "_hat_factor", '("hat_factor", kind, inverse)', '("hat_factor", kind, False)'
+)
+# the residue reads the lam^(power+k) coefficient of the shifted-tau
+# product against zeta_k, one below the lam^(power+1+k) it pairs with
+residue_coefficient_off_by_one = edited(
+    waves, "bilinear_check", "power + 1 + k", "power + k"
+)
+# zeta_k(-grad) applied as zeta_k(+grad): the recurrence without its sign
+zeta_recurrence_drops_sign = edited(
+    symfunc, "zeta_diff_apply", "Fraction(sign, d)", "Fraction(1, d)"
 )
 
 # diagonal k of the half counts the cells of layer >= k, so every diagonal
@@ -152,6 +161,7 @@ RIGHT = {
     "tableau_to_pp_half": planepartitions.tableau_to_pp_half,
     "vandermonde_divide": scalar.vandermonde_divide, "npoint_det": determinants.npoint_det,
     "boundary_monomial": scalar.boundary_monomial, "poly_sum": multipoly.poly_sum,
+    "bilinear_check": toda.bilinear_check, "zeta_diff_apply": symfunc.zeta_diff_apply,
 }
 
 
@@ -217,10 +227,16 @@ FAULTS = {
     # the matrix identities of the linear problem name their first differing (i, j)
     "shift-exp-band-off-by-one":
         (plant_everywhere("shift_exp", shift_exp_band_off_by_one), ("linear",)),
-    # at size 3 the wrong L swells its rational entries: 8 s against 0.04 s
+    # W^-1 read as W: the wave-inverse identities name their first (i, j)
     "wave-inverse-reads-matrix-key":
-        (at_linear_size(2, plant_on(linear, "full_wave_inverse", wave_inverse_reads_matrix_key)),
+        (at_linear_size(2, plant_on(linear, "_hat_factor", wave_inverse_reads_matrix_key)),
          ("linear",)),
+    # the failing residue names its sites and time points
+    "residue-coefficient-off-by-one":
+        (plant_everywhere("bilinear_check", residue_coefficient_off_by_one), ("bilinear",)),
+    # the w_inf and w_zero derivative identities take zeta_k of the negated gradient
+    "zeta-recurrence-drops-sign":
+        (plant_everywhere("zeta_diff_apply", zeta_recurrence_drops_sign), ("prop1",)),
     # the failing round trip names the half, its tableau and the half it maps back to
     "tableau-to-half-layer-off-by-one":
         (plant_everywhere("tableau_to_pp_half", tableau_to_half_layer_off_by_one),

@@ -88,6 +88,29 @@ def test_zeta_against_series_oracle(k):
     assert sf.zeta_all(k, times)[k] == brute_zeta(k, times)
 
 
+@pytest.mark.parametrize("n", range(0, 7))
+def test_zeta_diff_apply_on_zeta(n):
+    # oracle: zeta_k(+grad) zeta_n = zeta_{n-k} and zeta_k(-grad) zeta_n =
+    # zeta_n, -zeta_{n-1}, 0 for k = 0, 1, >= 2, from the series of
+    # exp(sum (wz)^j / j) = 1 / (1 - wz); k runs past the last name
+    names = [f"x{j}" for j in range(1, 7)]
+    zeta = [brute_zeta(d, list(map(MultiPoly.var, names))) for d in range(n + 1)]
+    zero = MultiPoly.zero()
+    for k in range(n + 3):
+        assert sf.zeta_diff_apply(k, zeta[n], names, +1) == (zeta[n - k] if k <= n else zero), k
+        lowered = {0: zeta[n], 1: -zeta[n - 1] if n else zero}.get(k, zero)
+        assert sf.zeta_diff_apply(k, zeta[n], names, -1) == lowered, k
+
+
+def test_zeta_diff_apply_past_the_names_and_below_zero():
+    # names beyond the supplied ones are zero operators
+    x1 = MultiPoly.var("x1")
+    assert sf.zeta_diff_apply(3, x1 ** 3, ["x1"], 1) == Fraction(1)
+    assert sf.zeta_diff_apply(-1, x1, ["x1"], 1).is_zero()
+    with pytest.raises(ValueError):
+        sf.zeta_diff_apply(1, x1, ["x1"], 2)
+
+
 def test_zeta_becomes_h_under_power_sums():
     # with x_k = p_k(u^2)/k the character polynomials become h_k(u^2)
     for n in (1, 2, 3):

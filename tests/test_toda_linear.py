@@ -116,8 +116,9 @@ def _seven_checks(ctx):
 def builds(monkeypatch):
     """Counts of the steps that build the linear problem's matrices: the
     wave entries by kind (each hat factor reads its entries once), the
-    exponential factors by (kind, inverse), the shifts that conjugate L and
-    M, and the projections to B_k and C_k."""
+    exponential factors by (kind, inverse), and the shifts that conjugate
+    each power of L and M.  The projections to B_k and C_k are reads of a
+    kept power, not kept themselves."""
     counts = Counter()
 
     def counted(owner, name, key):
@@ -132,15 +133,16 @@ def builds(monkeypatch):
     counted(linear, "wave_numerator", lambda ctx, s, kind, k: kind)
     counted(linear, "_exp_factor", lambda ctx, kind, inverse: ("exp", kind, inverse))
     counted(linear, "_shift_columns", lambda w, step: ("shift", step))
-    counted(RingMatrix, "project", lambda m, part: part)
     return counts
 
 
 def test_seven_linear_checks_build_each_matrix_once(builds):
     ctx = TauContext.generic(0, 3, seed=23)
     assert all(_seven_checks(ctx))
-    once = Counter({("exp", kind, inverse): 1 for kind in ("w_inf", "w_zero") for inverse in (False, True)})
-    once.update({("shift", 1): 1, ("shift", -1): 1, "plus": 1, "minus": 1})
+    # the full W of each kind; L and M conjugate by the triangular factors,
+    # so no inverse exponential factor is built
+    once = Counter({("exp", kind, False): 1 for kind in ("w_inf", "w_zero")})
+    once.update({("shift", 1): 1, ("shift", -1): 1})
     # 6 entries on and below (or above) the diagonal of each 3x3 hat factor
     once.update({kind: 6 for kind in ("w_inf", "w_zero", "w_star_inf", "w_star_zero")})
     assert builds == once
@@ -158,16 +160,37 @@ def test_two_contexts_share_nothing():
     assert all(_seven_checks(first)) and all(_seven_checks(second))
 
     def kept(ctx):
-        """The linear problem's matrices kept in ctx, by key: 4 hat and 4 full
-        wave factors, L and M, and the k = 1 flow."""
-        names = ("hat_factor", "full_wave_matrix", "full_wave_inverse", "lax_matrices", "flow")
+        """The linear problem's matrices kept in ctx, by key: 4 hat factors,
+        2 full wave matrices, and L and M (the k = 1 powers)."""
+        names = ("hat_factor", "full_wave_matrix", "lax_power")
         return {key: value for key, value in ctx._cache.items()
                 if (key if isinstance(key, str) else key[0]) in names}
 
-    assert kept(first).keys() == kept(second).keys() and len(kept(first)) == 10
+    assert kept(first).keys() == kept(second).keys() and len(kept(first)) == 8
     for key, value in kept(first).items():
         assert value is not kept(second)[key] and value != kept(second)[key], key
     # each is what a fresh context over its own matrix builds
     assert lax_matrices(second) == lax_matrices(TauContext.generic(0, 3, seed=29))
     # a context at a point starts empty
     assert first.at_point([1, 2], [0, 1])._cache == {}
+
+
+def _chained(lax, k):
+    out = lax
+    for _ in range(k - 1):
+        out = out @ lax
+    return out
+
+
+@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("kind", ["w_inf", "w_zero"])
+def test_lax_power_equals_chained_products(size, kind):
+    # the power read off the triangular factor against L (or M) multiplied
+    # by itself, and L against the shift dressed by the full W and its
+    # inverse; size 4 is left out, where the chain alone takes about 17 s
+    ctx = TauContext.generic(0, size, seed=31 + size)
+    lax = linear._lax_power(ctx, kind, 1)
+    step = 1 if kind == "w_inf" else -1
+    assert lax == linear._shift_columns(full_wave_matrix(ctx, kind), step) @ full_wave_inverse(ctx, kind)
+    for k in (1, 2):
+        assert linear._lax_power(ctx, kind, k) == _chained(lax, k), k

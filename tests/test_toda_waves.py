@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from phasetoda.algebra import MultiPoly, reduce_pair
+from phasetoda.algebra import MultiPoly, RingMatrix, reduce_pair
 from phasetoda.errors import DegenerateDenominator, RangeViolation
 from phasetoda.toda import (
     SHIFT_KINDS,
@@ -15,6 +15,7 @@ from phasetoda.toda import (
     shifted_tau,
     tau,
     verify_prop1,
+    wave_k_max,
     wave_numerator,
 )
 
@@ -38,6 +39,33 @@ def test_wave_entry_ranges(ctx3):
         wave_numerator(ctx3, 2, "w_zero", 1)
     with pytest.raises(RangeViolation):
         wave_numerator(ctx3, 3, "w_inf", 0)
+
+
+def test_wave_k_max_and_its_errors(ctx3):
+    assert [wave_k_max(ctx3, 1, kind) for kind in WAVE_KINDS] == [1, 1, 1, 1]
+    assert [wave_k_max(ctx3, 2, kind) for kind in WAVE_KINDS] == [2, 0, 0, 2]
+    with pytest.raises(ValueError):
+        wave_k_max(ctx3, 1, "w_one")
+    with pytest.raises(ValueError):
+        wave_numerator(ctx3, 1, "w_one", -1)
+    with pytest.raises(RangeViolation):
+        wave_k_max(ctx3, 3, "w_inf")
+    with pytest.raises(ValueError):
+        h20_expected_coefficients(ctx3, 1, "z_minus")
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_starred_entries_are_the_transposed_context_entries(size):
+    # the dressed matrix exp(x.raise) A exp(-y.lower), transposed, is the
+    # one of A^T with times (-y, -x); its unstarred entries are the starred
+    # ones of the original context
+    ctx = TauContext.generic(0, size, seed=41 + size)
+    at = RingMatrix.from_rows([[ctx.a[j, i] for j in range(size)] for i in range(size)])
+    flipped = TauContext(0, size, at, tuple(-t for t in ctx.y), tuple(-t for t in ctx.x))
+    for s in range(size):
+        for kind, star in (("w_inf", "w_star_zero"), ("w_zero", "w_star_inf")):
+            for k in range(wave_k_max(ctx, s, kind) + 1):
+                assert wave_numerator(flipped, s, kind, k) == wave_numerator(ctx, s, star, k)
 
 
 def test_wave_zero_diagonal_entry_not_constant(ctx3):
