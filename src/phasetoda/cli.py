@@ -42,7 +42,8 @@ ENUMERATE_CAP = 250_000
 
 # The largest M that `compute scalar` (all three routes) runs at N = 0..4, a
 # larger N is refused: each row stands where a run takes about 10 s on 2 CPUs
-# (README), most of it in the determinant route's Vandermonde divisions.
+# (README), most of it in the determinant route's annihilation Vandermonde
+# divisions.
 SCALAR_MAX_M = (700, 700, 30, 6, 2)
 
 # The largest M that `compute state` (either side) runs at N = 0..18, a

@@ -1,26 +1,22 @@
 """Single-determinant forms for boundary correlators, plus their recursions.
 
-Conventions were pinned against the pairing oracle (exhaustively for
-N, M <= 3):
+Every form is ``scalar._divided_difference_det``, the scalar product's
+determinant with some rows or columns changed (checked against the pairing
+oracle exhaustively for N, M <= 3):
 
-  * one-hole form: the degree-q row sits on top of the rows indexed by the
-    surviving annihilation variables; the creation Vandermonde divides in
-    descending orientation (u_k^2 - u_j^2, j < k), the annihilation one in
-    ascending orientation over indices 2..N.
-  * n-point form: the column with alphabet {u_1^2..u_k^2, v_j^2} is the
-    k-fold divided difference of the scalar-product column, so the creation
-    Vandermonde is already absorbed; only the ascending annihilation
-    Vandermonde over 1..N divides.
+  * one-hole form: a degree-q row on top of the rows of the surviving
+    annihilation variables v_2..v_N;
+  * n-point form: the divided-difference columns over u_1..u_{N-n}, then
+    one column of degree M - r_i + i - 1 per seed index.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from ..algebra import MultiPoly, RingMatrix, det_exact, poly_sum
+from ..algebra import MultiPoly, poly_sum
 from ..errors import RangeViolation
-from ..symfunc import hk
-from .scalar import boundary_monomial, letters, scalar_product, vandermonde_divide
+from .scalar import _divided_difference_det, letters, scalar_product
 from .skew import validate_npoint_indices
 
 
@@ -31,42 +27,19 @@ def one_hole_det(q: int, n: int, m: int, u_values: Sequence, v_values: Sequence)
     if not (0 <= q <= m):
         raise RangeViolation(f"hole row {q} outside 0..{m}")
     us, vs = letters(n, u_values, v_values)
-    u2 = [u * u for u in us]
-    v2 = [v * v for v in vs]
-    q_row = [hk(q, [u2[k]] + v2[1:]) for k in range(n)]
-    rows = [q_row] + [
-        [hk(m + n - 1, [u2[k], v2[j]]) for k in range(n)] for j in range(1, n)
-    ]
-    det = det_exact(RingMatrix.from_rows(rows))
-    det = vandermonde_divide(det, u2, descending=True)
-    det = vandermonde_divide(det, v2[1:])
-    return boundary_monomial((), us + vs[1:], m) * det
+    return _divided_difference_det(m, us, vs[1:], hole=q)
 
 
 def npoint_det(
     rs: Sequence[int], n: int, m: int, u_values: Sequence, v_values: Sequence
 ) -> MultiPoly:
-    """Determinant value of <full conjugate | n-point seeded state>.
-
-    Columns: divided-difference columns h_{M+N-k}({u^2}_k, v_j^2) for
-    k = 1..N-n, then one column of degree M - r_i + i - 1 for each i = n..1
-    over the alphabet {u^2}_{N-n} and v_j^2.
-    """
+    """Determinant value of <full conjugate | n-point seeded state>: the
+    seed columns have degrees M - r_i + i - 1 for i = n..1."""
     validate_npoint_indices(rs, n, m)
     nn = len(rs)
     us, vs = letters(n, u_values, v_values)
-    u2 = [u * u for u in us]
-    v2 = [v * v for v in vs]
-    head = u2[: n - nn]
-    rows = []
-    for j in range(n):
-        row = [hk(m + n - (k + 1), u2[: k + 1] + [v2[j]]) for k in range(n - nn)]
-        for i in range(nn, 0, -1):
-            row.append(hk(m - rs[i - 1] + i - 1, head + [v2[j]]))
-        rows.append(row)
-    det = det_exact(RingMatrix.from_rows(rows))
-    det = vandermonde_divide(det, v2)
-    return boundary_monomial((), us[: n - nn] + vs, m) * det
+    seeds = [m - rs[i - 1] + i - 1 for i in range(nn, 0, -1)]
+    return _divided_difference_det(m, us[: n - nn], vs, seeds=seeds)
 
 
 def single_det_form(
@@ -90,9 +63,9 @@ def single_det_form(
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def stack_sides(kind: str, n: int, m: int, u_values: Sequence, v_values: Sequence) -> tuple:
-    """(stack, scalar product by pairing) of one reassembly, equal exactly:
-    'hole' stacks sum_q v_1^{M-2q} * one_hole_det(q), 'point' stacks
+def determinant_stack(kind: str, n: int, m: int, u_values: Sequence, v_values: Sequence) -> MultiPoly:
+    """The determinants restacked into the scalar product: 'hole' stacks
+    sum_q v_1^{M-2q} * one_hole_det(q), 'point' stacks
     sum_j u_N^{2j-M} * one_point_det(j)."""
     us, vs = letters(n, u_values, v_values)
     if kind == "hole":
@@ -101,19 +74,19 @@ def stack_sides(kind: str, n: int, m: int, u_values: Sequence, v_values: Sequenc
         terms = (us[-1] ** (2 * j - m) * npoint_det((j,), n, m, us, vs) for j in range(m + 1))
     else:
         raise ValueError(f"unknown stack {kind!r}")
-    return poly_sum(terms), scalar_product(n, m, us, vs, "fock_pairing")
+    return poly_sum(terms)
 
 
 def one_hole_stack_check(n: int, m: int, u_values: Sequence, v_values: Sequence) -> bool:
-    """The hole determinants reassemble the scalar product (``stack_sides``)."""
-    stack, pairing = stack_sides("hole", n, m, u_values, v_values)
-    return stack == pairing
+    """The hole determinants reassemble the scalar product by pairing."""
+    return determinant_stack("hole", n, m, u_values, v_values) == scalar_product(
+        n, m, u_values, v_values, "fock_pairing")
 
 
 def one_point_stack_check(n: int, m: int, u_values: Sequence, v_values: Sequence) -> bool:
-    """The one-point determinants reassemble the scalar product (``stack_sides``)."""
-    stack, pairing = stack_sides("point", n, m, u_values, v_values)
-    return stack == pairing
+    """The one-point determinants reassemble the scalar product by pairing."""
+    return determinant_stack("point", n, m, u_values, v_values) == scalar_product(
+        n, m, u_values, v_values, "fock_pairing")
 
 
 def recursion_sides(

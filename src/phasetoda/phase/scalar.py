@@ -3,10 +3,10 @@
 fock_pairing builds both state vectors by monodromy corners and contracts
 them; schur_sum is the boundary monomial (prod v / prod u)^M times the
 diagonal pair sum of S_lam(u^2) S_lam(v^-2) over the (M^N) box, the one
-pair sum of ``symfunc`` that the correlators use too; determinant evaluates
-the single-determinant form whose entries are two-letter complete
-homogeneous polynomials, dividing out the Vandermonde factors exactly.  All
-three agree as Laurent polynomials.
+pair sum of ``symfunc`` that the correlators use too; determinant is the
+single determinant of divided-difference columns that the boundary
+correlators of ``determinants`` share, with the annihilation Vandermonde
+divided out exactly.  All three agree as Laurent polynomials.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def scalar_product(
         u2, vm2 = [u * u for u in us], [v ** (-2) for v in vs]
         return boundary_monomial(vs, us, m) * pair_sum(zip(box, box), u2, vm2)
     if method == "determinant":
-        return _determinant_form(n, m, us, vs)
+        return _divided_difference_det(m, us, vs)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -70,32 +70,39 @@ def boundary_monomial(top: Sequence, bottom: Sequence, m: int) -> MultiPoly:
     return (out * below.monomial_inverse()) ** m
 
 
-def vandermonde_divide(
-    poly: MultiPoly, squares: Sequence[MultiPoly], descending: bool = False
-) -> MultiPoly:
-    """Divide by prod_{j<k} (s_j - s_k), or (s_k - s_j) when descending."""
+def vandermonde_divide(poly: MultiPoly, squares: Sequence[MultiPoly]) -> MultiPoly:
+    """Divide by prod_{j<k} (s_j - s_k)."""
     out = poly
     for j in range(len(squares)):
         for k in range(j + 1, len(squares)):
-            diff = squares[k] - squares[j] if descending else squares[j] - squares[k]
+            diff = squares[j] - squares[k]
             if diff.is_zero():
                 raise DegenerateVandermonde("coincident squared values")
             out = out.divide_exact(diff)
     return out
 
 
-def _determinant_form(n: int, m: int, us, vs) -> MultiPoly:
-    """Single-determinant value of the scalar product.
+def _divided_difference_det(
+    m: int, us: Sequence[MultiPoly], vs: Sequence[MultiPoly], hole: int | None = None,
+    seeds: Sequence[int] = (),
+) -> MultiPoly:
+    """The single determinant of the scalar product and the correlators.
 
-    Orientation note: with both Vandermonde products taken in ascending
-    index order the value comes out scaled by (-1)^(N(N-1)/2); the pairing
-    oracle pins the creation-side product to descending order (s_k - s_j),
-    which is what is implemented.
+    With N = len(us) + len(seeds) columns, the row of each v_j reads
+    h_{M+N-1-k}(u_1^2..u_{k+1}^2, v_j^2) for k < len(us), then
+    h_d(u_1^2..u_{len(us)}^2, v_j^2) for each seed degree d; a hole row q
+    on top reads h_{q-k}(u_1^2..u_{k+1}^2, {v^2}).  Column k is the divided
+    difference over x = u_1^2..u_{k+1}^2 of the two-letter column
+    h_{M+N-1}(x, v_j^2) (Macdonald, ch. I), so the creation Vandermonde is
+    absorbed and no creation squares need differ; only the annihilation
+    Vandermonde divides.  The result carries boundary_monomial((), us + vs, M).
     """
     u2 = [u * u for u in us]
     v2 = [v * v for v in vs]
-    rows = [[hk(m + n - 1, [u2[r], v2[c]]) for c in range(n)] for r in range(n)]
+    degree = m + len(us) + len(seeds) - 1
+    rows = [] if hole is None else [[hk(hole - k, u2[: k + 1] + v2) for k in range(len(us))]]
+    for v in v2:
+        rows.append([hk(degree - k, u2[: k + 1] + [v]) for k in range(len(us))]
+                    + [hk(d, u2 + [v]) for d in seeds])
     det = det_exact(RingMatrix.from_rows(rows))
-    det = vandermonde_divide(det, u2, descending=True)
-    det = vandermonde_divide(det, v2)
-    return boundary_monomial((), us + vs, m) * det
+    return boundary_monomial((), [*us, *vs], m) * vandermonde_divide(det, v2)

@@ -59,12 +59,12 @@ from .phase import (
     build_state,
     correlator_npoint,
     correlator_one_hole,
+    determinant_stack,
     limit_sides,
     npoint_det,
     one_hole_det,
     recursion_sides,
     scalar_product,
-    stack_sides,
     verify_rtt,
 )
 from .toda import (
@@ -475,8 +475,9 @@ def _determinant_forms(seed: int) -> Iterator[dict]:
             )
             for identity, cases in forms:
                 yield _two_sided(identity, {"N": n, "M": m}, cases, "determinant", "pairing")
+            pairing = scalar_product(n, m, un, vn, "fock_pairing")
             for kind in ("hole", "point"):
-                stack = [(f"{kind} stack", *stack_sides(kind, n, m, un, vn))]
+                stack = [(f"{kind} stack", determinant_stack(kind, n, m, un, vn), pairing)]
                 yield _two_sided(f"{kind}-stack-reassembly", {"N": n, "M": m}, stack, "stack", "pairing")
             recursions = (
                 (f"rs={list(rs)} {label}", got, want)

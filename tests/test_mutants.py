@@ -70,12 +70,14 @@ def edited(owner, name, old, new):
     return namespace[name]
 
 
-# both Vandermonde products divided in ascending order: at N = 2 the
-# determinant forms with a descending creation product change sign
-vandermonde_ignores_orientation = edited(
-    scalar, "vandermonde_divide",
-    "squares[k] - squares[j] if descending else squares[j] - squares[k]",
-    "squares[j] - squares[k]",
+# the annihilation Vandermonde divided in descending order: every
+# determinant with two rows of annihilation letters changes sign
+vandermonde_orientation_flipped = edited(
+    scalar, "vandermonde_divide", "squares[j] - squares[k]", "squares[k] - squares[j]"
+)
+# the divided-difference column over u_1^2..u_{k+1}^2 without u_{k+1}^2
+divided_difference_column_drops_letter = edited(
+    scalar, "_divided_difference_det", "u2[: k + 1] + [v]", "u2[:k] + [v]"
 )
 # the n-point seed columns one degree high: M - r_i + i for M - r_i + i - 1
 npoint_det_shape_off_by_one = edited(
@@ -160,6 +162,7 @@ RIGHT = {
     "macmahon_count": planepartitions.macmahon_count, "_row_chains": planepartitions._row_chains,
     "tableau_to_pp_half": planepartitions.tableau_to_pp_half,
     "vandermonde_divide": scalar.vandermonde_divide, "npoint_det": determinants.npoint_det,
+    "_divided_difference_det": scalar._divided_difference_det,
     "boundary_monomial": scalar.boundary_monomial, "poly_sum": multipoly.poly_sum,
     "bilinear_check": toda.bilinear_check, "zeta_diff_apply": symfunc.zeta_diff_apply,
 }
@@ -184,10 +187,10 @@ def plant_on(owner, name, fake):
     return plant
 
 
-def at_linear_size(size, plant):
-    """The plant, with the linear family run at ``size``."""
+def with_bound(key, value, plant):
+    """The plant, with ``BOUNDS[key]`` set to ``value``."""
     def planted(monkeypatch):
-        monkeypatch.setitem(suites.BOUNDS, "linear_size", size)
+        monkeypatch.setitem(suites.BOUNDS, key, value)
         plant(monkeypatch)
     return planted
 
@@ -229,7 +232,7 @@ FAULTS = {
         (plant_everywhere("shift_exp", shift_exp_band_off_by_one), ("linear",)),
     # W^-1 read as W: the wave-inverse identities name their first (i, j)
     "wave-inverse-reads-matrix-key":
-        (at_linear_size(2, plant_on(linear, "_hat_factor", wave_inverse_reads_matrix_key)),
+        (with_bound("linear_size", 2, plant_on(linear, "_hat_factor", wave_inverse_reads_matrix_key)),
          ("linear",)),
     # the failing residue names its sites and time points
     "residue-coefficient-off-by-one":
@@ -250,9 +253,13 @@ FAULTS = {
     "enumerate-half-drops-lower-end":
         (plant_on(planepartitions, "_enumerate_half", enumerate_half_drops_lower_end),
          ("triple-agreement",)),
-    # the failing determinant forms name their first q and both sides
+    # the failing determinant forms name their first q and both sides; the
+    # hole rows hold two annihilation letters from N = 3
     "vandermonde-orientation":
-        (plant_everywhere("vandermonde_divide", vandermonde_ignores_orientation),
+        (with_bound("correspondence_n", 3, plant_everywhere("vandermonde_divide", vandermonde_orientation_flipped)),
+         ("scalar-equivalence", "single-determinant")),
+    "divided-difference-column-drops-letter":
+        (plant_everywhere("_divided_difference_det", divided_difference_column_drops_letter),
          ("scalar-equivalence", "single-determinant")),
     # the failing power sum names its first k and both sides
     "power-sum-drops-last-letter": (plant_on(restrict, "pk", pk_without_last_letter), ("power-sums",)),

@@ -6,7 +6,13 @@ import pytest
 
 from phasetoda.algebra import MultiPoly
 from phasetoda.errors import DegenerateVandermonde
-from phasetoda.phase import scalar_product
+from phasetoda.phase import (
+    correlator_npoint,
+    correlator_one_hole,
+    npoint_det,
+    one_hole_det,
+    scalar_product,
+)
 
 
 def names(prefix, count):
@@ -44,7 +50,20 @@ def test_three_way_numeric_spot():
 
 
 def test_degenerate_vandermonde():
+    # coincident creation squares: the divided-difference columns divide by
+    # no creation Vandermonde, so every determinant takes its pairing value
+    vs = [Fraction(1), Fraction(3)]
+    for u2, value in ((2, Fraction(35, 4)), (-2, Fraction(-35, 4))):
+        us = [Fraction(2), Fraction(u2)]
+        pairing = scalar_product(2, 1, us, vs, "fock_pairing")
+        assert pairing == MultiPoly.const(value)
+        assert scalar_product(2, 1, us, vs, "schur_sum") == pairing
+        assert scalar_product(2, 1, us, vs, "determinant") == pairing
+        for k in (0, 1):
+            assert one_hole_det(k, 2, 1, us, vs) == correlator_one_hole(k, 2, 1, us, vs, "pairing")
+            assert npoint_det((k,), 2, 1, us, vs) == correlator_npoint((k,), 2, 1, us, vs)
+    # coincident annihilation squares still have no determinant value
     with pytest.raises(DegenerateVandermonde):
-        scalar_product(2, 1, [Fraction(2), Fraction(2)], [Fraction(1), Fraction(3)], "determinant")
+        scalar_product(2, 1, vs, [Fraction(3), Fraction(-3)], "determinant")
     with pytest.raises(DegenerateVandermonde):
-        scalar_product(2, 1, [Fraction(2), Fraction(-2)], [Fraction(1), Fraction(3)], "determinant")
+        npoint_det((0,), 2, 1, vs, [Fraction(3), Fraction(3)])
