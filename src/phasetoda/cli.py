@@ -49,12 +49,14 @@ SCALAR_MAX_M = (700, 700, 30, 6, 2)
 # The largest M that `compute state` (either side) runs at N = 0..18, a
 # larger N is refused: from N = 1 each row stands where a run takes about
 # 10 s on 2 CPUs (README); at N = 0 the work is linear in M and a million
-# takes about 1 s.
-STATE_MAX_M = (1_000_000, 900, 90, 24, 12, 7, 5, 4, 3, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1)
+# takes about 1 s.  At N = 1 the time is the monodromy sweep's: M = 1500
+# takes 8.2 s, 1600 over 10 s.
+STATE_MAX_M = (1_000_000, 1500, 90, 24, 12, 7, 5, 4, 3, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1)
 
 # The same for `compute correlator` at N = 0..10, taken over its kinds,
-# whose slowest is the seeded pairing at k = 0.
-CORRELATOR_MAX_M = (1_000_000, 800, 68, 13, 6, 3, 2, 1, 1, 1, 1)
+# whose slowest is the seeded pairing at k = 0 (N = 1, M = 1200: 8.4 s,
+# 1300 over 10 s).
+CORRELATOR_MAX_M = (1_000_000, 1200, 68, 13, 6, 3, 2, 1, 1, 1, 1)
 
 # The largest size n - m that `compute tau` runs: size 6 over a seeded
 # random matrix takes about 5 s on 2 CPUs, size 7 over 90 s (README).

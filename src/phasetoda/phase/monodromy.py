@@ -8,14 +8,22 @@ swaps the roles of the creation and annihilation entries.
 
 A corner is never taken from the whole 2x2 operator product: on a ket it
 needs only its column of the product, on a bra only its row, and one
-transfer routine carries that pair of vectors across the sites.  Every
-state vector is a basis vector grown by one corner per spectral value.
+transfer routine carries that pair of vectors across the sites.  The pair
+is two plain dicts from occupation to coefficient; at each site the first
+is scaled by 1/u and the second by u, then the first gains the second's
+terms with a quantum created at the site and the second gains the first's
+with one destroyed there.  Kets and bras differ only in the site order, and
+a StateVector is built once, around the corner returned; ``apply_local_L``
+keeps the one-entry local step for the full-product oracle of the tests.
+Every state vector is a basis vector grown by one corner per spectral
+value.
 
 The intertwining check multiplies the 4x4 R-matrix (rational entries
 f = u^2/(u^2-v^2), g = uv/(u^2-v^2)) against tensor products of monodromy
 corners on a total-occupation-truncated domain, all four corners of a
 factor coming from its two columns; images are compared exactly, without
-truncating the codomain.
+truncating the codomain, as term dicts, with R's entries made polynomials
+once per check.
 """
 
 from __future__ import annotations
@@ -62,25 +70,43 @@ def apply_local_L(j: int, entry: str, u: Spectral, sv: StateVector) -> StateVect
                          for occ, coeff in sv.terms.items() if creating or occ[j]})
 
 
-def _transfer(start: int, u: MultiPoly, sv: StateVector) -> list:
+def _add_into(terms: dict, pairs) -> dict:
+    """Add each (occupation, coefficient) of ``pairs`` into ``terms``, dropping
+    a sum that cancels, and return ``terms``."""
+    get = terms.get
+    for occ, coeff in pairs:
+        prev = get(occ)
+        if prev is None:
+            terms[occ] = coeff
+        elif (coeff := prev + coeff).nums:
+            terms[occ] = coeff
+        else:
+            del terms[occ]
+    return terms
+
+
+def _transfer(start: int, u: MultiPoly, terms: dict, m: int, dual: bool) -> tuple:
     """Column ``start`` of the monodromy matrix applied to a ket, or row
-    ``start`` of it applied to a bra, as a pair indexed by the other corner
-    index.
+    ``start`` of it applied to a bra, as a pair of term dicts indexed by the
+    other corner index; ``terms`` is not modified.
 
     A ket pair is carried through sites 0..M: (L_j .. L_0)[i][start] sv.  A
-    bra pair is carried through sites M..0: sv (L_M .. L_j)[start][i], a row
-    being the column of the transposed product, so 'b' and 'c' trade places.
+    bra pair is carried through sites M..0: sv (L_M .. L_j)[start][i]; a row
+    is a column of the transposed product, where 'b' and 'c' trade places,
+    and on a bra 'b' destroys and 'c' creates, so both take the same steps.
+    1/u is taken only if some site scales a first vector, which a one-site
+    sweep from the second does not (elsewhere u = 0 raises NotDivisible).
     """
-    # the local entry that takes vecs[k] to vecs[i] is name[i][k]
-    name = (("a", "c"), ("b", "d")) if sv.dual else (("a", "b"), ("c", "d"))
-    first, *rest = range(sv.m, -1, -1) if sv.dual else range(sv.m + 1)
-    vecs = [apply_local_L(first, name[i][start], u, sv) for i in (0, 1)]
-    for j in rest:
-        vecs = [
-            apply_local_L(j, name[i][0], u, vecs[0]) + apply_local_L(j, name[i][1], u, vecs[1])
-            for i in (0, 1)
-        ]
-    return vecs
+    first, second = (terms, {}) if start == 0 else ({}, terms)
+    inverse = u.monomial_inverse() if start == 0 or m else None
+    for j in range(m, -1, -1) if dual else range(m + 1):
+        first, second = (
+            _add_into({occ: inverse * c for occ, c in first.items()},
+                      ((occ[:j] + (occ[j] + 1,) + occ[j + 1:], c) for occ, c in second.items())),
+            _add_into({occ: u * c for occ, c in second.items()},
+                      ((occ[:j] + (occ[j] - 1,) + occ[j + 1:], c) for occ, c in first.items() if occ[j])),
+        )
+    return first, second
 
 
 def monodromy_apply(entry: str, u: Spectral, sv: StateVector) -> StateVector:
@@ -93,7 +119,7 @@ def monodromy_apply(entry: str, u: Spectral, sv: StateVector) -> StateVector:
         raise ValueError("entry must be A, B, C or D")
     x, y = _CORNERS[entry]
     start, end = (x, y) if sv.dual else (y, x)
-    return _transfer(start, as_poly(u), sv)[end]
+    return sv.copy_with(_transfer(start, as_poly(u), sv.terms, sv.m, sv.dual)[end])
 
 
 def grow_state(
@@ -141,39 +167,44 @@ def r_matrix(u: Fraction, v: Fraction) -> list:
     ]
 
 
+def _combination(pairs) -> dict:
+    """The sum of r * terms over the (constant, term dict) ``pairs``, as a term
+    dict; a zero r is skipped."""
+    out: dict = {}
+    for r, terms in pairs:
+        if r:
+            _add_into(out, ((occ, r * c) for occ, c in terms.items()))
+    return out
+
+
 def verify_rtt(u: Fraction, v: Fraction, m: int, n_cap: int) -> bool:
     """Exact intertwining of the monodromy matrix on a truncated domain.
 
     Both sides of R (T(u) tensor T(v)) = (T(v) tensor T(u)) R are applied to
     every basis ket with total occupation <= n_cap; the images (which may
-    leave the truncation) are compared exactly.
+    leave the truncation) are compared exactly, as term dicts.
     """
-    rm = r_matrix(u, v)
+    rm = [[as_poly(r) for r in row] for row in r_matrix(u, v)]
     u, v = as_poly(u), as_poly(v)
     basis = [occ for t in range(n_cap + 1) for occ in all_occupations(t, m)]
     aux = [(0, 0), (0, 1), (1, 0), (1, 1)]
     for occ in basis:
-        ket = StateVector(m, {occ: MultiPoly.const(1)})
+        ket = {occ: MultiPoly.const(1)}
         # (X tensor Y)[(ac),(bd)] = X(u)_{ab} Y(v)_{cd}; apply Y first.  All
         # four corners of a factor come from its two columns: T(w)_xy applied
-        # to a ket is _transfer(y, w, ket)[x].
+        # to a ket is _transfer(y, w, ket, m, False)[x].
         prod_uv = {}
         prod_vu = {}
         for outer, inner, prod in ((u, v, prod_uv), (v, u, prod_vu)):
-            inner_cols = [_transfer(y, inner, ket) for y in (0, 1)]
+            inner_cols = [_transfer(y, inner, ket, m, False) for y in (0, 1)]
             for (c, d) in aux:
-                outer_cols = [_transfer(y, outer, inner_cols[d][c]) for y in (0, 1)]
+                outer_cols = [_transfer(y, outer, inner_cols[d][c], m, False) for y in (0, 1)]
                 for (a, b) in aux:
                     prod[((a, c), (b, d))] = outer_cols[b][a]
         for i, ri in enumerate(aux):
             for j, cj in enumerate(aux):
-                lhs = StateVector(m, {})
-                rhs = StateVector(m, {})
-                for k, mid in enumerate(aux):
-                    if rm[i][k] != 0:
-                        lhs = lhs + prod_uv[(mid, cj)].scale(rm[i][k])
-                    if rm[k][j] != 0:
-                        rhs = rhs + prod_vu[(ri, mid)].scale(rm[k][j])
+                lhs = _combination((rm[i][k], prod_uv[(mid, cj)]) for k, mid in enumerate(aux))
+                rhs = _combination((rm[k][j], prod_vu[(ri, mid)]) for k, mid in enumerate(aux))
                 if lhs != rhs:
                     return False
     return True

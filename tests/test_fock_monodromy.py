@@ -3,12 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from phasetoda import suites
-from phasetoda.algebra import MultiPoly, as_poly, multipoly
-from phasetoda.errors import PoleViolation
+from phasetoda.algebra import MultiPoly, multipoly
+from phasetoda.errors import NotDivisible, PoleViolation
 from phasetoda.phase import monodromy
 from phasetoda.phase import (
+    StateVector,
     apply_local_L,
     build_conj_state,
     build_state,
@@ -17,6 +19,7 @@ from phasetoda.phase import (
     vacuum,
     verify_rtt,
 )
+from test_mutants import transfer_a_step_scaled_by_u
 
 u = MultiPoly.var("u1")
 v = MultiPoly.var("v1")
@@ -154,21 +157,69 @@ def test_corners_equal_full_product(m):
             assert monodromy_apply(entry, w, sv) == want, (sv, entry)
 
 
+nonzero = st.builds(Fraction, st.integers(1, 4) | st.integers(-4, -1), st.integers(1, 3))
+# a constant, or a sum of one or two rational multiples of w^i x^k; w is also
+# the symbolic spectral value, so that sums in the sweep can cancel
+coefficients = nonzero.map(MultiPoly.const) | st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(0, 2)), nonzero, min_size=1, max_size=2
+).map(lambda terms: MultiPoly(("w", "x"), terms))
+spectral = nonzero | st.builds(
+    lambda c, e: MultiPoly(("w",), {(e,): c}), nonzero, st.sampled_from([-1, 1, 2])
+)
+
+
+@st.composite
+def states(draw):
+    """A ket or a bra at M <= 4 over up to four occupation states with at
+    most two quanta per site."""
+    m = draw(st.integers(0, 4))
+    occupations = st.tuples(*[st.integers(0, 2) for _ in range(m + 1)])
+    return StateVector(m, draw(st.dictionaries(occupations, coefficients, max_size=4)),
+                       draw(st.booleans()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(states(), spectral)
+# at u = 1 the A and C corners cancel u^-2 * (-1) + 1 at (0, 1) on site 1
+@example(StateVector(1, {(1, 0): MultiPoly.const(1), (0, 1): MultiPoly.const(-1)}), Fraction(1))
+def test_corners_equal_full_product_on_random_states(sv, w):
+    for entry in "ABCD":
+        assert monodromy_apply(entry, w, sv) == corner_by_full_product(entry, w, sv), entry
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_zero_spectral_value(dual):
+    # 1/u is taken only when a sweep scales a first vector: at M = 0 the
+    # corners that start from the second vector (B and D on a ket, C and D
+    # on a bra) give the creation and zero, and every other corner, at any
+    # larger M every corner, raises
+    creating, keeping = ("C", "D") if dual else ("B", "D")
+    sv = StateVector(0, {(1,): MultiPoly.var("x")}, dual)
+    assert monodromy_apply(creating, 0, sv).terms == {(2,): MultiPoly.var("x")}
+    assert monodromy_apply(keeping, 0, sv).is_zero()
+    for entry in "ABCD":
+        if entry not in (creating, keeping):
+            with pytest.raises(NotDivisible):
+                monodromy_apply(entry, 0, sv)
+        for m in (1, 2):
+            with pytest.raises(NotDivisible):
+                monodromy_apply(entry, 0, vacuum(m, dual))
+    build = build_conj_state if dual else build_state
+    assert build([0, 1], 0).terms == {(2,): MultiPoly.const(1)}
+    with pytest.raises(NotDivisible):
+        build([0], 1)
+
+
 def test_monodromy_apply_rejects_unknown_corner():
     with pytest.raises(ValueError):
         monodromy_apply("E", u, vacuum(1))
 
 
 def test_wrong_local_operator_fails_phase_items_with_witnesses(monkeypatch):
-    # an 'a' entry scaling by u instead of 1/u breaks the state forms, the
-    # numeric scalar products and the intertwining; each failing item says
-    # where, and nothing raises
-    right = monodromy.apply_local_L
-
-    def wrong(j, entry, w, sv):
-        return sv.scale(as_poly(w)) if entry == "a" else right(j, entry, w, sv)
-
-    monkeypatch.setattr(monodromy, "apply_local_L", wrong)
+    # the carrier's 'a' step scaling by u instead of 1/u breaks the state
+    # forms, the numeric scalar products and the intertwining; each failing
+    # item says where, and nothing raises
+    monkeypatch.setattr(monodromy, "_transfer", transfer_a_step_scaled_by_u)
     small = dict(scalar_symbolic_n=1, scalar_symbolic_m=1, scalar_numeric_n=(2,),
                  scalar_numeric_m=1, scalar_numeric_points=2, state_coeff_n=2,
                  state_coeff_m=1, rtt_m=1, rtt_cap=1, rtt_pairs=1)

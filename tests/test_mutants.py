@@ -114,6 +114,16 @@ det_integer_without_division = edited(
 )
 # the diagonal weight of the intertwiner from v^2 instead of u^2
 r_matrix_weight_from_v = edited(monodromy, "r_matrix", "f = u * u / denom", "f = v * v / denom")
+# the carrier's 'a' step scaled by u instead of 1/u
+transfer_a_step_scaled_by_u = edited(
+    monodromy, "_transfer", "inverse = u.monomial_inverse() if start == 0 or m else None", "inverse = u"
+)
+# a bra carried through sites 0..M, the ket order, instead of M..0
+bra_swept_in_ket_order = edited(
+    monodromy, "_transfer", "range(m, -1, -1) if dual else range(m + 1)", "range(m + 1)"
+)
+# the annihilation times y_k = +p_k(v^-2)/k, without their sign
+miwa_map_drops_y_sign = edited(symfunc, "miwa_map", "y = [-(pk(k, vg)", "y = [(pk(k, vg)")
 # every term of an n-ary sum added at its own denominator, not scaled to
 # their lcm: a sum of terms over different denominators comes out wrong
 poly_sum_skips_denominator_scale = edited(multipoly, "poly_sum", "f = den // p.den", "f = 1")
@@ -165,6 +175,7 @@ RIGHT = {
     "_divided_difference_det": scalar._divided_difference_det,
     "boundary_monomial": scalar.boundary_monomial, "poly_sum": multipoly.poly_sum,
     "bilinear_check": toda.bilinear_check, "zeta_diff_apply": symfunc.zeta_diff_apply,
+    "miwa_map": symfunc.miwa_map,
 }
 
 
@@ -227,6 +238,11 @@ FAULTS = {
     "det-integer-skips-division":
         (plant_on(matrix, "_det_bareiss", det_integer_without_division), ("tau-expansion",)),
     "r-matrix-weight-from-v": (plant_on(monodromy, "r_matrix", r_matrix_weight_from_v), ("rtt",)),
+    "transfer-a-step-scaled-by-u":
+        (plant_on(monodromy, "_transfer", transfer_a_step_scaled_by_u), ("rtt", "state-coefficients")),
+    # the kets stay right, so only bra items fail
+    "bra-swept-in-ket-order":
+        (plant_on(monodromy, "_transfer", bra_swept_in_ket_order), ("state-coefficients",)),
     # the matrix identities of the linear problem name their first differing (i, j)
     "shift-exp-band-off-by-one":
         (plant_everywhere("shift_exp", shift_exp_band_off_by_one), ("linear",)),
@@ -272,6 +288,8 @@ FAULTS = {
     # correlator sides, carry the monomial on one side only
     "boundary-monomial-exponent-sign":
         (plant_everywhere("boundary_monomial", boundary_monomial_exponent_sign), ("prop2", "limits")),
+    # the restricted taus, read against the pairing and the correlator sides
+    "miwa-map-drops-y-sign": (plant_everywhere("miwa_map", miwa_map_drops_y_sign), ("prop2", "limits")),
 }
 CASES = [(fault, family) for fault in sorted(FAULTS) for family in FAULTS[fault][1]]
 
@@ -314,6 +332,8 @@ def test_fault_fails_family_with_witness(small_bounds, monkeypatch, fault, famil
         assert all(it["witness"].startswith(marks.get(it["identity"], "")) for it in caught)
         if fault == "vandermonde-orientation":
             assert any(it["identity"] == "hole-determinant-form" for it in caught)
+    if fault == "bra-swept-in-ket-order":
+        assert all(it["witness"].startswith("bra lambda=") for it in caught)
     for it in items:
         assert it["pass"] or it.get("witness"), it
 
