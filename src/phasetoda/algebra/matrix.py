@@ -32,16 +32,19 @@ constant and on polynomial entries.
 from __future__ import annotations
 
 from math import lcm
-from operator import floordiv
+from operator import add, floordiv, sub
 from typing import Sequence
 
 from ..errors import NonSquare
 from .multipoly import MultiPoly, _packing, _unpack, as_poly, var_key
 from .ratio import RatioPoly
 
-# the largest size the subset expansion takes: at 8x8 it matches elimination
-# on constant entries and beats it tenfold on Laurent ones, and from there
-# its cost doubles with every row (a 20x20 constant matrix takes seconds)
+# the largest size the subset expansion takes; only polynomial entries reach
+# it, since constant ones always go to elimination.  On them it beats
+# elimination, whose exact divisions swell (8x8, two-term Laurent entries in
+# three variables: 0.17 s against 96 s), while its own cost about quadruples
+# with every row (0.74 s at 9x9, 3.0 s at 10x10); the largest polynomial
+# determinant of `suite all` and of `compute tau` at its cap is 6x6
 DP_MAX_N = 8
 
 
@@ -89,19 +92,16 @@ class RingMatrix:
             and self.entries == other.entries
         )
 
-    def __add__(self, other: "RingMatrix") -> "RingMatrix":
+    def _entrywise(self, other: "RingMatrix", op) -> "RingMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return RingMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)]
-        )
+        return RingMatrix(self.rows, self.cols, list(map(op, self.entries, other.entries)))
+
+    def __add__(self, other: "RingMatrix") -> "RingMatrix":
+        return self._entrywise(other, add)
 
     def __sub__(self, other: "RingMatrix") -> "RingMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return RingMatrix(
-            self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)]
-        )
+        return self._entrywise(other, sub)
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         if self.cols != other.rows:

@@ -339,27 +339,16 @@ class MultiPoly:
 
     # -- calculus and extraction -------------------------------------------
 
-    def diff(self, name: str, order: int = 1) -> "MultiPoly":
+    def diff(self, name: str) -> "MultiPoly":
         """Exact partial derivative; Laurent powers of ``name`` are refused."""
-        if order < 1:
-            raise ValueError("order must be >= 1")
         if name not in self.vars:
             return MultiPoly.zero()
         i = self.vars.index(name)
         if any(e[i] < 0 for e in self.nums):
             raise NegativeExponent(f"cannot differentiate Laurent variable {name}")
-        cur = self
-        for _ in range(order):
-            if name not in cur.vars:
-                return MultiPoly.zero()
-            i = cur.vars.index(name)
-            nums = {}
-            for exps, c in cur.nums.items():
-                e = exps[i]
-                if e:
-                    nums[exps[:i] + (e - 1,) + exps[i + 1 :]] = c * e
-            cur = MultiPoly._make(cur.vars, nums, cur.den)
-        return cur
+        nums = {exps[:i] + (exps[i] - 1,) + exps[i + 1 :]: c * exps[i]
+                for exps, c in self.nums.items() if exps[i]}
+        return MultiPoly._make(self.vars, nums, self.den)
 
     def coeff_of(self, name: str, power: int) -> "MultiPoly":
         """Coefficient of ``name**power`` as a polynomial in the other vars."""

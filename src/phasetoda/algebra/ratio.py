@@ -79,32 +79,35 @@ class RatioPoly:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    @staticmethod
-    def _split_common(a: "RatioPoly", b: "RatioPoly") -> tuple:
-        """Multiset intersection of factors and the two leftovers."""
-        remaining = list(b.factors)
+    def _cross(self, other: "RatioPoly") -> tuple:
+        """(left, right, factors): the two numerators over the common
+        denominator ``factors``, the multiset intersection of both factor
+        lists followed by this side's leftovers and then the other's."""
+        remaining = list(other.factors)
         common = []
         a_only = []
-        for f in a.factors:
+        for f in self.factors:
             if f in remaining:
                 remaining.remove(f)
                 common.append(f)
             else:
                 a_only.append(f)
-        return common, a_only, remaining
+        left = self.num
+        for f in remaining:
+            left = left * f
+        right = other.num
+        for f in a_only:
+            right = right * f
+        return left, right, common + a_only + remaining
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other) -> "RatioPoly":
         other = _coerce(other)
-        common, a_only, b_only = self._split_common(self, other)
-        left = self.num
-        for f in b_only:
-            left = left * f
-        right = other.num
-        for f in a_only:
-            right = right * f
-        return RatioPoly(left + right, _factors=common + a_only + b_only)
+        if other is NotImplemented:
+            return NotImplemented
+        left, right, factors = self._cross(other)
+        return RatioPoly(left + right, _factors=factors)
 
     __radd__ = __add__
 
@@ -115,13 +118,17 @@ class RatioPoly:
         return out
 
     def __sub__(self, other) -> "RatioPoly":
-        return self + (-_coerce(other))
+        other = _coerce(other)
+        return NotImplemented if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other) -> "RatioPoly":
-        return (-self) + _coerce(other)
+        other = _coerce(other)
+        return NotImplemented if other is NotImplemented else (-self) + other
 
     def __mul__(self, other) -> "RatioPoly":
         other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         if self.num.is_zero() or other.num.is_zero():
             return RatioPoly(MultiPoly.zero())
         return RatioPoly(self.num * other.num, _factors=self.factors + other.factors)
@@ -130,6 +137,8 @@ class RatioPoly:
 
     def __truediv__(self, other) -> "RatioPoly":
         other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         if other.num.is_zero():
             raise ZeroDivisionError
         num = self.num
@@ -139,13 +148,9 @@ class RatioPoly:
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
-        common, a_only, b_only = self._split_common(self, other)
-        left = self.num
-        for f in b_only:
-            left = left * f
-        right = other.num
-        for f in a_only:
-            right = right * f
+        if other is NotImplemented:
+            return NotImplemented
+        left, right, _ = self._cross(other)
         return left == right
 
     def __hash__(self):
@@ -153,9 +158,8 @@ class RatioPoly:
 
     def diff(self, name: str) -> "RatioPoly":
         """Quotient rule, one denominator factor at a time."""
-        total = RatioPoly(self.num.diff(name) if name in self.num.vars else MultiPoly.zero(),
-                          _factors=list(self.factors))
-        for i, f in enumerate(self.factors):
+        total = RatioPoly(self.num.diff(name), _factors=list(self.factors))
+        for f in self.factors:
             if name not in f.vars:
                 continue
             total = total + RatioPoly(
@@ -171,6 +175,10 @@ class RatioPoly:
 
 
 def _coerce(value) -> RatioPoly:
+    """A RatioPoly as is, a MultiPoly, an int or a Fraction over 1; anything
+    else is NotImplemented, which each operator passes on."""
     if isinstance(value, RatioPoly):
         return value
-    return RatioPoly(value)
+    if isinstance(value, (MultiPoly, int, Fraction)):
+        return RatioPoly(value)
+    return NotImplemented

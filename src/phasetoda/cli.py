@@ -27,9 +27,9 @@ from .combinatorics import (
     SkewShape,
 )
 from .errors import ConfigError, PhaseTodaError
-from .phase import boundary_correlator, build_conj_state, build_state, scalar_product
-from .reports import build_report, emit_report
-from .suites import FAMILIES, SUITES, _names, run_family, run_suite
+from .phase import METHODS, boundary_correlator, build_conj_state, build_state, scalar_product
+from .reports import REPORT_SCHEMA_VERSION, build_report, emit
+from .suites import FAMILIES, SUITES, _item, _names, run_family, run_suite
 from .symfunc import _reach, jacobi_trudi
 from .toda import TauContext, generic_constant_matrix, tau, tau_schur_expand, vanishing_leading_minor
 
@@ -59,7 +59,7 @@ STATE_MAX_M = (1_000_000, 1500, 90, 24, 12, 7, 5, 4, 3, 2, 2, 2, 1, 1, 1, 1, 1, 
 CORRELATOR_MAX_M = (1_000_000, 1200, 68, 13, 6, 3, 2, 1, 1, 1, 1)
 
 # The largest size n - m that `compute tau` runs: size 6 over a seeded
-# random matrix takes about 5 s on 2 CPUs, size 7 over 90 s (README).
+# random matrix takes about 1.5 s on 2 CPUs, size 7 about 65 s (README).
 TAU_MAX_N = 6
 
 
@@ -126,74 +126,46 @@ def _refuse_over_m_cap(what: str, args, caps: tuple) -> None:
                           f"it runs at N = 0..{len(caps) - 1} is {caps}")
 
 
-def cmd_compute(args) -> int:
-    t0 = time.time()
-    items = []
+def _value_item(identity: str, parameters: dict, value: MultiPoly, ok: bool = True) -> dict:
+    """A report item carrying the canonical text of ``value``."""
+    return {**_item(identity, parameters, ok), "value": value.to_str()}
+
+
+def _compute_items(args) -> list:
+    """The items of ``compute``; an over-cap size is refused before any work."""
     if args.object == "tau":
         if args.n - args.m > TAU_MAX_N:
             raise ConfigError(f"compute tau refuses m={args.m}, n={args.n}: the largest size "
                               f"n - m it runs is {TAU_MAX_N}")
         ctx = _context(args)
         sites = range(args.m, args.n + 1) if args.s is None else [args.s]
+        items = []
         for s in sites:
             value = tau(ctx, s)
-            ok = value == tau_schur_expand(ctx, s)
-            items.append(
-                {
-                    "identity": "tau",
-                    "parameters": {"s": s},
-                    "pass": ok,
-                    "value": value.to_str(),
-                }
-            )
-    elif args.object == "scalar":
+            items.append(_value_item("tau", {"s": s}, value, value == tau_schur_expand(ctx, s)))
+        return items
+    if args.object == "scalar":
         _refuse_over_m_cap("scalar", args, SCALAR_MAX_M)
         un, vn = _names("u", args.N), _names("v", args.N)
-        methods = ["fock_pairing", "schur_sum", "determinant"]
-        values = {meth: scalar_product(args.N, args.M, un, vn, meth) for meth in methods}
-        ok = len({v.to_str() for v in values.values()}) == 1
-        items.append(
-            {
-                "identity": "scalar-product",
-                "parameters": {"N": args.N, "M": args.M},
-                "pass": ok,
-                "value": values["fock_pairing"].to_str(),
-            }
-        )
-    elif args.object == "correlator":
+        a, b, c = (scalar_product(args.N, args.M, un, vn, method) for method in METHODS)
+        return [_value_item("scalar-product", {"N": args.N, "M": args.M}, a, a == b == c)]
+    if args.object == "correlator":
         _refuse_over_m_cap("correlator", args, CORRELATOR_MAX_M)
         un, vn = _names("u", args.N), _names("v", args.N)
-        if args.kind == "n_point":
-            rs = _ints(args.r)
-            value = boundary_correlator("n_point", args.N, args.M, un, vn, rs=rs)
-        else:
-            value = boundary_correlator(args.kind, args.N, args.M, un, vn, k=args.k)
-        items.append(
-            {
-                "identity": f"correlator-{args.kind}",
-                "parameters": {"N": args.N, "M": args.M, "k": args.k, "r": args.r},
-                "pass": True,
-                "value": value.to_str(),
-            }
-        )
-    elif args.object == "state":
+        value = boundary_correlator(args.kind, args.N, args.M, un, vn, k=args.k, rs=_ints(args.r))
+        parameters = {"N": args.N, "M": args.M, "k": args.k, "r": args.r}
+        return [_value_item(f"correlator-{args.kind}", parameters, value)]
+    if args.object == "state":
         _refuse_over_m_cap("state", args, STATE_MAX_M)
         un, vn = _names("u", args.N), _names("v", args.N)
         sv = build_conj_state(vn, args.M) if args.dual else build_state(un, args.M)
-        for occ, coeff in sorted(sv.terms.items()):
-            items.append(
-                {
-                    "identity": "state-vector",
-                    "parameters": {"occupation": list(occ)},
-                    "pass": True,
-                    "value": coeff.to_str(),
-                }
-            )
-    else:
-        raise ConfigError(f"unknown object {args.object!r}")
-    report = build_report(f"compute {args.object}", vars_of(args), items, args.seed)
-    emit_report(report, args.output, time.time() - t0)
-    return 0 if report["failed"] == 0 else 1
+        return [_value_item("state-vector", {"occupation": list(occ)}, coeff)
+                for occ, coeff in sorted(sv.terms.items())]
+    raise ConfigError(f"unknown object {args.object!r}")
+
+
+def cmd_compute(args) -> int:
+    return _checked_run(f"compute {args.object}", args, lambda timings: _compute_items(args))
 
 
 def _tableau_count(shape: SkewShape, n: int) -> int:
@@ -255,19 +227,13 @@ def cmd_enumerate(args) -> int:
     else:
         raise ConfigError(f"unknown object {args.object!r}")
     payload = {
-        "schema": "1",
+        "schema": REPORT_SCHEMA_VERSION,
         "command": f"enumerate {args.object}",
         "parameters": vars_of(args),
         "count": len(items),
         "items": items,
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    print(f"enumerate {args.object}: {len(items)} objects [{time.time()-t0:.2f}s]", file=sys.stderr)
+    emit(payload, args.output, f"enumerate {args.object}: {len(items)} objects [{time.time()-t0:.2f}s]")
     return 0
 
 
@@ -280,7 +246,8 @@ def _checked_run(command: str, args, run) -> int:
         timings = [] if side else None
         items = run(timings)
         report = build_report(command, vars_of(args), items, args.seed)
-        emit_report(report, args.output, time.time() - t0)
+        emit(report, args.output,
+             f"{command}: {report['passed']} passed, {report['failed']} failed [{time.time() - t0:.2f}s]")
         if side:
             json.dump({"command": command, "seed": args.seed, "runs": timings}, side, indent=2)
             side.write("\n")
@@ -329,7 +296,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--output", default=None)
-    pc.set_defaults(func=cmd_compute)
+    pc.set_defaults(func=cmd_compute, timings=None)
 
     pe = sub.add_parser("enumerate", help="enumerate combinatorial objects as JSON")
     pe.add_argument("object", choices=["pp", "partitions", "paths", "tableaux"])

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from ..algebra import MultiPoly
 from ..errors import ShapeViolation
-from .partitions import Partition, SkewShape, column, hook
+from .partitions import Partition, SkewShape, column, hook, partitions_in_box
 from .paths import LatticePathConfig, pp_to_path
 from .planepartitions import (
     HalfPlanePartition,
@@ -35,16 +35,12 @@ from .tableaux import enumerate_tableaux
 PICTURES = ("paths", "pp", "tableaux")
 
 
-def _full_config_from_upper(upper: HalfPlanePartition) -> LatticePathConfig:
-    lam = upper.diagonal()
-    full = combine_halves(upper, constant_half(lam, upper.n, upper.m, "lower"))
-    return pp_to_path(full)
-
-
-def _full_config_from_lower(lower: HalfPlanePartition) -> LatticePathConfig:
-    lam = lower.diagonal()
-    full = combine_halves(constant_half(lam, lower.n, lower.m, "upper"), lower)
-    return pp_to_path(full)
+def _full_config(half: HalfPlanePartition) -> LatticePathConfig:
+    """The path configuration of ``half`` joined to the constant half of the
+    other side on the same diagonal."""
+    upper = half.side == "upper"
+    other = constant_half(half.diagonal(), half.n, half.m, "lower" if upper else "upper")
+    return pp_to_path(combine_halves(half, other) if upper else combine_halves(other, half))
 
 
 def _upper_exponents_pp(upper: HalfPlanePartition) -> list:
@@ -77,7 +73,7 @@ def weighted_sum_g(
         raise ShapeViolation(f"{lam} outside ({m})^{n}")
     if picture == "paths":
         exps = ([config.annihilation_exponent(l) for l in range(1, n + 1)]
-                for config in map(_full_config_from_lower, lower_diagonal(lam, n, m)))
+                for config in map(_full_config, lower_diagonal(lam, n, m)))
     elif picture == "pp":
         exps = map(_lower_exponents_pp, lower_diagonal(lam, n, m))
     elif picture == "tableaux":
@@ -92,8 +88,6 @@ def psi1_support(k: int, n: int, m: int) -> list:
     """Partitions with hook(k) <= lambda <= ((M)^{N-1}, k)."""
     lo = hook(k)
     out = []
-    from .partitions import partitions_in_box
-
     for lam in partitions_in_box(n, m):
         if lam.contains(lo) and lam.get(n) <= k:
             out.append(lam)
@@ -104,8 +98,6 @@ def psi2_support(k: int, n: int, m: int) -> list:
     """Partitions with column(k) <= lambda <= ((M)^{N-k}, 1^k)."""
     lo = column(k)
     out = []
-    from .partitions import partitions_in_box
-
     for lam in partitions_in_box(n, m):
         if lam.contains(lo) and all(lam.get(i) <= 1 for i in range(n - k + 1, n + 1)):
             out.append(lam)
@@ -130,7 +122,7 @@ def weighted_sum_psi1(
             if lower.entry(n, 1) != k:
                 continue
             if picture == "paths":
-                config = _full_config_from_lower(lower)
+                config = _full_config(lower)
                 assert config.turns[0][0] == k
                 exps.append([config.annihilation_exponent(l) for l in range(2, n + 1)])
             else:
@@ -170,7 +162,7 @@ def weighted_sum_psi2(
             ):
                 continue
             if picture == "paths":
-                config = _full_config_from_upper(upper)
+                config = _full_config(upper)
                 exps.append([config.creation_exponent(l) for l in range(1, n - k + 1)])
             else:
                 exps.append(_upper_exponents_pp(upper)[: n - k])

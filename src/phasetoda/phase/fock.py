@@ -50,11 +50,7 @@ class StateVector:
     def __add__(self, other: "StateVector") -> "StateVector":
         if self.m != other.m or self.dual != other.dual:
             raise ValueError("incompatible state vectors")
-        terms = dict(self.terms)
-        for occ, coeff in other.terms.items():
-            prev = terms.get(occ)
-            terms[occ] = coeff if prev is None else prev + coeff
-        return self.copy_with(terms)
+        return self.copy_with(_add_into(dict(self.terms), other.terms.items()))
 
     def scale(self, c) -> "StateVector":
         c = as_poly(c)
@@ -78,6 +74,21 @@ class StateVector:
         return f"StateVector[{kind}]({body})"
 
 
+def _add_into(terms: dict, pairs) -> dict:
+    """Add each (occupation, coefficient) of ``pairs`` into ``terms``, dropping
+    a sum that cancels, and return ``terms``."""
+    get = terms.get
+    for occ, coeff in pairs:
+        prev = get(occ)
+        if prev is None:
+            terms[occ] = coeff
+        elif (coeff := prev + coeff).nums:
+            terms[occ] = coeff
+        else:
+            del terms[occ]
+    return terms
+
+
 def vacuum(m: int, dual: bool = False) -> StateVector:
     return StateVector(m, {(0,) * (m + 1): MultiPoly.const(1)}, dual)
 
@@ -91,18 +102,3 @@ def pair(bra: StateVector, ket: StateVector) -> MultiPoly:
         raise ValueError("site-bound mismatch")
     small, large = (bra.terms, ket.terms) if len(bra.terms) < len(ket.terms) else (ket.terms, bra.terms)
     return poly_sum(coeff * large[occ] for occ, coeff in small.items() if occ in large)
-
-
-def all_occupations(total: int, m: int) -> list:
-    """All (n_0..n_M) with the given total, lexicographically."""
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == m:
-            out.append(tuple(prefix) + (remaining,))
-            return
-        for c in range(remaining + 1):
-            rec(prefix + [c], remaining - c)
-
-    rec([], total)
-    return out

@@ -32,8 +32,9 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from ..algebra import MultiPoly, as_poly
+from ..combinatorics.partitions import partition_to_occupation, partitions_in_box
 from ..errors import PoleViolation, RangeViolation
-from .fock import StateVector, all_occupations
+from .fock import StateVector, _add_into
 
 Spectral = Union[MultiPoly, Fraction, int]
 
@@ -68,21 +69,6 @@ def apply_local_L(j: int, entry: str, u: Spectral, sv: StateVector) -> StateVect
     delta = 1 if creating else -1
     return sv.copy_with({_shift_site(occ, j, delta): coeff
                          for occ, coeff in sv.terms.items() if creating or occ[j]})
-
-
-def _add_into(terms: dict, pairs) -> dict:
-    """Add each (occupation, coefficient) of ``pairs`` into ``terms``, dropping
-    a sum that cancels, and return ``terms``."""
-    get = terms.get
-    for occ, coeff in pairs:
-        prev = get(occ)
-        if prev is None:
-            terms[occ] = coeff
-        elif (coeff := prev + coeff).nums:
-            terms[occ] = coeff
-        else:
-            del terms[occ]
-    return terms
 
 
 def _transfer(start: int, u: MultiPoly, terms: dict, m: int, dual: bool) -> tuple:
@@ -186,7 +172,8 @@ def verify_rtt(u: Fraction, v: Fraction, m: int, n_cap: int) -> bool:
     """
     rm = [[as_poly(r) for r in row] for row in r_matrix(u, v)]
     u, v = as_poly(u), as_poly(v)
-    basis = [occ for t in range(n_cap + 1) for occ in all_occupations(t, m)]
+    basis = [partition_to_occupation(lam, t, m).counts
+             for t in range(n_cap + 1) for lam in partitions_in_box(t, m)]
     aux = [(0, 0), (0, 1), (1, 0), (1, 1)]
     for occ in basis:
         ket = {occ: MultiPoly.const(1)}

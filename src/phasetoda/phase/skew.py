@@ -19,6 +19,7 @@ from typing import Sequence
 
 from ..algebra import MultiPoly
 from ..combinatorics.partitions import SkewShape, column, hook
+from ..combinatorics.weights import psi1_support, psi2_support
 from ..errors import RangeViolation
 from ..symfunc import pair_sum
 from .fock import StateVector, pair
@@ -72,8 +73,6 @@ def correlator_one_hole(
     if method == "pairing":
         return pair(skew_conj_state(k, vs[1:], m), build_state(us, m))
     if method == "schur_sum":
-        from ..combinatorics.weights import psi1_support
-
         pairs = ((lam, SkewShape(lam, hook(k))) for lam in psi1_support(k, n, m))
         total = pair_sum(pairs, [u * u for u in us], [v ** (-2) for v in vs[1:]])
         return boundary_monomial(vs[1:], us, m) * total
@@ -91,8 +90,6 @@ def correlator_seeded(
     if method == "pairing":
         return pair(build_conj_state(vs, m), skew_state(k, us[: n - k], m))
     if method == "schur_sum":
-        from ..combinatorics.weights import psi2_support
-
         pairs = ((SkewShape(lam, column(k)), lam) for lam in psi2_support(k, n, m))
         total = pair_sum(pairs, [u * u for u in us[: n - k]], [v ** (-2) for v in vs])
         return boundary_monomial(vs, us[: n - k], m) * total
@@ -116,14 +113,13 @@ def boundary_correlator(
     v_values: Sequence,
     k: int = 0,
     rs: Sequence[int] = (),
-    method: str = "pairing",
 ) -> MultiPoly:
     """Dispatch over the three correlator families ('one_hole', 'seeded',
-    'n_point')."""
+    'n_point'), each by pairing."""
     if kind == "one_hole":
-        return correlator_one_hole(k, n, m, u_values, v_values, method)
+        return correlator_one_hole(k, n, m, u_values, v_values)
     if kind == "seeded":
-        return correlator_seeded(k, n, m, u_values, v_values, method)
+        return correlator_seeded(k, n, m, u_values, v_values)
     if kind == "n_point":
         return correlator_npoint(rs, n, m, u_values, v_values)
     raise ValueError(f"unknown correlator kind {kind!r}")

@@ -29,19 +29,17 @@ def build_report(command: str, parameters: dict, items: Sequence[dict], seed: in
     }
 
 
-def serialize_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
+def serialize_report(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
 
 
-def emit_report(report: dict, output: str | None, wall_seconds: float) -> None:
-    text = serialize_report(report)
+def emit(payload: dict, output: str | None, summary: str) -> None:
+    """Write ``payload`` to the file ``output``, or to stdout when there is
+    none, and the one-line ``summary`` to stderr."""
+    text = serialize_report(payload)
     if output:
         with open(output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    print(
-        f"{report['command']}: {report['passed']} passed, {report['failed']} failed "
-        f"[{wall_seconds:.2f}s]",
-        file=sys.stderr,
-    )
+    print(summary, file=sys.stderr)

@@ -54,6 +54,7 @@ from .combinatorics import (
 )
 from .errors import ConfigError, DegenerateDenominator
 from .phase import (
+    METHODS,
     boundary_monomial,
     build_conj_state,
     build_state,
@@ -90,9 +91,13 @@ def _item(identity: str, parameters: dict, ok: bool, witness: str | None = None)
     return out
 
 
-def _clip(text: str, width: int = 160) -> str:
+# the most characters of a polynomial's text that a witness quotes
+_CLIP = 160
+
+
+def _clip(text: str) -> str:
     """Canonical text cut to a witness-sized prefix."""
-    return text if len(text) <= width else text[:width] + f"... ({len(text)} chars)"
+    return text if len(text) <= _CLIP else text[:_CLIP] + f"... ({len(text)} chars)"
 
 
 def _names(prefix: str, count: int) -> list:
@@ -243,20 +248,22 @@ def _triple_agreement(seed: int) -> Iterator[dict]:
 # -- phase model -------------------------------------------------------------
 
 
+def _three_routes(n: int, m: int, us, vs) -> str | None:
+    """Witness ``pairing=.. schur=.. det=..`` when the scalar product's three
+    routes (``phase.METHODS``) disagree at (us, vs), else None."""
+    a, b, c = (scalar_product(n, m, us, vs, method) for method in METHODS)
+    if a == b == c:
+        return None
+    return f"pairing={_clip(a.to_str())} schur={_clip(b.to_str())} det={_clip(c.to_str())}"
+
+
 def _scalar_equivalence(seed: int) -> Iterator[dict]:
     rng = random.Random(seed)
 
     for n in range(0, BOUNDS["scalar_symbolic_n"] + 1):
         for m in range(0, BOUNDS["scalar_symbolic_m"] + 1):
-            un, vn = _names("u", n), _names("v", n)
-            a = scalar_product(n, m, un, vn, "fock_pairing")
-            b = scalar_product(n, m, un, vn, "schur_sum")
-            c = scalar_product(n, m, un, vn, "determinant")
-            ok = a == b == c
-            witness = None if ok else (
-                f"pairing={_clip(a.to_str())} schur={_clip(b.to_str())} det={_clip(c.to_str())}"
-            )
-            yield _item("scalar-three-way-symbolic", {"N": n, "M": m}, ok, witness)
+            witness = _three_routes(n, m, _names("u", n), _names("v", n))
+            yield _item("scalar-three-way-symbolic", {"N": n, "M": m}, witness is None, witness)
 
     for n in BOUNDS["scalar_numeric_n"]:
         for m in range(0, BOUNDS["scalar_numeric_m"] + 1):
@@ -264,15 +271,9 @@ def _scalar_equivalence(seed: int) -> Iterator[dict]:
             for _ in range(BOUNDS["scalar_numeric_points"]):
                 vals = _distinct_rationals(rng, 2 * n)
                 us, vs = vals[:n], vals[n:]
-                a = scalar_product(n, m, us, vs, "fock_pairing")
-                b = scalar_product(n, m, us, vs, "schur_sum")
-                c = scalar_product(n, m, us, vs, "determinant")
-                if not (a == b == c) and witness is None:
-                    witness = (
-                        f"u={','.join(map(str, us))} v={','.join(map(str, vs))}: "
-                        f"pairing={_clip(a.to_str())} schur={_clip(b.to_str())} "
-                        f"det={_clip(c.to_str())}"
-                    )
+                routes = _three_routes(n, m, us, vs)
+                if routes and witness is None:
+                    witness = f"u={','.join(map(str, us))} v={','.join(map(str, vs))}: {routes}"
             yield _item("scalar-three-way-numeric", {"N": n, "M": m}, witness is None, witness)
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 from .combinatorics import PlanePartitionBox
 
 _SQ3 = 0.8660254037844386
+# pixels of width per column of the box, on top of a fixed 160
+_SCALE = 24
 
 
 def _iso(x: float, y: float, z: float) -> tuple:
@@ -22,7 +24,7 @@ def _face(points, fill) -> str:
     return f'<polygon points="{coords}" fill="{fill}" stroke="black" stroke-width="0.03"/>'
 
 
-def pp_to_svg(pp: PlanePartitionBox, scale: float = 24.0) -> str:
+def pp_to_svg(pp: PlanePartitionBox) -> str:
     n, m = pp.n, pp.m
     faces = []
     heights = [[pp.array[i][j] for j in range(n)] for i in range(n)]
@@ -80,6 +82,6 @@ def pp_to_svg(pp: PlanePartitionBox, scale: float = 24.0) -> str:
     body = "\n".join([floor] + faces)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{-span} {-m-2} {2*span} {span}" '
-        f'width="{scale * n + 160:.0f}">\n'
+        f'width="{_SCALE * n + 160}">\n'
         f'<g transform="scale(1,1)">\n{body}\n</g>\n</svg>\n'
     )

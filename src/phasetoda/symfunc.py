@@ -165,23 +165,13 @@ def schur(shape, gens: Sequence[MultiPoly], method: str = "jacobi_trudi") -> Mul
     raise ValueError(f"unknown method {method!r}")
 
 
-def char_poly(
-    lam: Partition,
-    times: Sequence[MultiPoly],
-    rows: int,
-    inner: Partition | None = None,
-) -> MultiPoly:
-    """Character polynomial det[zeta_{lam_i - mu_j + j - i}] of size ``rows``:
-    the Jacobi-Trudi determinant of lam/mu over the one-row characters, since
-    the rows past the length of lam add a unitriangular block."""
+def char_poly(lam: Partition, times: Sequence[MultiPoly], rows: int) -> MultiPoly:
+    """Character polynomial det[zeta_{lam_i + j - i}] of size ``rows``: the
+    Jacobi-Trudi determinant of lam over the one-row characters, since the
+    rows past the length of lam add a unitriangular block."""
     if len(lam.parts) > rows:
         raise ShapeViolation(f"{lam} needs more than {rows} rows")
-    if inner is None:
-        inner = Partition(())
-    if len(inner.parts) > rows:
-        raise ShapeViolation(f"inner {inner} needs more than {rows} rows")
-    skew = SkewShape(lam, inner)
-    return jacobi_trudi(skew, zeta_all(_reach(skew), times))
+    return jacobi_trudi(lam, zeta_all(_reach(_skew(lam)), times))
 
 
 def negate_times(times: Sequence[MultiPoly]) -> list:

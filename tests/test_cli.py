@@ -49,6 +49,63 @@ def test_enumerate_pp_contains_running_example(tmp_path):
     assert [[3, 1, 1], [3, 1, 1], [2, 1, 1]] in [it["array"] for it in payload["items"]]
 
 
+def test_enumerate_pp_stdout_bytes(capsys):
+    # the one JSON writer: sorted keys, two-space indent, a final newline
+    assert main(["enumerate", "pp", "--N", "1", "--M", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ENUMERATE_PP_1_1
+    assert captured.err.startswith("enumerate pp: 2 objects [")
+
+
+ENUMERATE_PP_1_1 = """{
+  "command": "enumerate pp",
+  "count": 2,
+  "items": [
+    {
+      "array": [
+        [
+          1
+        ]
+      ]
+    },
+    {
+      "array": [
+        [
+          0
+        ]
+      ]
+    }
+  ],
+  "parameters": {
+    "M": 1,
+    "N": 1,
+    "command": "enumerate",
+    "convention": "ascending",
+    "entries": 1,
+    "object": "pp",
+    "seed": 0,
+    "shape": ""
+  },
+  "schema": "1"
+}
+"""
+
+
+@pytest.mark.parametrize("skewed", ["fock_pairing", "schur_sum", "determinant"])
+def test_compute_scalar_fails_when_one_route_disagrees(skewed, monkeypatch, tmp_path):
+    real = cli.scalar_product
+
+    def route(n, m, us, vs, method):
+        value = real(n, m, us, vs, method)
+        return value + 1 if method == skewed else value
+
+    monkeypatch.setattr(cli, "scalar_product", route)
+    code, out = run_cli(["compute", "scalar", "--N", "1", "--M", "1"], tmp_path)
+    item = json.loads(out.read_text())["items"][0]
+    assert code == 1 and item["pass"] is False
+    assert item["value"] == route(1, 1, ["u1"], ["v1"], "fock_pairing").to_str()
+
+
 def test_enumerate_partitions_count(tmp_path):
     code, out = run_cli(["enumerate", "partitions", "--N", "2", "--M", "1"], tmp_path)
     payload = json.loads(out.read_text())

@@ -1,5 +1,6 @@
 """Local operators, monodromy corners, state vectors, intertwining."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,26 @@ def test_rtt_examples():
         verify_rtt(Fraction(1), Fraction(1), 1, 1)
     with pytest.raises(PoleViolation):
         verify_rtt(Fraction(-2), Fraction(2), 1, 1)
+
+
+def test_rtt_basis_is_every_occupation_up_to_the_cap(monkeypatch):
+    # the kets verify_rtt starts from, read off its partition-to-occupation
+    # calls, against a brute-force enumeration of occupation tuples; sorted,
+    # so that a repeated ket would show too
+    real = monodromy.partition_to_occupation
+    for m in range(4):
+        for cap in range(4):
+            seen = []
+
+            def spy(lam, total, site_bound):
+                occ = real(lam, total, site_bound)
+                seen.append(occ.counts)
+                return occ
+
+            monkeypatch.setattr(monodromy, "partition_to_occupation", spy)
+            assert verify_rtt(Fraction(3), Fraction(2), m, cap)
+            want = [occ for occ in itertools.product(range(cap + 1), repeat=m + 1) if sum(occ) <= cap]
+            assert sorted(seen) == want, (m, cap)
 
 
 def test_rtt_seeded_pairs():
