@@ -42,9 +42,9 @@ ENUMERATE_CAP = 250_000
 
 # The largest M that `compute scalar` (all three routes) runs at N = 0..4, a
 # larger N is refused: each row stands where a run takes about 10 s on 2 CPUs
-# (README), most of it in the determinant route's annihilation Vandermonde
-# divisions.
-SCALAR_MAX_M = (700, 700, 30, 6, 2)
+# (README), shared by the three routes (pairing / Schur / determinant 3.5 /
+# 3.5 / 2.2 s at N = 2, M = 67; 1.4 / 2.8 / 4.3 s at N = 3, M = 12).
+SCALAR_MAX_M = (700, 700, 67, 12, 5)
 
 # The largest M that `compute state` (either side) runs at N = 0..18, a
 # larger N is refused: from N = 1 each row stands where a run takes about

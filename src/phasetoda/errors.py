@@ -33,10 +33,6 @@ class PoleViolation(PhaseTodaError):
     """Spectral parameters hit a pole of the R-matrix (u^2 == v^2)."""
 
 
-class DegenerateVandermonde(PhaseTodaError):
-    """Coincident symbols/values make a Vandermonde prefactor vanish."""
-
-
 class DegenerateDenominator(PhaseTodaError):
     """A tau-function denominator vanishes at the evaluation point."""
 

@@ -1,11 +1,12 @@
 """Single-determinant forms for boundary correlators, plus their recursions.
 
 Every form is ``scalar._divided_difference_det``, the scalar product's
-determinant with some rows or columns changed (checked against the pairing
-oracle exhaustively for N, M <= 3):
+determinant with some rows or columns changed, and none divides (checked
+against the pairing oracle exhaustively on names for N, M <= 3, and at
+rational points whose squares may coincide):
 
-  * one-hole form: a degree-q row on top of the rows of the surviving
-    annihilation variables v_2..v_N;
+  * one-hole form: a degree-q row on top of the divided-difference rows of
+    the surviving annihilation variables v_2..v_N;
   * n-point form: the divided-difference columns over u_1..u_{N-n}, then
     one column of degree M - r_i + i - 1 per seed index.
 """

@@ -4,9 +4,9 @@ fock_pairing builds both state vectors by monodromy corners and contracts
 them; schur_sum is the boundary monomial (prod v / prod u)^M times the
 diagonal pair sum of S_lam(u^2) S_lam(v^-2) over the (M^N) box, the one
 pair sum of ``symfunc`` that the correlators use too; determinant is the
-single determinant of divided-difference columns that the boundary
-correlators of ``determinants`` share, with the annihilation Vandermonde
-divided out exactly.  All three agree as Laurent polynomials.
+single determinant of divided-difference entries that the boundary
+correlators of ``determinants`` share, which divides by nothing.  All three
+agree as Laurent polynomials.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import Sequence
 
 from ..algebra import MultiPoly, RingMatrix, as_poly, det_exact
 from ..combinatorics.partitions import partitions_in_box
-from ..errors import DegenerateVandermonde
 from ..symfunc import hk, pair_sum
 from .fock import pair
 from .monodromy import build_conj_state, build_state
@@ -70,39 +69,33 @@ def boundary_monomial(top: Sequence, bottom: Sequence, m: int) -> MultiPoly:
     return (out * below.monomial_inverse()) ** m
 
 
-def vandermonde_divide(poly: MultiPoly, squares: Sequence[MultiPoly]) -> MultiPoly:
-    """Divide by prod_{j<k} (s_j - s_k)."""
-    out = poly
-    for j in range(len(squares)):
-        for k in range(j + 1, len(squares)):
-            diff = squares[j] - squares[k]
-            if diff.is_zero():
-                raise DegenerateVandermonde("coincident squared values")
-            out = out.divide_exact(diff)
-    return out
-
-
 def _divided_difference_det(
     m: int, us: Sequence[MultiPoly], vs: Sequence[MultiPoly], hole: int | None = None,
     seeds: Sequence[int] = (),
 ) -> MultiPoly:
     """The single determinant of the scalar product and the correlators.
 
-    With N = len(us) + len(seeds) columns, the row of each v_j reads
-    h_{M+N-1-k}(u_1^2..u_{k+1}^2, v_j^2) for k < len(us), then
-    h_d(u_1^2..u_{len(us)}^2, v_j^2) for each seed degree d; a hole row q
-    on top reads h_{q-k}(u_1^2..u_{k+1}^2, {v^2}).  Column k is the divided
-    difference over x = u_1^2..u_{k+1}^2 of the two-letter column
-    h_{M+N-1}(x, v_j^2) (Macdonald, ch. I), so the creation Vandermonde is
-    absorbed and no creation squares need differ; only the annihilation
-    Vandermonde divides.  The result carries boundary_monomial((), us + vs, M).
+    With N = len(us) + len(seeds) columns, row j (0-based) of the
+    annihilation letters reads h_{M+N-1-k-j}(u_1^2..u_{k+1}^2, v_1^2..v_{j+1}^2)
+    for k < len(us), then h_{d-j}(u_1^2..u_{len(us)}^2, v_1^2..v_{j+1}^2) for
+    each seed degree d; a hole row q on top reads
+    h_{q-k}(u_1^2..u_{k+1}^2, {v^2}).  Column k is the divided difference
+    over u_1^2..u_{k+1}^2 and row j the one over v_1^2..v_{j+1}^2 of the
+    two-letter form h_{M+N-1}(u_{k+1}^2, v_{j+1}^2) (Macdonald, ch. I: the
+    divided difference of h_r(X, y) over y_1..y_i is h_{r-i+1}(X, y_1..y_i)),
+    so both Vandermondes are absorbed and nothing divides: no two squares
+    need differ.  The row operations take out prod_{i<l} (v_l^2 - v_i^2), the
+    reverse of the form's prod_{i<l} (v_i^2 - v_l^2), hence the sign
+    (-1)^{n(n-1)/2} with n = len(vs).  The result carries
+    boundary_monomial((), us + vs, M).
     """
     u2 = [u * u for u in us]
     v2 = [v * v for v in vs]
     degree = m + len(us) + len(seeds) - 1
     rows = [] if hole is None else [[hk(hole - k, u2[: k + 1] + v2) for k in range(len(us))]]
-    for v in v2:
-        rows.append([hk(degree - k, u2[: k + 1] + [v]) for k in range(len(us))]
-                    + [hk(d, u2 + [v]) for d in seeds])
+    for j in range(len(v2)):
+        ys = v2[: j + 1]
+        rows.append([hk(degree - k - j, u2[: k + 1] + ys) for k in range(len(us))]
+                    + [hk(d - j, u2 + ys) for d in seeds])
     det = det_exact(RingMatrix.from_rows(rows))
-    return boundary_monomial((), [*us, *vs], m) * vandermonde_divide(det, v2)
+    return (-1) ** (len(vs) * (len(vs) - 1) // 2) * boundary_monomial((), [*us, *vs], m) * det

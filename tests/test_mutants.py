@@ -70,14 +70,18 @@ def edited(owner, name, old, new):
     return namespace[name]
 
 
-# the annihilation Vandermonde divided in descending order: every
-# determinant with two rows of annihilation letters changes sign
-vandermonde_orientation_flipped = edited(
-    scalar, "vandermonde_divide", "squares[j] - squares[k]", "squares[k] - squares[j]"
+# the determinant without the sign (-1)^{n(n-1)/2} of its reversed row
+# Vandermonde: every form with two or three annihilation rows changes sign
+row_sign_parity_dropped = edited(
+    scalar, "_divided_difference_det", "(-1) ** (len(vs) * (len(vs) - 1) // 2) * ", ""
 )
 # the divided-difference column over u_1^2..u_{k+1}^2 without u_{k+1}^2
 divided_difference_column_drops_letter = edited(
-    scalar, "_divided_difference_det", "u2[: k + 1] + [v]", "u2[:k] + [v]"
+    scalar, "_divided_difference_det", "u2[: k + 1] + ys", "u2[:k] + ys"
+)
+# the divided-difference row over v_1^2..v_{j+1}^2 keeping v_{j+1}^2 alone
+divided_difference_row_drops_letter = edited(
+    scalar, "_divided_difference_det", "v2[: j + 1]", "v2[j : j + 1]"
 )
 # the n-point seed columns one degree high: M - r_i + i for M - r_i + i - 1
 npoint_det_shape_off_by_one = edited(
@@ -171,7 +175,7 @@ RIGHT = {
     "h_row": symfunc.h_row, "jacobi_trudi": symfunc.jacobi_trudi, "shift_exp": toda.shift_exp,
     "macmahon_count": planepartitions.macmahon_count, "_row_chains": planepartitions._row_chains,
     "tableau_to_pp_half": planepartitions.tableau_to_pp_half,
-    "vandermonde_divide": scalar.vandermonde_divide, "npoint_det": determinants.npoint_det,
+    "npoint_det": determinants.npoint_det,
     "_divided_difference_det": scalar._divided_difference_det,
     "boundary_monomial": scalar.boundary_monomial, "poly_sum": multipoly.poly_sum,
     "bilinear_check": toda.bilinear_check, "zeta_diff_apply": symfunc.zeta_diff_apply,
@@ -271,11 +275,14 @@ FAULTS = {
          ("triple-agreement",)),
     # the failing determinant forms name their first q and both sides; the
     # hole rows hold two annihilation letters from N = 3
-    "vandermonde-orientation":
-        (with_bound("correspondence_n", 3, plant_everywhere("vandermonde_divide", vandermonde_orientation_flipped)),
+    "row-sign-parity-dropped":
+        (with_bound("correspondence_n", 3, plant_everywhere("_divided_difference_det", row_sign_parity_dropped)),
          ("scalar-equivalence", "single-determinant")),
     "divided-difference-column-drops-letter":
         (plant_everywhere("_divided_difference_det", divided_difference_column_drops_letter),
+         ("scalar-equivalence", "single-determinant")),
+    "divided-difference-row-drops-letter":
+        (plant_everywhere("_divided_difference_det", divided_difference_row_drops_letter),
          ("scalar-equivalence", "single-determinant")),
     # the failing power sum names its first k and both sides
     "power-sum-drops-last-letter": (plant_on(restrict, "pk", pk_without_last_letter), ("power-sums",)),
@@ -330,7 +337,7 @@ def test_fault_fails_family_with_witness(small_bounds, monkeypatch, fault, famil
     if family == "single-determinant":
         marks = {"hole-determinant-form": "q=", "npoint-determinant-form": "rs="}
         assert all(it["witness"].startswith(marks.get(it["identity"], "")) for it in caught)
-        if fault == "vandermonde-orientation":
+        if fault == "row-sign-parity-dropped":
             assert any(it["identity"] == "hole-determinant-form" for it in caught)
     if fault == "bra-swept-in-ket-order":
         assert all(it["witness"].startswith("bra lambda=") for it in caught)
