@@ -14,7 +14,12 @@ which is equivalent to the plane-partition inequalities.
 
 Non-crossing puts each path's turn row componentwise below the row of the
 path before it, so the configurations are enumerated as chains of weakly
-increasing rows by the plane partitions' ``_row_chains``.
+increasing rows by the plane partitions' ``_row_chains``.  A path's run
+rows, read backwards, are a plane-partition row, and non-crossing is the
+plane partitions' dominance, so both invariants share their predicates
+with ``planepartitions``: the constructor tests every configuration it is
+given, while the enumerator tests each of its C(N+M, N) rows once before
+chaining them and builds what it yields unchecked.
 
 Each vertex line carries one spectral variable.  At a vertex the pair
 (vertical edge below occupied?, above occupied?) selects one of four
@@ -26,13 +31,24 @@ lines x = -(N+1-l) carry the l-th annihilation variable.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from ..errors import ShapeViolation
 from .partitions import OccupationSequence, Partition, occupation_to_partition
-from .planepartitions import PlanePartitionBox, _row_chains
+from .planepartitions import PlanePartitionBox, _dominates, _is_row, _row_chains, _trusted
+
+# the vertex letter of (vertical edge below occupied?, edge above occupied?)
+_LETTERS = {(False, False): "d", (True, True): "a", (False, True): "b", (True, False): "c"}
+
+
+def _check_runs(rows, m: int) -> None:
+    """Raise on the first row of runs that leaves [0, m] or falls."""
+    for row in rows:
+        if not _is_row(row[::-1], m):
+            if 0 <= min(row) and max(row) <= m:
+                raise ShapeViolation("run rows must weakly increase")
+            raise ShapeViolation("run row outside [0, M]")
 
 
 @dataclass(frozen=True)
@@ -45,12 +61,8 @@ class LatticePathConfig:
         t = self.turns
         if [*map(len, t)] != [self.n] * self.n:
             raise ShapeViolation("need N paths with N runs each")
-        for row in t:
-            if not (0 <= min(row) and max(row) <= self.m):
-                raise ShapeViolation("run row outside [0, M]")
-            if not all(map(operator.le, row, row[1:])):
-                raise ShapeViolation("run rows must weakly increase")
-        if not all(all(map(operator.ge, upper, lower)) for upper, lower in zip(t, t[1:])):
+        _check_runs(t, self.m)
+        if not all(map(_dominates, t, t[1:])):
             raise ShapeViolation("paths cross")
 
     def diagonal(self) -> Partition:
@@ -83,13 +95,7 @@ class LatticePathConfig:
     def letters(self, x: int) -> list:
         """Vertex letters on line x, rows 0..M."""
         edges = self.climb_edges(x)
-        out = []
-        for r in range(self.m + 1):
-            below = r in edges
-            above = (r + 1) in edges
-            out.append({(False, False): "d", (True, True): "a",
-                        (False, True): "b", (True, False): "c"}[(below, above)])
-        return out
+        return [_LETTERS[r in edges, r + 1 in edges] for r in range(self.m + 1)]
 
     def exponent(self, x: int) -> int:
         """#d - #a on line x (the weight exponent of that line's variable)."""
@@ -136,5 +142,6 @@ def enumerate_path_configs(
 
     # weakly increasing turn rows, lexicographically descending
     rows = list(itertools.combinations_with_replacement(range(m + 1), n))[::-1]
+    _check_runs(rows, m)
     for chain in _row_chains(rows, n, keep):
-        yield LatticePathConfig(n, m, chain)
+        yield _trusted(LatticePathConfig, n=n, m=m, turns=chain)

@@ -13,6 +13,16 @@ upper half, ascending with letter N+1-k for the lower).
 A box is a chain of N rows (Stanley, EC2 7.20), each one of the C(N+M, N)
 weakly decreasing N-tuples over [0, M] and componentwise >= the next; it is
 enumerated by ``_row_chains``, N rows deep, as are the lattice paths.
+
+Each invariant has one predicate: ``_is_row`` (a row falls inside [0, M]),
+``_dominates`` (a row is >= the next entry by entry: a box's columns, the
+paths' non-crossing) and ``_interlaces`` (a half's diagonals).  The public
+constructors run them on every object they are given.  The enumerators run
+them once where they make a part: each of the C(N+M, N) rows before any
+chain is grown (the ``below`` table of ``_row_chains`` is then the only
+dominance test) and each diagonal of a half at the node of the search tree
+that makes it.  What an enumerator yields is built by ``_trusted``, which
+skips the constructor's checks.
 """
 
 from __future__ import annotations
@@ -27,6 +37,47 @@ from .partitions import Partition, SkewShape
 from .tableaux import Tableau
 
 
+def _is_row(row: tuple, m: int) -> bool:
+    """Whether row weakly decreases with its entries in [0, m]."""
+    return all(map(operator.ge, row, row[1:])) and (not row or (0 <= row[-1] and row[0] <= m))
+
+
+def _dominates(row: tuple, below: tuple) -> bool:
+    """Whether row is >= below entry by entry."""
+    return all(map(operator.ge, row, below))
+
+
+def _interlaces(prev: tuple, cur: tuple) -> bool:
+    """Whether cur[i] lies in [prev[i + 1], prev[i]] for every i."""
+    return all(map(operator.le, cur, prev)) and all(map(operator.ge, cur, prev[1:]))
+
+
+def _check_rows(rows, belows, m: int) -> None:
+    """Raise unless each row falls inside [0, m] and dominates its row of
+    ``belows``; the first faulty cell of the first faulty row, tried for
+    range, then against the cell after it, then the cell below it, names
+    the fault."""
+    for row, below in zip(rows, belows):
+        if _is_row(row, m) and _dominates(row, below):
+            continue
+        for j, v in enumerate(row):
+            if not (0 <= v <= m):
+                raise ShapeViolation(f"entry {v} outside [0, {m}]")
+            if j + 1 < len(row) and v < row[j + 1]:
+                raise ShapeViolation("rows must weakly decrease")
+            if v < below[j]:
+                raise ShapeViolation("columns must weakly decrease")
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, its
+    checks skipped: for the objects whose invariants an enumerator has
+    tested as it made them.  It is equal and hash-equal to ``cls(**fields)``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _diagonals(array, n: int) -> tuple:
     """The diagonals on and above the main one: array[i][i + k], k = 0..n-1."""
     return tuple(tuple(array[i][i + k] for i in range(n - k)) for k in range(n))
@@ -39,22 +90,11 @@ class PlanePartitionBox:
     array: tuple  # N rows of N entries
 
     def __post_init__(self):
-        a, m = self.array, self.m
+        a = self.array
         if [*map(len, a)] != [self.n] * self.n:
             raise ShapeViolation("array is not N x N")
-        # a row that decreases, is >= the next entry by entry and has its
-        # ends in [0, M] is sound; else its first faulty cell names the fault
-        for row, below in zip(a, a[1:] + a[-1:]):
-            if (all(map(operator.ge, row, row[1:])) and all(map(operator.ge, row, below))
-                    and 0 <= row[-1] and row[0] <= m):
-                continue
-            for j, v in enumerate(row):
-                if not (0 <= v <= m):
-                    raise ShapeViolation(f"entry {v} outside [0, {m}]")
-                if j + 1 < self.n and v < row[j + 1]:
-                    raise ShapeViolation("rows must weakly decrease")
-                if v < below[j]:
-                    raise ShapeViolation("columns must weakly decrease")
+        # the last row, with no row below it, is held against itself
+        _check_rows(a, a[1:] + a[-1:], self.m)
 
     def diagonal(self) -> Partition:
         return Partition(tuple(self.array[i][i] for i in range(self.n)))
@@ -90,23 +130,18 @@ class HalfPlanePartition:
         if d and not (0 <= min(map(min, d)) and max(map(max, d)) <= self.m):
             raise ShapeViolation("entry outside box")
         # interlacing is row and column monotonicity on either side
-        for prev, cur in zip(d, d[1:]):
-            if not (all(map(operator.le, cur, prev)) and all(map(operator.ge, cur, prev[1:]))):
-                raise ShapeViolation("diagonals must interlace")
+        if not all(map(_interlaces, d, d[1:])):
+            raise ShapeViolation("diagonals must interlace")
 
     def entry(self, i: int, j: int) -> int:
         return self.diagonals[abs(j - i)][min(i, j) - 1]
 
     def diagonal(self) -> Partition:
-        return self.diagonal_partition(0)
+        return Partition(self.diagonals[0] if self.n else ())
 
     def diagonal_sums(self) -> list:
         """Sums over the k-th diagonal of this half, k = 0..N-1."""
         return [sum(d) for d in self.diagonals]
-
-    def diagonal_partition(self, k: int) -> Partition:
-        """The k-th off-diagonal of the half, as a partition (empty for k >= N)."""
-        return Partition(self.diagonals[k] if k < self.n else ())
 
 
 def macmahon_count(n: int, m: int) -> int:
@@ -137,7 +172,7 @@ def _row_chains(rows: list, depth: int, keep=None) -> Iterator[tuple]:
             return
         for row in candidates:
             if row not in below:
-                below[row] = [b for b in rows if all(map(operator.ge, row, b))]
+                below[row] = [b for b in rows if _dominates(row, b)]
             yield from grow(chain + (row,), below[row])
 
     if depth == 0:
@@ -151,25 +186,30 @@ def enumerate_plane_partitions(n: int, m: int) -> Iterator[PlanePartitionBox]:
     their upper bound; restartable generator."""
     if n < 0 or m < 0:
         raise ShapeViolation("box dimensions must be non-negative")
-    # weakly decreasing rows, lexicographically descending
+    # weakly decreasing rows, lexicographically descending, each its own
+    # row below: the chains test dominance
     rows = list(itertools.combinations_with_replacement(range(m, -1, -1), n))
+    _check_rows(rows, rows, m)
     for chain in _row_chains(rows, n):
-        yield PlanePartitionBox(n, m, chain)
+        yield _trusted(PlanePartitionBox, n=n, m=m, array=chain)
 
 
 def _enumerate_half(lam: Partition, n: int, m: int, side: str) -> Iterator[HalfPlanePartition]:
     """Halves with main diagonal lam: each diagonal ranges over the entries
-    that interlace the one before it, largest entries first."""
+    that interlace the one before it, largest entries first, and is tested
+    against it where it is made."""
     if not lam.fits_in_box(n, m):
         raise ShapeViolation(f"{lam} outside ({m})^{n}")
 
     def grow(diagonals):
         if len(diagonals) >= n:
-            yield HalfPlanePartition(n, m, side, diagonals[:n])
+            yield _trusted(HalfPlanePartition, n=n, m=m, side=side, diagonals=diagonals[:n])
             return
         prev = diagonals[-1]
         ranges = [range(prev[i], prev[i + 1] - 1, -1) for i in range(len(prev) - 1)]
         for cur in itertools.product(*ranges):
+            if not _interlaces(prev, cur):
+                raise ShapeViolation("diagonals must interlace")
             yield from grow(diagonals + (cur,))
 
     yield from grow((lam.padded(n),))
@@ -224,8 +264,11 @@ def pp_half_to_tableau(half: HalfPlanePartition) -> Tableau:
     """
     n = half.n
     lam = half.diagonal()
-    # each diagonal lies inside the one before it, so none is longer than lam
-    deltas = [half.diagonal_partition(k).padded(lam.length()) for k in range(n + 1)]
+    length = lam.length()
+    # each diagonal lies inside the one before it, so its entries past the
+    # main diagonal's last part are zeros: cut or pad each to that length
+    zeros = (0,) * length
+    deltas = [(d + zeros)[:length] for d in half.diagonals] + [zeros]
     upper = half.side == "upper"
     rows = tuple(
         tuple(
@@ -233,7 +276,7 @@ def pp_half_to_tableau(half: HalfPlanePartition) -> Tableau:
             for k in range(n, 0, -1)
             for _ in range(deltas[k - 1][i] - deltas[k][i])
         )
-        for i in range(lam.length())
+        for i in range(length)
     )
     convention = "descending" if upper else "ascending"
     return Tableau(SkewShape(lam, Partition(())), rows, convention)

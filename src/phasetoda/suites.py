@@ -52,7 +52,7 @@ from .combinatorics import (
     weighted_sum_psi1,
     weighted_sum_psi2,
 )
-from .errors import ConfigError, DegenerateDenominator
+from .errors import ConfigError, DegenerateDenominator, ShapeViolation
 from .phase import (
     METHODS,
     boundary_monomial,
@@ -133,13 +133,8 @@ def _bijections(seed: int) -> Iterator[dict]:
 
     for n in range(0, nmax + 1):
         for m in range(0, mmax + 1):
-            count = sum(1 for _ in enumerate_plane_partitions(n, m))
-            yield _item(
-                "plane-partition-count-macmahon",
-                {"N": n, "M": m},
-                count == macmahon_count(n, m),
-                witness=f"enumerated {count}, formula {macmahon_count(n, m)}",
-            )
+            witness = _count_miss(n, m)
+            yield _item("plane-partition-count-macmahon", {"N": n, "M": m}, witness is None, witness)
 
     for n in range(1, nmax + 1):
         for m in range(0, mmax + 1):
@@ -147,6 +142,17 @@ def _bijections(seed: int) -> Iterator[dict]:
             yield _item("path-pp-round-trip", {"N": n, "M": m}, witness is None, witness)
             witness = _first_half_miss(n, m)
             yield _item("half-tableau-round-trip", {"N": n, "M": m}, witness is None, witness)
+
+
+def _count_miss(n: int, m: int) -> str | None:
+    """Witness when the box's plane partitions are not MacMahon's count, or
+    when their enumerator meets a broken row."""
+    formula = macmahon_count(n, m)
+    try:
+        count = sum(1 for _ in enumerate_plane_partitions(n, m))
+    except ShapeViolation as exc:
+        return f"enumerated none ({type(exc).__name__}: {exc}), formula {formula}"
+    return None if count == formula else f"enumerated {count}, formula {formula}"
 
 
 def _lists(rows) -> list:
@@ -200,11 +206,15 @@ def _two_sided(identity: str, parameters: dict, cases, lhs: str, rhs: str) -> di
 
 def _pictures(identity: str, parameters: dict, cases) -> dict:
     """``_two_sided`` over each (label, weighted sum, closed form) case in
-    every picture, the weighted sum a function of the picture."""
-    return _two_sided(identity, parameters, (
-        (f"{label} picture={pic}", weighted(pic), want)
-        for label, weighted, want in cases for pic in PICTURES
-    ), "weighted sum", "closed form")
+    every picture, the weighted sum a function of the picture.  A sum that
+    meets a broken object fails the item, the violation its witness."""
+    try:
+        return _two_sided(identity, parameters, (
+            (f"{label} picture={pic}", weighted(pic), want)
+            for label, weighted, want in cases for pic in PICTURES
+        ), "weighted sum", "closed form")
+    except ShapeViolation as exc:
+        return _item(identity, parameters, False, f"{type(exc).__name__}: {exc}")
 
 
 def _triple_agreement(seed: int) -> Iterator[dict]:

@@ -168,12 +168,23 @@ macmahon_factor_off_by_one = edited(
 # a row leads only to the rows strictly below it in every entry, so every
 # box of two rows or more loses chains
 row_chains_strictly_below = edited(
-    planepartitions, "_row_chains", "operator.ge", "operator.gt"
+    planepartitions, "_row_chains", "_dominates(row, b)", "all(map(operator.gt, row, b))"
+)
+# the rows of the box range over [0, M + 1]: the once-per-row check of the
+# enumerator refuses the first row that reaches M + 1
+box_rows_reach_past_m = edited(
+    planepartitions, "enumerate_plane_partitions", "range(m, -1, -1)", "range(m + 1, -1, -1)"
+)
+# each entry of a diagonal starts one above its upper bound (the same entry
+# of the diagonal before it): the check where each diagonal is made refuses it
+enumerate_half_starts_above_upper_end = edited(
+    planepartitions, "_enumerate_half", "range(prev[i],", "range(prev[i] + 1,"
 )
 
 RIGHT = {
     "h_row": symfunc.h_row, "jacobi_trudi": symfunc.jacobi_trudi, "shift_exp": toda.shift_exp,
     "macmahon_count": planepartitions.macmahon_count, "_row_chains": planepartitions._row_chains,
+    "enumerate_plane_partitions": planepartitions.enumerate_plane_partitions,
     "tableau_to_pp_half": planepartitions.tableau_to_pp_half,
     "npoint_det": determinants.npoint_det,
     "_divided_difference_det": scalar._divided_difference_det,
@@ -273,6 +284,13 @@ FAULTS = {
     "enumerate-half-drops-lower-end":
         (plant_on(planepartitions, "_enumerate_half", enumerate_half_drops_lower_end),
          ("triple-agreement",)),
+    # the failing counts name the entry out of range
+    "box-rows-reach-past-m":
+        (plant_everywhere("enumerate_plane_partitions", box_rows_reach_past_m), ("bijections",)),
+    # the failing weighted sums name the broken interlacing
+    "enumerate-half-starts-above-upper-end":
+        (plant_on(planepartitions, "_enumerate_half", enumerate_half_starts_above_upper_end),
+         ("triple-agreement",)),
     # the failing determinant forms name their first q and both sides; the
     # hole rows hold two annihilation letters from N = 3
     "row-sign-parity-dropped":
@@ -341,6 +359,14 @@ def test_fault_fails_family_with_witness(small_bounds, monkeypatch, fault, famil
             assert any(it["identity"] == "hole-determinant-form" for it in caught)
     if fault == "bra-swept-in-ket-order":
         assert all(it["witness"].startswith("bra lambda=") for it in caught)
+    # the enumerator's own check refuses the broken row or diagonal, before
+    # any box is counted or any sum is built
+    refusal = {
+        "box-rows-reach-past-m": "(ShapeViolation: entry ",
+        "enumerate-half-starts-above-upper-end": "ShapeViolation: diagonals must interlace",
+    }
+    if fault in refusal:
+        assert all(refusal[fault] in it["witness"] for it in caught)
     for it in items:
         assert it["pass"] or it.get("witness"), it
 

@@ -1,5 +1,6 @@
 """Lattice path configurations and their weight statistics."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -224,3 +225,18 @@ def test_config_check_agrees_with_the_per_entry_check(case):
         with pytest.raises(ShapeViolation) as exc:
             LatticePathConfig(n, m, turns)
         assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("m", range(4))
+@pytest.mark.parametrize("n", range(5))
+def test_enumerated_configs_pass_the_constructor(n, m):
+    """Each configuration the enumerator yields unchecked, unconstrained and
+    under every occupation, equals and hashes as its rebuild by the public
+    constructor, and its fields stay frozen."""
+    constraints = [None] + [OccupationSequence(counts) for counts in occupations(n, m)]
+    for occ in constraints:
+        for cfg in enumerate_path_configs(n, m, occ):
+            rebuilt = LatticePathConfig(cfg.n, cfg.m, cfg.turns)
+            assert cfg == rebuilt and hash(cfg) == hash(rebuilt), cfg.turns
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                cfg.turns = ()

@@ -1,5 +1,7 @@
 """Boxed plane partitions, halves, and the tableau bijections."""
 
+import dataclasses
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -255,3 +257,26 @@ def test_half_with_a_rising_main_diagonal_names_the_interlacing():
         HalfPlanePartition(2, 2, "lower", ((0, 1), (1,)))
     with pytest.raises(ShapeViolation, match="diagonals must interlace"):
         HalfPlanePartition(3, 2, "upper", ((1, 2, 0), (1, 0), (0,)))
+
+
+# -- what the enumerators yield unchecked against the public constructors ------
+
+
+def assert_rebuilds(obj):
+    """obj equals, and hashes as, its rebuild by the public constructor, which
+    checks every invariant; its fields stay frozen."""
+    fields = dataclasses.fields(obj)
+    rebuilt = type(obj)(**{f.name: getattr(obj, f.name) for f in fields})
+    assert obj == rebuilt and hash(obj) == hash(rebuilt), obj
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, fields[-1].name, ())
+
+
+@pytest.mark.parametrize("m", range(4))
+@pytest.mark.parametrize("n", range(5))
+def test_enumerated_boxes_and_halves_pass_the_constructor(n, m):
+    for pp in enumerate_plane_partitions(n, m):
+        assert_rebuilds(pp)
+    for lam in partitions_in_box(n, m):
+        for half in (*upper_diagonal(lam, n, m), *lower_diagonal(lam, n, m)):
+            assert_rebuilds(half)
