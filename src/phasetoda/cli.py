@@ -60,9 +60,9 @@ STATE_MAX_M = (1_000_000, 1500, 90, 24, 12, 7, 5, 4, 3, 2, 2, 2, 1, 1, 1, 1, 1, 
 # 1300 over 10 s).
 CORRELATOR_MAX_M = (1_000_000, 1200, 68, 13, 6, 3, 2, 1, 1, 1, 1)
 
-# The largest size n - m that `compute tau` runs: size 6 over a seeded
-# random matrix takes about 1.5 s on 2 CPUs, size 7 about 65 s (README).
-TAU_MAX_N = 6
+# The largest size n - m that `compute tau` runs: size 7 over a seeded
+# random matrix takes about 4.7 s on 2 CPUs, size 8 over 60 s (README).
+TAU_MAX_N = 7
 
 
 def _count(text: str) -> int:

@@ -77,11 +77,13 @@ from .toda import (
     power_sum_sides,
     prop1_sides,
     restrict_tau,
+    restricted_context,
     schur_pair_sum,
     shifted_tau,
     tau,
     tau_schur_expand,
     wave_k_max,
+    wave_minor,
 )
 
 def _item(identity: str, parameters: dict, ok: bool, witness: str | None = None) -> dict:
@@ -161,29 +163,37 @@ def _lists(rows) -> list:
 
 def _first_path_miss(n: int, m: int) -> str | None:
     """Witness for the first path configuration that does not come back from
-    its plane partition, or whose plane partition has another diagonal."""
-    for cfg in enumerate_path_configs(n, m):
-        pp = path_to_pp(cfg)
-        back = pp_to_path(pp)
-        if back != cfg or pp.diagonal() != cfg.diagonal():
-            return (
-                f"turns={_lists(cfg.turns)} diagonal={cfg.diagonal()} -> pp={_lists(pp.array)} "
-                f"diagonal={pp.diagonal()} -> turns={_lists(back.turns)}"
-            )
+    its plane partition, or whose plane partition has another diagonal, or
+    for the broken row that the enumerator or a bijection refused."""
+    try:
+        for cfg in enumerate_path_configs(n, m):
+            pp = path_to_pp(cfg)
+            back = pp_to_path(pp)
+            if back != cfg or pp.diagonal() != cfg.diagonal():
+                return (
+                    f"turns={_lists(cfg.turns)} diagonal={cfg.diagonal()} -> pp={_lists(pp.array)} "
+                    f"diagonal={pp.diagonal()} -> turns={_lists(back.turns)}"
+                )
+    except ShapeViolation as exc:
+        return f"{type(exc).__name__}: {exc}"
     return None
 
 
 def _first_half_miss(n: int, m: int) -> str | None:
-    """Witness for the first half that does not come back from its tableau."""
-    for lam in partitions_in_box(n, m):
-        for half in itertools.chain(upper_diagonal(lam, n, m), lower_diagonal(lam, n, m)):
-            tab = pp_half_to_tableau(half)
-            back = tableau_to_pp_half(tab, n, m)
-            if back != half:
-                return (
-                    f"{half.side} diagonals={_lists(half.diagonals)} -> {tab.convention} "
-                    f"tableau={_lists(tab.rows)} -> {back.side} diagonals={_lists(back.diagonals)}"
-                )
+    """Witness for the first half that does not come back from its tableau,
+    or for the broken diagonal that the enumerator or a bijection refused."""
+    try:
+        for lam in partitions_in_box(n, m):
+            for half in itertools.chain(upper_diagonal(lam, n, m), lower_diagonal(lam, n, m)):
+                tab = pp_half_to_tableau(half)
+                back = tableau_to_pp_half(tab, n, m)
+                if back != half:
+                    return (
+                        f"{half.side} diagonals={_lists(half.diagonals)} -> {tab.convention} "
+                        f"tableau={_lists(tab.rows)} -> {back.side} diagonals={_lists(back.diagonals)}"
+                    )
+    except ShapeViolation as exc:
+        return f"{type(exc).__name__}: {exc}"
     return None
 
 
@@ -368,6 +378,31 @@ def _tau_expansion(seed: int) -> Iterator[dict]:
         ), "tau", "schur expansion")
 
 
+def _duality_minors(ctx: TauContext) -> dict:
+    """(rows, columns) of every leading minor of ctx, the empty and the full
+    one among them, then of every wave entry's minor, each once, in order."""
+    leading = [(range(ctx.m, s),) * 2 for s in range(ctx.m, ctx.n + 1)]
+    waves = [wave_minor(ctx, s, kind, k) for s in range(ctx.m, ctx.n) for kind in WAVE_KINDS
+             for k in range(wave_k_max(ctx, s, kind) + 1)]
+    return dict.fromkeys((tuple(rows), tuple(cols)) for rows, cols in leading + waves)
+
+
+def _tau_duality(seed: int) -> Iterator[dict]:
+    """The dual route of a minor (Jacobi's identity, ``toda.context``)
+    against the direct expansion, the oracle, on one restricted context and
+    one generic symbolic context."""
+    contexts = (
+        ({"context": "restricted", "N": 2, "M": 2}, restricted_context(_names("u", 2), _names("v", 2), 2)),
+        ({"context": "generic", "size": 4}, TauContext.generic(0, 4, seed=seed)),
+    )
+    for parameters, ctx in contexts:
+        yield _two_sided("tau-duality", parameters, (
+            (f"rows={list(rows)} cols={list(cols)}", ctx._direct_minor(rows, cols),
+             ctx._dual_minor(rows, cols))
+            for rows, cols in _duality_minors(ctx)
+        ), "direct", "dual")
+
+
 def _shifted_tau_cases(ctx: TauContext, s: int, which: str, bounded: bool) -> Iterator[tuple]:
     """(label, lam^k coefficient of a shifted tau, its wave numerator) for
     each k; ``bounded`` also takes every lam degree beyond the last wave
@@ -525,6 +560,7 @@ FAMILIES = {
         ("state-coefficients", "phase", _state_coefficients, "state-coefficients-schur-form"),
         ("rtt", "phase", _rtt, "monodromy-intertwining"),
         ("tau-expansion", "toda", _tau_expansion, "tau-character-expansion"),
+        ("tau-duality", "toda", _tau_duality, "tau-duality"),
         ("prop1", "toda", _prop1, "wave-derivative-identities shifted-tau-weighted-sums"),
         ("bilinear", "toda", _bilinear, "bilinear-residue-identity"),
         ("linear", "toda", _linear,

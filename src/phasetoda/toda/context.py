@@ -2,14 +2,39 @@
 
 A context holds the interval [m, n), a constant matrix A indexed by
 m..n-1, and two time vectors of length n-m-1.  The dressed matrix is
-exp(sum x_k shift^k) A exp(-sum y_k shift_T^k); tau at site s is its
+D = exp(sum x_k shift^k) A exp(-sum y_k shift_T^k); tau at site s is its
 leading principal minor of size s-m.  Because the shift matrices are
 nilpotent, every exponential is the finite triangular Toeplitz matrix of
-one-row character polynomials and everything stays polynomial.  Dressed
-entries are built on demand and kept in the context, so a minor pays only
-for the rows and columns it reads; the linear problem's matrices are kept
-there too.  The cache belongs to the context and nothing else: every run
-and every ``at_point`` builds a fresh one.
+one-row character polynomials and everything stays polynomial.
+
+A minor has two routes.  The direct one expands the minor of D itself.
+The dual one reads it off the inverse D^-1 = exp(sum y_k shift_T^k) A^-1
+exp(-sum x_k shift^k) by Jacobi's complementary-minor identity, in
+absolute indices
+
+    det D[I, J] = (-1)^(sum I + sum J) * det A * det D^-1[J^c, I^c],
+
+whose entry (i, j) is sum_{l <= i, k <= j} zeta_{i-l}(y) A^-1[l, k]
+zeta_{j-k}(-x).  On a power-sum restricted context the factors zeta(-x)
+and zeta(y) are elementary symmetric polynomials, which vanish past the
+alphabet's length, so D^-1 is banded and its entries are small while D's
+are complete symmetric sums of every degree.
+
+The route is decided once per context, from what its times cost:
+
+  * direct for every minor when all times are constants (the numeric
+    contexts of ``at_point``) or when det A = 0;
+  * dual for every nonempty minor when zeta(-x) and zeta(y) both vanish
+    at the horizon (the banded case: a restricted context with M >= 2,
+    whose horizon N + M - 1 passes both alphabets);
+  * otherwise dual only for a minor whose complement is smaller.
+
+A minor whose rows or columns do not strictly increase inside m..n-1, or
+that is not square, goes direct.  Dressed entries, dual entries, A^-1 and
+det A (by exact Fraction elimination), both zeta lists, the route and every
+minor are built on first use and kept in the context, as are the linear
+problem's matrices.  The cache belongs to the context and nothing else:
+every run and every ``at_point`` builds a fresh one.
 """
 
 from __future__ import annotations
@@ -127,10 +152,104 @@ class TauContext:
         return self.kept(("entry", i, j), build)
 
     def minor(self, rows: Sequence[int], cols: Sequence[int]) -> MultiPoly:
-        """Minor of the dressed matrix in absolute indices; builds only the
-        entries it reads."""
-        return self.kept(("minor", tuple(rows), tuple(cols)), lambda: det_exact(
-            RingMatrix(len(rows), len(cols), [self.entry(i, j) for i in rows for j in cols])))
+        """Minor of the dressed matrix in absolute indices, by the route the
+        context chose (module docstring); builds only the entries it reads."""
+        rows, cols = tuple(rows), tuple(cols)
+
+        def build():
+            if (len(rows) == len(cols) >= self.kept("dual_from", self._dual_from)
+                    and _increasing(rows, self.m, self.n) and _increasing(cols, self.m, self.n)):
+                return self._dual_minor(rows, cols)
+            return self._direct_minor(rows, cols)
+
+        return self.kept(("minor", rows, cols), build)
+
+    def _direct_minor(self, rows: Sequence[int], cols: Sequence[int]) -> MultiPoly:
+        return det_exact(RingMatrix(len(rows), len(cols),
+                                    [self.entry(i, j) for i in rows for j in cols]))
+
+    def _dual_minor(self, rows: Sequence[int], cols: Sequence[int]) -> MultiPoly:
+        """Jacobi's identity: the minor of D^-1 on the complements, rows
+        J^c and columns I^c, times (-1)^(sum I + sum J) det A; rows and cols
+        strictly increase inside m..n-1 and have one length."""
+        rest_rows = [j for j in range(self.m, self.n) if j not in cols]
+        rest_cols = [i for i in range(self.m, self.n) if i not in rows]
+        sub = det_exact(RingMatrix(len(rest_rows), len(rest_cols),
+                                   [self._dual_entry(i, j) for i in rest_rows for j in rest_cols]))
+        sign = -1 if (sum(rows) + sum(cols)) % 2 else 1
+        return sub * (sign * self._inverse()[1])
+
+    def _dual_entry(self, i: int, j: int) -> MultiPoly:
+        """Entry of D^-1 in absolute indices, built on first use: row i of
+        exp(y.lower) A^-1 times column j of exp(-x.raise), whose entries are
+        zeta_{j-k}(-x) for k <= j."""
+        def build():
+            row, zx = self._dual_row(i), self._dual_zetas()[0]
+            c = j - self.m
+            return poly_sum(row[k] * zx[c - k] for k in range(c + 1)
+                            if row[k].nums and zx[c - k].nums)
+
+        return self.kept(("dual_entry", i, j), build)
+
+    def _dual_row(self, i: int) -> list:
+        """Row i of exp(y.lower) A^-1, whose entry k is the sum over l <= i
+        of zeta_{i-l}(y) A^-1[l, k]; kept."""
+        def build():
+            zy, inverse, r = self._dual_zetas()[1], self._inverse()[0], i - self.m
+            return [poly_sum(zy[r - l] * inverse[l][k] for l in range(r + 1)
+                             if zy[r - l].nums and inverse[l][k])
+                    for k in range(self.n - self.m)]
+
+        return self.kept(("dual_row", i), build)
+
+    def _inverse(self) -> tuple:
+        """(A^-1 as rows of Fractions, det A), or (None, 0) when A is
+        singular; kept."""
+        return self.kept("inverse", lambda: _inverse_and_det(self.a))
+
+    def _dual_zetas(self) -> tuple:
+        """(zeta(-x), zeta(y)) up to the horizon; kept."""
+        return self.kept("dual_zetas", lambda: (
+            zeta_all(self.horizon, negate_times(self.x)), zeta_all(self.horizon, self.y)))
+
+    def _dual_from(self) -> int:
+        """The fewest rows of a minor that takes the dual route (module
+        docstring), decided from the dual route's own zeta lists, so that it
+        builds nothing only the direct route reads."""
+        size = self.n - self.m
+        if not any(t.vars for t in self.x + self.y) or not self._inverse()[1]:
+            return size + 1
+        zx, zy = self._dual_zetas()
+        return 1 if not zx[-1] and not zy[-1] else size // 2 + 1
+
+
+def _increasing(idx: tuple, m: int, n: int) -> bool:
+    """Whether idx strictly increases inside m..n-1."""
+    return all(a < b for a, b in zip((m - 1,) + idx, idx + (n,)))
+
+
+def _inverse_and_det(a: RingMatrix) -> tuple:
+    """(A^-1 as rows of Fractions, det A) of a constant matrix by exact
+    Gauss-Jordan elimination, or (None, 0) when A is singular."""
+    size = a.rows
+    rows = [[a[i, j].constant_value() for j in range(size)]
+            + [Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    det = Fraction(1)
+    for k in range(size):
+        p = next((i for i in range(k, size) if rows[i][k]), None)
+        if p is None:
+            return None, Fraction(0)
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            det = -det
+        pivot = rows[k][k]
+        det *= pivot
+        top = rows[k] = [v / pivot for v in rows[k]]
+        for i in range(size):
+            f = rows[i][k]
+            if i != k and f:
+                rows[i] = [v - f * t for v, t in zip(rows[i], top)]
+    return [r[size:] for r in rows], det
 
 
 def generic_constant_matrix(size: int, seed: int) -> RingMatrix:

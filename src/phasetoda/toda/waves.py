@@ -44,14 +44,14 @@ def wave_k_max(ctx: TauContext, s: int, kind: str) -> int:
     return s - m if _BASE[kind][0] == "w_inf" else n - s - 1
 
 
-def wave_numerator(ctx: TauContext, s: int, kind: str, k: int) -> MultiPoly:
-    """Signed minor of the dressed matrix for one wave entry, k in
-    [0, wave_k_max]; a starred kind takes the rows and columns of its base
+def wave_minor(ctx: TauContext, s: int, kind: str, k: int) -> tuple | None:
+    """(rows, columns) of the dressed-matrix minor of one wave entry, or
+    None for k < 0, where the entry is zero by definition; k is at most
+    wave_k_max, and a starred kind takes the rows and columns of its base
     kind swapped."""
     top = wave_k_max(ctx, s, kind)
     if k < 0:
-        # entries below the band are zero by definition
-        return MultiPoly.zero()
+        return None
     if k > top:
         raise RangeViolation(f"k={k} outside [0, {top}]")
     m = ctx.m
@@ -60,8 +60,17 @@ def wave_numerator(ctx: TauContext, s: int, kind: str, k: int) -> MultiPoly:
         rows, cols = [i for i in range(m, s + 1) if i != s - k], list(range(m, s))
     else:
         rows, cols = list(range(m, s + 1)), list(range(m, s)) + [s + k]
-    minor = ctx.minor(*((cols, rows) if transposed else (rows, cols)))
-    return -minor if base == "w_inf" and k % 2 else minor
+    return (cols, rows) if transposed else (rows, cols)
+
+
+def wave_numerator(ctx: TauContext, s: int, kind: str, k: int) -> MultiPoly:
+    """Signed minor of the dressed matrix for one wave entry (``wave_minor``);
+    zero below the band."""
+    indices = wave_minor(ctx, s, kind, k)
+    if indices is None:
+        return MultiPoly.zero()
+    minor = ctx.minor(*indices)
+    return -minor if _BASE[kind][0] == "w_inf" and k % 2 else minor
 
 
 def prop1_sides(ctx: TauContext, s: int, kind: str, k: int) -> tuple:

@@ -291,7 +291,7 @@ def test_compute_scalar_runs_the_largest_size_under_the_cap(n, monkeypatch, tmp_
     assert code == 0 and json.loads(out.read_text())["items"][0]["pass"]
 
 
-@pytest.mark.parametrize("m, n", [(0, 7), (2, 9), (-1, 6), (0, 10**6)])
+@pytest.mark.parametrize("m, n", [(0, 8), (2, 10), (-1, 7), (0, 10**6)])
 def test_compute_tau_refuses_a_size_above_the_cap(m, n, monkeypatch, capsys):
     def never(*args):
         raise AssertionError("a refused size was computed")

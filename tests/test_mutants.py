@@ -21,7 +21,7 @@ from phasetoda import suites, symfunc, toda
 from phasetoda.algebra import MultiPoly, RingMatrix, det_exact, matrix, multipoly
 from phasetoda.combinatorics import Partition, SkewShape, planepartitions
 from phasetoda.phase import determinants, monodromy, scalar
-from phasetoda.toda import linear, restrict, waves
+from phasetoda.toda import TauContext, linear, restrict, waves
 
 # M = 2 puts (2, 1) in the box: a flipped Jacobi-Trudi offset still gives
 # the right S_(1,1), so a 2x1 box cannot see it; for the same reason the
@@ -134,6 +134,12 @@ poly_sum_skips_denominator_scale = edited(multipoly, "poly_sum", "f = den // p.d
 # the raising Toeplitz band one step off: zeta_{j-i+1} for zeta_{j-i}
 shift_exp_band_off_by_one = edited(toda, "shift_exp", "z(j - i) if", "z(j - i + 1) if")
 
+# Jacobi's identity without its sign (-1)^(sum I + sum J): every dual
+# minor whose rows and columns sum to an odd number changes sign
+dual_minor_sign_dropped = edited(
+    TauContext, "_dual_minor", "-1 if (sum(rows) + sum(cols)) % 2 else 1", "1"
+)
+
 # the triangular W^-1 kept under W's key: whichever of the two a context
 # builds first stands in for both, so L and M come out wrong
 wave_inverse_reads_matrix_key = edited(
@@ -233,10 +239,12 @@ FAULTS = {
     # a determinant seldom reaches the top of every field at once: the
     # tau expansion's symbolic 3x3 minors do
     "det-dp-narrow-fields": (plant_on(matrix, "_packing", packing_narrow_fields), ("tau-expansion",)),
-    # the 3x3 determinants of the state vectors, taus and wave functions
+    # the 3x3 determinants of the state vectors, taus and wave functions;
+    # the linear problem at size 3 reads its three-row minors through the
+    # inverse, from complements of at most one row, so it is not listed
     "det-dp-cofactor-sign":
         (plant_on(matrix, "_det_minor_dp", det_dp_sign_flipped),
-         ("state-coefficients", "tau-expansion", "bilinear", "linear")),
+         ("state-coefficients", "tau-expansion", "bilinear", "tau-duality")),
     "make-skips-gcd": (plant_on(MultiPoly, "_make", make_without_gcd), KERNEL_FAMILIES),
     # also fails linear; the numeric scalar products mix denominators, and
     # the taus and wave functions sum characters with rational coefficients
@@ -268,6 +276,10 @@ FAULTS = {
     # the failing residue names its sites and time points
     "residue-coefficient-off-by-one":
         (plant_everywhere("bilinear_check", residue_coefficient_off_by_one), ("bilinear",)),
+    # the non-principal dual minors: the wave entries' minors against the
+    # direct route, and the limits' wave entries against the correlators
+    "dual-minor-sign-dropped":
+        (plant_on(TauContext, "_dual_minor", dual_minor_sign_dropped), ("tau-duality", "limits")),
     # the w_inf and w_zero derivative identities take zeta_k of the negated gradient
     "zeta-recurrence-drops-sign":
         (plant_everywhere("zeta_diff_apply", zeta_recurrence_drops_sign), ("prop1",)),
@@ -287,10 +299,10 @@ FAULTS = {
     # the failing counts name the entry out of range
     "box-rows-reach-past-m":
         (plant_everywhere("enumerate_plane_partitions", box_rows_reach_past_m), ("bijections",)),
-    # the failing weighted sums name the broken interlacing
+    # the failing weighted sums and round trips name the broken interlacing
     "enumerate-half-starts-above-upper-end":
         (plant_on(planepartitions, "_enumerate_half", enumerate_half_starts_above_upper_end),
-         ("triple-agreement",)),
+         ("triple-agreement", "bijections")),
     # the failing determinant forms name their first q and both sides; the
     # hole rows hold two annihilation letters from N = 3
     "row-sign-parity-dropped":
@@ -347,9 +359,23 @@ def test_fault_fails_family_with_witness(small_bounds, monkeypatch, fault, famil
     assert caught, (fault, family)
     if family == "linear":
         assert all("(i, j)=" in it["witness"] for it in caught)
+    # the enumerator's own check refuses the broken row or diagonal, before
+    # any box is counted or any sum is built
+    refusal = {
+        "box-rows-reach-past-m": "(ShapeViolation: entry ",
+        "enumerate-half-starts-above-upper-end": "ShapeViolation: diagonals must interlace",
+    }
     if family == "bijections":
-        marks = {"half-tableau-round-trip": "tableau=", "plane-partition-count-macmahon": "enumerated "}
+        # a refused round trip names the refusal (below), not a tableau
+        marks = {"half-tableau-round-trip": "" if fault in refusal else "tableau=",
+                 "plane-partition-count-macmahon": "enumerated "}
         assert all(marks.get(it["identity"], "") in it["witness"] for it in caught)
+        # a refusal fails its own item only: every (N, M) round trip still runs
+        assert [(it["identity"], it["parameters"]) for it in items if "round-trip" in it["identity"]] == [
+            (identity, {"N": n, "M": m})
+            for n in range(1, SMALL["combi_n"] + 1) for m in range(SMALL["combi_m"] + 1)
+            for identity in ("path-pp-round-trip", "half-tableau-round-trip")
+        ]
     if family == "power-sums":
         assert all(it["witness"].startswith("k=") for it in caught)
     if family == "single-determinant":
@@ -359,12 +385,6 @@ def test_fault_fails_family_with_witness(small_bounds, monkeypatch, fault, famil
             assert any(it["identity"] == "hole-determinant-form" for it in caught)
     if fault == "bra-swept-in-ket-order":
         assert all(it["witness"].startswith("bra lambda=") for it in caught)
-    # the enumerator's own check refuses the broken row or diagonal, before
-    # any box is counted or any sum is built
-    refusal = {
-        "box-rows-reach-past-m": "(ShapeViolation: entry ",
-        "enumerate-half-starts-above-upper-end": "ShapeViolation: diagonals must interlace",
-    }
     if fault in refusal:
         assert all(refusal[fault] in it["witness"] for it in caught)
     for it in items:

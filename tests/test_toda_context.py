@@ -1,16 +1,23 @@
-"""Shift exponentials, the dressed matrix, tau and its character expansion."""
+"""Shift exponentials, the dressed matrix, tau, its character expansion and
+the dual route of a minor."""
+
+import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasetoda.algebra import MultiPoly, RingMatrix, det_cofactor, det_exact
 from phasetoda.errors import RangeViolation
 from phasetoda.symfunc import negate_times
 from phasetoda.toda import (
+    WAVE_KINDS,
     TauContext,
     restricted_context,
     shift_exp,
     tau,
     tau_schur_expand,
+    wave_k_max,
+    wave_minor,
 )
 
 x1 = MultiPoly.var("x1")
@@ -115,3 +122,111 @@ def test_lazy_entries_equal_eager_product(make):
         for j in range(ctx.m, ctx.n):
             assert ctx.entry(i, j) == eager[i - ctx.m, j - ctx.m]
     assert ctx.dressed() == eager
+
+
+# -- the dual route -------------------------------------------------------------
+
+
+def _dual_built(ctx):
+    """The keys of ctx's cache that only the dual route builds."""
+    dual = ("inverse", "dual_zetas", "dual_row", "dual_entry")
+    return [key for key in ctx._cache if (key if isinstance(key, str) else key[0]) in dual]
+
+
+@st.composite
+def restricted_cases(draw):
+    """A restricted context over 1-3 letters and M = 0..3, its v alphabet
+    one letter short as in the hole limit or not, and one wave entry of its
+    site N - 1 or N."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    short = draw(st.booleans())
+    un = [f"u{i}" for i in range(1, n + 1)]
+    vn = [f"v{i}" for i in range(1 + short, n + 1)]
+    ctx = restricted_context(un, vn, m)
+    s = draw(st.integers(max(n - 1, 0), min(n, ctx.n - 1)))
+    kind = draw(st.sampled_from(WAVE_KINDS))
+    k = draw(st.integers(0, wave_k_max(ctx, s, kind)))
+    return ctx, n, wave_minor(ctx, s, kind, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(restricted_cases())
+def test_dual_route_equals_direct_on_restricted_contexts(case):
+    ctx, n, (rows, cols) = case
+    for r, c in ((range(n), range(n)), (rows, cols)):
+        r, c = tuple(r), tuple(c)
+        direct = ctx._direct_minor(r, c)
+        assert ctx._dual_minor(r, c) == direct
+        assert ctx.minor(r, c) == direct
+
+
+@st.composite
+def generic_cases(draw):
+    """A generic symbolic context of size 1-5 at m = -2..2 and rows and
+    columns of one length drawn from it."""
+    m, size = draw(st.integers(-2, 2)), draw(st.integers(1, 5))
+    ctx = TauContext.generic(m, m + size, seed=draw(st.integers(0, 50)))
+    k = draw(st.integers(0, size))
+    idx = st.lists(st.integers(m, m + size - 1), min_size=k, max_size=k, unique=True).map(sorted)
+    return ctx, tuple(draw(idx)), tuple(draw(idx))
+
+
+@settings(max_examples=40, deadline=None)
+@given(generic_cases())
+def test_dual_route_equals_direct_on_generic_contexts(case):
+    ctx, rows, cols = case
+    for s in range(ctx.m, ctx.n + 1):
+        lead = tuple(range(ctx.m, s))
+        direct = ctx._direct_minor(lead, lead)
+        assert ctx._dual_minor(lead, lead) == direct
+        assert tau(ctx, s) == direct
+    direct = ctx._direct_minor(rows, cols)
+    assert ctx._dual_minor(rows, cols) == direct
+    assert ctx.minor(rows, cols) == direct
+
+
+def test_restricted_contexts_route_every_minor_through_the_inverse():
+    # once M >= 2 the horizon passes both alphabets: zeta(-x) and zeta(y)
+    # vanish there, so even a one-row minor goes dual
+    ctx = restricted_context(["u1", "u2"], ["v1", "v2"], 2)
+    value = ctx.minor((0,), (1,))
+    assert ("dual_entry", 0, 1) in ctx._cache and ("entry", 0, 1) not in ctx._cache
+    assert value == ctx._direct_minor((0,), (1,))
+
+
+def test_generic_contexts_go_dual_only_on_a_smaller_complement():
+    ctx = TauContext.generic(0, 5, seed=2)
+    for s in range(0, 3):
+        tau(ctx, s)
+    assert not any(key[0] == "dual_entry" for key in ctx._cache)
+    # three rows of five leave a complement of two
+    tau(ctx, 3)
+    assert ("dual_entry", 3, 3) in ctx._cache and ("entry", 2, 2) not in ctx._cache
+
+
+def test_unordered_or_repeated_indices_go_direct():
+    ctx = restricted_context(["u1", "u2"], ["v1", "v2"], 2)
+    eager = _eager_dressed(ctx)
+    for rows, cols in [((1, 0), (0, 1)), ((0, 0), (0, 1)), ((2, 1, 0), (0, 1, 2))]:
+        sub = eager.submatrix(rows, cols)
+        assert ctx.minor(rows, cols) == det_cofactor(sub)
+
+
+def test_singular_matrix_stays_direct_and_its_full_tau_vanishes():
+    # a singular A has no inverse: every minor stays on the direct route
+    a = RingMatrix.from_rows([[1, 2, 0], [2, 4, 0], [3, 1, 5]])
+    ctx = TauContext.symbolic(0, 3, a)
+    assert det_exact(a).is_zero()
+    assert tau(ctx, 3) == MultiPoly.zero()
+    assert tau(ctx, 2) == ctx._direct_minor((0, 1), (0, 1))
+    assert [key for key in _dual_built(ctx) if key != "inverse"] == []
+
+
+def test_constant_times_stay_direct():
+    # numeric contexts never pay for A^-1 or the dual entries
+    ctx = TauContext.generic(0, 4, seed=5).at_point([1, -2, 3], [2, 1, -1])
+    for s in range(0, 5):
+        tau(ctx, s)
+    for rows, cols in itertools.product(itertools.combinations(range(4), 3), repeat=2):
+        ctx.minor(rows, cols)
+    assert _dual_built(ctx) == []
