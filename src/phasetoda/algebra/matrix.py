@@ -2,9 +2,10 @@
 exact determinants.
 
 Entries are MultiPolys or RatioPolys; the tau minors and the scalar product
-use polynomial entries, the 2-Toda wave and Lax matrices rational ones, and
-a product may mix the two.  ``det_exact`` (polynomial entries) takes one
-route per size:
+use polynomial entries, the 2-Toda wave and Lax matrices rational ones
+(numerators over lists of tau factors, which no product or sum of entries
+divides), and a product may mix the two.  ``det_exact`` (polynomial
+entries) takes one route per size:
 
   * n <= 2: directly, ``a*d - b*c`` at n = 2;
   * n >= 3 with every entry a constant, or n > DP_MAX_N: ``_det_bareiss``,

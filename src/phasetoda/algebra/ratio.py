@@ -1,18 +1,19 @@
 """Ratios of polynomials, used for wave-matrix entries and Lax data.
 
 A RatioPoly keeps its denominator as an unexpanded list of polynomial
-factors (tau-functions and their products, in practice).  Products and
-sums cancel factors against the numerator by exact division, factor by
-factor, which keeps the intermediate objects near their reduced size; a
-factor that does not divide is simply kept, so correctness never depends
-on the reduction succeeding.  Each factor goes straight to
-``MultiPoly.divide_exact``, whose span test refuses a factor wider than
-the numerator before any packing.  Identity checks cross-multiply.
+factors (the taus of the linear problem, in practice).  Nothing is divided
+out of a numerator: a product joins the two lists whole, a sum brings both
+numerators over their common denominator (the factors the lists share,
+then each side's leftovers), and a constant factor folds into the
+numerator.  A context keeps its taus, so the shared ones match by identity
+before any term is compared.  Identity checks cross-multiply, so no
+verdict depends on which factors two lists share.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from ..errors import NotDivisible
 from .multipoly import MultiPoly, as_poly
@@ -44,9 +45,7 @@ class RatioPoly:
 
     def __init__(self, num, den=None, _factors=None):
         num = as_poly(num)
-        factors = []
-        if _factors is not None:
-            factors = list(_factors)
+        factors = list(_factors or ())
         if den is not None:
             den = as_poly(den)
             if den.is_zero():
@@ -57,16 +56,15 @@ class RatioPoly:
         self._cancel()
 
     def _cancel(self):
+        """A zero numerator drops every factor, and the constant factors fold
+        into the numerator by one scaling; every other factor is kept."""
         if self.num.is_zero():
             self.factors = []
             return
-        kept = []
-        for f in sorted(self.factors, key=len):
-            try:
-                self.num = self.num.divide_exact(f)
-            except NotDivisible:
-                kept.append(f)
-        self.factors = kept
+        consts = [f.constant_value() for f in self.factors if not f.vars]
+        if consts:
+            self.num = self.num * (1 / prod(consts))
+            self.factors = [f for f in self.factors if f.vars]
 
     # -- helpers -------------------------------------------------------------
 

@@ -2,10 +2,13 @@
 
 The operands share denominator factors drawn from one small pool, so sums
 and comparisons go through the common-factor split as well as through the
-plain cross-multiplication.  Foreign operands (None, a str, a float) are
-refused as MultiPoly refuses them.
+plain cross-multiplication.  Nothing is divided out of a numerator, so the
+factor lists carry the denominators: their bookkeeping is checked along
+with the values.  Foreign operands (None, a str, a float) are refused as
+MultiPoly refuses them.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -77,6 +80,30 @@ def test_arithmetic_matches_sympy(pair):
     for f in b.factors[:1] + [b.num]:
         if not f.is_zero():
             assert RatioPoly(a.num * f, _factors=a.factors + [f]) == a
+
+
+@settings(max_examples=100, deadline=None)
+@given(ratio_pairs(), polys(max_terms=2, coeffs=nonzero_coeffs, min_terms=2), nonzero_coeffs)
+def test_factor_bookkeeping(pair, shared, c):
+    a, b = pair
+    A, B, F = to_rational(a), to_rational(b), to_sympy(shared)
+    # a sum over a shared factor keeps it once: the common denominator is
+    # the multiset union (the larger count of each factor) of the two lists
+    left = RatioPoly(a.num, _factors=a.factors + [shared])
+    right = RatioPoly(b.num, _factors=b.factors + [shared])
+    total = left + right
+    assert same(total, A / F + B / F)
+    if not total.is_zero():
+        assert Counter(total.factors) == Counter(left.factors) | Counter(right.factors)
+    # a product keeps both lists whole (the counts add)
+    product = a * b
+    assert same(product, A * B)
+    if not product.is_zero():
+        assert Counter(product.factors) == Counter(a.factors) + Counter(b.factors)
+    # a constant factor folds into the numerator
+    scaled = RatioPoly(a.num, _factors=[MultiPoly.const(c)] + a.factors)
+    assert scaled.factors == a.factors and scaled.num == a.num * (1 / c)
+    assert same(scaled, A / sympy.Rational(c.numerator, c.denominator))
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,7 +5,8 @@ from collections import Counter
 
 import pytest
 
-from phasetoda.algebra import RingMatrix
+from phasetoda import suites
+from phasetoda.algebra import MultiPoly, RingMatrix
 from phasetoda.toda import linear
 from phasetoda.toda import (
     TauContext,
@@ -93,6 +94,26 @@ def test_zakharov_shabat(ctx3):
     for j in (1, 2):
         for k in (1, 2):
             assert check_zakharov_shabat(ctx3, j, k)
+
+
+def test_linear_problem_divides_nothing(monkeypatch):
+    # the taus stay as denominator factors: no product, sum or comparison
+    # of the linear problem tries an exact division, and neither do its
+    # minors at these sizes
+    def never(*args):
+        raise AssertionError("the linear problem tried an exact division")
+
+    monkeypatch.setattr(MultiPoly, "divide_exact", never)
+    ctx = TauContext.generic(0, 3, seed=23)
+    assert check_wave_inverses(ctx) and check_initial_value_relation(ctx)
+    for j in (1, 2):
+        for flow in ("x", "y"):
+            for kind in ("w_inf", "w_zero"):
+                assert check_linear_flow(ctx, j, flow, kind)
+        for k in (1, 2):
+            assert check_zakharov_shabat(ctx, j, k)
+    items = suites.run_family("linear", 7)
+    assert items and all(it["pass"] for it in items)
 
 
 def test_flow_generators_projections(ctx3):
