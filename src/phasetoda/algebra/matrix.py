@@ -8,14 +8,14 @@ divides), and a product may mix the two.  ``det_exact`` (polynomial
 entries) takes one route per size:
 
   * n <= 2: directly, ``a*d - b*c`` at n = 2;
-  * n >= 3 with every entry a constant, or n > DP_MAX_N: ``_det_bareiss``,
-    fraction-free elimination (O(n^3) ring operations) with exact
-    divisions, on the rows' integer numerators when every entry is a
-    constant and on the polynomials otherwise; above DP_MAX_N the subset
-    expansion's exponential count of products and minors would dominate;
-  * otherwise, 3 <= n <= DP_MAX_N: ``_det_minor_dp``, a division-free
-    expansion along rows, memoized on column subsets, on one packing of the
-    whole matrix (n 2^(n-1) entry-times-minor products).
+  * n >= 3 with every entry a constant: ``_det_bareiss``, fraction-free
+    elimination (O(n^3) ring operations) on the rows' integer numerators,
+    with exact integer divisions;
+  * any other n >= 3: ``_det_minor_dp``, a division-free expansion along
+    rows, memoized on column subsets, on one packing of the whole matrix
+    (n 2^(n-1) entry-times-minor products); on Laurent entries it beats
+    elimination, whose exact polynomial divisions swell, at every size
+    (8x8, two-term entries in three variables: 0.17 s against 96 s).
 
 The packing invariant of the expansion: row i is scaled to integer
 numerators over the lcm d_i of its denominators, variable v gets the field
@@ -39,14 +39,6 @@ from typing import Sequence
 from ..errors import NonSquare
 from .multipoly import MultiPoly, _packing, _unpack, as_poly, var_key
 from .ratio import RatioPoly
-
-# the largest size the subset expansion takes; only polynomial entries reach
-# it, since constant ones always go to elimination.  On them it beats
-# elimination, whose exact divisions swell (8x8, two-term Laurent entries in
-# three variables: 0.17 s against 96 s), while its own cost about quadruples
-# with every row (0.74 s at 9x9, 3.0 s at 10x10); the largest polynomial
-# determinant of `suite all` and of `compute tau` at its cap is 6x6
-DP_MAX_N = 8
 
 
 class RingMatrix:
@@ -169,7 +161,7 @@ def det_exact(m: RingMatrix) -> MultiPoly:
         return m[0, 0]
     if n == 2:
         return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if n > DP_MAX_N or _constant(m):
+    if _constant(m):
         return _det_bareiss(m)
     return _det_minor_dp(m)
 
@@ -228,7 +220,9 @@ def _det_bareiss(m: RingMatrix) -> MultiPoly:
     row and flips the sign.  A matrix of constants runs on integers: row i
     is scaled by the lcm d_i of its denominators, the determinant is that
     of the integer matrix over the product of the d_i, and each division is
-    ``//``.  Any other matrix runs on its entries with ``divide_exact``.
+    ``//``.  Any other matrix runs on its entries with ``divide_exact``;
+    ``det_exact`` sends it none, and the tests use that branch as the
+    subset expansion's oracle.
     """
     n = m.rows
     if _constant(m):

@@ -8,17 +8,20 @@ nilpotent, every exponential is the finite triangular Toeplitz matrix of
 one-row character polynomials and everything stays polynomial.
 
 A minor has two routes.  The direct one expands the minor of D itself.
-The dual one reads it off the inverse D^-1 = exp(sum y_k shift_T^k) A^-1
-exp(-sum x_k shift^k) by Jacobi's complementary-minor identity, in
-absolute indices
+The dual one reads it off D^-1 by Jacobi's complementary-minor identity,
+in absolute indices
 
-    det D[I, J] = (-1)^(sum I + sum J) * det A * det D^-1[J^c, I^c],
+    det D[I, J] = (-1)^(sum I + sum J) * det A * det D^-1[J^c, I^c].
 
-whose entry (i, j) is sum_{l <= i, k <= j} zeta_{i-l}(y) A^-1[l, k]
-zeta_{j-k}(-x).  On a power-sum restricted context the factors zeta(-x)
-and zeta(y) are elementary symmetric polynomials, which vanish past the
-alphabet's length, so D^-1 is banded and its entries are small while D's
-are complete symmetric sums of every degree.
+The index reversal J, i -> m + n - 1 - i, turns shift_T into shift, so
+J D^-1 J = exp(sum y_k shift^k) (J A^-1 J) exp(-sum x_k shift_T^k) is the
+dressed matrix of the dual context (constant matrix J A^-1 J, times
+swapped): the dual route is its direct route at the reversed indices of
+the complements, and ``entry`` alone builds dressed entries.  On a
+power-sum restricted context the dual context's zeta(y) and zeta(-x) are
+elementary symmetric polynomials, which vanish past the alphabet's length,
+so its dressed matrix is banded and its entries are small while D's are
+complete symmetric sums of every degree.
 
 The route is decided once per context, from what its times cost:
 
@@ -30,11 +33,13 @@ The route is decided once per context, from what its times cost:
   * otherwise dual only for a minor whose complement is smaller.
 
 A minor whose rows or columns do not strictly increase inside m..n-1, or
-that is not square, goes direct.  Dressed entries, dual entries, A^-1 and
-det A (by exact Fraction elimination), both zeta lists, the route and every
-minor are built on first use and kept in the context, as are the linear
-problem's matrices.  The cache belongs to the context and nothing else:
-every run and every ``at_point`` builds a fresh one.
+that is not square, goes direct.  The zeta pair (zeta(x), zeta(-y)), the
+rows of exp(x.raise) A, the dressed entries, A^-1 and det A (by exact
+Fraction elimination), the dual context, the route and every minor are
+built on first use and kept in the context, as are the linear problem's
+matrices; the dual context keeps its own pair, rows and entries.  The
+cache belongs to the context and nothing else: every run and every
+``at_point`` builds a fresh one.
 """
 
 from __future__ import annotations
@@ -140,16 +145,26 @@ class TauContext:
         use: row i of exp(x.raise) A times column j of exp(-y.lower), whose
         entries are zeta_{l-j}(-y) for l >= j."""
         def build():
-            xa, zy = self.kept("xa_zy", lambda: (
-                shift_exp("raise", self.x, self.m, self.n) @ self.a,
-                zeta_all(self.horizon, negate_times(self.y)),
-            ))
-            row = xa.row(i - self.m)
-            c = j - self.m
+            row, zy, c = self._row(i), self._zetas()[1], j - self.m
             return poly_sum(row[l] * zy[l - c] for l in range(c, len(row))
                             if row[l].nums and zy[l - c].nums)
 
         return self.kept(("entry", i, j), build)
+
+    def _row(self, i: int) -> list:
+        """Row i of exp(x.raise) A, whose entry k is the sum over l >= i of
+        zeta_{l-i}(x) A[l, k]; kept, and built only when an entry reads it."""
+        def build():
+            zx, a, r = self._zetas()[0], self.a, i - self.m
+            band = [(zx[l - r], a.row(l)) for l in range(r, a.rows) if zx[l - r].nums]
+            return [poly_sum(z * row[k] for z, row in band if row[k].nums) for k in range(a.cols)]
+
+        return self.kept(("row", i), build)
+
+    def _zetas(self) -> tuple:
+        """(zeta(x), zeta(-y)) up to the horizon; kept."""
+        return self.kept("zetas", lambda: (
+            zeta_all(self.horizon, self.x), zeta_all(self.horizon, negate_times(self.y))))
 
     def minor(self, rows: Sequence[int], cols: Sequence[int]) -> MultiPoly:
         """Minor of the dressed matrix in absolute indices, by the route the
@@ -169,58 +184,41 @@ class TauContext:
                                     [self.entry(i, j) for i in rows for j in cols]))
 
     def _dual_minor(self, rows: Sequence[int], cols: Sequence[int]) -> MultiPoly:
-        """Jacobi's identity: the minor of D^-1 on the complements, rows
-        J^c and columns I^c, times (-1)^(sum I + sum J) det A; rows and cols
-        strictly increase inside m..n-1 and have one length."""
-        rest_rows = [j for j in range(self.m, self.n) if j not in cols]
-        rest_cols = [i for i in range(self.m, self.n) if i not in rows]
-        sub = det_exact(RingMatrix(len(rest_rows), len(rest_cols),
-                                   [self._dual_entry(i, j) for i in rest_rows for j in rest_cols]))
+        """Jacobi's identity: (-1)^(sum I + sum J) det A det D^-1[J^c, I^c],
+        read off the dual context at the reversed indices in the order of J^c
+        and I^c, which sets the subset expansion's cost on a banded matrix;
+        rows and cols strictly increase inside m..n-1 and have one length."""
+        m, n = self.m, self.n
+        rest_rows = [m + n - 1 - j for j in range(m, n) if j not in cols]
+        rest_cols = [m + n - 1 - i for i in range(m, n) if i not in rows]
         sign = -1 if (sum(rows) + sum(cols)) % 2 else 1
-        return sub * (sign * self._inverse()[1])
+        return self._dual()._direct_minor(rest_rows, rest_cols) * (sign * self._inverse()[1])
 
-    def _dual_entry(self, i: int, j: int) -> MultiPoly:
-        """Entry of D^-1 in absolute indices, built on first use: row i of
-        exp(y.lower) A^-1 times column j of exp(-x.raise), whose entries are
-        zeta_{j-k}(-x) for k <= j."""
+    def _dual(self) -> "TauContext":
+        """The context of J A^-1 J with the times swapped, whose dressed
+        matrix is J D^-1 J (module docstring); kept, and built only when
+        det A != 0."""
         def build():
-            row, zx = self._dual_row(i), self._dual_zetas()[0]
-            c = j - self.m
-            return poly_sum(row[k] * zx[c - k] for k in range(c + 1)
-                            if row[k].nums and zx[c - k].nums)
+            inverse, size, zero = self._inverse()[0], self.n - self.m, MultiPoly.zero()
+            a = RingMatrix(size, size, [MultiPoly.const(v) if v else zero
+                                        for row in reversed(inverse) for v in reversed(row)])
+            return TauContext(self.m, self.n, a, self.y, self.x)
 
-        return self.kept(("dual_entry", i, j), build)
-
-    def _dual_row(self, i: int) -> list:
-        """Row i of exp(y.lower) A^-1, whose entry k is the sum over l <= i
-        of zeta_{i-l}(y) A^-1[l, k]; kept."""
-        def build():
-            zy, inverse, r = self._dual_zetas()[1], self._inverse()[0], i - self.m
-            return [poly_sum(zy[r - l] * inverse[l][k] for l in range(r + 1)
-                             if zy[r - l].nums and inverse[l][k])
-                    for k in range(self.n - self.m)]
-
-        return self.kept(("dual_row", i), build)
+        return self.kept("dual", build)
 
     def _inverse(self) -> tuple:
         """(A^-1 as rows of Fractions, det A), or (None, 0) when A is
         singular; kept."""
         return self.kept("inverse", lambda: _inverse_and_det(self.a))
 
-    def _dual_zetas(self) -> tuple:
-        """(zeta(-x), zeta(y)) up to the horizon; kept."""
-        return self.kept("dual_zetas", lambda: (
-            zeta_all(self.horizon, negate_times(self.x)), zeta_all(self.horizon, self.y)))
-
     def _dual_from(self) -> int:
         """The fewest rows of a minor that takes the dual route (module
-        docstring), decided from the dual route's own zeta lists, so that it
-        builds nothing only the direct route reads."""
+        docstring), decided from the dual context's zeta lists zeta(y) and
+        zeta(-x), so that it builds nothing only the direct route reads."""
         size = self.n - self.m
         if not any(t.vars for t in self.x + self.y) or not self._inverse()[1]:
             return size + 1
-        zx, zy = self._dual_zetas()
-        return 1 if not zx[-1] and not zy[-1] else size // 2 + 1
+        return 1 if not any(z[-1] for z in self._dual()._zetas()) else size // 2 + 1
 
 
 def _increasing(idx: tuple, m: int, n: int) -> bool:

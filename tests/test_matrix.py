@@ -78,8 +78,8 @@ def test_det_row_multilinearity(n):
     assert lhs == rhs
 
 
-# det_exact expands n = 3..DP_MAX_N by the DP, so the Bareiss tests at
-# those sizes call it directly and det_exact alongside it
+# det_exact expands every polynomial matrix from 3x3 up by the DP, so the
+# Bareiss tests call it directly and det_exact alongside it
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -191,8 +191,8 @@ def test_minor_dp_matches_bareiss_at_5_and_6(m):
     assert _det_minor_dp(m) == _det_bareiss(m)
 
 
-@pytest.mark.parametrize("n", [5, 6, matrix.DP_MAX_N])
-def test_det_exact_takes_the_dp_up_to_its_cap(n, monkeypatch):
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_det_exact_takes_the_dp_for_polynomial_matrices(n, monkeypatch):
     m = RingMatrix.from_rows(_random_poly_matrix(random.Random(400 + n), n))
     expected = det_cofactor(m) if n <= 6 else _det_bareiss(m)
 
@@ -203,10 +203,10 @@ def test_det_exact_takes_the_dp_up_to_its_cap(n, monkeypatch):
     assert det_exact(m) == expected
 
 
-@pytest.mark.parametrize("n", [matrix.DP_MAX_N + 1, 30])
-def test_det_exact_eliminates_above_the_dp_cap(n, monkeypatch):
-    # above the cap the subset expansion's n 2^(n-1) products would dominate:
-    # a 30x30 triangular Jacobi-Trudi matrix hung in it
+@pytest.mark.parametrize("n", [9, 30])
+def test_det_exact_eliminates_large_constant_matrices(n, monkeypatch):
+    # the subset expansion's n 2^(n-1) products would dominate here: the
+    # 30x30 triangular Jacobi-Trudi matrix of a tableau count hung in it
     rng = random.Random(500 + n)
     diag = [rng.choice((-2, -1, 1, 2)) for _ in range(n)]
     rows = [[diag[i] if j == i else rng.randint(-3, 3) if j > i else 0 for j in range(n)] for i in range(n)]
@@ -215,24 +215,30 @@ def test_det_exact_eliminates_above_the_dp_cap(n, monkeypatch):
     m = RingMatrix.from_rows(rows)
 
     def never(m):
-        raise AssertionError("det_exact took the subset expansion above its cap")
+        raise AssertionError("det_exact took the subset expansion for a constant matrix")
 
     monkeypatch.setattr(matrix, "_det_minor_dp", never)
     assert det_exact(m) == MultiPoly.const(-prod(diag))
 
 
-def test_det_exact_takes_bareiss_for_polynomials_above_the_dp_cap(monkeypatch):
-    n = matrix.DP_MAX_N + 1
+def test_det_exact_expands_a_9x9_polynomial_matrix_by_the_dp(monkeypatch):
+    # polynomial Bareiss is about 500 times slower at 8x8, so no size sends
+    # a polynomial matrix there; blocks of 2, 3 and 4 rows on the diagonal
     rng = random.Random(510)
-    p = MultiPoly.var("p")
-    diag = [p + rng.choice((-2, -1, 1, 2)) for _ in range(n)]
-    rows = [[diag[i] if j == i else rng.randint(-3, 3) if j > i else 0 for j in range(n)] for i in range(n)]
+    blocks = [RingMatrix.from_rows(_random_poly_matrix(rng, k)) for k in (2, 3, 4)]
+    rows, start = [[0] * 9 for _ in range(9)], 0
+    for block in blocks:
+        for i in range(block.rows):
+            rows[start + i][start : start + block.cols] = block.row(i)
+        start += block.rows
 
     def never(m):
-        raise AssertionError("det_exact left the Bareiss route")
+        raise AssertionError("det_exact took the Bareiss route for a polynomial matrix")
 
-    monkeypatch.setattr(matrix, "_det_minor_dp", never)
-    assert det_exact(RingMatrix.from_rows(rows)) == prod(diag, start=MultiPoly.const(1))
+    monkeypatch.setattr(matrix, "_det_bareiss", never)
+    expected = prod((det_cofactor(block) for block in blocks), start=MultiPoly.const(1))
+    assert not expected.is_zero()
+    assert det_exact(RingMatrix.from_rows(rows)) == expected
 
 
 # rationals over the denominators 1, 2, 3 and 6
@@ -259,7 +265,7 @@ def constant_matrices(draw, sizes):
 
 
 @settings(max_examples=40, deadline=None)
-@given(constant_matrices(st.integers(3, matrix.DP_MAX_N)))
+@given(constant_matrices(st.integers(3, 8)))
 def test_integer_route_matches_dp_and_cofactor(m):
     d = det_exact(m)
     assert d == _det_minor_dp(m)
@@ -267,7 +273,7 @@ def test_integer_route_matches_dp_and_cofactor(m):
 
 
 @settings(max_examples=60, deadline=None)
-@given(constant_matrices(st.integers(3, matrix.DP_MAX_N + 2)))
+@given(constant_matrices(st.integers(3, 10)))
 def test_integer_route_matches_bareiss(m):
     # every entry times t takes the elimination's polynomial branch, and
     # its determinant is t^n times the constant one
@@ -300,7 +306,7 @@ def _fraction_det(rows):
     return det
 
 
-@pytest.mark.parametrize("n", [3, matrix.DP_MAX_N, matrix.DP_MAX_N + 1, 20])
+@pytest.mark.parametrize("n", [3, 8, 9, 20])
 def test_det_exact_takes_the_integer_route_for_constants(n, monkeypatch):
     rows = _constant_rows(n)
     m = RingMatrix.from_rows(rows)
@@ -323,7 +329,7 @@ def test_det_exact_takes_the_integer_route_for_constants(n, monkeypatch):
     assert d == expected
 
 
-@pytest.mark.parametrize("n", [3, matrix.DP_MAX_N + 1])
+@pytest.mark.parametrize("n", [3, 9])
 def test_one_variable_entry_keeps_the_polynomial_route(n, monkeypatch):
     rows = _constant_rows(n)
     rows[-1][-1] = MultiPoly.var("p")
@@ -333,7 +339,8 @@ def test_one_variable_entry_keeps_the_polynomial_route(n, monkeypatch):
         raise AssertionError("det_exact took the integer route for a polynomial matrix")
 
     monkeypatch.setattr(matrix, "floordiv", never)
-    assert det_exact(m) == _det_minor_dp(m)
+    # elimination's polynomial branch, which shares no step with the DP
+    assert det_exact(m) == _det_bareiss(m)
 
 
 def test_integer_route_swaps_a_zero_pivot_and_flips_the_sign():

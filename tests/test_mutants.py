@@ -139,6 +139,9 @@ shift_exp_band_off_by_one = edited(toda, "shift_exp", "z(j - i) if", "z(j - i + 
 dual_minor_sign_dropped = edited(
     TauContext, "_dual_minor", "-1 if (sum(rows) + sum(cols)) % 2 else 1", "1"
 )
+# the dual context with the times left unswapped, so its dressed matrix is
+# no longer J D^-1 J and the dual minors come out wrong
+dual_keeps_times_unswapped = edited(TauContext, "_dual", "a, self.y, self.x", "a, self.x, self.y")
 
 # a sum over the common denominator without the other side's leftover
 # factors: nothing is divided out of a numerator, so the factor lists alone
@@ -291,6 +294,10 @@ FAULTS = {
     # direct route, and the limits' wave entries against the correlators
     "dual-minor-sign-dropped":
         (plant_on(TauContext, "_dual_minor", dual_minor_sign_dropped), ("tau-duality", "limits")),
+    # every dual minor against the direct route, and the limits' wave
+    # entries against the correlators
+    "dual-keeps-times-unswapped":
+        (plant_on(TauContext, "_dual", dual_keeps_times_unswapped), ("tau-duality", "limits")),
     # the w_inf and w_zero derivative identities take zeta_k of the negated gradient
     "zeta-recurrence-drops-sign":
         (plant_everywhere("zeta_diff_apply", zeta_recurrence_drops_sign), ("prop1",)),

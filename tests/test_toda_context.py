@@ -128,9 +128,20 @@ def test_lazy_entries_equal_eager_product(make):
 
 
 def _dual_built(ctx):
-    """The keys of ctx's cache that only the dual route builds."""
-    dual = ("inverse", "dual_zetas", "dual_row", "dual_entry")
-    return [key for key in ctx._cache if (key if isinstance(key, str) else key[0]) in dual]
+    """The keys of ctx's cache that only the dual route builds: A^-1 and
+    the dual context, which keeps everything else the route reads."""
+    return [key for key in ("inverse", "dual") if key in ctx._cache]
+
+
+def _entries(ctx):
+    """The dressed entries kept in ctx's cache."""
+    return {key for key in ctx._cache if key[0] == "entry"}
+
+
+def _reversed(mat):
+    """mat with its row order and its column order reversed: J mat J."""
+    n = mat.rows
+    return RingMatrix(n, n, [mat[n - 1 - i, n - 1 - j] for i in range(n) for j in range(n)])
 
 
 @st.composite
@@ -185,12 +196,24 @@ def test_dual_route_equals_direct_on_generic_contexts(case):
     assert ctx.minor(rows, cols) == direct
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(generic_cases().map(lambda case: case[0]),
+                 restricted_cases().map(lambda case: case[0])))
+def test_reversed_dual_dressed_matrix_inverts_the_dressed_matrix(ctx):
+    # the fact the dual route stands on: J D' J = D^-1, D' the dressed
+    # matrix of the dual context (J A^-1 J, times swapped)
+    product = _reversed(ctx._dual().dressed()) @ ctx.dressed()
+    assert product == RingMatrix.identity(ctx.n - ctx.m)
+
+
 def test_restricted_contexts_route_every_minor_through_the_inverse():
     # once M >= 2 the horizon passes both alphabets: zeta(-x) and zeta(y)
     # vanish there, so even a one-row minor goes dual
     ctx = restricted_context(["u1", "u2"], ["v1", "v2"], 2)
     value = ctx.minor((0,), (1,))
-    assert ("dual_entry", 0, 1) in ctx._cache and ("entry", 0, 1) not in ctx._cache
+    # the complements, rows {0, 2, 3} and columns {1, 2, 3}, reversed
+    assert _entries(ctx._cache["dual"]) == {("entry", i, j) for i in (0, 1, 3) for j in (0, 1, 2)}
+    assert _entries(ctx) == set()
     assert value == ctx._direct_minor((0,), (1,))
 
 
@@ -198,10 +221,12 @@ def test_generic_contexts_go_dual_only_on_a_smaller_complement():
     ctx = TauContext.generic(0, 5, seed=2)
     for s in range(0, 3):
         tau(ctx, s)
-    assert not any(key[0] == "dual_entry" for key in ctx._cache)
-    # three rows of five leave a complement of two
+    assert _entries(ctx._cache["dual"]) == set()
+    # three rows of five leave a complement of two, rows and columns
+    # {3, 4}, which the dual context reads reversed
     tau(ctx, 3)
-    assert ("dual_entry", 3, 3) in ctx._cache and ("entry", 2, 2) not in ctx._cache
+    assert _entries(ctx._cache["dual"]) == {("entry", i, j) for i in (0, 1) for j in (0, 1)}
+    assert ("entry", 2, 2) not in ctx._cache
 
 
 def test_unordered_or_repeated_indices_go_direct():
@@ -219,11 +244,11 @@ def test_singular_matrix_stays_direct_and_its_full_tau_vanishes():
     assert det_exact(a).is_zero()
     assert tau(ctx, 3) == MultiPoly.zero()
     assert tau(ctx, 2) == ctx._direct_minor((0, 1), (0, 1))
-    assert [key for key in _dual_built(ctx) if key != "inverse"] == []
+    assert _dual_built(ctx) == ["inverse"]
 
 
 def test_constant_times_stay_direct():
-    # numeric contexts never pay for A^-1 or the dual entries
+    # numeric contexts never pay for A^-1 or the dual context
     ctx = TauContext.generic(0, 4, seed=5).at_point([1, -2, 3], [2, 1, -1])
     for s in range(0, 5):
         tau(ctx, s)
