@@ -1,6 +1,5 @@
 from .multipoly import (
     MultiPoly,
-    ONE,
     ZERO,
     as_poly,
     grevlex_key,
@@ -12,7 +11,6 @@ from .ratio import RatioPoly, reduce_pair
 
 __all__ = [
     "MultiPoly",
-    "ONE",
     "ZERO",
     "RingMatrix",
     "RatioPoly",

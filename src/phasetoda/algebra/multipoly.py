@@ -27,8 +27,9 @@ Every ring operation runs on the integers it stores.  A product, sum or
 difference of two constants is one numerator and one denominator over
 their gcd, with no exponent vectors touched.  A product of two
 multi-term polynomials packs each exponent vector into one int
-(``_packing``, which the determinant expansion shares), and exact
-division reduces on the same keys.  Binary ``+`` and ``-`` merge the
+(``_packing``, which the determinant expansion shares); exact division
+and substitution, which no workload runs, are plain loops on exponent
+tuples.  Binary ``+`` and ``-`` merge the
 smaller operand into a copy of the larger (``_combine``); a sum of many
 terms is one ``poly_sum``, which merges them all into one dict and
 normalises once.  Results go through the trusted constructor ``_make``,
@@ -40,8 +41,9 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Sequence, Union
 
 from ..errors import DivisionByZero, NegativeExponent, NotDivisible
@@ -366,12 +368,9 @@ class MultiPoly:
 
         A variable occurring with negative exponents may receive a nonzero
         rational or an invertible monomial; assigning 0 there raises
-        DivisionByZero.
-
-        Terms are grouped by their exponents of the substituted variables,
-        so each group is multiplied once by its product of powers; the
-        groups, on numerators, are added by one ``poly_sum`` and the result
-        is divided by ``den`` once.
+        DivisionByZero.  Each term's monomial in the kept variables is
+        multiplied by ``val ** e`` for every substituted variable, and the
+        terms are added by one ``poly_sum``.
         """
         values = []
         for name, val in assignment.items():
@@ -387,23 +386,13 @@ class MultiPoly:
         gone = {i for i, _ in values}
         keep = [i for i in range(len(self.vars)) if i not in gone]
         kept_vars = tuple(self.vars[i] for i in keep)
-        groups: dict = {}
-        for exps, c in self.nums.items():
-            key = tuple(exps[i] for i, _ in values)
-            groups.setdefault(key, {})[tuple(exps[i] for i in keep)] = c
         terms = []
-        pow_cache: dict = {}
-        for key, nums in groups.items():
-            term = MultiPoly._make(kept_vars, nums)
-            for (i, val), e in zip(values, key):
-                if e == 0:
-                    continue
-                if (i, e) not in pow_cache:
-                    pow_cache[i, e] = val ** e
-                term = term * pow_cache[i, e]
+        for exps, c in self.nums.items():
+            term = MultiPoly._make(kept_vars, {tuple(exps[i] for i in keep): c}, self.den)
+            for i, val in values:
+                term = term * val ** exps[i]
             terms.append(term)
-        result = poly_sum(terms)
-        return result._scaled(1, self.den) if self.den != 1 and result.nums else result
+        return poly_sum(terms)
 
     # -- division ----------------------------------------------------------
 
@@ -418,17 +407,19 @@ class MultiPoly:
     def divide_exact(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact division; raises NotDivisible on a nonzero remainder.
 
-        A monomial is a unit of the Laurent ring, so each side is taken
-        after removing its own low corner, the lowest power of every
-        variable (v1 + 1 over v1^2 + v1 is v1^-1).  Exponent spans add under
-        multiplication, so a divisor wider than the dividend in some
-        variable is refused before anything is packed.  Otherwise both
-        sides are keyed on one ``_packing``, and an exact quotient, less its
-        low corner, lies in the box [0, span(self) - span(divisor)] of each
-        variable; a quotient term outside it is refused.  Every remainder
-        term then stays inside the dividend's box, where no field carries,
-        so the key order is a monomial order: the largest key is the leading
-        term, and it falls at every step until the loop ends.
+        Division by one polynomial under grevlex (Cox, Little & O'Shea,
+        *Ideals, Varieties, and Algorithms*, 2.3): each step divides the
+        remainder's leading term by the divisor's.  Both sides are keyed on
+        (-degree, e_n, ..., e_1), which is linear, so keys add, and whose
+        smallest key is the grevlex-leading term, so a heap of the
+        remainder's keys yields the leading term in logarithmic time where
+        a scan of the whole remainder would make the loop quadratic.
+        Grevlex is translation-invariant on Laurent exponents, so the
+        leading term falls at every step.  In each variable the lowest and
+        highest exponents add under multiplication, so an exact quotient
+        lies in the box [min(self) - min(divisor), max(self) - max(divisor)];
+        a quotient term outside it is refused, which also bounds the loop (a
+        divisor wider than the dividend has an empty box).
 
         The loop runs on the stored integer numerators, with the divisor
         made primitive; by Gauss's lemma a quotient over Q is then integral,
@@ -439,56 +430,47 @@ class MultiPoly:
         divisor = divisor if isinstance(divisor, MultiPoly) else MultiPoly.const(divisor)
         if not divisor.nums:
             raise ZeroDivisionError("division by zero polynomial")
-        if not self.nums:
-            return MultiPoly.zero()
-        if not divisor.vars:
-            c = divisor.nums[()]
-            return self._scaled(divisor.den, c) if c > 0 else self._scaled(-divisor.den, -c)
-        if len(divisor.nums) == 1:
-            return self * divisor.monomial_inverse()
-        n_low, n_span = _corner(self)
-        d_low, d_span = _corner(divisor)
-        if any(s > n_span.get(v, 0) for v, s in d_span.items()):
-            raise NotDivisible("divisor wider than the dividend")
         allvars = self._union_vars(self, divisor)
-        ((rem,), (dterms,)), _, fields = _packing(allvars, ((self,), (divisor,)))
-        rem = dict(rem)
+        num, dvs = self._embed(allvars), divisor._embed(allvars)
+        box = [(min(a) - min(b), max(a) - max(b)) for a, b in zip(zip(*num), zip(*dvs))]
+        rem = {(-sum(e), *e[::-1]): c for e, c in num.items()}
         g = gcd(*divisor.nums.values())
-        dterms = {k: c // g for k, c in dterms}
-        lead_dk = max(dterms)
+        dterms = {(-sum(e), *e[::-1]): c // g for e, c in dvs.items()}
+        lead_dk = min(dterms)
         lead_dc = dterms.pop(lead_dk)
-        # the fields a remainder key may hold for its quotient term to lie
-        # in the box (the divisor's leading exponent plus [0, span
-        # difference]), and the fields that unpack a quotient key: with
-        # divisor = g * primitive / divisor.den and self = quot * primitive
-        # / self.den, the quotient is quot * divisor.den / (g * self.den),
-        # its low corner that of self less that of the divisor
-        box, lift = [], []
-        for (rad, w, _), v in zip(fields, allvars):
-            lo = lead_dk // rad % w
-            box.append((rad, w, lo, lo + n_span.get(v, 0) - d_span.get(v, 0)))
-            lift.append((rad, w, n_low.get(v, 0) - d_low.get(v, 0)))
+        # a remainder key is pushed whenever it appears; one that cancelled
+        # stays in the heap and is skipped when popped
+        heap = list(rem)
+        heapify(heap)
+        # with divisor = g * primitive / divisor.den and self = quot *
+        # primitive / self.den, the quotient is quot * divisor.den / (g * self.den)
         dd = divisor.den
         quot: dict = {}
         get = rem.get
         while rem:
-            lk = max(rem)
-            for rad, w, lo, hi in box:
-                if not lo <= lk // rad % w <= hi:
+            lk = heappop(heap)
+            if lk not in rem:
+                continue
+            qk = tuple(map(sub, lk, lead_dk))
+            exps = qk[:0:-1]
+            for (lo, hi), e in zip(box, exps):
+                if not lo <= e <= hi:
                     raise NotDivisible("quotient term outside the box")
             qc, r = divmod(rem.pop(lk), lead_dc)
             if r:
                 raise NotDivisible("leading coefficient not divisible")
-            qk = lk - lead_dk
-            quot[qk] = qc * dd
+            quot[exps] = qc * dd
             for dk, dc in dterms.items():
-                k = qk + dk
-                v = get(k, 0) - qc * dc
-                if v:
-                    rem[k] = v
+                k = tuple(map(add, qk, dk))
+                v = get(k)
+                if v is None:
+                    rem[k] = -qc * dc
+                    heappush(heap, k)
+                elif v != qc * dc:
+                    rem[k] = v - qc * dc
                 else:
                     del rem[k]
-        return MultiPoly._make(allvars, _unpack(lift, quot), g * self.den)
+        return MultiPoly._make(allvars, quot, g * self.den)
 
     def content(self) -> Fraction:
         """Positive rational content (gcd of numerators / lcm of denominators)."""
@@ -652,7 +634,8 @@ def _pruned(variables: tuple, nums: dict, den: int) -> MultiPoly:
 
 def _packing(allvars: tuple, groups: Sequence[Sequence[MultiPoly]]) -> tuple:
     """Int keys for the products that take one polynomial from each group:
-    ``(packed, den, fields)``.
+    ``(packed, den, fields)``, for the two hot products, ``_packed_product``
+    and the determinant's minor expansion.
 
     Each group is scaled to integer numerators over the lcm of its
     denominators, and ``den`` is the product of those lcms.  Each exponent
@@ -718,16 +701,6 @@ def _unpack(fields: Sequence[tuple], out: dict) -> dict:
     return {tuple([k // r % w + lo for r, w, lo in fields]): v for k, v in out.items() if v}
 
 
-def _corner(p: MultiPoly) -> tuple:
-    """The low corner and the exponent span of each variable of ``p``, as
-    two dicts keyed on its variable names."""
-    low, span = {}, {}
-    for v, col in zip(p.vars, zip(*p.nums)):
-        low[v] = lo = min(col)
-        span[v] = max(col) - lo
-    return low, span
-
-
 def _packed_product(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Product of two non-constant polynomials on integers.
 
@@ -748,4 +721,3 @@ def _packed_product(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 
 ZERO = MultiPoly.zero()
-ONE = MultiPoly.const(1)

@@ -8,8 +8,8 @@ from .determinants import (
     recursion_sides,
     single_det_form,
 )
-from .fock import FockState, StateVector, pair, vacuum
-from .limits import LIMIT_KINDS, limit_correspondence, limit_sides
+from .fock import StateVector, pair, vacuum
+from .limits import limit_correspondence, limit_sides
 from .monodromy import (
     apply_local_L,
     build_conj_state,
@@ -31,8 +31,6 @@ from .skew import (
 )
 
 __all__ = [
-    "FockState",
-    "LIMIT_KINDS",
     "METHODS",
     "StateVector",
     "apply_local_L",

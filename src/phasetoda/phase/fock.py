@@ -14,13 +14,11 @@ from typing import Dict, Tuple
 from ..algebra import MultiPoly, as_poly, poly_sum
 from ..combinatorics.partitions import OccupationSequence, occupation_to_partition
 
-FockState = Tuple[int, ...]
-
 
 @dataclass
 class StateVector:
     m: int
-    terms: Dict[FockState, MultiPoly] = field(default_factory=dict)
+    terms: Dict[Tuple[int, ...], MultiPoly] = field(default_factory=dict)
     dual: bool = False
 
     def __post_init__(self):

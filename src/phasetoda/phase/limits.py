@@ -27,8 +27,6 @@ from ..toda import restricted_context, wave_numerator
 from .scalar import boundary_monomial
 from .skew import correlator_one_hole, correlator_seeded
 
-LIMIT_KINDS = ("v1_to_infinity", "u_tail_to_zero")
-
 
 def limit_sides(
     kind: str, k: int, n: int, m: int, u_names: Sequence[str], v_names: Sequence[str]

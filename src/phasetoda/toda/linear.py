@@ -30,18 +30,24 @@ def _hat_factor(ctx: TauContext, kind: str, inverse: bool) -> RingMatrix:
     off the diagonal is a wave entry with index k.
 
     The wave matrix takes its entries at site = row over tau(site); the
-    inverse takes the starred entries at site = column over tau(site + 1)."""
+    inverse takes the starred entries at site = column over tau(site + 1).
+    The lower factors have a unit diagonal: their k = 0 numerator is the
+    tau it stands over."""
     if kind not in ("w_inf", "w_zero"):
         raise ValueError(kind)
     entry_kind = {"w_inf": "w_star_inf", "w_zero": "w_star_zero"}[kind] if inverse else kind
     m, n = ctx.m, ctx.n
-    zero = MultiPoly.zero()
+    zero, one = MultiPoly.zero(), MultiPoly.const(1)
 
     def entry(i, j):
         k = i - j if kind == "w_inf" else j - i
         site = j if inverse else i
-        return zero if k < 0 else RatioPoly(
-            wave_numerator(ctx, site, entry_kind, k), tau(ctx, site + 1 if inverse else site))
+        if k < 0:
+            return zero
+        if k == 0 and kind == "w_inf":
+            return one
+        return RatioPoly(wave_numerator(ctx, site, entry_kind, k),
+                         tau(ctx, site + 1 if inverse else site))
 
     return ctx.kept(("hat_factor", kind, inverse), lambda: RingMatrix(
         n - m, n - m, [entry(i, j) for i in range(m, n) for j in range(m, n)]))

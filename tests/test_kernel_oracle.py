@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from phasetoda.algebra import (
     MultiPoly, RingMatrix, det_cofactor, det_exact, grevlex_key, poly_sum, var_key,
 )
-from phasetoda.errors import NegativeExponent, NotDivisible
+from phasetoda.errors import DivisionByZero, NegativeExponent, NotDivisible
 
 sympy = pytest.importorskip("sympy")
 
@@ -153,6 +153,8 @@ def test_negative_power_of_monomial_matches_sympy(p, k):
 @given(polys(), polys())
 # a divisor with a monomial factor whose quotient has a negative power
 @example(MultiPoly.var("v1", -1), MultiPoly.var("v1", 2) + MultiPoly.var("v1"))
+# the remainders v1^-k * 2 fall forever unless the box ends the loop
+@example(MultiPoly.var("v1") + 1, MultiPoly.var("v1") - 1)
 def test_divide_exact_matches_sympy(p, q):
     if q.is_zero():
         return
@@ -168,6 +170,33 @@ def test_divide_exact_matches_sympy(p, q):
         assert len(sympy.Add.make_args(sympy.expand(den))) > 1
     else:
         assert from_sympy(to_sympy(quot) * Q) == canonical(p)
+
+
+@st.composite
+def assignments(draw):
+    """A partial assignment of NAMES: rationals, zero included, and
+    monomials with nonzero coefficients and Laurent exponents."""
+    monomials = polys(max_terms=1, coeffs=nonzero_coeffs, min_terms=1)
+    names = draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=3))
+    return {name: draw(coeffs | monomials) for name in names}
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), assignments())
+# a simultaneous substitution: u2 -> v1, v1 -> u2^-1
+@example(MultiPoly(("u2", "v1"), {(2, -1): 1, (0, 1): Fraction(1, 2)}),
+         {"u2": MultiPoly.var("v1"), "v1": MultiPoly.var("u2", -1)})
+# v1 occurs with a negative power and is assigned 0
+@example(MultiPoly.var("v1", -1) + 1, {"v1": Fraction(0)})
+def test_subs_matches_sympy(p, assignment):
+    values = {n: v if isinstance(v, MultiPoly) else MultiPoly.const(v) for n, v in assignment.items()}
+    if any(v.is_zero() and n in p.vars and any(e[p.vars.index(n)] < 0 for e in p.terms)
+           for n, v in values.items()):
+        with pytest.raises(DivisionByZero):
+            p.subs(assignment)
+        return
+    expected = to_sympy(p).xreplace({SYMBOLS[n]: to_sympy(v) for n, v in values.items()})
+    assert canonical(p.subs(assignment)) == from_sympy(expected)
 
 
 @settings(max_examples=80, deadline=None)
@@ -190,8 +219,9 @@ def test_divide_exact_by_scaled_divisor_matches_sympy(p, d):
 # u2 is missing from the numerator
 @example(MultiPoly.var("v1") + 1, MultiPoly.var("u2") + MultiPoly.var("v1"))
 def test_span_pretest_refuses_only_non_divisors(p, q):
-    # divide_exact's span test: a divisor wider than the numerator in some
-    # variable is refused, and an exact product is never refused
+    # a divisor wider than the numerator in some variable leaves the
+    # quotient an empty box in divide_exact and is refused, and an exact
+    # product is never refused
     assert not p.is_zero() and len(q.terms) > 1
     p_spans = spans(p)
     if any(w > p_spans.get(v, 0) for v, w in spans(q).items()):
@@ -201,8 +231,9 @@ def test_span_pretest_refuses_only_non_divisors(p, q):
 
 
 def packed_lead(p: MultiPoly, allvars: tuple) -> list:
-    """The leading exponent vector of p over allvars in divide_exact's key
-    order (the last variable most significant), less p's low corner."""
+    """The leading exponent vector of p over allvars in the lexicographic
+    order with the last variable most significant (a monomial order, but
+    not divide_exact's grevlex), less p's low corner."""
     vecs = [tuple(e[p.vars.index(v)] if v in p.vars else 0 for v in allvars) for e in p.terms]
     low = [min(col) for col in zip(*vecs)]
     lead = max(vecs, key=lambda e: e[::-1])
@@ -210,7 +241,7 @@ def packed_lead(p: MultiPoly, allvars: tuple) -> list:
 
 
 def lead_outside_box(p: MultiPoly, q: MultiPoly) -> bool:
-    """Whether the leading quotient term of p / q, less its low corner,
+    """Whether the lex-leading quotient term of p / q, less its low corner,
     falls outside the box [0, span(p) - span(q)] in some variable."""
     allvars = tuple(sorted(set(p.vars) | set(q.vars), key=var_key))
     lead = [a - b for a, b in zip(packed_lead(p, allvars), packed_lead(q, allvars))]
@@ -235,17 +266,15 @@ def outside_box_pairs(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(outside_box_pairs())
-# leading quotient u2 * v1 against the box [0, 0] x [0, 1]; without the
-# box bound the division reaches an empty remainder with the wrong quotient
-# -u2^3 + u2 * v1 + v1 + 1
+# lex-leading quotient u2 * v1 against the box [0, 0] x [0, 1]
 @example((
     MultiPoly(("u2", "v1"), {(2, 1): 1, (1, 2): 1, (2, 0): 1, (0, 2): 1}),
     MultiPoly(("u2", "v1"), {(2, 0): 1, (0, 1): 1}),
 ))
 def test_quotient_term_outside_the_box_is_refused(pair):
     # an exact quotient, less its low corner, lies in the box
-    # [0, span(p) - span(q)]: a leading quotient term outside it proves
-    # that q does not divide p
+    # [0, span(p) - span(q)]: a quotient term outside it, leading in any
+    # monomial order, proves that q does not divide p
     p, q = pair
     assert not p.is_zero() and len(q.terms) > 1
     assert lead_outside_box(p, q)

@@ -361,6 +361,18 @@ def test_small_bounds_pass_without_a_fault(small_bounds, family):
     assert items and all(it["pass"] for it in items)
 
 
+def test_no_family_divides(small_bounds, monkeypatch):
+    # exact division serves only reduce_pair and the polynomial Bareiss
+    # oracle: with it refused, every family still passes at the small bounds
+    def never(*args):
+        raise AssertionError("a family tried an exact division")
+
+    monkeypatch.setattr(MultiPoly, "divide_exact", never)
+    for family in suites.FAMILIES:
+        items = suites.run_family(family, 7)
+        assert items and all(it["pass"] for it in items), family
+
+
 def test_linear_at_size_2_passes_without_a_fault(small_bounds, monkeypatch):
     monkeypatch.setitem(suites.BOUNDS, "linear_size", 2)
     items = suites.run_family("linear", 7)

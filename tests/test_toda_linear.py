@@ -19,7 +19,9 @@ from phasetoda.toda import (
     full_wave_matrix,
     hat_wave_matrix,
     lax_matrices,
+    tau,
     verify_linear_problem,
+    wave_numerator,
 )
 
 
@@ -43,6 +45,13 @@ def test_hat_matrices_triangular(ctx3):
             assert lower[i, j].is_zero()
         for j in range(i):
             assert upper[i, j].is_zero()
+
+
+def test_lower_diagonal_numerators_are_their_taus(ctx3):
+    # what lets the lower factors write their k = 0 entries as 1
+    for s in range(3):
+        assert wave_numerator(ctx3, s, "w_inf", 0) == tau(ctx3, s)
+        assert wave_numerator(ctx3, s, "w_star_inf", 0) == tau(ctx3, s + 1)
 
 
 def test_wave_inverses(ctx2, ctx3):
@@ -164,9 +173,14 @@ def test_seven_linear_checks_build_each_matrix_once(builds):
     # so no inverse exponential factor is built
     once = Counter({("exp", kind, False): 1 for kind in ("w_inf", "w_zero")})
     once.update({("shift", 1): 1, ("shift", -1): 1})
-    # 6 entries on and below (or above) the diagonal of each 3x3 hat factor
-    once.update({kind: 6 for kind in ("w_inf", "w_zero", "w_star_inf", "w_star_zero")})
+    # 6 entries on and above the diagonal of each 3x3 upper hat factor; the
+    # lower ones build the 3 below it, their unit diagonal is the constant 1
+    once.update({kind: 6 for kind in ("w_zero", "w_star_zero")})
+    once.update({kind: 3 for kind in ("w_inf", "w_star_inf")})
     assert builds == once
+    for inverse in (False, True):
+        lower = linear._hat_factor(ctx, "w_inf", inverse)
+        assert all(type(lower[i, i]) is MultiPoly and lower[i, i] == 1 for i in range(3))
     # a second pass over the same context builds nothing
     assert all(_seven_checks(ctx))
     assert builds == once
