@@ -2,6 +2,7 @@ from .multipoly import (
     MultiPoly,
     ZERO,
     as_poly,
+    constants_over_lcm,
     grevlex_key,
     poly_sum,
     var_key,
@@ -15,6 +16,7 @@ __all__ = [
     "RingMatrix",
     "RatioPoly",
     "as_poly",
+    "constants_over_lcm",
     "det_cofactor",
     "det_exact",
     "grevlex_key",

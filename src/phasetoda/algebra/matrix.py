@@ -32,12 +32,11 @@ constant and on polynomial entries.
 
 from __future__ import annotations
 
-from math import lcm
 from operator import add, floordiv, sub
 from typing import Sequence
 
 from ..errors import NonSquare
-from .multipoly import MultiPoly, _packing, _unpack, as_poly, var_key
+from .multipoly import MultiPoly, _packing, _unpack, as_poly, constants_over_lcm, var_key
 from .ratio import RatioPoly
 
 
@@ -229,10 +228,9 @@ def _det_bareiss(m: RingMatrix) -> MultiPoly:
         a = []
         scale = 1
         for i in range(n):
-            row = m.row(i)
-            d = lcm(*[e.den for e in row])
+            nums, d = constants_over_lcm(m.row(i))
             scale *= d
-            a.append([e.nums[()] * (d // e.den) if e.nums else 0 for e in row])
+            a.append(nums)
         divide = floordiv
     else:
         a = [m.row(i) for i in range(n)]

@@ -32,8 +32,12 @@ and substitution, which no workload runs, are plain loops on exponent
 tuples.  Binary ``+`` and ``-`` merge the
 smaller operand into a copy of the larger (``_combine``); a sum of many
 terms is one ``poly_sum``, which merges them all into one dict and
-normalises once.  Results go through the trusted constructor ``_make``,
-which prunes unused variables and divides out ``gcd(den, *nums)``.
+normalises once; when every term is a constant it adds their numerators
+over the lcm of their denominators, with no exponent vectors touched.
+``series`` builds a polynomial in one variable from its coefficients by
+placing their terms, with no product, merge or gcd.  Other results go
+through the trusted constructor ``_make``, which prunes unused variables
+and divides out ``gcd(den, *nums)``.
 """
 
 from __future__ import annotations
@@ -177,6 +181,29 @@ class MultiPoly:
     def monomial(cls, coeff: Scalar, powers: Mapping[str, int]) -> "MultiPoly":
         names = tuple(powers)
         return cls(names, {tuple(powers[n] for n in names): coeff})
+
+    @classmethod
+    def series(cls, name: str, coeffs: Sequence["MultiPoly"]) -> "MultiPoly":
+        """sum_k coeffs[k] * name**k, for coefficients in which ``name`` does
+        not occur (ValueError otherwise).
+
+        Each coefficient's terms, on the union of the coefficients'
+        variables, get exponent k of ``name`` inserted, over the lcm of the
+        coefficients' denominators: no two terms collide and, as in
+        ``__init__``, numerators over the lcm of reduced denominators share
+        no factor with it, so nothing is multiplied, merged or divided.
+        """
+        rest = tuple(sorted(set().union(*[c.vars for c in coeffs]), key=var_key))
+        if name in rest:
+            raise ValueError(f"{name} occurs in a coefficient")
+        at = sum(var_key(v) < var_key(name) for v in rest)
+        den = lcm(*[c.den for c in coeffs])
+        nums = {}
+        for k, c in enumerate(coeffs):
+            f = den // c.den
+            for e, v in c._embed(rest).items():
+                nums[e[:at] + (k,) + e[at:]] = v * f
+        return _pruned(rest[:at] + (name,) + rest[at:], nums, den) if nums else ZERO
 
     # -- basic queries -----------------------------------------------------
 
@@ -543,6 +570,13 @@ def _scale_parts(p: MultiPoly, num: int, den: int) -> tuple:
     return g, num // g1, p.den // g1 * (den // g)
 
 
+def constants_over_lcm(consts: Sequence[MultiPoly]) -> tuple:
+    """(numerators, d): constant polynomials as integer numerators over the
+    lcm d of their denominators."""
+    d = lcm(*[c.den for c in consts])
+    return [c.nums[()] * (d // c.den) if c.nums else 0 for c in consts], d
+
+
 def _combine(a: MultiPoly, b: MultiPoly, sign: int) -> MultiPoly:
     """a + sign * b (sign is 1 or -1), over the lcm of the denominators."""
     if not b.nums:
@@ -591,9 +625,11 @@ def poly_sum(polys) -> MultiPoly:
     """The sum of an iterable of polynomials, normalised once.
 
     Zero terms are dropped; two terms are one ``_combine``.  More are
-    scaled to the lcm of their denominators and merged on the union of
-    their variables into one dict, which ``_make`` then takes over, so each
-    term is copied once instead of the whole running sum per term.
+    scaled to the lcm of their denominators.  Constants then add up to one
+    numerator over it, as two constants do in ``_combine``; any other terms
+    are merged on the union of their variables into one dict, which
+    ``_make`` then takes over, so each term is copied once instead of the
+    whole running sum per term.
     """
     terms = [p for p in polys if p.nums]
     if len(terms) < 3:
@@ -601,15 +637,22 @@ def poly_sum(polys) -> MultiPoly:
             return _combine(terms[0], terms[1], 1)
         return terms[0] if terms else ZERO
     names = set().union(*[p.vars for p in terms])
-    widest = max(terms, key=lambda p: len(p.vars)).vars
-    allvars = widest if len(widest) == len(names) else tuple(sorted(names, key=var_key))
+    if names:
+        widest = max(terms, key=lambda p: len(p.vars)).vars
+        allvars = widest if len(widest) == len(names) else tuple(sorted(names, key=var_key))
     den = lcm(*[p.den for p in terms])
+    num = 0
     nums: dict = {}
     get = nums.get
     for p in terms:
         f = den // p.den
+        if not names:
+            num += p.nums[()] * f
+            continue
         for e, c in p._embed(allvars).items():
             nums[e] = get(e, 0) + c * f
+    if not names:
+        return MultiPoly._make((), {(): num} if num else {}, den)
     return MultiPoly._make(allvars, {e: c for e, c in nums.items() if c}, den)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import MultiPoly, RingMatrix, det_exact, poly_sum
+from .algebra import MultiPoly, RingMatrix, constants_over_lcm, det_exact, poly_sum
 from .combinatorics.partitions import Partition, SkewShape
 from .errors import ShapeViolation
 
@@ -72,8 +72,23 @@ def zeta_all(kmax: int, times: Sequence[MultiPoly]) -> list:
 
     Computed by the exact recurrence k*zeta_k = sum_j j*t_j*zeta_{k-j};
     times beyond the supplied horizon are zero, so each zeta_k is a finite
-    polynomial.
+    polynomial.  When every time is a constant, a_j/q over the lcm q of
+    their denominators, the recurrence runs on integers: zeta_k is N_k over
+    q^k k!, where N_0 = 1 and
+    N_k = sum_j j a_j q^(j-1) (k-1)!/(k-j)! N_{k-j}.
     """
+    if not any(t.vars for t in times):
+        a, q = constants_over_lcm(times)
+        nums, den, zs = [1], 1, [MultiPoly.const(1)]
+        for k in range(1, kmax + 1):
+            acc, w = 0, 1  # w = q^(j-1) (k-1)!/(k-j)!
+            for j in range(1, min(k, len(a)) + 1):
+                acc += j * a[j - 1] * w * nums[k - j]
+                w *= q * (k - j)
+            den *= q * k
+            nums.append(acc)
+            zs.append(MultiPoly._make((), {(): acc} if acc else {}, den))
+        return zs
     zs = [MultiPoly.const(1)]
     for d in range(1, kmax + 1):
         acc = poly_sum(MultiPoly.const(j) * times[j - 1] * zs[d - j]

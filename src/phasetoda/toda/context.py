@@ -37,9 +37,14 @@ that is not square, goes direct.  The zeta pair (zeta(x), zeta(-y)), the
 rows of exp(x.raise) A, the dressed entries, A^-1 and det A (by exact
 Fraction elimination), the dual context, the route and every minor are
 built on first use and kept in the context, as are the linear problem's
-matrices; the dual context keeps its own pair, rows and entries.  The
-cache belongs to the context and nothing else: every run and every
-``at_point`` builds a fresh one.
+matrices; the dual context keeps its own pair, rows and entries.  A
+context at a rational point (``at_point``) is the exception: it is
+dressed whole when it is made, in one pass on integer numerators, and
+starts with its zeta pair, every entry and the dressed matrix kept; a
+context built directly from the same constant times builds the same
+entries on demand and is that pass's test oracle.  The cache belongs to
+the context and nothing else: every run and every ``at_point`` builds a
+fresh one.
 """
 
 from __future__ import annotations
@@ -47,9 +52,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from ..algebra import MultiPoly, RingMatrix, det_exact, poly_sum
+from ..algebra import MultiPoly, RingMatrix, constants_over_lcm, det_exact, poly_sum
 from ..combinatorics.partitions import partitions_in_box
 from ..errors import RangeViolation
 from ..symfunc import char_poly, negate_times, zeta_all
@@ -118,10 +124,29 @@ class TauContext:
         return cls.symbolic(m, n, RingMatrix.identity(n - m))
 
     def at_point(self, x_values: Sequence, y_values: Sequence) -> "TauContext":
-        """Numeric context with the same constant matrix."""
+        """Numeric context with the same constant matrix, dressed in one
+        integer pass and kept.  With zeta(x), A and zeta(-y) as integer
+        numerators xs, ns and ys over their lcms dx, da and dy, row i of
+        exp(x.raise) A has sum_t xs[t] col[i + t] over dx da in the place of
+        each column col of ns, entry (i, j) of the dressed matrix is
+        sum_t rows[i][j + t] ys[t] over dx da dy, and ``_make`` reduces
+        each entry."""
         xv = tuple(MultiPoly.const(Fraction(v)) for v in x_values)
         yv = tuple(MultiPoly.const(Fraction(v)) for v in y_values)
-        return TauContext(self.m, self.n, self.a, xv, yv)
+        ctx = TauContext(self.m, self.n, self.a, xv, yv)
+        (xs, dx), (ys, dy) = map(constants_over_lcm, ctx._zetas())
+        size = self.n - self.m
+        ns, da = constants_over_lcm(self.a.entries)
+        cols = [ns[k::size] for k in range(size)]
+        rows = [[sum(map(mul, xs, col[i:])) for col in cols] for i in range(size)]
+        den = dx * da * dy
+        ents = [MultiPoly._make((), {(): v} if v else {}, den)
+                for v in (sum(map(mul, ys, row[j:])) for row in rows for j in range(size))]
+        cache, m = ctx._cache, self.m
+        for k, e in enumerate(ents):
+            cache[("entry", m + k // size, m + k % size)] = e
+        cache["dressed"] = RingMatrix(size, size, ents)
+        return ctx
 
     # -- core objects -------------------------------------------------------
 
@@ -142,8 +167,9 @@ class TauContext:
 
     def entry(self, i: int, j: int) -> MultiPoly:
         """Dressed entry indexed by absolute indices in m..n-1, built on first
-        use: row i of exp(x.raise) A times column j of exp(-y.lower), whose
-        entries are zeta_{l-j}(-y) for l >= j."""
+        use (a context at a point has all of them from ``at_point``): row i
+        of exp(x.raise) A times column j of exp(-y.lower), whose entries
+        are zeta_{l-j}(-y) for l >= j."""
         def build():
             row, zy, c = self._row(i), self._zetas()[1], j - self.m
             return poly_sum(row[l] * zy[l - c] for l in range(c, len(row))

@@ -11,9 +11,13 @@ equality (numerators share the printed denominators).
 The tau shifted along the spectral direction is the leading minor of the
 dressed matrix with each entry replaced by a lam-weighted sum along one
 index: (1 - lam*shift) takes one step with coefficient -lam, its nilpotent
-inverse takes every step k with lam^k.  Its lam coefficients reproduce the
-wave entries, which is both a theorem verified in the tests and the engine
+inverse takes every step k with lam^k; each such entry is one
+``MultiPoly.series`` in lam.  Its lam coefficients reproduce the wave
+entries, which is both a theorem verified in the tests and the engine
 behind the bilinear residue check, sum_k zeta_k(w) [lam^(p+1+k)](tau_a tau_b).
+That check runs on two contexts at rational points, each dressed in one
+integer pass (``TauContext.at_point``), and takes the weights zeta_k(w)
+from the integer branch of ``zeta_all``.
 """
 
 from __future__ import annotations
@@ -106,7 +110,9 @@ def shifted_tau(ctx: TauContext, s: int, which: str) -> MultiPoly:
     x_minus: det[(1 - lam*raise)   D]   x_plus: det[(1 - lam*raise)^-1 D]
     y_minus: det[D (1 - lam*lowerT)^-1] y_plus: det[D (1 - lam*lowerT)]
     each restricted to the leading block of size s - m, whose entry (i, j)
-    is sum_k c_k lam^k D[i+k, j] (x) or sum_k c_k lam^k D[i, j+k] (y).
+    is sum_k c_k lam^k D[i+k, j] (x) or sum_k c_k lam^k D[i, j+k] (y), with
+    c = (1, -1) for the one step and c_k = 1 for every step of the inverse;
+    each entry is one ``MultiPoly.series`` in lam.
     """
     if which not in SHIFT_KINDS:
         raise ValueError(f"unknown shift {which!r}")
@@ -114,19 +120,16 @@ def shifted_tau(ctx: TauContext, s: int, which: str) -> MultiPoly:
         raise RangeViolation(f"site {s} outside [{ctx.m}, {ctx.n}]")
     size = ctx.n - ctx.m
     d = ctx.dressed()
-    lam = MultiPoly.var("lam")
-    if which in ("x_minus", "y_plus"):
-        steps = [MultiPoly.const(1), -lam]
-    else:
-        steps = [lam**k for k in range(size)]
+    signs = (1, -1) if which in ("x_minus", "y_plus") else (1,) * size
     along_rows = which.startswith("x")
+
+    def entry(i, j):
+        band = [d[i + k, j] if along_rows else d[i, j + k]
+                for k in range(min(len(signs), size - (i if along_rows else j)))]
+        return MultiPoly.series("lam", [c if sign > 0 else -c for c, sign in zip(band, signs)])
+
     r = s - ctx.m
-    ents = [
-        poly_sum(c * (d[i + k, j] if along_rows else d[i, j + k])
-                 for k, c in enumerate(steps[: size - (i if along_rows else j)]))
-        for i in range(r) for j in range(r)
-    ]
-    return det_exact(RingMatrix(r, r, ents))
+    return det_exact(RingMatrix(r, r, [entry(i, j) for i in range(r) for j in range(r)]))
 
 
 # the wave kind and the site step whose entries a shifted tau expands into

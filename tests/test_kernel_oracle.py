@@ -315,6 +315,29 @@ def test_divide_exact_laurent_across_degrees():
         (prod + v).divide_exact(q)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(polys(), max_size=5), st.sampled_from(("lam", "u5") + NAMES))
+# u5 is placed between u2 and u10 in the global order
+@example([MultiPoly.var("u10"), MultiPoly.zero(), Fraction(1, 2) * MultiPoly.var("u2")], "u5")
+def test_series_matches_poly_sum_of_powers(coeffs, name):
+    # zero and polynomial coefficients; a name that occurs in one is refused
+    if any(name in c.vars for c in coeffs):
+        with pytest.raises(ValueError):
+            MultiPoly.series(name, coeffs)
+        return
+    t = MultiPoly.var(name)
+    assert canonical(MultiPoly.series(name, coeffs)) == poly_sum(t ** k * c for k, c in enumerate(coeffs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(coeffs, max_size=8))
+def test_constant_poly_sum_matches_fraction_sum(values):
+    consts = [MultiPoly.const(v) for v in values]
+    assert canonical(poly_sum(consts)) == MultiPoly.const(sum(values, Fraction(0)))
+    cancelled = poly_sum(consts + [-c for c in consts])
+    assert (cancelled.vars, cancelled.nums, cancelled.den) == ((), {}, 1)
+
+
 @settings(max_examples=100, deadline=None)
 @given(polys())
 def test_cancelled_variables_are_pruned(p):

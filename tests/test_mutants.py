@@ -134,6 +134,14 @@ poly_sum_skips_denominator_scale = edited(multipoly, "poly_sum", "f = den // p.d
 # the raising Toeplitz band one step off: zeta_{j-i+1} for zeta_{j-i}
 shift_exp_band_off_by_one = edited(toda, "shift_exp", "z(j - i) if", "z(j - i + 1) if")
 
+# the point pass's raising band one step off: zeta_{l-i+1}(x) for
+# zeta_{l-i}(x), so no numeric dressed matrix is exp(x.raise) A exp(-y.lower);
+# a band shifted the other way, zeta_{l-i-1}, would only dress raise * A,
+# for which the identity holds as well
+point_band_off_by_one = edited(
+    TauContext, "at_point", "sum(map(mul, xs, col[i:]))", "sum(map(mul, xs[1:], col[i:]))"
+)
+
 # Jacobi's identity without its sign (-1)^(sum I + sum J): every dual
 # minor whose rows and columns sum to an odd number changes sign
 dual_minor_sign_dropped = edited(
@@ -290,6 +298,8 @@ FAULTS = {
     # the failing residue names its sites and time points
     "residue-coefficient-off-by-one":
         (plant_everywhere("bilinear_check", residue_coefficient_off_by_one), ("bilinear",)),
+    # the failing residue names its sites and time points
+    "point-band-off-by-one": (plant_on(TauContext, "at_point", point_band_off_by_one), ("bilinear",)),
     # the non-principal dual minors: the wave entries' minors against the
     # direct route, and the limits' wave entries against the correlators
     "dual-minor-sign-dropped":

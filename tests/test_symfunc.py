@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasetoda import symfunc as sf
 from phasetoda.algebra import MultiPoly
@@ -80,6 +81,19 @@ def test_zeta_small():
     x1, x2 = MultiPoly.var("x1"), MultiPoly.var("x2")
     assert sf.zeta_all(0, [x1, x2])[0] == MultiPoly.const(1)
     assert sf.zeta_all(2, [x1, x2])[2] == x2 + Fraction(1, 2) * x1 ** 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)), max_size=5),
+       st.integers(0, 8))
+def test_constant_zetas_match_the_fraction_recurrence(times, kmax):
+    # the integer branch against k zeta_k = sum_j j t_j zeta_{k-j} on Fractions
+    want = [Fraction(1)]
+    for k in range(1, kmax + 1):
+        want.append(sum((j * times[j - 1] * want[k - j] for j in range(1, min(k, len(times)) + 1)),
+                        Fraction(0)) / k)
+    # equal to the canonical constant, so the representation is canonical too
+    assert sf.zeta_all(kmax, [MultiPoly.const(t) for t in times]) == list(map(MultiPoly.const, want))
 
 
 @pytest.mark.parametrize("k", range(0, 7))

@@ -2,6 +2,7 @@
 the dual route of a minor."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,6 +123,35 @@ def test_lazy_entries_equal_eager_product(make):
         for j in range(ctx.m, ctx.n):
             assert ctx.entry(i, j) == eager[i - ctx.m, j - ctx.m]
     assert ctx.dressed() == eager
+
+
+@st.composite
+def point_cases(draw):
+    """A constant matrix of size 1-5 at m = -2..2, integer or rational, and
+    a rational point with zero and negative times."""
+    m, size = draw(st.integers(-2, 2)), draw(st.integers(1, 5))
+    value = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 1, 2, 3)))
+    a = RingMatrix(size, size, [MultiPoly.const(v) for v in draw(
+        st.lists(value, min_size=size * size, max_size=size * size))])
+    times = st.lists(value, min_size=size - 1, max_size=size - 1)
+    return TauContext.symbolic(m, m + size, a), draw(times), draw(times)
+
+
+@settings(max_examples=40, deadline=None)
+@given(point_cases())
+def test_point_entries_match_direct_and_substituted_entries(case):
+    # the integer pass of at_point against the on-demand entries of a
+    # context built directly from the same constant times, and against the
+    # symbolic entries at the point
+    ctx, x, y = case
+    at = ctx.at_point(x, y)
+    direct = TauContext(ctx.m, ctx.n, ctx.a, tuple(map(MultiPoly.const, x)), tuple(map(MultiPoly.const, y)))
+    point = {**{f"x{k}": v for k, v in enumerate(x, 1)}, **{f"y{k}": v for k, v in enumerate(y, 1)}}
+    assert _entries(at) == {("entry", i, j) for i in range(ctx.m, ctx.n) for j in range(ctx.m, ctx.n)}
+    for i in range(ctx.m, ctx.n):
+        for j in range(ctx.m, ctx.n):
+            assert at.entry(i, j) == direct.entry(i, j) == ctx.entry(i, j).subs(point), (i, j)
+    assert at.dressed() == direct.dressed()
 
 
 # -- the dual route -------------------------------------------------------------

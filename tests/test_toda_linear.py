@@ -206,8 +206,10 @@ def test_two_contexts_share_nothing():
         assert value is not kept(second)[key] and value != kept(second)[key], key
     # each is what a fresh context over its own matrix builds
     assert lax_matrices(second) == lax_matrices(TauContext.generic(0, 3, seed=29))
-    # a context at a point starts empty
-    assert first.at_point([1, 2], [0, 1])._cache == {}
+    # a context at a point starts with its own dressing and nothing else
+    at = first.at_point([1, 2], [0, 1])
+    entries = {("entry", i, j) for i in range(3) for j in range(3)}
+    assert set(at._cache) == {"zetas", "dressed"} | entries and kept(at) == {}
 
 
 def _chained(lax, k):
