@@ -2,6 +2,7 @@ from .multipoly import (
     MultiPoly,
     ZERO,
     as_poly,
+    constant_over,
     constants_over_lcm,
     grevlex_key,
     poly_sum,
@@ -16,6 +17,7 @@ __all__ = [
     "RingMatrix",
     "RatioPoly",
     "as_poly",
+    "constant_over",
     "constants_over_lcm",
     "det_cofactor",
     "det_exact",

@@ -36,7 +36,7 @@ from operator import add, floordiv, sub
 from typing import Sequence
 
 from ..errors import NonSquare
-from .multipoly import MultiPoly, _packing, _unpack, as_poly, constants_over_lcm, var_key
+from .multipoly import MultiPoly, _packing, _unpack, as_poly, constant_over, constants_over_lcm, var_key
 from .ratio import RatioPoly
 
 
@@ -255,7 +255,7 @@ def _det_bareiss(m: RingMatrix) -> MultiPoly:
     det = a[-1][-1] if sign > 0 else -a[-1][-1]
     if scale is None:
         return det
-    return MultiPoly._make((), {(): det} if det else {}, scale)
+    return constant_over(det, scale)
 
 
 def det_cofactor(m: RingMatrix) -> MultiPoly:

@@ -577,6 +577,11 @@ def constants_over_lcm(consts: Sequence[MultiPoly]) -> tuple:
     return [c.nums[()] * (d // c.den) if c.nums else 0 for c in consts], d
 
 
+def constant_over(num: int, den: int) -> MultiPoly:
+    """The constant num/den of integers, den > 0: constants_over_lcm's inverse."""
+    return MultiPoly._make((), {(): num} if num else {}, den)
+
+
 def _combine(a: MultiPoly, b: MultiPoly, sign: int) -> MultiPoly:
     """a + sign * b (sign is 1 or -1), over the lcm of the denominators."""
     if not b.nums:
@@ -652,7 +657,7 @@ def poly_sum(polys) -> MultiPoly:
         for e, c in p._embed(allvars).items():
             nums[e] = get(e, 0) + c * f
     if not names:
-        return MultiPoly._make((), {(): num} if num else {}, den)
+        return constant_over(num, den)
     return MultiPoly._make(allvars, {e: c for e, c in nums.items() if c}, den)
 
 

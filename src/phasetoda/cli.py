@@ -13,7 +13,8 @@ import csv
 import json
 import sys
 import time
-from math import comb
+from collections import Counter
+from math import comb, prod
 
 from .algebra import MultiPoly, RingMatrix
 from .combinatorics import (
@@ -35,12 +36,17 @@ from .toda import TauContext, generic_constant_matrix, tau, tau_schur_expand, va
 
 
 # The most objects `enumerate` lists, counted before listing (MacMahon's
-# product for pp and paths, C(N+M, N) partitions, the Jacobi-Trudi count of
-# tableaux): the N = 4, M = 4 box (232,848 plane partitions or path
+# product row by row for pp and paths, C(N+M, N) partitions, the
+# hook-content or Jacobi-Trudi count of tableaux), each count in well under
+# a second: the N = 4, M = 4 box (232,848 plane partitions or path
 # configurations) takes about 3.4 s on 2 CPUs with --output, 0.6 s of it
 # enumerating and most of the rest writing the JSON; N = 5, M = 3 (731,808)
-# is refused.
+# is refused.  A listing as deep as N = 1000 rows needs no recursion.
 ENUMERATE_CAP = 250_000
+
+# The counts behind the cap are exact up to this bound and end past it:
+# int gives no decimal text past its digit limit (640 digits at the least).
+COUNT_LIMIT = 10 ** 600
 
 # The largest M that `compute scalar` (all three routes) runs at N = 0..4, a
 # larger N is refused: each row stands where a run takes about 10 s on 2 CPUs
@@ -171,17 +177,31 @@ def cmd_compute(args) -> int:
 
 
 def _tableau_count(shape: SkewShape, n: int) -> int:
-    """s_shape(1^n), the number of tableaux with entries in 1..n: the
-    Jacobi-Trudi determinant over h_d(1^n) = C(n + d - 1, d)."""
-    h = [MultiPoly.const(comb(n + d - 1, d) if d else 1) for d in range(_reach(shape) + 1)]
+    """s_shape(1^n), the number of tableaux with entries in 1..n: for a
+    straight shape the hook-content product of (n + content) / hook, equal
+    factors cancelled first; for a skew one the Jacobi-Trudi determinant
+    over h_d(1^n) = C(n + d - 1, d), or, when it has fewer columns than
+    rows, the dual one of its conjugate over e_d(1^n) = C(n, d)."""
+    if not shape.inner.parts:
+        lam, conj, cells = shape.outer, shape.outer.conjugate(), shape.cells()
+        factors = Counter(n + j - i for i, j in cells)
+        factors.subtract(lam.get(i) - j + conj.get(j) - i + 1 for i, j in cells)
+        return prod(v ** e for v, e in factors.items() if e > 0) // prod(
+            v ** -e for v, e in factors.items() if e < 0)
+    dual = shape.outer.get(1) < shape.outer.length()
+    if dual:
+        shape = SkewShape(shape.outer.conjugate(), shape.inner.conjugate())
+    h = [MultiPoly.const(comb(n, d) if dual else comb(n + d - 1, d) if d else 1)
+         for d in range(_reach(shape) + 1)]
     return int(jacobi_trudi(shape, h).constant_value())
 
 
 def _refuse_over_cap(count: int, where: str, what: str) -> None:
     """Refuse (a ConfigError, exit 2) before anything is listed when count
-    exceeds the cap."""
+    exceeds the cap; a count that was ended past COUNT_LIMIT is named by it."""
     if count > ENUMERATE_CAP:
-        raise ConfigError(f"{where} holds {count} {what}, more than the {ENUMERATE_CAP} that enumerate lists")
+        shown = count if count <= COUNT_LIMIT else "more than 10^600"
+        raise ConfigError(f"{where} holds {shown} {what}, more than the {ENUMERATE_CAP} that enumerate lists")
 
 
 def cmd_enumerate(args) -> int:
@@ -190,14 +210,14 @@ def cmd_enumerate(args) -> int:
         raise ConfigError(f"enumerate {args.object} needs --N and --M")
     box = f"the N={args.N}, M={args.M} box"
     if args.object in ("pp", "paths"):
-        _refuse_over_cap(macmahon_count(args.N, args.M), box, "plane partitions")
+        _refuse_over_cap(macmahon_count(args.N, args.M, COUNT_LIMIT), box, "plane partitions")
     elif args.object == "partitions":
-        _refuse_over_cap(comb(args.N + args.M, args.N), box, "partitions")
+        # C(N + M, N) >= 2^min(N, M), past COUNT_LIMIT once the shorter side passes 2000
+        count = comb(args.N + args.M, args.N) if min(args.N, args.M) <= 2000 else COUNT_LIMIT + 1
+        _refuse_over_cap(count, box, "partitions")
     items = []
     if args.object == "pp":
-        contains = None
-        if args.contains:
-            contains = Partition(_ints(args.contains))
+        contains = Partition(_ints(args.contains)) if args.contains else None
         first = None
         for pp in enumerate_plane_partitions(args.N, args.M):
             if contains is not None and pp.diagonal() != contains:
@@ -215,9 +235,7 @@ def cmd_enumerate(args) -> int:
         for lam in partitions_in_box(args.N, args.M):
             items.append({"partition": list(lam.parts)})
     elif args.object == "paths":
-        occupation = None
-        if args.occupation:
-            occupation = OccupationSequence(_ints(args.occupation))
+        occupation = OccupationSequence(_ints(args.occupation)) if args.occupation else None
         for cfg in enumerate_path_configs(args.N, args.M, occupation):
             items.append({"turning_rows": [list(t) for t in cfg.turns]})
     elif args.object == "tableaux":

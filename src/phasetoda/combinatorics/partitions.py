@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
-from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ..errors import ShapeViolation
 
@@ -39,13 +39,7 @@ class Partition:
         return self.length() <= rows and (not self.parts or self.parts[0] <= max_part)
 
     def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition(())
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for j in range(p):
-                cols[j] += 1
-        return Partition(cols)
+        return Partition(sum(1 for p in self.parts if p > j) for j in range(self.get(1)))
 
     def padded(self, n: int) -> tuple:
         if len(self.parts) > n:
@@ -76,38 +70,57 @@ class SkewShape:
             raise ShapeViolation(f"{self.inner} not contained in {self.outer}")
 
     def cells(self) -> list:
-        out = []
-        for i in range(1, self.outer.length() + 1):
-            for j in range(self.inner.get(i) + 1, self.outer.get(i) + 1):
-                out.append((i, j))
-        return out
+        return [(i, j) for i in range(1, self.outer.length() + 1)
+                for j in range(self.inner.get(i) + 1, self.outer.get(i) + 1)]
 
     def __str__(self) -> str:
         return f"{self.outer}/{self.inner}"
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, its
+    checks skipped: for the objects whose invariants an enumerator has
+    tested as it made them.  It is equal and hash-equal to ``cls(**fields)``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _walk(depth: int, options) -> Iterator[tuple]:
+    """Each chain (c_0, .., c_{depth-1}) with c_p taken, in order, from
+    ``options(chain)``, depth first; no option may be None.  ``options`` is
+    called once per node, as the walk steps down to it, with the chain that
+    leads there: a list the walk reuses, to be read and not kept.  The walk
+    keeps its own stack of iterators, so no depth needs recursion."""
+    if depth == 0:
+        yield ()
+        return
+    chain: list = []
+    stack = [iter(options(chain))]
+    while stack:
+        if len(stack) == depth:
+            for c in stack[-1]:
+                yield (*chain, c)
+        elif (c := next(stack[-1], None)) is not None:
+            chain.append(c)
+            stack.append(iter(options(chain)))
+            continue
+        stack.pop()
+        if chain:
+            chain.pop()
 
 
 def partitions_in_box(n_rows: int, max_part: int) -> list:
     """All partitions with at most n_rows parts, each at most max_part.
 
     Deterministic order: increasing lexicographic on the padded part tuple,
-    so the empty partition comes first and the full box last.  The count is
-    binomial(n_rows + max_part, n_rows).
+    so the empty partition comes first and the full box last: the
+    C(n_rows + max_part, n_rows) rows of a plane partition's box, reversed.
     """
     if n_rows < 0 or max_part < 0:
         raise ShapeViolation("box dimensions must be non-negative")
-    results = []
-
-    def extend(prefix, bound):
-        if len(prefix) == n_rows:
-            results.append(Partition(prefix))
-            return
-        for p in range(0, bound + 1):
-            extend(prefix + [p], p)
-
-    extend([], max_part)
-    results.sort(key=lambda lam: lam.padded(n_rows))
-    assert len(results) == comb(n_rows + max_part, n_rows)
-    return results
+    rows = itertools.combinations_with_replacement(range(max_part, -1, -1), n_rows)
+    return [Partition(row) for row in rows][::-1]
 
 
 @dataclass(frozen=True)

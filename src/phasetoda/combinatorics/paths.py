@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from ..errors import ShapeViolation
-from .partitions import OccupationSequence, Partition, occupation_to_partition
-from .planepartitions import PlanePartitionBox, _dominates, _is_row, _row_chains, _trusted
+from .partitions import OccupationSequence, Partition, _trusted, occupation_to_partition
+from .planepartitions import PlanePartitionBox, _dominates, _is_row, _row_chains
 
 # the vertex letter of (vertical edge below occupied?, edge above occupied?)
 _LETTERS = {(False, False): "d", (True, True): "a", (False, True): "b", (True, False): "c"}

@@ -11,8 +11,11 @@ fills the strip between diagonals k-1 and k (descending convention for the
 upper half, ascending with letter N+1-k for the lower).
 
 A box is a chain of N rows (Stanley, EC2 7.20), each one of the C(N+M, N)
-weakly decreasing N-tuples over [0, M] and componentwise >= the next; it is
-enumerated by ``_row_chains``, N rows deep, as are the lattice paths.
+weakly decreasing N-tuples over [0, M] (the box's partitions, read in
+reverse) and componentwise >= the next; it is enumerated by
+``_row_chains``, N rows deep, as are the lattice paths.  The row chains,
+the halves' diagonals and the tableaux' cells are all grown by one search,
+``partitions._walk``, on an explicit stack, so no size is too deep.
 
 Each invariant has one predicate: ``_is_row`` (a row falls inside [0, M]),
 ``_dominates`` (a row is >= the next entry by entry: a box's columns, the
@@ -20,9 +23,9 @@ paths' non-crossing) and ``_interlaces`` (a half's diagonals).  The public
 constructors run them on every object they are given.  The enumerators run
 them once where they make a part: each of the C(N+M, N) rows before any
 chain is grown (the ``below`` table of ``_row_chains`` is then the only
-dominance test) and each diagonal of a half at the node of the search tree
-that makes it.  What an enumerator yields is built by ``_trusted``, which
-skips the constructor's checks.
+dominance test) and each diagonal of a half at the node of the search that
+makes it.  What an enumerator yields is built by ``partitions._trusted``,
+which skips the constructor's checks; so are the tableaux.
 """
 
 from __future__ import annotations
@@ -30,10 +33,11 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator
 
 from ..errors import ShapeViolation
-from .partitions import Partition, SkewShape
+from .partitions import Partition, SkewShape, _trusted, _walk
 from .tableaux import Tableau
 
 
@@ -67,15 +71,6 @@ def _check_rows(rows, belows, m: int) -> None:
                 raise ShapeViolation("rows must weakly decrease")
             if v < below[j]:
                 raise ShapeViolation("columns must weakly decrease")
-
-
-def _trusted(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` holding ``fields``, its
-    checks skipped: for the objects whose invariants an enumerator has
-    tested as it made them.  It is equal and hash-equal to ``cls(**fields)``."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 def _diagonals(array, n: int) -> tuple:
@@ -144,16 +139,24 @@ class HalfPlanePartition:
         return [sum(d) for d in self.diagonals]
 
 
-def macmahon_count(n: int, m: int) -> int:
-    """Number of plane partitions in the n x n x m box: MacMahon's product
-    over the base cells (i, j) of (i + j + m - 1) / (i + j - 1)."""
-    num = den = 1
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            num *= i + j + m - 1
-            den *= i + j - 1
-    assert num % den == 0
-    return num // den
+def macmahon_count(n: int, m: int, stop: int | None = None) -> int:
+    """Number of plane partitions in the n x n x m box (Stanley, EC2 7.20).
+
+    MacMahon's product over the base cells (i, j) of a box of a rows by b
+    columns and height c is (i + j + c - 1) / (i + j - 1), and its row i
+    multiplies to C(i + b + c - 1, b) / C(i + b - 1, b).  The box's sides
+    may be taken in any order, so it is taken min(n, m) rows by n columns,
+    max(n, m) high: after each row the product counts a box of fewer rows,
+    an integer no larger than the whole count.  With ``stop`` the product
+    ends at the first of these counts above it, a lower bound past ``stop``.
+    """
+    rows, height = sorted((n, m))
+    count = 1
+    for i in range(1, rows + 1):
+        count = count * comb(i + n + height - 1, n) // comb(i + n - 1, n)
+        if stop is not None and count > stop:
+            break
+    return count
 
 
 def _row_chains(rows: list, depth: int, keep=None) -> Iterator[tuple]:
@@ -162,23 +165,18 @@ def _row_chains(rows: list, depth: int, keep=None) -> Iterator[tuple]:
     A row's rows below are listed once, when a chain first reaches it."""
     below: dict = {}
 
-    def grow(chain, candidates):
-        p = len(chain)
-        if keep is not None:
-            candidates = [row for row in candidates if keep(p, row)]
-        if p + 1 == depth:
-            for row in candidates:
-                yield chain + (row,)
-            return
-        for row in candidates:
+    def options(chain):
+        candidates = rows
+        if chain:
+            row = chain[-1]
             if row not in below:
                 below[row] = [b for b in rows if _dominates(row, b)]
-            yield from grow(chain + (row,), below[row])
+            candidates = below[row]
+        if keep is None:
+            return candidates
+        return [row for row in candidates if keep(len(chain), row)]
 
-    if depth == 0:
-        yield ()
-        return
-    yield from grow((), rows)
+    return _walk(depth, options)
 
 
 def enumerate_plane_partitions(n: int, m: int) -> Iterator[PlanePartitionBox]:
@@ -201,18 +199,19 @@ def _enumerate_half(lam: Partition, n: int, m: int, side: str) -> Iterator[HalfP
     if not lam.fits_in_box(n, m):
         raise ShapeViolation(f"{lam} outside ({m})^{n}")
 
-    def grow(diagonals):
-        if len(diagonals) >= n:
-            yield _trusted(HalfPlanePartition, n=n, m=m, side=side, diagonals=diagonals[:n])
+    def options(diagonals):
+        if not diagonals:
+            yield lam.padded(n)
             return
         prev = diagonals[-1]
         ranges = [range(prev[i], prev[i + 1] - 1, -1) for i in range(len(prev) - 1)]
         for cur in itertools.product(*ranges):
             if not _interlaces(prev, cur):
                 raise ShapeViolation("diagonals must interlace")
-            yield from grow(diagonals + (cur,))
+            yield cur
 
-    yield from grow((lam.padded(n),))
+    for diagonals in _walk(n, options):
+        yield _trusted(HalfPlanePartition, n=n, m=m, side=side, diagonals=diagonals)
 
 
 def upper_diagonal(lam: Partition, n: int, m: int) -> Iterator[HalfPlanePartition]:

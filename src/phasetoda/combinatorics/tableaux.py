@@ -4,15 +4,19 @@
 strictly increase); ``descending`` flips both.  The two are genuinely
 different objects here because the two plane-partition halves biject to
 different conventions, so the convention is stored, never normalized away.
+One predicate, ``_cell_ok``, checks a cell against its neighbours: the
+constructor runs it on every cell it is given, the enumerator on each
+candidate as its cell is filled, and yields what it builds unchecked.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
 from ..errors import ShapeViolation
-from .partitions import SkewShape
+from .partitions import SkewShape, _trusted, _walk
 
 CONVENTIONS = ("ascending", "descending")
 
@@ -75,28 +79,29 @@ def enumerate_tableaux(shape: SkewShape, n: int, convention: str) -> Iterator[Ta
         raise ValueError(f"unknown convention {convention!r}")
     outer = shape.outer.parts
     inner = shape.inner.padded(len(outer))
-    cells = shape.cells()
+    cells = [(i - 1, j) for i, j in shape.cells()]  # (row from 0, column from 1)
     rows = [[0] * (o - p) for o, p in zip(outer, inner)]
+    cuts = list(itertools.accumulate(map(len, rows), initial=0))
     up = convention == "ascending"
     # the values a cell can take and still leave the strict run of its
     # column below it one letter each: a cell with d cells under it takes
     # at most n - d (ascending) or at least 1 + d (descending)
     depth = shape.outer.conjugate()
-    span = {
-        (i, j): range(1, n - depth.get(j) + i + 1) if up else range(1 + depth.get(j) - i, n + 1)
-        for i, j in cells
-    }
+    span = [
+        range(1, n - depth.get(j) + r + 2) if up else range(depth.get(j) - r, n + 1)
+        for r, j in cells
+    ]
 
-    def rec(pos):
-        if pos == len(cells):
-            yield Tableau(shape, tuple(tuple(r) for r in rows), convention)
-            return
-        i, j = cells[pos]
-        r = i - 1
-        for val in span[i, j]:
-            if _cell_ok(rows, outer, inner, r, j, val, up):
-                rows[r][j - 1 - inner[r]] = val
-                yield from rec(pos + 1)
-                rows[r][j - 1 - inner[r]] = 0
+    def options(word):
+        # the word's last letter goes into its cell before the next cell,
+        # which reads the cells left of it and above it, is tried
+        pos = len(word)
+        if pos:
+            r, j = cells[pos - 1]
+            rows[r][j - 1 - inner[r]] = word[-1]
+        r, j = cells[pos]
+        return [val for val in span[pos] if _cell_ok(rows, outer, inner, r, j, val, up)]
 
-    yield from rec(0)
+    for word in _walk(len(cells), options):
+        filled = tuple(word[a:b] for a, b in zip(cuts, cuts[1:]))
+        yield _trusted(Tableau, shape=shape, rows=filled, convention=convention)

@@ -84,24 +84,25 @@ def weighted_sum_g(
     return MultiPoly(v_names, Counter(map(tuple, exps)))
 
 
+def _in_psi1_range(k: int, lam: Partition, n: int, m: int) -> bool:
+    """Whether hook(k) <= lambda <= ((M)^{N-1}, k)."""
+    return lam.contains(hook(k)) and lam.fits_in_box(n, m) and lam.get(n) <= k
+
+
+def _in_psi2_range(k: int, lam: Partition, n: int, m: int) -> bool:
+    """Whether column(k) <= lambda <= ((M)^{N-k}, 1^k)."""
+    tail = all(lam.get(i) <= 1 for i in range(n - k + 1, n + 1))
+    return lam.contains(column(k)) and lam.fits_in_box(n, m) and tail
+
+
 def psi1_support(k: int, n: int, m: int) -> list:
     """Partitions with hook(k) <= lambda <= ((M)^{N-1}, k)."""
-    lo = hook(k)
-    out = []
-    for lam in partitions_in_box(n, m):
-        if lam.contains(lo) and lam.get(n) <= k:
-            out.append(lam)
-    return out
+    return [lam for lam in partitions_in_box(n, m) if _in_psi1_range(k, lam, n, m)]
 
 
 def psi2_support(k: int, n: int, m: int) -> list:
     """Partitions with column(k) <= lambda <= ((M)^{N-k}, 1^k)."""
-    lo = column(k)
-    out = []
-    for lam in partitions_in_box(n, m):
-        if lam.contains(lo) and all(lam.get(i) <= 1 for i in range(n - k + 1, n + 1)):
-            out.append(lam)
-    return out
+    return [lam for lam in partitions_in_box(n, m) if _in_psi2_range(k, lam, n, m)]
 
 
 def weighted_sum_psi1(
@@ -114,7 +115,7 @@ def weighted_sum_psi1(
     """
     if len(v_names) != n - 1:
         raise ShapeViolation("need N-1 annihilation variables")
-    if not (lam.contains(hook(k)) and lam.fits_in_box(n, m) and lam.get(n) <= k):
+    if not _in_psi1_range(k, lam, n, m):
         raise ShapeViolation(f"{lam} outside the allowed range for hole {k}")
     exps = []
     if picture in ("paths", "pp"):
@@ -145,12 +146,7 @@ def weighted_sum_psi2(
     """
     if len(u_names) != n - k:
         raise ShapeViolation("need N-k creation variables")
-    ok = (
-        lam.contains(column(k))
-        and lam.fits_in_box(n, m)
-        and all(lam.get(i) <= 1 for i in range(n - k + 1, n + 1))
-    )
-    if not ok:
+    if not _in_psi2_range(k, lam, n, m):
         raise ShapeViolation(f"{lam} outside the allowed range for seed 1^{k}")
     exps = []
     if picture in ("paths", "pp"):

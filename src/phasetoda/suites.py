@@ -117,14 +117,12 @@ def _distinct_rationals(rng: random.Random, count: int) -> list:
     return out
 
 
-def _closed_f(lam, n, m):
-    gens = sf.alphabet(_names("u", n), "squared")
-    return boundary_monomial((), _names("u", n), m) * sf.schur(lam, gens)
-
-
-def _closed_g(lam, n, m):
-    gens = sf.alphabet(_names("v", n), "inverse-squared")
-    return boundary_monomial(_names("v", n), (), m) * sf.schur(lam, gens)
+def _closed_form(shape, names: list, m: int, dual: bool) -> MultiPoly:
+    """The Schur form of a state coefficient, of a straight or skew shape:
+    (prod names)^-M s_shape(names^2) for a ket, (prod names)^M s_shape(names^-2) for a bra."""
+    if dual:
+        return boundary_monomial(names, (), m) * sf.schur(shape, sf.alphabet(names, "inverse-squared"))
+    return boundary_monomial((), names, m) * sf.schur(shape, sf.alphabet(names, "squared"))
 
 
 # -- combinatorics ----------------------------------------------------------
@@ -236,30 +234,26 @@ def _triple_agreement(seed: int) -> Iterator[dict]:
             for lam in partitions_in_box(n, m):
                 parameters = {"N": n, "M": m, "lambda": list(lam.parts)}
                 yield _pictures("state-coefficient-triple-agreement", parameters, (
-                    ("f", lambda pic: weighted_sum_f(lam, n, m, un, pic), _closed_f(lam, n, m)),
-                    ("g", lambda pic: weighted_sum_g(lam, n, m, vn, pic), _closed_g(lam, n, m)),
+                    ("f", lambda pic: weighted_sum_f(lam, n, m, un, pic), _closed_form(lam, un, m, False)),
+                    ("g", lambda pic: weighted_sum_g(lam, n, m, vn, pic), _closed_form(lam, vn, m, True)),
                 ))
             tail = vn[1:]
-            pref = boundary_monomial(tail, (), m)
-            gens = sf.alphabet(tail, "inverse-squared")
             for k in range(0, m + 1):
                 yield _pictures("hole-coefficient-triple-agreement", {"N": n, "M": m, "k": k}, (
                     (
                         f"lambda={list(lam.parts)}",
                         lambda pic, lam=lam: weighted_sum_psi1(k, lam, n, m, tail, pic),
-                        pref * sf.schur(SkewShape(lam, hook(k)), gens),
+                        _closed_form(SkewShape(lam, hook(k)), tail, m, True),
                     )
                     for lam in psi1_support(k, n, m)
                 ))
             for k in range(0, n + 1):
                 head = un[: n - k]
-                pref = boundary_monomial((), head, m)
-                gens = sf.alphabet(head, "squared")
                 yield _pictures("seed-coefficient-triple-agreement", {"N": n, "M": m, "k": k}, (
                     (
                         f"lambda={list(lam.parts)}",
                         lambda pic, lam=lam: weighted_sum_psi2(k, lam, n, m, head, pic),
-                        pref * sf.schur(SkewShape(lam, column(k)), gens),
+                        _closed_form(SkewShape(lam, column(k)), head, m, False),
                     )
                     for lam in psi2_support(k, n, m)
                 ))
@@ -305,10 +299,10 @@ def _state_coefficients(seed: int) -> Iterator[dict]:
             # off the box the closed form is 0
             cases = (
                 (f"{side} lambda={list(lam.parts)}", coeffs.get(lam, MultiPoly.zero()),
-                 closed(lam, n, m) if lam in lams else MultiPoly.zero())
-                for side, coeffs, closed in (
-                    ("ket", build_state(un, m).partition_coefficients(), _closed_f),
-                    ("bra", build_conj_state(vn, m).partition_coefficients(), _closed_g),
+                 _closed_form(lam, names, m, dual) if lam in lams else MultiPoly.zero())
+                for side, coeffs, names, dual in (
+                    ("ket", build_state(un, m).partition_coefficients(), un, False),
+                    ("bra", build_conj_state(vn, m).partition_coefficients(), vn, True),
                 )
                 for lam in lams + [lam for lam in coeffs if lam not in lams]
             )

@@ -19,65 +19,33 @@ def _iso(x: float, y: float, z: float) -> tuple:
     return ((x - y) * _SQ3, (x + y) / 2 - z)
 
 
-def _face(points, fill) -> str:
-    coords = " ".join(f"{px:.3f},{py:.3f}" for px, py in points)
+def _face(corners, fill) -> str:
+    """The polygon over the (x, y, z) corners, projected by ``_iso``."""
+    coords = " ".join(f"{px:.3f},{py:.3f}" for px, py in (_iso(*c) for c in corners))
     return f'<polygon points="{coords}" fill="{fill}" stroke="black" stroke-width="0.03"/>'
 
 
 def pp_to_svg(pp: PlanePartitionBox) -> str:
-    n, m = pp.n, pp.m
-    faces = []
-    heights = [[pp.array[i][j] for j in range(n)] for i in range(n)]
+    n, m, a = pp.n, pp.m, pp.array
 
     def h(i, j):
-        if 0 <= i < n and 0 <= j < n:
-            return heights[i][j]
-        return 0
+        return a[i][j] if i < n and j < n else 0
 
+    faces = []
     for i in range(n):
         for j in range(n):
-            z = heights[i][j]
+            z = a[i][j]
             # top face at height z over cell (i, j)
-            faces.append(
-                _face(
-                    [
-                        _iso(j, i, z),
-                        _iso(j + 1, i, z),
-                        _iso(j + 1, i + 1, z),
-                        _iso(j, i + 1, z),
-                    ],
-                    "#d8e6f2",
-                )
-            )
-            # right faces where this stack exceeds the neighbor
+            faces.append(_face([(j, i, z), (j + 1, i, z), (j + 1, i + 1, z), (j, i + 1, z)], "#d8e6f2"))
+            # right faces, then front faces, where this stack exceeds the neighbor
             for dz in range(h(i, j + 1), z):
-                faces.append(
-                    _face(
-                        [
-                            _iso(j + 1, i, dz),
-                            _iso(j + 1, i + 1, dz),
-                            _iso(j + 1, i + 1, dz + 1),
-                            _iso(j + 1, i, dz + 1),
-                        ],
-                        "#8aa8c4",
-                    )
-                )
+                faces.append(_face([(j + 1, i, dz), (j + 1, i + 1, dz), (j + 1, i + 1, dz + 1),
+                                    (j + 1, i, dz + 1)], "#8aa8c4"))
             for dz in range(h(i + 1, j), z):
-                faces.append(
-                    _face(
-                        [
-                            _iso(j, i + 1, dz),
-                            _iso(j + 1, i + 1, dz),
-                            _iso(j + 1, i + 1, dz + 1),
-                            _iso(j, i + 1, dz + 1),
-                        ],
-                        "#b9cbde",
-                    )
-                )
+                faces.append(_face([(j, i + 1, dz), (j + 1, i + 1, dz), (j + 1, i + 1, dz + 1),
+                                    (j, i + 1, dz + 1)], "#b9cbde"))
     # base floor for reference
-    floor = _face(
-        [_iso(0, 0, 0), _iso(n, 0, 0), _iso(n, n, 0), _iso(0, n, 0)], "#f4f4f4"
-    )
+    floor = _face([(0, 0, 0), (n, 0, 0), (n, n, 0), (0, n, 0)], "#f4f4f4")
     span = (n + m + 2) * 2
     body = "\n".join([floor] + faces)
     return (

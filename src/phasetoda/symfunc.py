@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import MultiPoly, RingMatrix, constants_over_lcm, det_exact, poly_sum
+from .algebra import MultiPoly, RingMatrix, constant_over, constants_over_lcm, det_exact, poly_sum
 from .combinatorics.partitions import Partition, SkewShape
 from .errors import ShapeViolation
 
@@ -87,7 +87,7 @@ def zeta_all(kmax: int, times: Sequence[MultiPoly]) -> list:
                 w *= q * (k - j)
             den *= q * k
             nums.append(acc)
-            zs.append(MultiPoly._make((), {(): acc} if acc else {}, den))
+            zs.append(constant_over(acc, den))
         return zs
     zs = [MultiPoly.const(1)]
     for d in range(1, kmax + 1):

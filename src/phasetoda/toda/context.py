@@ -55,7 +55,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from ..algebra import MultiPoly, RingMatrix, constants_over_lcm, det_exact, poly_sum
+from ..algebra import MultiPoly, RingMatrix, constant_over, constants_over_lcm, det_exact, poly_sum
 from ..combinatorics.partitions import partitions_in_box
 from ..errors import RangeViolation
 from ..symfunc import char_poly, negate_times, zeta_all
@@ -129,8 +129,8 @@ class TauContext:
         numerators xs, ns and ys over their lcms dx, da and dy, row i of
         exp(x.raise) A has sum_t xs[t] col[i + t] over dx da in the place of
         each column col of ns, entry (i, j) of the dressed matrix is
-        sum_t rows[i][j + t] ys[t] over dx da dy, and ``_make`` reduces
-        each entry."""
+        sum_t rows[i][j + t] ys[t] over dx da dy, and ``constant_over``
+        reduces each entry."""
         xv = tuple(MultiPoly.const(Fraction(v)) for v in x_values)
         yv = tuple(MultiPoly.const(Fraction(v)) for v in y_values)
         ctx = TauContext(self.m, self.n, self.a, xv, yv)
@@ -140,8 +140,7 @@ class TauContext:
         cols = [ns[k::size] for k in range(size)]
         rows = [[sum(map(mul, xs, col[i:])) for col in cols] for i in range(size)]
         den = dx * da * dy
-        ents = [MultiPoly._make((), {(): v} if v else {}, den)
-                for v in (sum(map(mul, ys, row[j:])) for row in rows for j in range(size))]
+        ents = [constant_over(sum(map(mul, ys, row[j:])), den) for row in rows for j in range(size)]
         cache, m = ctx._cache, self.m
         for k, e in enumerate(ents):
             cache[("entry", m + k // size, m + k % size)] = e

@@ -4,25 +4,35 @@ Every identity is checked with exact equality (tolerance zero).  The
 stated time targets are asserted where the criteria pin them.  Batteries
 shared between criteria run once in a module fixture, and a criterion
 names the families it checks from the table in ``phasetoda.suites``;
-criteria with their own time budgets re-run their checks directly under
-the clock.
+a criterion with a time budget reads its generator's seconds from the
+same run.
 """
 
 import os
 import subprocess
 import sys
-import time
-from fractions import Fraction
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
 
 from phasetoda.cli import make_parser, vars_of
 from phasetoda.reports import build_report, serialize_report
-from phasetoda.suites import FAMILIES, RAISED, SUITES, run_suite
+from phasetoda.suites import BOUNDS, FAMILIES, RAISED, SUITES, run_suite
 
 SEED = 20260809
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+# every suite's items by suite name, and each family's generator seconds
+Batteries = namedtuple("Batteries", "suites seconds")
+# what criteria 1, 2 and 5 check at the least, whatever bounds.py says: these
+# (identity, parameters) items, and 20 points per numeric scalar item
+GRID = [{"N": n, "M": m} for n in range(5) for m in range(4)]
+PINNED = {
+    "scalar-equivalence": [("scalar-three-way-symbolic", p) for p in GRID[:12]]
+    + [("scalar-three-way-numeric", p) for p in GRID[12:]],
+    "state-coefficients": [("state-coefficients-schur-form", p) for p in GRID[:16]],
+    "prop1": [("wave-derivative-identities", {"size": size}) for size in (2, 3, 4)],
+}
 
 
 def announce(number, label, ok):
@@ -51,17 +61,21 @@ def cold_run(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def batteries(cold_run):
-    return {name: run_suite(name, SEED) for name in SUITES}
+    timings = []
+    suites = {name: run_suite(name, SEED, timings) for name in SUITES}
+    return Batteries(suites, {family: run["seconds"] for run in timings for family in run["families"]})
 
 
-def _items(batteries, family):
+def _items(batteries, family, identities=None):
     row = FAMILIES[family]
     items = [
-        it for it in batteries[row.suite]
-        if it["identity"] in row.identities
+        it for it in batteries.suites[row.suite]
+        if it["identity"] in (identities or row.identities)
         or (it["identity"] == RAISED and family in it["parameters"]["families"])
     ]
     assert items, f"no items for {family}"
+    reached = [(it["identity"], it["parameters"]) for it in items]
+    assert all(pin in reached for pin in PINNED.get(family, ())), f"{family} checks less than the gate pins"
     return items
 
 
@@ -69,75 +83,23 @@ def _all_pass(batteries, *families):
     return all(it["pass"] for family in families for it in _items(batteries, family))
 
 
-def test_criterion_01_scalar_three_way():
-    import random
-
+def test_criterion_01_scalar_three_way(batteries):
+    from phasetoda.algebra import MultiPoly
     from phasetoda.phase import scalar_product
 
-    t0 = time.time()
-    ok = True
-    for n in range(0, 3):
-        for m in range(0, 4):
-            un = [f"u{i}" for i in range(1, n + 1)]
-            vn = [f"v{i}" for i in range(1, n + 1)]
-            a = scalar_product(n, m, un, vn, "fock_pairing")
-            b = scalar_product(n, m, un, vn, "schur_sum")
-            c = scalar_product(n, m, un, vn, "determinant")
-            ok = ok and a == b == c
+    ok = _all_pass(batteries, "scalar-equivalence") and BOUNDS["scalar_numeric_points"] >= 20
     # desk anchor at (1, 1)
-    from phasetoda.algebra import MultiPoly
-
     u, v = MultiPoly.var("u1"), MultiPoly.var("v1")
     ok = ok and scalar_product(1, 1, ["u1"], ["v1"], "schur_sum") == (
         v * u.monomial_inverse() + u * v.monomial_inverse()
     )
-    rng = random.Random(SEED)
-    for n in (3, 4):
-        for m in range(0, 4):
-            for _ in range(20):
-                seen, vals = set(), []
-                while len(vals) < 2 * n:
-                    f = Fraction(rng.randint(1, 12), rng.randint(1, 6))
-                    if f not in seen:
-                        seen.add(f)
-                        vals.append(f)
-                us, vs = vals[:n], vals[n:]
-                a = scalar_product(n, m, us, vs, "fock_pairing")
-                b = scalar_product(n, m, us, vs, "schur_sum")
-                c = scalar_product(n, m, us, vs, "determinant")
-                ok = ok and a == b == c
-    elapsed = time.time() - t0
+    elapsed = batteries.seconds["scalar-equivalence"]
     announce(1, f"scalar-three-way ({elapsed:.1f}s < 60s)", ok and elapsed < 60)
 
 
-def test_criterion_02_state_coefficient_forms():
-    from phasetoda.algebra import MultiPoly
-    from phasetoda.combinatorics import partitions_in_box
-    from phasetoda.phase import build_conj_state, build_state
-    from phasetoda import symfunc as sf
-
-    t0 = time.time()
-    ok = True
-    for n in range(0, 4):
-        for m in range(0, 4):
-            un = [f"u{i}" for i in range(1, n + 1)]
-            vn = [f"v{i}" for i in range(1, n + 1)]
-            lams = partitions_in_box(n, m)
-            kets = build_state(un, m).partition_coefficients()
-            bras = build_conj_state(vn, m).partition_coefficients()
-            ok = ok and set(kets) == set(lams) == set(bras)
-            for lam in lams:
-                pref_u = (
-                    MultiPoly.monomial(1, {nm: -m for nm in un}) if n else MultiPoly.const(1)
-                )
-                pref_v = (
-                    MultiPoly.monomial(1, {nm: m for nm in vn}) if n else MultiPoly.const(1)
-                )
-                ok = ok and kets[lam] == pref_u * sf.schur(lam, sf.alphabet(un, "squared"))
-                ok = ok and bras[lam] == pref_v * sf.schur(
-                    lam, sf.alphabet(vn, "inverse-squared")
-                )
-    elapsed = time.time() - t0
+def test_criterion_02_state_coefficient_forms(batteries):
+    ok = _all_pass(batteries, "state-coefficients")
+    elapsed = batteries.seconds["state-coefficients"]
     announce(2, f"state-coefficients-schur ({elapsed:.1f}s < 30s)", ok and elapsed < 30)
 
 
@@ -147,11 +109,7 @@ def test_criterion_03_combinatorial_triple_agreement(batteries):
 
 
 def test_criterion_04_bijections_and_weights(batteries):
-    from phasetoda.combinatorics import (
-        enumerate_path_configs,
-        path_to_pp,
-        pp_half_to_tableau,
-    )
+    from phasetoda.combinatorics import enumerate_path_configs, path_to_pp, pp_half_to_tableau
 
     ok = _all_pass(batteries, "bijections")
     # per-configuration weight preservation across the exhaustive universes
@@ -168,25 +126,13 @@ def test_criterion_04_bijections_and_weights(batteries):
                     ok = ok and cfg.creation_exponent(l) == 2 * (d_up[l - 1] - d_up[l]) - m
                     ok = ok and cfg.creation_exponent(l) == 2 * t_desc[l - 1] - m
                     ok = ok and cfg.annihilation_exponent(l) == m - 2 * t_asc[l - 1]
-                    ok = ok and cfg.annihilation_exponent(l) == m - 2 * (
-                        d_lo[n - l] - d_lo[n + 1 - l]
-                    )
+                    ok = ok and cfg.annihilation_exponent(l) == m - 2 * (d_lo[n - l] - d_lo[n + 1 - l])
     announce(4, "bijections-and-weight-preservation", ok)
 
 
-def test_criterion_05_wave_derivative_identities():
-    from phasetoda.toda import TauContext, WAVE_KINDS, verify_prop1
-
-    t0 = time.time()
-    ok = True
-    for size in (2, 3, 4):
-        ctx = TauContext.generic(0, size, seed=SEED + size)
-        for s in range(1, size):
-            for kind in WAVE_KINDS:
-                kmax = s if kind in ("w_inf", "w_star_zero") else size - s - 1
-                for k in range(0, kmax + 1):
-                    ok = ok and verify_prop1(ctx, s, k, kind)
-    elapsed = time.time() - t0
+def test_criterion_05_wave_derivative_identities(batteries):
+    ok = all(it["pass"] for it in _items(batteries, "prop1", ("wave-derivative-identities",)))
+    elapsed = batteries.seconds["prop1"]
     announce(5, f"wave-derivative-identities ({elapsed:.1f}s < 60s)", ok and elapsed < 60)
 
 
@@ -238,7 +184,7 @@ def test_criterion_12_deterministic_reports(batteries, cold_run):
     # the report of a cold interpreter equals the one the batteries make
     proc, argv, out = cold_run
     proc.wait(timeout=600)
-    items = [it for name in SUITES for it in batteries[name]]
+    items = [it for name in SUITES for it in batteries.suites[name]]
     report = build_report("suite all", vars_of(make_parser().parse_args(argv)), items, SEED)
     ok = proc.returncode == 0 and out.read_text() == serialize_report(report)
     announce(12, "byte-identical-reports", ok)

@@ -470,3 +470,34 @@ def test_fuzzed_arguments_exit_0_1_2_without_traceback(argv):
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "args, count",
+    [
+        (["pp", "--N", "500", "--M", "0"], 1),
+        (["pp", "--N", "990", "--M", "0"], 1),
+        (["pp", "--N", "1000", "--M", "0"], 1),
+        (["paths", "--N", "1000", "--M", "0"], 1),
+        (["partitions", "--N", "990", "--M", "0"], 1),
+        (["tableaux", "--shape", ",".join(["1"] * 400), "--entries", "400"], 1),
+        (["tableaux", "--shape", "990", "--entries", "1"], 1),
+        (["tableaux", "--shape", ",".join(["1"] * 400), "--inner", "1", "--entries", "400"], 400),
+        (["tableaux", "--shape", "600,600", "--entries", "2"], 1),
+        (["pp", "--N", "1000", "--M", "1000"], None),
+        (["partitions", "--N", "10000", "--M", "10000"], None),
+        (["partitions", "--N", "1000000", "--M", "1000000"], None),
+        (["tableaux", "--shape", ",".join(["200"] * 200), "--entries", "300"], None),
+    ],
+    ids=["pp-500", "pp-990", "pp-1000", "paths-1000", "partitions-990", "column-400", "row-990", "skew-column",
+         "rows-600", "pp-huge", "partitions-6021-digits", "partitions-huge", "square-200"],
+)
+def test_deep_or_huge_enumerations_list_or_refuse(args, count, tmp_path, capsys):
+    # a listing deeper than the recursion limit, and a count too large to
+    # write out, end in exit 0 or 2, never in a traceback
+    code, out = run_cli(["enumerate", *args], tmp_path)
+    if count is None:
+        assert code == 2 and not out.exists()
+        assert "holds more than 10^600 " in capsys.readouterr().err
+    else:
+        assert code == 0 and json.loads(out.read_text())["count"] == count

@@ -203,6 +203,7 @@ def states(draw):
 @given(states(), spectral)
 # at u = 1 the A and C corners cancel u^-2 * (-1) + 1 at (0, 1) on site 1
 @example(StateVector(1, {(1, 0): MultiPoly.const(1), (0, 1): MultiPoly.const(-1)}), Fraction(1))
+@pytest.mark.hypothesis_seeds
 def test_corners_equal_full_product_on_random_states(sv, w):
     for entry in "ABCD":
         assert monodromy_apply(entry, w, sv) == corner_by_full_product(entry, w, sv), entry

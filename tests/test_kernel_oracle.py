@@ -114,6 +114,7 @@ def test_ring_operations_match_sympy(p, q):
 
 @settings(max_examples=120, deadline=None)
 @given(polys(), polys(), st.sampled_from(NAMES), st.integers(-2, 2), coeffs, st.integers(0, 3))
+@pytest.mark.hypothesis_seeds
 def test_every_operation_returns_canonical_form(p, q, name, power, value, k):
     # each operation on its own, checked by canonical(); no sympy involved
     for r in (p + q, p - q, q - p, p * q, p * value, p ** k, -p, p.coeff_of(name, power)):
@@ -155,6 +156,7 @@ def test_negative_power_of_monomial_matches_sympy(p, k):
 @example(MultiPoly.var("v1", -1), MultiPoly.var("v1", 2) + MultiPoly.var("v1"))
 # the remainders v1^-k * 2 fall forever unless the box ends the loop
 @example(MultiPoly.var("v1") + 1, MultiPoly.var("v1") - 1)
+@pytest.mark.hypothesis_seeds
 def test_divide_exact_matches_sympy(p, q):
     if q.is_zero():
         return
@@ -188,6 +190,7 @@ def assignments(draw):
          {"u2": MultiPoly.var("v1"), "v1": MultiPoly.var("u2", -1)})
 # v1 occurs with a negative power and is assigned 0
 @example(MultiPoly.var("v1", -1) + 1, {"v1": Fraction(0)})
+@pytest.mark.hypothesis_seeds
 def test_subs_matches_sympy(p, assignment):
     values = {n: v if isinstance(v, MultiPoly) else MultiPoly.const(v) for n, v in assignment.items()}
     if any(v.is_zero() and n in p.vars and any(e[p.vars.index(n)] < 0 for e in p.terms)
@@ -218,6 +221,7 @@ def test_divide_exact_by_scaled_divisor_matches_sympy(p, d):
 @example(MultiPoly.var("v1") + 1, MultiPoly.var("v1", 2) - 1)
 # u2 is missing from the numerator
 @example(MultiPoly.var("v1") + 1, MultiPoly.var("u2") + MultiPoly.var("v1"))
+@pytest.mark.hypothesis_seeds
 def test_span_pretest_refuses_only_non_divisors(p, q):
     # a divisor wider than the numerator in some variable leaves the
     # quotient an empty box in divide_exact and is refused, and an exact
@@ -271,6 +275,7 @@ def outside_box_pairs(draw):
     MultiPoly(("u2", "v1"), {(2, 1): 1, (1, 2): 1, (2, 0): 1, (0, 2): 1}),
     MultiPoly(("u2", "v1"), {(2, 0): 1, (0, 1): 1}),
 ))
+@pytest.mark.hypothesis_seeds
 def test_quotient_term_outside_the_box_is_refused(pair):
     # an exact quotient, less its low corner, lies in the box
     # [0, span(p) - span(q)]: a quotient term outside it, leading in any
@@ -319,6 +324,7 @@ def test_divide_exact_laurent_across_degrees():
 @given(st.lists(polys(), max_size=5), st.sampled_from(("lam", "u5") + NAMES))
 # u5 is placed between u2 and u10 in the global order
 @example([MultiPoly.var("u10"), MultiPoly.zero(), Fraction(1, 2) * MultiPoly.var("u2")], "u5")
+@pytest.mark.hypothesis_seeds
 def test_series_matches_poly_sum_of_powers(coeffs, name):
     # zero and polynomial coefficients; a name that occurs in one is refused
     if any(name in c.vars for c in coeffs):
@@ -331,6 +337,7 @@ def test_series_matches_poly_sum_of_powers(coeffs, name):
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(coeffs, max_size=8))
+@pytest.mark.hypothesis_seeds
 def test_constant_poly_sum_matches_fraction_sum(values):
     consts = [MultiPoly.const(v) for v in values]
     assert canonical(poly_sum(consts)) == MultiPoly.const(sum(values, Fraction(0)))

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phasetoda.algebra import MultiPoly, RingMatrix, as_poly, poly_sum
+from phasetoda.algebra import MultiPoly, RingMatrix, as_poly, constant_over, constants_over_lcm, poly_sum
 from phasetoda.errors import DivisionByZero, NegativeExponent, NotDivisible
 
 x = MultiPoly.var("x")
@@ -318,3 +318,18 @@ def test_poly_sum_cases(terms, want):
     got = poly_sum(terms)
     assert got == want and _canonical(got)
     assert got.vars == want.vars and got.to_str() == want.to_str()
+
+
+@pytest.mark.parametrize("num, den", [(0, 1), (0, 6), (3, 1), (-3, 1), (6, 4), (-6, 4), (12, 12), (-7, 21), (5, 7)])
+def test_constant_over_is_the_reduced_fraction(num, den):
+    c = constant_over(num, den)
+    assert c == MultiPoly.const(Fraction(num, den))
+    assert c.terms == MultiPoly.const(Fraction(num, den)).terms and c.is_constant()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(max_denominator=30), min_size=1, max_size=6))
+def test_constant_over_inverts_constants_over_lcm(values):
+    consts = [MultiPoly.const(v) for v in values]
+    nums, den = constants_over_lcm(consts)
+    assert [constant_over(num, den) for num in nums] == consts

@@ -183,10 +183,10 @@ enumerate_half_drops_lower_end = edited(
     planepartitions, "_enumerate_half", "prev[i + 1] - 1", "prev[i + 1]"
 )
 
-# MacMahon's factor (i + j + m - 1) / (i + j - 1) one step high: the
-# product is then the count of the box one taller
+# MacMahon's row factor C(i + b + c - 1, b) / C(i + b - 1, b) read with its
+# top one step high, so every box of a row or more is overcounted
 macmahon_factor_off_by_one = edited(
-    planepartitions, "macmahon_count", "num *= i + j + m - 1", "num *= i + j + m"
+    planepartitions, "macmahon_count", "comb(i + n + height - 1, n)", "comb(i + n + height, n)"
 )
 # a row leads only to the rows strictly below it in every entry, so every
 # box of two rows or more loses chains

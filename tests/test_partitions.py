@@ -1,5 +1,6 @@
 """Partitions, boxes, occupation sequences."""
 
+from itertools import product
 from math import comb
 
 import pytest
@@ -99,3 +100,15 @@ def test_partition_check_agrees_with_the_per_part_check(parts):
         with pytest.raises(ShapeViolation) as exc:
             Partition(parts)
         assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("m", range(6))
+def test_box_partitions_match_a_filter_of_every_tuple(n, m):
+    # every n-tuple over [0, m], kept when it weakly decreases, in increasing order
+    tuples = sorted(t for t in product(range(m + 1), repeat=n) if all(a >= b for a, b in zip(t, t[1:])))
+    assert [lam.padded(n) for lam in partitions_in_box(n, m)] == tuples
+
+
+def test_a_deep_box_lists_its_one_partition():
+    assert partitions_in_box(990, 0) == [Partition(())]

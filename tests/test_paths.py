@@ -240,3 +240,8 @@ def test_enumerated_configs_pass_the_constructor(n, m):
             assert cfg == rebuilt and hash(cfg) == hash(rebuilt), cfg.turns
             with pytest.raises(dataclasses.FrozenInstanceError):
                 cfg.turns = ()
+
+
+def test_a_deep_box_lists_its_one_configuration_without_recursion():
+    (cfg,) = enumerate_path_configs(1000, 0)
+    assert cfg.turns == ((0,) * 1000,) * 1000

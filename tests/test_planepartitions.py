@@ -280,3 +280,31 @@ def test_enumerated_boxes_and_halves_pass_the_constructor(n, m):
     for lam in partitions_in_box(n, m):
         for half in (*upper_diagonal(lam, n, m), *lower_diagonal(lam, n, m)):
             assert_rebuilds(half)
+
+
+def test_macmahon_count_matches_the_product_over_the_base_cells():
+    for n in range(9):
+        for m in range(9):
+            num = den = 1
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    num *= i + j + m - 1
+                    den *= i + j - 1
+            assert macmahon_count(n, m) == num // den, (n, m)
+
+
+@pytest.mark.parametrize("n, m", [(6, 6), (4, 4), (2, 9), (9, 2)])
+def test_a_stopped_macmahon_count_is_a_bound_past_its_stop(n, m):
+    count = macmahon_count(n, m)
+    assert macmahon_count(n, m, stop=count) == count
+    assert count >= macmahon_count(n, m, stop=count // 7) > count // 7
+    assert macmahon_count(1000, 1000, stop=10 ** 600) > 10 ** 600
+
+
+def test_deep_boxes_and_halves_list_without_recursion():
+    zero = Partition(())
+    (box,) = enumerate_plane_partitions(1000, 0)
+    assert box.array == ((0,) * 1000,) * 1000
+    for half in (upper_diagonal, lower_diagonal):
+        (h,) = half(zero, 1000, 0)
+        assert h.diagonals == tuple((0,) * (1000 - k) for k in range(1000))

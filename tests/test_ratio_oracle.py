@@ -18,6 +18,7 @@ from phasetoda.algebra import MultiPoly, RatioPoly
 from test_kernel_oracle import NAMES, SYMBOLS, nonzero_coeffs, polys, to_sympy
 
 sympy = pytest.importorskip("sympy")
+pytestmark = pytest.mark.hypothesis_seeds
 
 # every exponent of a polys() draw is at least -2
 LIFT = MultiPoly.monomial(1, {name: 2 for name in NAMES})

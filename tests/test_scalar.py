@@ -104,6 +104,7 @@ def routes(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(routes())
+@pytest.mark.hypothesis_seeds
 def test_determinant_routes_match_pairing(case):
     n, m, us, vs, q, rs = case
     assert scalar_product(n, m, us, vs, "determinant") == scalar_product(n, m, us, vs, "fock_pairing")

@@ -86,6 +86,7 @@ def test_zeta_small():
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)), max_size=5),
        st.integers(0, 8))
+@pytest.mark.hypothesis_seeds
 def test_constant_zetas_match_the_fraction_recurrence(times, kmax):
     # the integer branch against k zeta_k = sum_j j t_j zeta_{k-j} on Fractions
     want = [Fraction(1)]

@@ -94,3 +94,20 @@ def test_one_column_as_tall_as_the_alphabet_is_listed_at_once():
     # pruning by column depth the search tried every dead prefix
     tabs = list(enumerate_tableaux(shape((1,) * 30), 30, "ascending"))
     assert [t.rows for t in tabs] == [tuple((v,) for v in range(1, 31))]
+
+
+@pytest.mark.parametrize("outer, inner", [((2, 1), ()), ((3, 3), (1,)), ((2, 2, 1), (1, 1)), ((4, 2, 1), (2,)), ((3, 1, 1), ())])
+@pytest.mark.parametrize("convention", ["ascending", "descending"])
+def test_every_enumerated_tableau_passes_the_constructor(outer, inner, convention):
+    # the enumerator builds its tableaux unchecked: the constructor's checks
+    # must accept each of them and give an equal, hash-equal tableau
+    sk = shape(outer, inner)
+    for n in range(5):
+        for tab in enumerate_tableaux(sk, n, convention):
+            checked = Tableau(sk, tab.rows, convention)
+            assert checked == tab and hash(checked) == hash(tab)
+
+
+def test_deep_shapes_list_without_recursion():
+    assert [t.rows for t in enumerate_tableaux(shape((990,)), 1, "ascending")] == [((1,) * 990,)]
+    assert [t.rows for t in enumerate_tableaux(shape((600, 600)), 2, "descending")] == [((2,) * 600, (1,) * 600)]

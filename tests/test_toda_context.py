@@ -139,6 +139,7 @@ def point_cases(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(point_cases())
+@pytest.mark.hypothesis_seeds
 def test_point_entries_match_direct_and_substituted_entries(case):
     # the integer pass of at_point against the on-demand entries of a
     # context built directly from the same constant times, and against the
@@ -192,6 +193,7 @@ def restricted_cases(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(restricted_cases())
+@pytest.mark.hypothesis_seeds
 def test_dual_route_equals_direct_on_restricted_contexts(case):
     ctx, n, (rows, cols) = case
     for r, c in ((range(n), range(n)), (rows, cols)):
@@ -214,6 +216,7 @@ def generic_cases(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(generic_cases())
+@pytest.mark.hypothesis_seeds
 def test_dual_route_equals_direct_on_generic_contexts(case):
     ctx, rows, cols = case
     for s in range(ctx.m, ctx.n + 1):
@@ -229,6 +232,7 @@ def test_dual_route_equals_direct_on_generic_contexts(case):
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(generic_cases().map(lambda case: case[0]),
                  restricted_cases().map(lambda case: case[0])))
+@pytest.mark.hypothesis_seeds
 def test_reversed_dual_dressed_matrix_inverts_the_dressed_matrix(ctx):
     # the fact the dual route stands on: J D' J = D^-1, D' the dressed
     # matrix of the dual context (J A^-1 J, times swapped)
