@@ -87,20 +87,23 @@ def enumerate_tableaux(shape: SkewShape, n: int, convention: str) -> Iterator[Ta
     # column below it one letter each: a cell with d cells under it takes
     # at most n - d (ascending) or at least 1 + d (descending)
     depth = shape.outer.conjugate()
-    span = [
-        range(1, n - depth.get(j) + r + 2) if up else range(depth.get(j) - r, n + 1)
-        for r, j in cells
-    ]
+    span = [(1, n - depth.get(j) + r + 2) if up else (depth.get(j) - r, n + 1) for r, j in cells]
 
     def options(word):
         # the word's last letter goes into its cell before the next cell,
-        # which reads the cells left of it and above it, is tried
+        # which reads the cells left of it and above it, is tried; its
+        # range starts past the cell above it, so a tall column tries no
+        # value that its strict run refuses
         pos = len(word)
         if pos:
             r, j = cells[pos - 1]
             rows[r][j - 1 - inner[r]] = word[-1]
         r, j = cells[pos]
-        return [val for val in span[pos] if _cell_ok(rows, outer, inner, r, j, val, up)]
+        lo, hi = span[pos]
+        if r and inner[r - 1] < j <= outer[r - 1]:
+            above = rows[r - 1][j - 1 - inner[r - 1]]
+            lo, hi = (max(lo, above + 1), hi) if up else (lo, min(hi, above))
+        return [val for val in range(lo, hi) if _cell_ok(rows, outer, inner, r, j, val, up)]
 
     for word in _walk(len(cells), options):
         filled = tuple(word[a:b] for a, b in zip(cuts, cuts[1:]))

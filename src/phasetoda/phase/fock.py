@@ -38,7 +38,7 @@ class StateVector:
         coefficients (a cancelled sum, a scaling by 0) are dropped."""
         out = object.__new__(StateVector)
         out.m = self.m
-        out.terms = {occ: c for occ, c in terms.items() if c.nums}
+        out.terms = {occ: c for occ, c in terms.items() if c}
         out.dual = self.dual
         return out
 
@@ -64,7 +64,7 @@ class StateVector:
         groups: dict = {}
         for occ, coeff in self.terms.items():
             groups.setdefault(occupation_to_partition(OccupationSequence(occ)), []).append(coeff)
-        return {lam: c for lam, cs in groups.items() if (c := poly_sum(cs)).nums}
+        return {lam: c for lam, cs in groups.items() if (c := poly_sum(cs))}
 
     def __repr__(self) -> str:
         kind = "bra" if self.dual else "ket"
@@ -74,13 +74,14 @@ class StateVector:
 
 def _add_into(terms: dict, pairs) -> dict:
     """Add each (occupation, coefficient) of ``pairs`` into ``terms``, dropping
-    a sum that cancels, and return ``terms``."""
+    a sum that cancels, and return ``terms``; the coefficients are all
+    MultiPolys or all ints."""
     get = terms.get
     for occ, coeff in pairs:
         prev = get(occ)
         if prev is None:
             terms[occ] = coeff
-        elif (coeff := prev + coeff).nums:
+        elif coeff := prev + coeff:
             terms[occ] = coeff
         else:
             del terms[occ]

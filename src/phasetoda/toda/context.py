@@ -172,7 +172,7 @@ class TauContext:
         def build():
             row, zy, c = self._row(i), self._zetas()[1], j - self.m
             return poly_sum(row[l] * zy[l - c] for l in range(c, len(row))
-                            if row[l].nums and zy[l - c].nums)
+                            if row[l] and zy[l - c])
 
         return self.kept(("entry", i, j), build)
 
@@ -181,8 +181,8 @@ class TauContext:
         zeta_{l-i}(x) A[l, k]; kept, and built only when an entry reads it."""
         def build():
             zx, a, r = self._zetas()[0], self.a, i - self.m
-            band = [(zx[l - r], a.row(l)) for l in range(r, a.rows) if zx[l - r].nums]
-            return [poly_sum(z * row[k] for z, row in band if row[k].nums) for k in range(a.cols)]
+            band = [(zx[l - r], a.row(l)) for l in range(r, a.rows) if zx[l - r]]
+            return [poly_sum(z * row[k] for z, row in band if row[k]) for k in range(a.cols)]
 
         return self.kept(("row", i), build)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from phasetoda import suites
-from phasetoda.algebra import MultiPoly, multipoly
+from phasetoda.algebra import MultiPoly, as_poly, multipoly
 from phasetoda.errors import NotDivisible, PoleViolation
 from phasetoda.phase import monodromy
 from phasetoda.phase import (
@@ -145,10 +145,10 @@ def test_rtt_seeded_pairs():
             assert verify_rtt(a, b, m, 2)
 
 
-def corner_by_full_product(entry, w, sv):
-    """The corner read off the whole 2x2 operator product, built site by
-    site: (L_j .. L_0)[x][y] sv over sites 0..M for a ket, sv (L_M .. L_j)[x][y]
-    over sites M..0 for a bra."""
+def full_product(w, sv):
+    """The whole 2x2 operator product applied to sv, built site by site:
+    (L_j .. L_0) sv over sites 0..M for a ket, sv (L_M .. L_j) over sites
+    M..0 for a bra, as a 2x2 list of state vectors."""
     name = (("a", "b"), ("c", "d"))
     mat = None
     for j in range(sv.m, -1, -1) if sv.dual else range(sv.m + 1):
@@ -163,8 +163,13 @@ def corner_by_full_product(entry, w, sv):
         else:
             mat = [[L(name[x][0], mat[0][y]) + L(name[x][1], mat[1][y]) for y in (0, 1)]
                    for x in (0, 1)]
+    return mat
+
+
+def corner_by_full_product(entry, w, sv):
+    """The corner read off the whole 2x2 operator product."""
     x, y = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}[entry]
-    return mat[x][y]
+    return full_product(w, sv)[x][y]
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -199,14 +204,112 @@ def states(draw):
                        draw(st.booleans()))
 
 
+def _const_state(m, terms, dual=False):
+    return StateVector(m, {occ: MultiPoly.const(c) for occ, c in terms.items()}, dual)
+
+
 @settings(max_examples=80, deadline=None)
 @given(states(), spectral)
 # at u = 1 the A and C corners cancel u^-2 * (-1) + 1 at (0, 1) on site 1
 @example(StateVector(1, {(1, 0): MultiPoly.const(1), (0, 1): MultiPoly.const(-1)}), Fraction(1))
+# all-constant kets and bras take the integer route: at a negative u with
+# M + 1 odd the sign of (pq)^(M+1) goes into the numerators, M = 0 included
+@example(_const_state(2, {(1, 0, 1): Fraction(-2, 3), (0, 2, 0): 3}), Fraction(-3, 2))
+@example(_const_state(2, {(0, 1, 1): Fraction(1, 2)}, dual=True), Fraction(-1, 3))
+@example(_const_state(1, {(1, 0): 1, (0, 1): Fraction(-3, 4)}, dual=True), Fraction(-2, 3))
+@example(_const_state(3, {(0, 1, 0, 1): 2, (1, 0, 0, 0): Fraction(-1, 4)}), Fraction(2, 3))
+@example(_const_state(0, {(2,): Fraction(1, 2)}), Fraction(-2, 3))
+@example(_const_state(0, {(1,): -1}, dual=True), Fraction(3, 2))
 @pytest.mark.hypothesis_seeds
 def test_corners_equal_full_product_on_random_states(sv, w):
     for entry in "ABCD":
         assert monodromy_apply(entry, w, sv) == corner_by_full_product(entry, w, sv), entry
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(nonzero | st.just(MultiPoly.var("w")), max_size=3), st.integers(0, 3), st.booleans(),
+       st.data())
+@pytest.mark.hypothesis_seeds
+def test_grown_states_equal_corners_by_full_product(values, m, dual, data):
+    # grow_state carries integer numerators through the corners at rational
+    # values, up to the first symbolic one, and builds the constants once;
+    # the oracle applies one full-product corner per value, last value
+    # first, on MultiPolys
+    sites = data.draw(st.lists(st.integers(0, m), max_size=2))
+    entry = data.draw(st.sampled_from("ABCD"))
+    want = StateVector(m, {tuple(sites.count(r) for r in range(m + 1)): MultiPoly.const(1)}, dual)
+    for w in reversed(values):
+        want = corner_by_full_product(entry, as_poly(w), want)
+    assert monodromy.grow_state(entry, values, m, sites, dual) == want
+
+
+# a ratio v/u whose square is never 1, so that u^2 != v^2 by construction
+ratios = st.builds(lambda p, d, s: Fraction(s * p, p + d), st.integers(1, 4), st.integers(1, 3),
+                   st.sampled_from([1, -1])).flatmap(lambda r: st.sampled_from([r, 1 / r]))
+_AUX = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def rtt_sides_by_full_product(u, v, occ, m):
+    """Both sides of R (T(u) tensor T(v)) = (T(v) tensor T(u)) R applied to
+    the ket ``occ``, as 4x4 lists of state vectors, from full-product
+    corners on MultiPolys."""
+    rm = monodromy.r_matrix(u, v)
+    ket = StateVector(m, {occ: MultiPoly.const(1)})
+
+    def products(outer, inner):
+        # (X tensor Y)[(ac),(bd)] = X(outer)_{ab} Y(inner)_{cd}, Y applied first
+        inner_mat = full_product(MultiPoly.const(inner), ket)
+        out = {}
+        for c, d in _AUX:
+            outer_mat = full_product(MultiPoly.const(outer), inner_mat[c][d])
+            for a, b in _AUX:
+                out[((a, c), (b, d))] = outer_mat[a][b]
+        return out
+
+    uv, vu = products(u, v), products(v, u)
+    zero = StateVector(m)
+    lhs = [[sum((uv[mid, cj].scale(rm[i][k]) for k, mid in enumerate(_AUX)), zero) for cj in _AUX]
+           for i in range(4)]
+    rhs = [[sum((vu[ri, mid].scale(rm[k][j]) for k, mid in enumerate(_AUX)), zero) for j in range(4)]
+           for ri in _AUX]
+    return lhs, rhs
+
+
+@settings(max_examples=20, deadline=None)
+@given(nonzero, ratios, st.integers(0, 1), st.integers(0, 2))
+@pytest.mark.hypothesis_seeds
+def test_rtt_on_integers_agrees_with_full_product_sides(u, ratio, m, cap):
+    # verify_rtt compares integer term dicts; the oracle builds both sides
+    # from full-product corners on MultiPolys, for every ket up to the cap
+    v = u * ratio
+    for occ in itertools.product(range(cap + 1), repeat=m + 1):
+        if sum(occ) <= cap:
+            lhs, rhs = rtt_sides_by_full_product(u, v, occ, m)
+            assert lhs == rhs, (u, v, occ)
+    assert verify_rtt(u, v, m, cap)
+
+
+def test_rtt_at_a_zero_spectral_value_raises():
+    # 1/u does not exist at u = 0; at u = v = 0 the pole is found first
+    for u, v in ((0, Fraction(2)), (Fraction(3, 2), 0)):
+        for m in (0, 1):
+            with pytest.raises(NotDivisible):
+                verify_rtt(u, v, m, 1)
+    with pytest.raises(PoleViolation):
+        verify_rtt(0, 0, 1, 1)
+
+
+def test_rational_points_multiply_no_polynomials(monkeypatch):
+    # at nonzero rational spectral values the intertwining and the state
+    # vectors run on integer numerators: no MultiPoly product or sum
+    def refuse(*args):
+        raise AssertionError("a MultiPoly product or sum at a rational point")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(MultiPoly, name, refuse)
+    assert verify_rtt(Fraction(3, 2), Fraction(-1, 3), 2, 2)
+    assert len(build_state([Fraction(2, 3), Fraction(-1, 2)], 3).terms) == 10
+    assert len(build_conj_state([Fraction(-3, 2), 4], 3).terms) == 10
 
 
 @pytest.mark.parametrize("dual", [False, True])

@@ -116,11 +116,17 @@ det_integer_without_division = edited(
     matrix, "_det_bareiss",
     "divide(pivot * row[j] - lead * top[j], prev)", "pivot * row[j] - lead * top[j]",
 )
+# the integer route's shift weight pq read as q^2, so every shifted quantum
+# at a rational u = p/q is scaled as if u were 1
+integer_shift_weight_q_squared = edited(
+    monodromy, "_integer_weights", "return q * q, p * q, p * p", "return q * q, q * q, p * p"
+)
 # the diagonal weight of the intertwiner from v^2 instead of u^2
 r_matrix_weight_from_v = edited(monodromy, "r_matrix", "f = u * u / denom", "f = v * v / denom")
-# the carrier's 'a' step scaled by u instead of 1/u
+# the carrier's 'a' step scaled by the 'd' weight: by u instead of 1/u on
+# polynomials, by p^2 instead of q^2 on integers at u = p/q
 transfer_a_step_scaled_by_u = edited(
-    monodromy, "_transfer", "inverse = u.monomial_inverse() if start == 0 or m else None", "inverse = u"
+    monodromy, "_transfer", "{occ: a * c for occ, c in first.items()}", "{occ: d * c for occ, c in first.items()}"
 )
 # a bra carried through sites 0..M, the ket order, instead of M..0
 bra_swept_in_ket_order = edited(
@@ -268,16 +274,20 @@ FAULTS = {
     "poly-sum-skips-denominator-scale":
         (plant_everywhere("poly_sum", poly_sum_skips_denominator_scale),
          ("scalar-equivalence",) + KERNEL_FAMILIES),
-    # 2/2 is not equal to 1: the numeric scalar products and the intertwining
-    # at rational points compare constants
+    # 2/2 is not equal to 1: the numeric scalar products compare constants
+    # (the intertwining runs on integers and multiplies none)
     "constant-product-skips-gcd":
-        (plant_on(MultiPoly, "__mul__", constant_product_without_gcd), ("scalar-equivalence", "rtt")),
+        (plant_on(MultiPoly, "__mul__", constant_product_without_gcd), ("scalar-equivalence",)),
     # the taus of the constant matrices; no family's constant determinant
     # has a vanishing leading minor, so a row swap (and its sign) is left
     # to the oracle tests of tests/test_matrix.py
     "det-integer-skips-division":
         (plant_on(matrix, "_det_bareiss", det_integer_without_division), ("tau-expansion",)),
     "r-matrix-weight-from-v": (plant_on(monodromy, "r_matrix", r_matrix_weight_from_v), ("rtt",)),
+    # the intertwining and the numeric Fock pairings take the integer route
+    "integer-shift-weight-q-squared":
+        (plant_on(monodromy, "_integer_weights", integer_shift_weight_q_squared),
+         ("rtt", "scalar-equivalence")),
     "transfer-a-step-scaled-by-u":
         (plant_on(monodromy, "_transfer", transfer_a_step_scaled_by_u), ("rtt", "state-coefficients")),
     # the kets stay right, so only bra items fail

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from phasetoda.combinatorics import Partition, SkewShape, Tableau, enumerate_tableaux
+from phasetoda.combinatorics import Partition, SkewShape, Tableau, enumerate_tableaux, tableaux
 from phasetoda.errors import ShapeViolation
 
 
@@ -78,11 +78,16 @@ def _all_fillings(sk, n, convention):
     return out
 
 
-@pytest.mark.parametrize("outer, inner", [((1, 1, 1), ()), ((2, 1, 1), ()), ((2, 2, 1), (1,)), ((1, 1, 1, 1), (1,))])
+@pytest.mark.parametrize(
+    "outer, inner",
+    [((1, 1, 1), ()), ((2, 1, 1), ()), ((2, 2, 1), (1,)), ((1, 1, 1, 1), (1,)), ((2, 2, 2), (1,)),
+     ((3, 2, 2), (2, 1))],
+)
 @pytest.mark.parametrize("convention", ["ascending", "descending"])
 def test_enumeration_matches_every_valid_filling_on_tall_shapes(outer, inner, convention):
     # a column longer than the alphabet leaves nothing; the pruning by
-    # column depth must skip only values that lead nowhere, in order
+    # column depth and by the cell above must skip only values that lead
+    # nowhere, in order
     sk = shape(outer, inner)
     for n in range(5):
         listed = [t.rows for t in enumerate_tableaux(sk, n, convention)]
@@ -94,6 +99,25 @@ def test_one_column_as_tall_as_the_alphabet_is_listed_at_once():
     # pruning by column depth the search tried every dead prefix
     tabs = list(enumerate_tableaux(shape((1,) * 30), 30, "ascending"))
     assert [t.rows for t in tabs] == [tuple((v,) for v in range(1, 31))]
+
+
+@pytest.mark.parametrize("convention", ["ascending", "descending"])
+def test_tall_skew_column_checks_each_cell_a_bounded_number_of_times(monkeypatch, convention):
+    # (1^400) / (1) by 1..400: 400 tableaux of 399 cells.  Each cell's range
+    # starts past the cell above it, so the cell checks stay within the
+    # cells listed; from the column depth alone they were about 21 million
+    calls = 0
+    real = tableaux._cell_ok
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(tableaux, "_cell_ok", counted)
+    tabs = list(enumerate_tableaux(shape((1,) * 400, (1,)), 400, convention))
+    assert len(tabs) == 400
+    assert calls <= 400 * 399
 
 
 @pytest.mark.parametrize("outer, inner", [((2, 1), ()), ((3, 3), (1,)), ((2, 2, 1), (1, 1)), ((4, 2, 1), (2,)), ((3, 1, 1), ())])
