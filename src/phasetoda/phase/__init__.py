@@ -14,7 +14,6 @@ from .monodromy import (
     apply_local_L,
     build_conj_state,
     build_state,
-    monodromy_apply,
     r_matrix,
     verify_rtt,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "determinant_stack",
     "limit_correspondence",
     "limit_sides",
-    "monodromy_apply",
     "npoint_det",
     "npoint_state",
     "one_hole_det",

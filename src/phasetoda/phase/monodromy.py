@@ -6,22 +6,25 @@ its corners act on kets (A preserves, B raises, C lowers, D preserves the
 total occupation).  On bras the same corners act from the right, which
 swaps the roles of the creation and annihilation entries.
 
-A corner is never taken from the whole 2x2 operator product: on a ket it
-needs only its column of the product, on a bra only its row, and one
-transfer loop carries that pair of vectors across the sites.  The pair is
-two plain dicts from occupation to coefficient; at each site the first is
-scaled by a and the second by d, then the first gains the second's terms
+Every state vector is a basis vector grown by one corner per spectral
+value, and a corner is never taken from the whole 2x2 operator product: on
+a ket it needs only its column of the product, on a bra only its row, and
+one transfer loop carries that pair of vectors across the sites.  The pair
+is two plain dicts from occupation to coefficient; at each site the first
+is scaled by a and the second by d, then the first gains the second's terms
 with a quantum created at the site and the second gains the first's with
-one destroyed there, each shifted term scaled by b.  On polynomials
-(a, b, d) is (1/u, 1, u), and b multiplies nothing.  At a nonzero constant
-u = p/q on constant coefficients it is pq times that, (q^2, pq, p^2), on
-integer numerators over their lcm; the image is those over the lcm times
-|pq|^(M+1), with the sign of (pq)^(M+1) in the numerators, and a grown
-state builds its constants once, after its last corner.  Kets and bras
-differ only in the site order, and a StateVector is built once, around the
-corner returned; ``apply_local_L`` keeps the one-entry local step for the
-full-product oracle of the tests.  Every state vector is a basis vector
-grown by one corner per spectral value.
+one destroyed there, each shifted term scaled by b.
+
+A grown state picks its coefficients once, from its values, and keeps them
+through every corner.  When every value is a nonzero constant u = p/q, the
+coefficients are integer numerators over one denominator: each corner runs
+the loop with (a, b, d) = (q^2, pq, p^2), pq times the site weights
+(1/u, 1, u), puts the sign of (pq)^(M+1) in the numerators and multiplies
+the denominator by |pq|^(M+1), and the constants are built once, after the
+last corner.  Otherwise the coefficients are MultiPolys from the first
+corner on, with (a, b, d) = (1/u, 1, u), and b multiplies nothing.  Kets and
+bras differ only in the site order; ``apply_local_L`` keeps the one-entry
+local step for the full-product oracle of the tests.
 
 The intertwining check multiplies the 4x4 R-matrix (rational entries
 f = u^2/(u^2-v^2), g = uv/(u^2-v^2)) against tensor products of monodromy
@@ -39,7 +42,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence, Union
 
-from ..algebra import MultiPoly, as_poly, constant_over, constants_over_lcm
+from ..algebra import MultiPoly, as_poly, constant_over
 from ..combinatorics.partitions import partition_to_occupation, partitions_in_box
 from ..errors import NotDivisible, PoleViolation, RangeViolation
 from .fock import StateVector, _add_into
@@ -115,70 +118,42 @@ def _transfer(start: int, weights: tuple, terms: dict, m: int, dual: bool) -> tu
     return first, second
 
 
-def _corner(entry: str, u: MultiPoly, terms: dict, den: Optional[int], m: int, dual: bool) -> tuple:
-    """Corner ``entry`` at u applied to a ket or bra given as (terms, den):
-    integer numerators over ``den``, or MultiPoly coefficients when ``den``
-    is None; the image comes back in the same form.  Numerators stay on
-    integers when u is a nonzero constant, and any other u takes them to
-    constants first."""
-    x, y = _CORNERS[entry]
-    start, end = (x, y) if dual else (y, x)
-    weights = _integer_weights(u) if den is not None else None
-    if weights is None:
-        terms = _constants(terms, den)
-        # 1/u is taken only if some site scales a first vector, which a
-        # one-site sweep from the second does not (elsewhere u = 0 raises
-        # NotDivisible)
-        inverse = u.monomial_inverse() if start == 0 or m else None
-        return _transfer(start, (inverse, None, u), terms, m, dual)[end], None
-    image = _transfer(start, weights, terms, m, dual)[end]
-    scale = weights[1] ** (m + 1)
-    if scale < 0:
-        image = {occ: -c for occ, c in image.items()}
-    return image, den * abs(scale)
-
-
-def _constants(terms: dict, den: Optional[int]) -> dict:
-    """The MultiPoly coefficients of (terms, den): ``terms`` itself when
-    ``den`` is None."""
-    if den is None:
-        return terms
-    return {occ: constant_over(c, den) for occ, c in terms.items()}
-
-
-def monodromy_apply(entry: str, u: Spectral, sv: StateVector) -> StateVector:
-    """Apply one corner (A, B, C or D) of the monodromy matrix.
-
-    Only the column of the corner is carried across the sites for a ket, and
-    only its row for a bra; on integers when u is a nonzero constant and
-    every coefficient is constant.
-    """
-    if entry not in _CORNERS:
-        raise ValueError("entry must be A, B, C or D")
-    u = as_poly(u)
-    terms, den = sv.terms, None
-    if _integer_weights(u) is not None and all(c.is_constant() for c in terms.values()):
-        nums, den = constants_over_lcm(list(terms.values()))
-        terms = dict(zip(terms, nums))
-    return sv.copy_with(_constants(*_corner(entry, u, terms, den, sv.m, sv.dual)))
-
-
 def grow_state(
     entry: str, values: Sequence[Spectral], m: int, sites: Sequence[int] = (), dual: bool = False
 ) -> StateVector:
     """The basis vector with one quantum at each of ``sites`` (the vacuum when
     there are none), hit by corner ``entry`` once per value, the last value
-    first; its numerators stay on integers up to the first value that is
-    not a nonzero constant."""
+    first; on integer numerators when every value is a nonzero constant, on
+    MultiPolys otherwise."""
+    if entry not in _CORNERS:
+        raise ValueError("entry must be A, B, C or D")
+    x, y = _CORNERS[entry]
+    start, end = (x, y) if dual else (y, x)
     occ = [0] * (m + 1)
     for r in sites:
         if not (0 <= r <= m):
             raise RangeViolation(f"site {r} outside 0..{m}")
         occ[r] += 1
-    terms, den = {tuple(occ): 1}, 1
-    for u in reversed(list(values)):
-        terms, den = _corner(entry, as_poly(u), terms, den, m, dual)
-    return StateVector(m, {}, dual).copy_with(_constants(terms, den))
+    values = [as_poly(u) for u in reversed(list(values))]
+    weights = [_integer_weights(u) for u in values]
+    if None not in weights:
+        terms, den = {tuple(occ): 1}, 1
+        for w in weights:
+            terms = _transfer(start, w, terms, m, dual)[end]
+            scale = w[1] ** (m + 1)
+            if scale < 0:
+                terms = {occ: -c for occ, c in terms.items()}
+            den *= abs(scale)
+        terms = {occ: constant_over(c, den) for occ, c in terms.items()}
+    else:
+        terms = {tuple(occ): MultiPoly.const(1)}
+        for u in values:
+            # 1/u is taken only if some site scales a first vector, which a
+            # one-site sweep from the second does not (elsewhere u = 0
+            # raises NotDivisible)
+            inverse = u.monomial_inverse() if start == 0 or m else None
+            terms = _transfer(start, (inverse, None, u), terms, m, dual)[end]
+    return StateVector(m, {}, dual).copy_with(terms)
 
 
 def build_state(u_values: Sequence[Spectral], m: int) -> StateVector:

@@ -119,10 +119,6 @@ class TauContext:
         a = generic_constant_matrix(n - m, seed)
         return cls.symbolic(m, n, a)
 
-    @classmethod
-    def identity(cls, m: int, n: int) -> "TauContext":
-        return cls.symbolic(m, n, RingMatrix.identity(n - m))
-
     def at_point(self, x_values: Sequence, y_values: Sequence) -> "TauContext":
         """Numeric context with the same constant matrix, dressed in one
         integer pass and kept.  With zeta(x), A and zeta(-y) as integer

@@ -15,7 +15,6 @@ from phasetoda.phase import (
     apply_local_L,
     build_conj_state,
     build_state,
-    monodromy_apply,
     pair,
     vacuum,
     verify_rtt,
@@ -39,24 +38,35 @@ def test_local_actions_on_vacuum():
     assert scaled.terms == {(0, 0): u}
 
 
+def corner_by_grown_states(entry, w, sv):
+    """Corner ``entry`` at w applied to sv, by linearity: the sum over the
+    occupations of sv of each coefficient times the basis vector at that
+    occupation grown by the corner."""
+    out = StateVector(sv.m, {}, sv.dual)
+    for occ, coeff in sv.terms.items():
+        sites = [r for r, k in enumerate(occ) for _ in range(k)]
+        out = out + monodromy.grow_state(entry, [w], sv.m, sites, sv.dual).scale(coeff)
+    return out
+
+
 def test_creation_corner_m1():
-    sv = monodromy_apply("B", u, vacuum(1))
+    sv = monodromy.grow_state("B", [u], 1)
     assert sv.terms == {(1, 0): u.monomial_inverse(), (0, 1): u}
 
 
 def test_annihilation_corner_kills_vacuum():
-    assert monodromy_apply("C", u, vacuum(2)).is_zero()
+    assert monodromy.grow_state("C", [u], 2).is_zero()
 
 
 def test_occupation_grading():
     for m in (1, 2):
         state = build_state([f"u{i}" for i in (1, 2)], m)
-        raised = monodromy_apply("B", MultiPoly.var("w"), state)
+        raised = corner_by_grown_states("B", MultiPoly.var("w"), state)
         assert {sum(occ) for occ in raised.terms} == {3}
-        lowered = monodromy_apply("C", MultiPoly.var("w"), state)
+        lowered = corner_by_grown_states("C", MultiPoly.var("w"), state)
         assert {sum(occ) for occ in lowered.terms} == {1}
         for entry in ("A", "D"):
-            kept = monodromy_apply(entry, MultiPoly.var("w"), state)
+            kept = corner_by_grown_states(entry, MultiPoly.var("w"), state)
             assert {sum(occ) for occ in kept.terms} <= {2}
 
 
@@ -180,7 +190,7 @@ def test_corners_equal_full_product(m):
     for sv in states:
         for entry in "ABCD":
             want = corner_by_full_product(entry, w, sv)
-            assert monodromy_apply(entry, w, sv) == want, (sv, entry)
+            assert corner_by_grown_states(entry, w, sv) == want, (sv, entry)
 
 
 nonzero = st.builds(Fraction, st.integers(1, 4) | st.integers(-4, -1), st.integers(1, 3))
@@ -212,8 +222,9 @@ def _const_state(m, terms, dual=False):
 @given(states(), spectral)
 # at u = 1 the A and C corners cancel u^-2 * (-1) + 1 at (0, 1) on site 1
 @example(StateVector(1, {(1, 0): MultiPoly.const(1), (0, 1): MultiPoly.const(-1)}), Fraction(1))
-# all-constant kets and bras take the integer route: at a negative u with
-# M + 1 odd the sign of (pq)^(M+1) goes into the numerators, M = 0 included
+# at a rational u each basis vector of an all-constant ket or bra grows on
+# integers: at a negative u with M + 1 odd the sign of (pq)^(M+1) goes into
+# the numerators, M = 0 included
 @example(_const_state(2, {(1, 0, 1): Fraction(-2, 3), (0, 2, 0): 3}), Fraction(-3, 2))
 @example(_const_state(2, {(0, 1, 1): Fraction(1, 2)}, dual=True), Fraction(-1, 3))
 @example(_const_state(1, {(1, 0): 1, (0, 1): Fraction(-3, 4)}, dual=True), Fraction(-2, 3))
@@ -223,20 +234,30 @@ def _const_state(m, terms, dual=False):
 @pytest.mark.hypothesis_seeds
 def test_corners_equal_full_product_on_random_states(sv, w):
     for entry in "ABCD":
-        assert monodromy_apply(entry, w, sv) == corner_by_full_product(entry, w, sv), entry
+        assert corner_by_grown_states(entry, w, sv) == corner_by_full_product(entry, w, sv), entry
+
+
+@st.composite
+def grown(draw):
+    """Up to three values, each rational or w, at M <= 3 on a ket or a bra
+    from up to two quanta, with one corner."""
+    m = draw(st.integers(0, 3))
+    return (draw(st.lists(nonzero | st.just(MultiPoly.var("w")), max_size=3)), m, draw(st.booleans()),
+            draw(st.lists(st.integers(0, m), max_size=2)), draw(st.sampled_from("ABCD")))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(nonzero | st.just(MultiPoly.var("w")), max_size=3), st.integers(0, 3), st.booleans(),
-       st.data())
+@given(grown())
+# a mixed list runs on MultiPolys throughout, its rational values included
+@example(([Fraction(2, 3), MultiPoly.var("w"), Fraction(-3, 2)], 2, False, [1], "B"))
+@example(([Fraction(-1, 2), MultiPoly.var("w"), Fraction(3)], 1, True, [0, 1], "C"))
 @pytest.mark.hypothesis_seeds
-def test_grown_states_equal_corners_by_full_product(values, m, dual, data):
-    # grow_state carries integer numerators through the corners at rational
-    # values, up to the first symbolic one, and builds the constants once;
-    # the oracle applies one full-product corner per value, last value
-    # first, on MultiPolys
-    sites = data.draw(st.lists(st.integers(0, m), max_size=2))
-    entry = data.draw(st.sampled_from("ABCD"))
+def test_grown_states_equal_corners_by_full_product(case):
+    # grow_state carries integer numerators through every corner when all
+    # the values are rational and builds the constants once, and MultiPolys
+    # otherwise; the oracle applies one full-product corner per value, last
+    # value first, on MultiPolys
+    values, m, dual, sites, entry = case
     want = StateVector(m, {tuple(sites.count(r) for r in range(m + 1)): MultiPoly.const(1)}, dual)
     for w in reversed(values):
         want = corner_by_full_product(entry, as_poly(w), want)
@@ -320,24 +341,24 @@ def test_zero_spectral_value(dual):
     # larger M every corner, raises
     creating, keeping = ("C", "D") if dual else ("B", "D")
     sv = StateVector(0, {(1,): MultiPoly.var("x")}, dual)
-    assert monodromy_apply(creating, 0, sv).terms == {(2,): MultiPoly.var("x")}
-    assert monodromy_apply(keeping, 0, sv).is_zero()
+    assert corner_by_grown_states(creating, 0, sv).terms == {(2,): MultiPoly.var("x")}
+    assert corner_by_grown_states(keeping, 0, sv).is_zero()
     for entry in "ABCD":
         if entry not in (creating, keeping):
             with pytest.raises(NotDivisible):
-                monodromy_apply(entry, 0, sv)
+                corner_by_grown_states(entry, 0, sv)
         for m in (1, 2):
             with pytest.raises(NotDivisible):
-                monodromy_apply(entry, 0, vacuum(m, dual))
+                monodromy.grow_state(entry, [0], m, (), dual)
     build = build_conj_state if dual else build_state
     assert build([0, 1], 0).terms == {(2,): MultiPoly.const(1)}
     with pytest.raises(NotDivisible):
         build([0], 1)
 
 
-def test_monodromy_apply_rejects_unknown_corner():
-    with pytest.raises(ValueError):
-        monodromy_apply("E", u, vacuum(1))
+def test_grow_state_rejects_unknown_corner():
+    with pytest.raises(ValueError, match="entry must be A, B, C or D"):
+        monodromy.grow_state("E", ["u1"], 1)
 
 
 def test_wrong_local_operator_fails_phase_items_with_witnesses(monkeypatch):

@@ -54,7 +54,7 @@ def test_dressed_at_zero_times_is_constant_matrix():
 def test_dressed_2x2_identity_oracle():
     # multiply the three 2x2 factors by hand:
     # [[1, x1],[0,1]] I [[1,0],[-y1,1]] = [[1 - x1 y1, x1], [-y1, 1]]
-    ctx = TauContext.identity(0, 2)
+    ctx = TauContext.symbolic(0, 2, RingMatrix.identity(2))
     d = ctx.dressed()
     assert d[0, 0] == 1 - x1 * y1
     assert d[0, 1] == x1
@@ -65,7 +65,7 @@ def test_dressed_2x2_identity_oracle():
 def test_tau_trivial_sites():
     ctx = TauContext.generic(0, 3, seed=4)
     assert tau(ctx, 0) == MultiPoly.const(1)
-    ident = TauContext.identity(0, 3)
+    ident = TauContext.symbolic(0, 3, RingMatrix.identity(3))
     at0 = ident.at_point([0, 0], [0, 0])
     for s in range(0, 4):
         assert tau(at0, s) == MultiPoly.const(1)

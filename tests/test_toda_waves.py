@@ -132,7 +132,7 @@ def test_bilinear_same_site_and_generic():
 
 
 def test_bilinear_unipotent_point():
-    ctx = TauContext.identity(0, 3)
+    ctx = TauContext.symbolic(0, 3, RingMatrix.identity(3))
     zeros = [Fraction(0), Fraction(0)]
     assert bilinear_check(ctx, 1, 2, zeros, zeros, zeros, zeros)
 
